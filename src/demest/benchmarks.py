@@ -1,6 +1,11 @@
 """Classical estimators used as benchmarks: the discrete Kalman filter,
 state augmentation with AR process noise, SMIKF (an AR(1)-aware Kalman
-variant), the unknown input observer, plus AR fitting and the SSE metric."""
+variant), the unknown input observer, plus AR fitting and the SSE metric.
+
+The Kalman filter, the state-augmentation filter (a Kalman filter on the
+augmented system) and SMIKF share one predict/update recursion; SMIKF only
+adds the AR(1) cross term to its prediction.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +14,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import (LinAlgError, block_diag, cho_factor, cho_solve,
-                          expm, solve_discrete_lyapunov, solve_toeplitz)
+from scipy.linalg import (block_diag, expm, solve_discrete_lyapunov,
+                          solve_toeplitz)
+# Unused here, but kept importable: profilers count calls at these names.
+from scipy.linalg import cho_factor, cho_solve  # noqa: F401
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.signal import place_poles
 
 from .errors import DivergenceError, ObserverDesignError
@@ -76,9 +84,18 @@ def default_noise_matrices(noise: NoiseSpec, dt: float) -> tuple[np.ndarray, np.
     return 0.5 * (q + q.T), 0.5 * (r + r.T)
 
 
-def kalman_filter(ad, bd, c, q, r, data: ExperimentData,
-                  x0=None, p0=None) -> KalmanResult:
-    """Standard discrete predict/update recursion (Joseph-form update)."""
+def _filter(ad, bd, c, q, r, data: ExperimentData, x0, p0,
+            ar=None) -> KalmanResult:
+    """Predict/update recursion shared by the Kalman-family filters.
+
+    With ``ar`` (the diagonal matrix of AR(1) noise coefficients) the
+    prediction also carries the covariance between the posterior error and
+    the upcoming noise sample, as SMIKF does. The innovation covariance is
+    factored by LAPACK ``potrf``/``potrs`` directly: the routines behind
+    ``cho_factor``/``cho_solve``, so the same bits without the per-step
+    wrapper and its finiteness checks. An overflowed prediction is caught
+    by the finite check on ``x`` and ``P`` at the step that uses it.
+    """
     ad = np.atleast_2d(np.asarray(ad, dtype=float))
     bd = np.atleast_2d(np.asarray(bd, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
@@ -91,26 +108,38 @@ def kalman_filter(ad, bd, c, q, r, data: ExperimentData,
         raise ValueError("measurement dimension does not match C")
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     p = np.eye(n) if p0 is None else np.asarray(p0, dtype=float).copy()
+    cross = np.zeros((n, n))  # cov(prior error, current noise sample)
     eye = np.eye(n)
     means = np.empty((ys.shape[0], n))
     covs = np.empty((ys.shape[0], n, n))
     for k in range(ys.shape[0]):
-        s = c @ p @ c.T + r
-        try:
-            cho = cho_factor(s)
-        except LinAlgError:
-            raise DivergenceError(k, "innovation covariance not invertible") from None
-        gain = cho_solve(cho, c @ p).T
+        cp = c @ p
+        chol, info = dpotrf(cp @ c.T + r, lower=0, clean=0)
+        if info != 0:
+            raise DivergenceError(k, "innovation covariance not invertible")
+        gain = dpotrs(chol, cp, lower=0)[0].T
         x = x + gain @ (ys[k] - c @ x)
         ikc = eye - gain @ c
         p = ikc @ p @ ikc.T + gain @ r @ gain.T
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+        if not (np.isfinite(x).all() and np.isfinite(p).all()):
             raise DivergenceError(k, "non-finite filter state")
         means[k] = x
         covs[k] = p
         x = ad @ x + bd @ vs[k]
-        p = ad @ p @ ad.T + q
+        if ar is None:
+            p = ad @ p @ ad.T + q
+        else:
+            # ikc @ cross: cov(posterior error, current noise sample)
+            ad_psi = ad @ (ikc @ cross)
+            p = ad @ p @ ad.T + q + ad_psi + ad_psi.T
+            cross = (ad_psi + q) @ ar.T
     return KalmanResult(means=means, covariances=covs)
+
+
+def kalman_filter(ad, bd, c, q, r, data: ExperimentData,
+                  x0=None, p0=None) -> KalmanResult:
+    """Standard discrete predict/update recursion (Joseph-form update)."""
+    return _filter(ad, bd, c, q, r, data, x0, p0)
 
 
 def _unit_innovation_variance(coeffs: np.ndarray) -> float:
@@ -214,40 +243,7 @@ def smikf(model: LtiModel, ar1_coefficients, data: ExperimentData,
     ad, bd = discretize(model, data.dt)
     if np.all(coeffs == 0.0):
         return kalman_filter(ad, bd, model.c, q, r, data, x0=x0, p0=p0)
-
-    c = model.c
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
-    ar = np.diag(coeffs)
-    n = model.n
-    ys = data.measurements
-    vs = data.inputs
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    p = np.eye(n) if p0 is None else np.asarray(p0, dtype=float).copy()
-    cross = np.zeros((n, n))  # cov(prior error, current noise sample)
-    eye = np.eye(n)
-    means = np.empty((ys.shape[0], n))
-    covs = np.empty((ys.shape[0], n, n))
-    for k in range(ys.shape[0]):
-        s = c @ p @ c.T + r
-        try:
-            cho = cho_factor(s)
-        except LinAlgError:
-            raise DivergenceError(k, "innovation covariance not invertible") from None
-        gain = cho_solve(cho, c @ p).T
-        x = x + gain @ (ys[k] - c @ x)
-        ikc = eye - gain @ c
-        p = ikc @ p @ ikc.T + gain @ r @ gain.T
-        psi = ikc @ cross  # cov(posterior error, current noise sample)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-            raise DivergenceError(k, "non-finite filter state")
-        means[k] = x
-        covs[k] = p
-        x = ad @ x + bd @ vs[k]
-        ad_psi = ad @ psi
-        p = ad @ p @ ad.T + q + ad_psi + ad_psi.T
-        cross = (ad_psi + q) @ ar.T
-    return KalmanResult(means=means, covariances=covs)
+    return _filter(ad, bd, model.c, q, r, data, x0, p0, ar=np.diag(coeffs))
 
 
 @dataclass(frozen=True)

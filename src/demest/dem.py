@@ -13,7 +13,7 @@ whose drift is the generalized shift minus the learning rate times the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag, expm
@@ -92,7 +92,6 @@ class ObserverMatrices:
     p: int
     d: int
     dt: float
-    _step_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def state_dim(self) -> int:
@@ -107,18 +106,14 @@ class ObserverMatrices:
         return self.state_dim + self.input_dim
 
     def discrete_step(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-order-hold discretization of (drift, drive), cached per dt."""
-        cached = self._step_cache.get(dt)
-        if cached is None:
-            n_x = self.total_dim
-            n_u = self.drive.shape[1]
-            block = np.zeros((n_x + n_u, n_x + n_u))
-            block[:n_x, :n_x] = self.drift
-            block[:n_x, n_x:] = self.drive
-            phi = expm(block * dt)
-            cached = (phi[:n_x, :n_x], phi[:n_x, n_x:])
-            self._step_cache[dt] = cached
-        return cached
+        """Zero-order-hold discretization (Ad, Bd) of (drift, drive)."""
+        n_x = self.total_dim
+        n_u = self.drive.shape[1]
+        block = np.zeros((n_x + n_u, n_x + n_u))
+        block[:n_x, :n_x] = self.drift
+        block[:n_x, n_x:] = self.drive
+        phi = expm(block * dt)
+        return phi[:n_x, :n_x], phi[:n_x, n_x:]
 
 
 def prediction_error(m: ObserverMatrices, x_full: np.ndarray,
@@ -313,10 +308,13 @@ def run_observer(model: LtiModel, cfg: DemConfig, data: ExperimentData,
                  known_inputs: bool = False, x0=None) -> ObserverRun:
     """Replay a record through the observer.
 
-    Each step embeds the measurement window into a generalized output and
-    advances the estimate ODE. With ``known_inputs`` the input block is
-    clamped to the embedded measured inputs after every step (the state
-    benchmarking mode); otherwise inputs are estimated against the prior.
+    The record is embedded into generalized outputs up front, and each step
+    advances the estimate ODE with the (Ad, Bd) discretized once per run.
+    With ``known_inputs`` the input block is clamped to the embedded
+    measured inputs after every step (the state benchmarking mode);
+    otherwise inputs are estimated against the prior. The free-energy trace
+    is computed after the replay from the stored estimates; it matches
+    ``free_energy(prediction_error(...))`` per step up to rounding.
     """
     if data.measurements.shape[1] != model.m:
         raise ValueError("measurement dimension does not match plant output")
@@ -329,31 +327,61 @@ def run_observer(model: LtiModel, cfg: DemConfig, data: ExperimentData,
         v_gen_series = embed_series(data.inputs, data.dt, cfg.d)
 
     n_steps = data.n_steps
+    # Row t holds the same values observer_step would concatenate at step t.
+    u_rows = np.empty((n_steps, m.drive.shape[1]))
+    u_rows[:, :y_gen_series.shape[1]] = y_gen_series
+    u_rows[:, y_gen_series.shape[1]:] = -eta_gen
+    dt = data.dt
+    euler = cfg.integrator == "euler"
+    if not euler:
+        ad, bd = m.discrete_step(dt)
+    sd = m.state_dim
     x_full = np.zeros(m.total_dim) if x0 is None \
         else np.asarray(x0, dtype=float).reshape(-1).copy()
     estimates = np.empty((n_steps, m.total_dim))
-    vfe = np.empty(n_steps)
     for t in range(n_steps):
-        x_full = observer_step(m, x_full, y_gen_series[t], eta_gen,
-                               dt=data.dt, method=cfg.integrator)
+        if euler:
+            x_full = x_full + dt * (m.drift @ x_full + m.drive @ u_rows[t])
+        else:
+            x_full = ad @ x_full + bd @ u_rows[t]
         if known_inputs:
-            x_full[m.state_dim:] = v_gen_series[t]
-        if not np.all(np.isfinite(x_full)):
+            x_full[sd:] = v_gen_series[t]
+        if not np.isfinite(x_full).all():
             raise DivergenceError(t, "non-finite estimate")
         estimates[t] = x_full
-        eps = prediction_error(m, x_full, y_gen_series[t], eta_gen)
-        vfe[t] = free_energy(eps, m.precision)
 
     state_prec, input_prec = estimate_precision(m)
     return ObserverRun(
         estimates=estimates,
-        vfe=vfe,
+        vfe=_free_energy_trace(m, estimates, y_gen_series, eta_gen),
         states=estimates[:, :model.n],
-        inputs=estimates[:, m.state_dim:m.state_dim + model.r],
+        inputs=estimates[:, sd:sd + model.r],
         state_precision=state_prec,
         input_precision=input_prec,
         matrices=m,
     )
+
+
+def _free_energy_trace(m: ObserverMatrices, estimates: np.ndarray,
+                       y_gen_series: np.ndarray,
+                       eta_gen: np.ndarray) -> np.ndarray:
+    """``free_energy(prediction_error(...))`` for every row of a replay.
+
+    The precision is block-diagonal, so the quadratic form is summed one
+    error block at a time and no (T, total_dim) error matrix is formed.
+    """
+    def weighted(err, block):
+        return np.einsum("ti,ti->t", err @ block, err)
+
+    x_t = estimates[:, :m.state_dim]
+    v_t = estimates[:, m.state_dim:]
+    pi = m.precision
+    quad = weighted(y_gen_series - x_t @ m.lifted_c.T, pi.output_block)
+    quad += weighted(v_t - eta_gen, pi.input_block)
+    quad += weighted(x_t @ m.shift_x.T - x_t @ m.lifted_a.T
+                     - v_t @ m.lifted_b.T, pi.state_block)
+    np.maximum(quad, 0.0, out=quad)  # rounding guard; the form is PSD
+    return -0.5 * quad
 
 
 def estimate_precision(m: ObserverMatrices) -> tuple[np.ndarray, np.ndarray]:
@@ -398,24 +426,3 @@ def free_energy_landscape(m: ObserverMatrices, x_hat: np.ndarray,
         max_probe=max_probe,
         passed=bool(v_hat >= max_probe - slack),
     )
-
-
-def sweep_learning_rate(model: LtiModel, cfg: DemConfig, data: ExperimentData,
-                        rates, known_inputs: bool = True,
-                        skip_steps: int = 0) -> list[tuple[float, float]]:
-    """SSE of the roll-rate estimate against truth for each candidate rate.
-
-    Utility for tuning the gradient-ascent gain on a representative record;
-    requires ground truth in the data.
-    """
-    if data.truth_states is None:
-        raise ValueError("rate sweep needs ground-truth states")
-    results = []
-    for rate in rates:
-        trial = DemConfig(p=cfg.p, d=cfg.d, noise=cfg.noise, eta_v=cfg.eta_v,
-                          dt=cfg.dt, learning_rate=float(rate),
-                          integrator=cfg.integrator)
-        run = run_observer(model, trial, data, known_inputs=known_inputs)
-        err = run.states[skip_steps:] - data.truth_states[skip_steps:]
-        results.append((float(rate), float(np.sum(err ** 2))))
-    return results

@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Factorials and Vandermonde conditioning degrade quickly past this order.
 ORDER_CAP = 12
@@ -270,14 +271,21 @@ def embed_series(series: np.ndarray, dt: float, order: int) -> np.ndarray:
     # constant reaches the integer numerators as exact zeros.
     ref = series[0]
     shifted = series - ref
+    # Interior rows (lo = t + lead) share the centered window's numerators
+    # and take one stacked product over every window of the series; only
+    # the ``order`` boundary rows use off-center windows.
+    center = _embedding_inverse(order, dt, centered_offsets(order))
+    windows = sliding_window_view(shifted, (order + 1, m))[:, 0]
     out = np.empty((n_samples, m * (order + 1)))
-    for t in range(n_samples):
+    out[-lead:n_samples - order - lead] = \
+        (center.numer @ windows).reshape(n_samples - order, -1)
+    for t in (*range(-lead), *range(n_samples - order - lead, n_samples)):
         lo = min(max(t + lead, 0), n_samples - order - 1)
         offsets = tuple(range(lo - t, lo - t + order + 1))
         factored = _embedding_inverse(order, dt, offsets)
         out[t] = (factored.numer @ shifted[lo:lo + order + 1]).reshape(-1)
     # Every window is consecutive, so all rows share the denominator order!
     # and with it one row scale.
-    out *= np.repeat(factored.scale, m)
+    out *= np.repeat(center.scale, m)
     out[:, :m] += ref
     return out

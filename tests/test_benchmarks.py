@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from demest.benchmarks import (ArModel, build_augmented_system,
                                default_noise_matrices, default_uio_poles,
                                design_uio, fit_ar, kalman_filter, smikf, sse,
                                state_augmentation_filter, uio)
-from demest.errors import ObserverDesignError
+from demest.errors import DivergenceError, ObserverDesignError
 from demest.noise import NoiseSpec
 from demest.systems import (ExperimentData, LtiModel, discretize,
                             quadrotor_roll_model, simulate)
@@ -319,3 +320,111 @@ class TestDefaultNoiseMatrices:
         q, r = default_noise_matrices(spec, 0.01)
         np.testing.assert_allclose(q, np.diag([0.25, 4.0]) * 0.01)
         np.testing.assert_allclose(r, [[0.5]])
+
+
+def reference_recursion(ad, bd, c, q, r, data, x0, p0, ar=None):
+    """The Kalman/SMIKF recursion written out with cho_factor/cho_solve."""
+    n = ad.shape[0]
+    ys, vs = data.measurements, data.inputs
+    x, p = x0.copy(), p0.copy()
+    cross = np.zeros((n, n))
+    eye = np.eye(n)
+    means = np.empty((ys.shape[0], n))
+    covs = np.empty((ys.shape[0], n, n))
+    for k in range(ys.shape[0]):
+        s = c @ p @ c.T + r
+        gain = cho_solve(cho_factor(s), c @ p).T
+        x = x + gain @ (ys[k] - c @ x)
+        ikc = eye - gain @ c
+        p = ikc @ p @ ikc.T + gain @ r @ gain.T
+        psi = ikc @ cross
+        means[k] = x
+        covs[k] = p
+        x = ad @ x + bd @ vs[k]
+        if ar is None:
+            p = ad @ p @ ad.T + q
+        else:
+            ad_psi = ad @ psi
+            p = ad @ p @ ad.T + q + ad_psi + ad_psi.T
+            cross = (ad_psi + q) @ ar.T
+    return means, covs
+
+
+class TestSharedRecursionBitwise:
+    """The shared filter loop reproduces the wrapper-based recursion bit for
+    bit, so the benchmark tables do not move."""
+
+    def _roll_setup(self, n=400):
+        model = quadrotor_roll_model(3.4e-3, 1.274e-3)
+        dt = 0.0083
+        rng = np.random.default_rng(21)
+        v = 0.1 * rng.standard_normal((n, 4))
+        data = simulate(model, dt, n, v,
+                        rng.standard_normal((n, 2)) * [0.005, 2.0],
+                        1e-3 * rng.standard_normal((n, 1)))
+        ad, bd = discretize(model, dt)
+        q = np.diag([0.005 ** 2, 2.0 ** 2]) * dt
+        r = np.array([[1e-6]])
+        return model, data, ad, bd, q, r
+
+    def test_kalman_filter(self):
+        model, data, ad, bd, q, r = self._roll_setup()
+        result = kalman_filter(ad, bd, model.c, q, r, data)
+        means, covs = reference_recursion(ad, bd, model.c, q, r, data,
+                                          np.zeros(2), np.eye(2))
+        assert np.array_equal(result.means, means)
+        assert np.array_equal(result.covariances, covs)
+
+    def test_state_augmentation_ar6(self):
+        model, data, ad, bd, q, r = self._roll_setup()
+        ar_models = [ArModel(6, [0.5, 0.1, 0.05, 0.02, 0.01, 0.005], 1.0),
+                     ArModel(6, [0.3, -0.1, 0.05, 0.0, 0.01, 0.0], 1.0)]
+        result = state_augmentation_filter(model, ar_models, data, q, r)
+        a_aug, b_aug, c_aug, q_aug, noise_cov = build_augmented_system(
+            ad, bd, model.c, q, ar_models)
+        means, covs = reference_recursion(
+            a_aug, b_aug, c_aug, q_aug, r, data, np.zeros(a_aug.shape[0]),
+            block_diag(np.eye(2), noise_cov))
+        assert np.array_equal(result.means, means[:, :2])
+        assert np.array_equal(result.covariances, covs[:, :2, :2])
+
+    def test_smikf(self):
+        model, data, ad, bd, q, r = self._roll_setup()
+        coeffs = np.array([0.6, -0.4])
+        result = smikf(model, coeffs, data, q, r)
+        means, covs = reference_recursion(ad, bd, model.c, q, r, data,
+                                          np.zeros(2), np.eye(2),
+                                          ar=np.diag(coeffs))
+        assert np.array_equal(result.means, means)
+        assert np.array_equal(result.covariances, covs)
+
+
+class TestFilterDivergence:
+    """An overflowing covariance is a DivergenceError at the step where the
+    non-finite prediction is first used, not a wrapper ValueError."""
+
+    def _data(self, n=5):
+        return ExperimentData(dt=1.0, measurements=np.ones((n, 1)),
+                              inputs=np.zeros((n, 1)))
+
+    def test_kalman_filter(self):
+        eye = np.eye(1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as info:
+            kalman_filter(1e200 * eye, 0.0, eye, eye, eye, self._data())
+        assert info.value.step == 1
+
+    def test_smikf(self):
+        # exp(500) squared overflows the first predicted covariance.
+        model = LtiModel(a=[[500.0]], b=[[0.0]], c=[[1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as info:
+            smikf(model, [0.5], self._data(), np.eye(1), np.eye(1))
+        assert info.value.step == 1
+
+    def test_not_positive_definite_innovation(self):
+        eye = np.eye(1)
+        with pytest.raises(DivergenceError, match="not invertible") as info:
+            kalman_filter(eye, 0.0, eye, 0.0 * eye, 0.0 * eye, self._data(),
+                          p0=-eye)
+        assert info.value.step == 0

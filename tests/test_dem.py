@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,47 @@ class TestRunObserver:
         assert est.v_gen.base_dim == 4 and est.v_gen.order == 1
         np.testing.assert_array_equal(est.state_precision,
                                       run.state_precision)
+
+    def _observer_case(self, case):
+        """The shipped roll design, or a scalar one stable under Euler."""
+        if case == "roll":
+            model, cfg = roll_setup()
+            return model, cfg, self._noiseless_data(model, n=200)
+        model, n = scalar_model(), 200
+        rng = np.random.default_rng(3)
+        data = simulate(model, DT, n, np.sin(np.arange(n) * DT)[:, None],
+                        0.1 * rng.standard_normal((n, 1)),
+                        0.01 * rng.standard_normal((n, 1)))
+        cfg = replace(scalar_cfg(p=2, d=1), integrator=case)
+        return model, cfg, data
+
+    @pytest.mark.parametrize("case", ["roll", "expm", "euler"])
+    @pytest.mark.parametrize("known_inputs", [True, False])
+    def test_estimates_equal_hand_stepped_observer(self, known_inputs, case):
+        model, cfg, data = self._observer_case(case)
+        run = run_observer(model, cfg, data, known_inputs=known_inputs)
+        m = run.matrices
+        y_gen = embed_series(data.measurements, DT, cfg.p)
+        v_gen = embed_series(data.inputs, DT, cfg.d)
+        eta = generalized_prior(cfg.eta_v, cfg.d)
+        x = np.zeros(m.total_dim)
+        for t in range(data.n_steps):
+            x = observer_step(m, x, y_gen[t], eta, method=cfg.integrator)
+            if known_inputs:
+                x[m.state_dim:] = v_gen[t]
+            assert np.array_equal(run.estimates[t], x)
+
+    @pytest.mark.parametrize("case", ["roll", "euler"])
+    @pytest.mark.parametrize("known_inputs", [True, False])
+    def test_free_energy_trace_matches_per_step(self, known_inputs, case):
+        model, cfg, data = self._observer_case(case)
+        run = run_observer(model, cfg, data, known_inputs=known_inputs)
+        m = run.matrices
+        y_gen = embed_series(data.measurements, DT, cfg.p)
+        eta = generalized_prior(cfg.eta_v, cfg.d)
+        expected = [free_energy(prediction_error(m, x, y, eta), m.precision)
+                    for x, y in zip(run.estimates, y_gen)]
+        np.testing.assert_allclose(run.vfe, expected, rtol=1e-12)
 
 
 class TestEstimatePrecision:

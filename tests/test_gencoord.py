@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from demest.gencoord import (EmbeddingWindow, GeneralizedVector,
-                             centered_offsets, embed_measurements,
-                             embed_series, embedding_inverse, lift_matrix,
-                             shift_matrix, taylor_embedding_matrix)
+                             _embedding_inverse, centered_offsets,
+                             embed_measurements, embed_series,
+                             embedding_inverse, lift_matrix, shift_matrix,
+                             taylor_embedding_matrix)
 
 
 class TestShiftMatrix:
@@ -212,6 +216,43 @@ class TestEmbedSeries:
     def test_too_short_series(self):
         with pytest.raises(ValueError, match="shorter"):
             embed_series(np.zeros(3), 0.1, 4)
+
+
+def per_row_embed(series, dt, order):
+    """embed_series written as one window product per row."""
+    n_samples, m = series.shape
+    lead = -math.ceil(order / 2)
+    ref = series[0]
+    shifted = series - ref
+    out = np.empty((n_samples, m * (order + 1)))
+    for t in range(n_samples):
+        lo = min(max(t + lead, 0), n_samples - order - 1)
+        factored = _embedding_inverse(
+            order, dt, tuple(range(lo - t, lo - t + order + 1)))
+        out[t] = (factored.numer @ shifted[lo:lo + order + 1]).reshape(-1)
+        out[t] *= np.repeat(factored.scale, m)
+    out[:, :m] += ref
+    return out
+
+
+@st.composite
+def series_cases(draw):
+    order = draw(st.integers(0, 8))
+    width = draw(st.integers(1, 4))
+    length = draw(st.integers(order + 1, order + 40))
+    series = draw(hnp.arrays(np.float64, (length, width),
+                             elements=st.floats(-1e3, 1e3)))
+    dt = draw(st.sampled_from([0.0083, 0.1, 1.0]))
+    return series, dt, order
+
+
+@pytest.mark.filterwarnings("ignore:embedding matrix badly conditioned")
+@settings(max_examples=200, deadline=None)
+@given(series_cases())
+def test_embed_series_matches_per_row_loop_bitwise(case):
+    series, dt, order = case
+    assert np.array_equal(embed_series(series, dt, order),
+                          per_row_embed(series, dt, order))
 
 
 class TestGeneralizedVector:
