@@ -14,16 +14,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import (block_diag, expm, solve_discrete_lyapunov,
-                          solve_toeplitz)
+from scipy.linalg import block_diag, solve_discrete_lyapunov, solve_toeplitz
 # Unused here, but kept importable: profilers count calls at these names.
 from scipy.linalg import cho_factor, cho_solve  # noqa: F401
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.signal import place_poles
 
 from .errors import DivergenceError, ObserverDesignError
 from .noise import NoiseSpec
-from .systems import ExperimentData, LtiModel, discretize
+from .systems import ExperimentData, LtiModel, discretize, zero_order_hold
 
 # Hard cap on augmented filter size (n + n*order states).
 MAX_AUGMENTED_DIM = 128
@@ -85,12 +83,14 @@ def default_noise_matrices(noise: NoiseSpec, dt: float) -> tuple[np.ndarray, np.
 
 
 def _filter(ad, bd, c, q, r, data: ExperimentData, x0, p0,
-            ar=None) -> KalmanResult:
+            ar=None, keep=None) -> KalmanResult:
     """Predict/update recursion shared by the Kalman-family filters.
 
     With ``ar`` (the diagonal matrix of AR(1) noise coefficients) the
     prediction also carries the covariance between the posterior error and
-    the upcoming noise sample, as SMIKF does. The innovation covariance is
+    the upcoming noise sample, as SMIKF does. With ``keep`` only the first
+    ``keep`` states are returned, and only their covariance block is
+    stored. The innovation covariance is
     factored by LAPACK ``potrf``/``potrs`` directly: the routines behind
     ``cho_factor``/``cho_solve``, so the same bits without the per-step
     wrapper and its finiteness checks. An overflowed prediction is caught
@@ -110,8 +110,9 @@ def _filter(ad, bd, c, q, r, data: ExperimentData, x0, p0,
     p = np.eye(n) if p0 is None else np.asarray(p0, dtype=float).copy()
     cross = np.zeros((n, n))  # cov(prior error, current noise sample)
     eye = np.eye(n)
+    whole = keep is None
     means = np.empty((ys.shape[0], n))
-    covs = np.empty((ys.shape[0], n, n))
+    covs = np.empty((ys.shape[0],) + p[:keep, :keep].shape)
     for k in range(ys.shape[0]):
         cp = c @ p
         chol, info = dpotrf(cp @ c.T + r, lower=0, clean=0)
@@ -124,7 +125,7 @@ def _filter(ad, bd, c, q, r, data: ExperimentData, x0, p0,
         if not (np.isfinite(x).all() and np.isfinite(p).all()):
             raise DivergenceError(k, "non-finite filter state")
         means[k] = x
-        covs[k] = p
+        covs[k] = p if whole else p[:keep, :keep]
         x = ad @ x + bd @ vs[k]
         if ar is None:
             p = ad @ p @ ad.T + q
@@ -133,7 +134,7 @@ def _filter(ad, bd, c, q, r, data: ExperimentData, x0, p0,
             ad_psi = ad @ (ikc @ cross)
             p = ad @ p @ ad.T + q + ad_psi + ad_psi.T
             cross = (ad_psi + q) @ ar.T
-    return KalmanResult(means=means, covariances=covs)
+    return KalmanResult(means=means[:, :keep], covariances=covs)
 
 
 def kalman_filter(ad, bd, c, q, r, data: ExperimentData,
@@ -212,7 +213,7 @@ def state_augmentation_filter(model: LtiModel, ar_models, data: ExperimentData,
     """
     ad, bd = discretize(model, data.dt)
     if all(np.all(m.coefficients == 0.0) for m in ar_models):
-        return kalman_filter(ad, bd, model.c, q, r, data, x0=x0, p0=p0)
+        return _filter(ad, bd, model.c, q, r, data, x0, p0)
     a_aug, b_aug, c_aug, q_aug, noise_cov = build_augmented_system(
         ad, bd, model.c, q, ar_models)
     n = model.n
@@ -221,10 +222,8 @@ def state_augmentation_filter(model: LtiModel, ar_models, data: ExperimentData,
         x0_aug[:n] = np.asarray(x0, dtype=float)
     p0_plant = np.eye(n) if p0 is None else np.asarray(p0, dtype=float)
     p0_aug = block_diag(p0_plant, noise_cov)
-    result = kalman_filter(a_aug, b_aug, c_aug, q_aug, r, data,
-                           x0=x0_aug, p0=p0_aug)
-    return KalmanResult(means=result.means[:, :n],
-                        covariances=result.covariances[:, :n, :n])
+    return _filter(a_aug, b_aug, c_aug, q_aug, r, data, x0_aug, p0_aug,
+                   keep=n)
 
 
 def smikf(model: LtiModel, ar1_coefficients, data: ExperimentData,
@@ -233,7 +232,7 @@ def smikf(model: LtiModel, ar1_coefficients, data: ExperimentData,
 
     The prediction covariance carries the correlation between the posterior
     error and the upcoming noise sample induced by first-order AR noise;
-    zero coefficients reduce to the plain Kalman filter.
+    zero coefficients give the plain Kalman filter's bits.
     """
     coeffs = np.asarray(ar1_coefficients, dtype=float).reshape(-1)
     if coeffs.size != model.n:
@@ -241,8 +240,6 @@ def smikf(model: LtiModel, ar1_coefficients, data: ExperimentData,
     if np.any(np.abs(coeffs) >= 1.0):
         raise ValueError("AR(1) coefficients must satisfy |a1| < 1")
     ad, bd = discretize(model, data.dt)
-    if np.all(coeffs == 0.0):
-        return kalman_filter(ad, bd, model.c, q, r, data, x0=x0, p0=p0)
     return _filter(ad, bd, model.c, q, r, data, x0, p0, ar=np.diag(coeffs))
 
 
@@ -291,6 +288,8 @@ def design_uio(model: LtiModel, poles=None) -> UioDesign:
     poles = tuple(float(pole) for pole in poles)
     if len(poles) != model.n:
         raise ObserverDesignError("need one observer pole per state")
+    # Imported here: scipy.signal loads scipy.stats, ~1 s no other path needs.
+    from scipy.signal import place_poles
     placed = place_poles(ta.T, c.T, poles)
     k1 = placed.gain_matrix.T
     f = ta - k1 @ c
@@ -298,8 +297,7 @@ def design_uio(model: LtiModel, poles=None) -> UioDesign:
     return UioDesign(f=f, k=k, h=h, t=t, poles=poles)
 
 
-def uio(model: LtiModel, data: ExperimentData, dt: float | None = None,
-        poles=None) -> UioResult:
+def uio(model: LtiModel, data: ExperimentData, poles=None) -> UioResult:
     """Run the unknown input observer and reconstruct the inputs.
 
     The input estimate inverts the plant relation B v = dx/dt - A x at the
@@ -308,8 +306,6 @@ def uio(model: LtiModel, data: ExperimentData, dt: float | None = None,
     latter is the only path that carries input information, because the
     decoupling makes T B vanish.
     """
-    if dt is None:
-        dt = data.dt
     design = design_uio(model, poles=poles)
     ys = data.measurements
     if ys.shape[0] < 2:
@@ -317,11 +313,8 @@ def uio(model: LtiModel, data: ExperimentData, dt: float | None = None,
     if ys.shape[1] != model.m:
         raise ValueError("measurement dimension does not match plant output")
     n = model.n
-    block = np.zeros((n + model.m, n + model.m))
-    block[:n, :n] = design.f
-    block[:n, n:] = design.k
-    phi = expm(block * dt)
-    fd, kd = phi[:n, :n], phi[:n, n:]
+    dt = data.dt
+    fd, kd = zero_order_hold(design.f, design.k, dt)
 
     if np.linalg.matrix_rank(model.b) < model.r:
         warnings.warn("B is column-rank deficient: the input estimate is the "

@@ -206,6 +206,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
              "must exceed the embedding order")
     _require(run.transient_skip_s >= 0, "run.transient_skip_s",
              "must be non-negative")
+    _require(run.log_path is None or len(seeds) == 1, "seeds",
+             "a log-backed run (run.log_path) replays one record; "
+             "list exactly one seed")
 
     sweep = _parse_section(raw["sweep"], "sweep", SweepSettings) \
         if raw.get("sweep") is not None else None

@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, expm
+from scipy.linalg import block_diag
 
 from .errors import DivergenceError, ObserverDesignError
 from .gencoord import GeneralizedVector, embed_series, lift_matrix, shift_matrix
 from .noise import GeneralizedPrecision, NoiseSpec, generalized_precision
-from .systems import ExperimentData, LtiModel, is_observable
+from .systems import (ExperimentData, LtiModel, is_observable,
+                      zero_order_hold)
 
 # Relative tolerance of the assembly self-check (two independent
 # constructions of the curvature must agree).
@@ -107,13 +108,7 @@ class ObserverMatrices:
 
     def discrete_step(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """Zero-order-hold discretization (Ad, Bd) of (drift, drive)."""
-        n_x = self.total_dim
-        n_u = self.drive.shape[1]
-        block = np.zeros((n_x + n_u, n_x + n_u))
-        block[:n_x, :n_x] = self.drift
-        block[:n_x, n_x:] = self.drive
-        phi = expm(block * dt)
-        return phi[:n_x, :n_x], phi[:n_x, n_x:]
+        return zero_order_hold(self.drift, self.drive, dt)
 
 
 def prediction_error(m: ObserverMatrices, x_full: np.ndarray,

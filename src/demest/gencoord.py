@@ -9,7 +9,6 @@ contiguous block of ``base_dim`` entries.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -19,9 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 # Factorials and Vandermonde conditioning degrade quickly past this order.
 ORDER_CAP = 12
-
-# Condition number above which the embedding matrix is considered suspect.
-CONDITION_WARN = 1e12
 
 
 @dataclass(frozen=True)
@@ -132,6 +128,15 @@ def lift_matrix(m: np.ndarray, order: int, col_order: int | None = None) -> np.n
     return np.kron(np.eye(order + 1, col_order + 1), m)
 
 
+def _check_order_dt(order: int, dt: float) -> None:
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if order > ORDER_CAP:
+        raise ValueError(f"embedding order {order} exceeds cap {ORDER_CAP}")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+
+
 def taylor_embedding_matrix(order: int, dt: float,
                             offsets: tuple[int, ...] | None = None) -> np.ndarray:
     """Matrix mapping a generalized scalar to the window samples.
@@ -141,12 +146,7 @@ def taylor_embedding_matrix(order: int, dt: float,
     sends ``[y; y'; ...; y^(order)]`` at the window's nominal time to the
     ``order + 1`` samples.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if order > ORDER_CAP:
-        raise ValueError(f"embedding order {order} exceeds cap {ORDER_CAP}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_order_dt(order, dt)
     if offsets is None:
         offsets = centered_offsets(order)
     times = np.asarray(offsets, dtype=float) * dt
@@ -198,14 +198,7 @@ def _embedding_inverse(order: int, dt: float,
     # derivatives of constants (0.06 at order 6, dt 0.0083; 4e13 at order
     # 12). inv(V) is therefore formed exactly as an integer matrix over one
     # common denominator, and all rounding is left to the final row scale.
-    t = taylor_embedding_matrix(order, dt, offsets)
-    cond = np.linalg.cond(t)
-    if cond > CONDITION_WARN:
-        warnings.warn(
-            f"embedding matrix badly conditioned (cond={cond:.2e}) for "
-            f"order={order}, dt={dt}",
-            RuntimeWarning,
-        )
+    _check_order_dt(order, dt)
     numer, den = _integer_inverse(offsets)
     scale = np.array([math.factorial(j) / (den * dt ** j)
                       for j in range(order + 1)])

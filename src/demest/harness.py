@@ -7,17 +7,19 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import benchmarks, dem
 from .config import ExperimentConfig, NoiseVariant, config_hash
-from .errors import DivergenceError
+from .errors import DataFormatError, DivergenceError
 from .gencoord import embed_series
 from .noise import (NoiseSpec, autocorrelation, gaussian_fit, generate_colored_noise,
                     kernel_autocorrelation)
-from .systems import (ExperimentData, LtiModel, discretize, load_flight_log,
-                      quadrotor_roll_model, residual_process_noise, simulate)
+from .systems import (DT_JITTER, ExperimentData, LtiModel, discretize,
+                      load_flight_log, quadrotor_roll_model,
+                      residual_process_noise, simulate)
 
 # The state-augmentation benchmark mirrors the observer's default embedding
 # depth with a sixth-order AR noise model.
@@ -25,8 +27,6 @@ SA_AR_ORDER = 6
 
 # Keep fitted AR(1) coefficients strictly inside the stationarity region.
 AR1_CLAMP = 0.999
-
-STATE_ESTIMATORS = ("dem", "kalman", "state_augmentation", "smikf")
 
 
 @dataclass
@@ -45,13 +45,20 @@ class ExperimentReport:
     def files(self) -> list[str]:
         return [f"{name}.csv" for name in self.tables] + ["manifest.json"]
 
+    def add(self, name: str, rows: list, description: str) -> None:
+        self.tables[name] = rows
+        self.descriptions[name] = description
+
+
+def _new_report(cfg: ExperimentConfig) -> ExperimentReport:
+    return ExperimentReport(kind=cfg.kind, config_hash=config_hash(cfg),
+                            output_dir=Path(cfg.output_dir))
+
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -183,20 +190,33 @@ def synthesize_record(cfg: ExperimentConfig, seed: int, model: LtiModel,
     return data, w
 
 
-def get_record(cfg: ExperimentConfig, seed: int, model: LtiModel):
-    """Synthetic or log-backed record plus the series used for AR fitting."""
+class Record(NamedTuple):
+    """A seed's record and the process-noise series AR models are fit to."""
+
+    seed: int
+    data: ExperimentData
+    w_fit: np.ndarray
+
+
+def get_record(cfg: ExperimentConfig, seed: int, model: LtiModel) -> Record:
+    """Synthetic or log-backed record."""
     if cfg.run.log_path is None:
-        return synthesize_record(cfg, seed, model)
+        return Record(seed, *synthesize_record(cfg, seed, model))
     log = load_flight_log(cfg.run.log_path,
                           normalize=cfg.run.normalize_log_inputs)
+    # The estimators replay at the log's dt, while Q, the embedded
+    # reference and the transient skip are set from run.dt.
+    if abs(log.dt - cfg.run.dt) > DT_JITTER * cfg.run.dt:
+        raise DataFormatError(
+            f"{cfg.run.log_path}: log dt={log.dt:g} differs from "
+            f"run.dt={cfg.run.dt:g} by more than {DT_JITTER:.0%}")
     inputs = log.inputs[:, :model.r]
-    measurements = log.measurements[:, :model.m]
-    data = ExperimentData(dt=log.dt, measurements=measurements, inputs=inputs,
-                          truth_states=log.truth_states, labels=log.labels)
+    data = ExperimentData(dt=log.dt, measurements=log.measurements[:, :model.m],
+                          inputs=inputs, truth_states=log.truth_states,
+                          labels=log.labels)
     full_state = ExperimentData(dt=log.dt, measurements=log.measurements,
                                 inputs=inputs, truth_states=log.truth_states)
-    w_fit = residual_process_noise(model, full_state)
-    return data, w_fit
+    return Record(seed, data, residual_process_noise(model, full_state))
 
 
 def _dem_config(cfg: ExperimentConfig, spec: NoiseSpec, model: LtiModel,
@@ -216,8 +236,9 @@ def _skip_steps(cfg: ExperimentConfig) -> int:
     return int(round(cfg.run.transient_skip_s / cfg.run.dt))
 
 
-def _aggregate(values: list[float]) -> dict:
-    arr = np.asarray(values, dtype=float)
+def _aggregate(values) -> dict:
+    """Summary statistics of the values that are not None."""
+    arr = np.asarray([v for v in values if v is not None], dtype=float)
     if arr.size == 0:
         return {"n_runs": 0, "median": None, "iqr": None,
                 "mean": None, "std": None}
@@ -232,150 +253,166 @@ def _aggregate(values: list[float]) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# The replay grid: four families replay every record at each point of an
+# axis (estimators, embedding orders or prior precisions) and only differ in
+# their axis and in how a replay is scored.
+
+
+def _grid(cfg: ExperimentConfig):
+    """Report, plant and records (one per seed) of a grid family."""
+    model = build_model(cfg)
+    return (_new_report(cfg), model,
+            [get_record(cfg, seed, model) for seed in cfg.seeds])
+
+
+def _replay(report: ExperimentReport, records: list[Record], axis) -> list:
+    """Replay every record at each ``(label, estimate)`` axis point in turn.
+
+    ``estimate(record)`` returns copies of the vectors that get scored, so a
+    cell does not keep a whole trajectory alive. Returns the cells axis
+    point by axis point, each a list in record order. A replay that diverges
+    leaves a None cell and a ``report.diverged`` entry. Each axis point's
+    replays are timed together under its label.
+    """
+    cells = []
+    for label, estimate in axis:
+        t0 = time.perf_counter()
+        row = []
+        for rec in records:
+            try:
+                row.append(estimate(rec))
+            except DivergenceError as exc:
+                row.append(None)
+                report.diverged.append(
+                    {"seed": rec.seed, "estimator": label, "error": str(exc)})
+        report.runtimes_s[label] = time.perf_counter() - t0
+        cells.append(row)
+    return cells
+
+
+def _sse(estimate, reference, column: int, skip: int) -> float | None:
+    """SSE of one replay against ``reference[:, column]``; None if the
+    replay diverged or there is no reference."""
+    if estimate is None or reference is None:
+        return None
+    return benchmarks.sse(estimate, reference[:, column], skip=skip)
+
+
+def _observer_rate(model: LtiModel, dem_cfg: dem.DemConfig):
+    """Grid estimate: the observer's roll rate, inputs known."""
+    def estimate(rec: Record) -> np.ndarray:
+        run = dem.run_observer(model, dem_cfg, rec.data, known_inputs=True)
+        return run.states[:, 1].copy()
+    return estimate
+
+
+def _state_estimators(cfg: ExperimentConfig, model: LtiModel) -> list:
+    """The shoot-out axis: each estimator's roll rate, inputs known."""
+    spec = observer_noise_spec(cfg, model)
+    q, r = benchmarks.default_noise_matrices(spec, cfg.run.dt)
+
+    def kalman(rec):
+        ad, bd = discretize(model, rec.data.dt)
+        return benchmarks.kalman_filter(
+            ad, bd, model.c, q, r, rec.data).means[:, 1].copy()
+
+    def state_augmentation(rec):
+        ars = [benchmarks.fit_ar(rec.w_fit[:, i], SA_AR_ORDER)
+               for i in range(model.n)]
+        return benchmarks.state_augmentation_filter(
+            model, ars, rec.data, q, r).means[:, 1].copy()
+
+    def smikf(rec):
+        coeffs = [float(np.clip(benchmarks.fit_ar(rec.w_fit[:, i], 1)
+                                .coefficients[0], -AR1_CLAMP, AR1_CLAMP))
+                  for i in range(model.n)]
+        return benchmarks.smikf(model, coeffs, rec.data, q, r).means[:, 1].copy()
+
+    return [("dem", _observer_rate(model, _dem_config(cfg, spec, model))),
+            ("kalman", kalman), ("state_augmentation", state_augmentation),
+            ("smikf", smikf)]
+
+
+def _rate_scores(cfg: ExperimentConfig, records: list[Record],
+                 cells: list) -> list:
+    """``(sse_truth, sse_embedded, diverged)`` of every roll-rate cell.
+
+    ``sse_truth`` is None for a record without ground truth, and both are
+    None for a diverged replay. The references are computed once per
+    record, for every axis point.
+    """
+    skip = _skip_steps(cfg)
+    # phidot is not directly measured; a low-order embedding of phi acts as
+    # the derivative pseudo-measurement reference.
+    refs = [(rec.data.truth_states,
+             embed_series(rec.data.measurements[:, 0], cfg.run.dt, 2))
+            for rec in records]
+    return [[(_sse(est, truth, 1, skip), _sse(est, embedded, 1, skip),
+              est is None) for est, (truth, embedded) in zip(row, refs)]
+            for row in cells]
+
+
+# ---------------------------------------------------------------------------
 # Experiment families
 
 
 def run_benchmark_state(cfg: ExperimentConfig) -> ExperimentReport:
     """Roll-rate estimation shoot-out: observer vs KF, SA(AR-6), SMIKF(AR-1)."""
-    model = build_model(cfg)
-    spec = observer_noise_spec(cfg, model)
-    skip = _skip_steps(cfg)
-    chash = config_hash(cfg)
-    report = ExperimentReport(kind=cfg.kind, config_hash=chash,
-                              output_dir=Path(cfg.output_dir))
-    q, r = benchmarks.default_noise_matrices(spec, cfg.run.dt)
-    dem_cfg = _dem_config(cfg, spec, model)
-
+    report, model, records = _grid(cfg)
+    axis = _state_estimators(cfg, model)
+    scores = _rate_scores(cfg, records, _replay(report, records, axis))
+    chash = report.config_hash
     per_seed = []
-    sse_truth = {name: [] for name in STATE_ESTIMATORS}
-    sse_embedded = {name: [] for name in STATE_ESTIMATORS}
-    for seed in cfg.seeds:
-        data, w_fit = get_record(cfg, seed, model)
-        truth_rate = data.truth_states[:, 1] if data.truth_states is not None else None
-        # phidot is not directly measured; a low-order embedding of phi acts
-        # as the derivative pseudo-measurement reference.
-        embedded_rate = embed_series(data.measurements[:, 0], cfg.run.dt, 2)[:, 1]
-        for name in STATE_ESTIMATORS:
-            t0 = time.perf_counter()
-            try:
-                rate_estimate = _run_state_estimator(
-                    name, model, dem_cfg, data, w_fit, q, r)
-                diverged = False
-            except DivergenceError as exc:
-                rate_estimate = None
-                diverged = True
-                report.diverged.append(
-                    {"seed": seed, "estimator": name, "error": str(exc)})
-            elapsed = time.perf_counter() - t0
-            report.runtimes_s[f"{name}/seed{seed}"] = elapsed
-            row = {"config_hash": chash, "seed": seed, "estimator": name,
-                   "sse_phidot_truth": None, "sse_phidot_embedded": None,
-                   "diverged": diverged}
-            if not diverged:
-                if truth_rate is not None:
-                    row["sse_phidot_truth"] = benchmarks.sse(
-                        rate_estimate, truth_rate, skip=skip)
-                    sse_truth[name].append(row["sse_phidot_truth"])
-                row["sse_phidot_embedded"] = benchmarks.sse(
-                    rate_estimate, embedded_rate, skip=skip)
-                sse_embedded[name].append(row["sse_phidot_embedded"])
-            per_seed.append(row)
-
+    for i, rec in enumerate(records):
+        for (name, _), row in zip(axis, scores):
+            sse_truth, sse_embedded, diverged = row[i]
+            per_seed.append({"config_hash": chash, "seed": rec.seed,
+                             "estimator": name, "sse_phidot_truth": sse_truth,
+                             "sse_phidot_embedded": sse_embedded,
+                             "diverged": diverged})
     aggregate_rows = []
-    for name in STATE_ESTIMATORS:
-        agg_t = _aggregate(sse_truth[name])
-        agg_e = _aggregate(sse_embedded[name])
+    for (name, _), row in zip(axis, scores):
+        truth, embedded, diverged = zip(*row)
+        agg_t, agg_e = _aggregate(truth), _aggregate(embedded)
         aggregate_rows.append({
             "config_hash": chash, "estimator": name,
-            "n_runs": agg_e["n_runs"],
-            "n_diverged": sum(1 for d in report.diverged
-                              if d["estimator"] == name),
+            "n_runs": agg_e["n_runs"], "n_diverged": sum(diverged),
             "median_sse_truth": agg_t["median"], "iqr_sse_truth": agg_t["iqr"],
             "mean_sse_truth": agg_t["mean"], "std_sse_truth": agg_t["std"],
             "median_sse_embedded": agg_e["median"],
             "iqr_sse_embedded": agg_e["iqr"],
         })
-    report.tables["per_seed_sse"] = per_seed
-    report.tables["aggregate_sse"] = aggregate_rows
-    report.descriptions = {
-        "per_seed_sse": "roll-rate SSE per (seed, estimator)",
-        "aggregate_sse": "per-estimator SSE aggregates (bar-chart data)",
-    }
+    report.add("per_seed_sse", per_seed, "roll-rate SSE per (seed, estimator)")
+    report.add("aggregate_sse", aggregate_rows,
+               "per-estimator SSE aggregates (bar-chart data)")
     return report
-
-
-def _run_state_estimator(name, model, dem_cfg, data, w_fit, q, r) -> np.ndarray:
-    if name == "dem":
-        run = dem.run_observer(model, dem_cfg, data, known_inputs=True)
-        return run.states[:, 1]
-    ad, bd = discretize(model, data.dt)
-    if name == "kalman":
-        return benchmarks.kalman_filter(ad, bd, model.c, q, r, data).means[:, 1]
-    if name == "state_augmentation":
-        ars = [benchmarks.fit_ar(w_fit[:, i], SA_AR_ORDER)
-               for i in range(model.n)]
-        return benchmarks.state_augmentation_filter(
-            model, ars, data, q, r).means[:, 1]
-    if name == "smikf":
-        coeffs = [float(np.clip(benchmarks.fit_ar(w_fit[:, i], 1).coefficients[0],
-                                -AR1_CLAMP, AR1_CLAMP))
-                  for i in range(model.n)]
-        return benchmarks.smikf(model, coeffs, data, q, r).means[:, 1]
-    raise ValueError(f"unknown estimator {name!r}")
 
 
 def run_sweep_p(cfg: ExperimentConfig) -> ExperimentReport:
     """Observer accuracy as a function of the state embedding order."""
-    model = build_model(cfg)
+    report, model, records = _grid(cfg)
     spec = observer_noise_spec(cfg, model)
-    skip = _skip_steps(cfg)
-    chash = config_hash(cfg)
-    report = ExperimentReport(kind=cfg.kind, config_hash=chash,
-                              output_dir=Path(cfg.output_dir))
-    records = [get_record(cfg, seed, model)[0] for seed in cfg.seeds]
-
-    per_seed = []
-    summary = []
-    for p in cfg.sweep.p_values:
-        dem_cfg = _dem_config(cfg, spec, model, p=p)
-        values_truth, values_embedded = [], []
-        t0 = time.perf_counter()
-        for seed, data in zip(cfg.seeds, records):
-            truth_rate = data.truth_states[:, 1] if data.truth_states is not None else None
-            embedded_rate = embed_series(data.measurements[:, 0],
-                                         cfg.run.dt, 2)[:, 1]
-            try:
-                run = dem.run_observer(model, dem_cfg, data, known_inputs=True)
-                estimate = run.states[:, 1]
-                diverged = False
-            except DivergenceError as exc:
-                estimate = None
-                diverged = True
-                report.diverged.append(
-                    {"seed": seed, "estimator": f"dem_p{p}", "error": str(exc)})
-            row = {"config_hash": chash, "seed": seed, "p": p,
-                   "sse_truth": None, "sse_embedded": None,
-                   "diverged": diverged}
-            if not diverged:
-                if truth_rate is not None:
-                    row["sse_truth"] = benchmarks.sse(estimate, truth_rate,
-                                                      skip=skip)
-                    values_truth.append(row["sse_truth"])
-                row["sse_embedded"] = benchmarks.sse(estimate, embedded_rate,
-                                                     skip=skip)
-                values_embedded.append(row["sse_embedded"])
-            per_seed.append(row)
-        report.runtimes_s[f"p{p}"] = time.perf_counter() - t0
-        agg = _aggregate(values_truth if values_truth else values_embedded)
+    p_values = cfg.sweep.p_values
+    cells = _replay(report, records, [
+        (f"dem_p{p}", _observer_rate(model, _dem_config(cfg, spec, model, p=p)))
+        for p in p_values])
+    chash = report.config_hash
+    per_seed, summary = [], []
+    for p, row in zip(p_values, _rate_scores(cfg, records, cells)):
+        for rec, (sse_truth, sse_embedded, diverged) in zip(records, row):
+            per_seed.append({"config_hash": chash, "seed": rec.seed, "p": p,
+                             "sse_truth": sse_truth,
+                             "sse_embedded": sse_embedded,
+                             "diverged": diverged})
+        truth, embedded, _ = zip(*row)
+        agg = _aggregate(truth if any(v is not None for v in truth)
+                         else embedded)
         summary.append({"config_hash": chash, "p": p, "n_runs": agg["n_runs"],
                         "mean_sse": agg["mean"], "std_sse": agg["std"],
                         "median_sse": agg["median"]})
-    report.tables["per_seed_sse"] = per_seed
-    report.tables["sweep_summary"] = summary
-    report.descriptions = {
-        "per_seed_sse": "roll-rate SSE per (seed, embedding order)",
-        "sweep_summary": "SSE statistics per embedding order",
-    }
+    report.add("per_seed_sse", per_seed,
+               "roll-rate SSE per (seed, embedding order)")
+    report.add("sweep_summary", summary, "SSE statistics per embedding order")
     return report
 
 
@@ -385,11 +422,10 @@ def run_landscape(cfg: ExperimentConfig) -> ExperimentReport:
     spec = observer_noise_spec(cfg, model)
     ls = cfg.landscape
     skip = _skip_steps(cfg)
-    chash = config_hash(cfg)
-    report = ExperimentReport(kind=cfg.kind, config_hash=chash,
-                              output_dir=Path(cfg.output_dir))
+    report = _new_report(cfg)
+    chash = report.config_hash
     seed = cfg.seeds[0]
-    data, _ = get_record(cfg, seed, model)
+    data = get_record(cfg, seed, model).data
     dem_cfg = _dem_config(cfg, spec, model)
     t0 = time.perf_counter()
     run = dem.run_observer(model, dem_cfg, data)
@@ -430,159 +466,122 @@ def run_landscape(cfg: ExperimentConfig) -> ExperimentReport:
             "passed": result.passed,
         })
     report.runtimes_s["landscape"] = time.perf_counter() - t0
-    report.tables["surface"] = surface_rows
-    report.tables["summary"] = summary_rows
-    report.descriptions = {
-        "surface": "free energy at perturbed probes around the estimate",
-        "summary": "per-probe-time maximality check",
-    }
+    report.add("surface", surface_rows,
+               "free energy at perturbed probes around the estimate")
+    report.add("summary", summary_rows, "per-probe-time maximality check")
     report.passed = bool(all_passed)
     return report
 
 
 def run_input_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     """Input reconstruction: observer (wrong weak prior) vs the UIO."""
-    model = build_model(cfg)
-    spec = observer_noise_spec(cfg, model)
-    skip = _skip_steps(cfg)
-    chash = config_hash(cfg)
-    report = ExperimentReport(kind=cfg.kind, config_hash=chash,
-                              output_dir=Path(cfg.output_dir))
-    dem_cfg = _dem_config(cfg, spec, model)
+    report, model, records = _grid(cfg)
+    dem_cfg = _dem_config(cfg, observer_noise_spec(cfg, model), model)
     poles = cfg.uio.poles if cfg.uio is not None else None
     # Designing up front surfaces existence failures before any run.
     benchmarks.design_uio(model, poles=poles)
-
+    axis = [("dem", lambda rec: dem.run_observer(
+                 model, dem_cfg, rec.data).inputs[:, 0].copy()),
+            ("uio", lambda rec: benchmarks.uio(
+                 model, rec.data, poles=poles).inputs[:, 0].copy())]
+    cells = _replay(report, records, axis)
+    skip = _skip_steps(cfg)
+    chash = report.config_hash
     per_seed = []
-    traces = []
-    sse_by = {"dem": [], "uio": []}
-    for seed in cfg.seeds:
-        data, _ = get_record(cfg, seed, model)
-        measured = data.inputs[:, 0]
-        truth = data.truth_inputs[:, 0] if data.truth_inputs is not None else None
-        estimates = {}
-        for name in ("dem", "uio"):
-            t0 = time.perf_counter()
-            try:
-                if name == "dem":
-                    run = dem.run_observer(model, dem_cfg, data)
-                    estimates[name] = run.inputs[:, 0]
-                else:
-                    estimates[name] = benchmarks.uio(model, data,
-                                                     poles=poles).inputs[:, 0]
-                diverged = False
-            except DivergenceError as exc:
-                estimates[name] = None
-                diverged = True
-                report.diverged.append(
-                    {"seed": seed, "estimator": name, "error": str(exc)})
-            report.runtimes_s[f"{name}/seed{seed}"] = time.perf_counter() - t0
-            row = {"config_hash": chash, "seed": seed, "estimator": name,
-                   "sse_input_measured": None, "sse_input_truth": None,
-                   "diverged": diverged}
-            if not diverged:
-                row["sse_input_measured"] = benchmarks.sse(
-                    estimates[name], measured, skip=skip)
-                sse_by[name].append(row["sse_input_measured"])
-                if truth is not None:
-                    row["sse_input_truth"] = benchmarks.sse(
-                        estimates[name], truth, skip=skip)
-            per_seed.append(row)
-        if seed == cfg.seeds[0] and all(v is not None for v in estimates.values()):
-            for k in range(data.n_steps):
-                traces.append({
-                    "config_hash": chash, "seed": seed, "step": k,
-                    "time_s": k * cfg.run.dt, "v_measured": measured[k],
-                    "v_dem": estimates["dem"][k], "v_uio": estimates["uio"][k],
-                })
-
+    for i, rec in enumerate(records):
+        for (name, _), row in zip(axis, cells):
+            per_seed.append({
+                "config_hash": chash, "seed": rec.seed, "estimator": name,
+                "sse_input_measured": _sse(row[i], rec.data.inputs, 0, skip),
+                "sse_input_truth": _sse(row[i], rec.data.truth_inputs, 0, skip),
+                "diverged": row[i] is None})
     agg_rows = []
-    for name in ("dem", "uio"):
-        agg = _aggregate(sse_by[name])
+    for name, _ in axis:
+        agg = _aggregate(row["sse_input_measured"] for row in per_seed
+                         if row["estimator"] == name)
         agg_rows.append({"config_hash": chash, "estimator": name,
                          "n_runs": agg["n_runs"],
                          "median_sse_input": agg["median"],
                          "iqr_sse_input": agg["iqr"],
                          "mean_sse_input": agg["mean"]})
-    report.tables["per_seed_input_sse"] = per_seed
-    report.tables["aggregate_input_sse"] = agg_rows
-    report.tables["input_traces"] = traces
-    report.descriptions = {
-        "per_seed_input_sse": "input-estimate SSE per (seed, estimator)",
-        "aggregate_input_sse": "per-estimator input SSE aggregates",
-        "input_traces": "input-estimate traces for the first seed",
-    }
+    traces = []
+    v_dem, v_uio = (row[0] for row in cells)
+    if v_dem is not None and v_uio is not None:
+        measured = records[0].data.inputs[:, 0]
+        traces = [{"config_hash": chash, "seed": records[0].seed, "step": k,
+                   "time_s": k * cfg.run.dt, "v_measured": measured[k],
+                   "v_dem": v_dem[k], "v_uio": v_uio[k]}
+                  for k in range(measured.size)]
+    report.add("per_seed_input_sse", per_seed,
+               "input-estimate SSE per (seed, estimator)")
+    report.add("aggregate_input_sse", agg_rows,
+               "per-estimator input SSE aggregates")
+    report.add("input_traces", traces,
+               "input-estimate traces for the first seed")
     return report
 
 
 def run_prior_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     """Accuracy/complexity trade-off as the input-prior precision varies."""
-    model = build_model(cfg)
-    skip = _skip_steps(cfg)
-    chash = config_hash(cfg)
-    report = ExperimentReport(kind=cfg.kind, config_hash=chash,
-                              output_dir=Path(cfg.output_dir))
+    report, model, records = _grid(cfg)
     ps = cfg.prior_sweep
-    records = [get_record(cfg, seed, model)[0] for seed in cfg.seeds]
 
-    per_seed, traces, summary = [], [], []
-    for pv in ps.pv_grid:
+    def observer(pv):
         spec = observer_noise_spec(cfg, model, input_prior_precision=pv)
         dem_cfg = _dem_config(cfg, spec, model, eta_v=ps.eta_v)
-        values_truth, values_measured, values_state, deviations = [], [], [], []
-        t0 = time.perf_counter()
-        for seed, data in zip(cfg.seeds, records):
-            run = dem.run_observer(model, dem_cfg, data)
-            v_hat = run.inputs[:, 0]
-            measured = data.inputs[:, 0]
-            row = {"config_hash": chash, "seed": seed, "pv": pv,
-                   "sse_input_measured": benchmarks.sse(v_hat, measured,
-                                                        skip=skip),
-                   "sse_input_truth": None, "sse_state_truth": None,
-                   "mean_abs_dev_from_prior": float(
-                       np.mean(np.abs(v_hat[skip:] - ps.eta_v)))}
-            values_measured.append(row["sse_input_measured"])
-            deviations.append(row["mean_abs_dev_from_prior"])
-            if data.truth_inputs is not None:
-                row["sse_input_truth"] = benchmarks.sse(
-                    v_hat, data.truth_inputs[:, 0], skip=skip)
-                values_truth.append(row["sse_input_truth"])
-            if data.truth_states is not None:
-                row["sse_state_truth"] = benchmarks.sse(
-                    run.states[:, 1], data.truth_states[:, 1], skip=skip)
-                values_state.append(row["sse_state_truth"])
-            per_seed.append(row)
-            if seed == cfg.seeds[0]:
-                for k in range(data.n_steps):
-                    traces.append({"config_hash": chash, "pv": pv, "step": k,
-                                   "time_s": k * cfg.run.dt,
-                                   "v_measured": measured[k],
-                                   "v_hat": v_hat[k], "prior": ps.eta_v})
-        report.runtimes_s[f"pv{pv:g}"] = time.perf_counter() - t0
+
+        def estimate(rec):
+            run = dem.run_observer(model, dem_cfg, rec.data)
+            return run.inputs[:, 0].copy(), run.states[:, 1].copy()
+        return estimate
+
+    cells = _replay(report, records,
+                    [(f"pv{pv:g}", observer(pv)) for pv in ps.pv_grid])
+    skip = _skip_steps(cfg)
+    chash = report.config_hash
+    per_seed, traces, summary = [], [], []
+    for pv, row in zip(ps.pv_grid, cells):
+        rows = []
+        for rec, cell in zip(records, row):
+            v_hat, rate = (None, None) if cell is None else cell
+            data = rec.data
+            rows.append({
+                "config_hash": chash, "seed": rec.seed, "pv": pv,
+                "sse_input_measured": _sse(v_hat, data.inputs, 0, skip),
+                "sse_input_truth": _sse(v_hat, data.truth_inputs, 0, skip),
+                "sse_state_truth": _sse(rate, data.truth_states, 1, skip),
+                "mean_abs_dev_from_prior": None if v_hat is None else float(
+                    np.mean(np.abs(v_hat[skip:] - ps.eta_v)))})
+        per_seed += rows
+        if row[0] is not None:
+            v_hat, measured = row[0][0], records[0].data.inputs[:, 0]
+            traces += [{"config_hash": chash, "pv": pv, "step": k,
+                        "time_s": k * cfg.run.dt, "v_measured": measured[k],
+                        "v_hat": v_hat[k], "prior": ps.eta_v}
+                       for k in range(measured.size)]
+
+        def median(column):
+            return _aggregate(r[column] for r in rows)["median"]
         summary.append({
             "config_hash": chash, "pv": pv,
-            "median_sse_input_truth": _aggregate(values_truth)["median"],
-            "median_sse_input_measured": _aggregate(values_measured)["median"],
-            "median_sse_state_truth": _aggregate(values_state)["median"],
-            "median_abs_dev_from_prior": float(np.median(deviations)),
+            "median_sse_input_truth": median("sse_input_truth"),
+            "median_sse_input_measured": median("sse_input_measured"),
+            "median_sse_state_truth": median("sse_state_truth"),
+            "median_abs_dev_from_prior": median("mean_abs_dev_from_prior"),
         })
-    report.tables["per_seed_sse"] = per_seed
-    report.tables["sse_vs_pv"] = summary
-    report.tables["input_traces"] = traces
-    report.descriptions = {
-        "per_seed_sse": "input/state SSE per (seed, prior precision)",
-        "sse_vs_pv": "median SSE versus prior precision",
-        "input_traces": "input-estimate traces for the first seed",
-    }
+    report.add("per_seed_sse", per_seed,
+               "input/state SSE per (seed, prior precision)")
+    report.add("sse_vs_pv", summary, "median SSE versus prior precision")
+    report.add("input_traces", traces,
+               "input-estimate traces for the first seed")
     return report
 
 
 def run_noise_characterization(cfg: ExperimentConfig) -> ExperimentReport:
     """Residual-noise statistics, Gaussianity, and autocorrelation per regime."""
     model = build_model(cfg)
-    chash = config_hash(cfg)
-    report = ExperimentReport(kind=cfg.kind, config_hash=chash,
-                              output_dir=Path(cfg.output_dir))
+    report = _new_report(cfg)
+    chash = report.config_hash
     channel_names = ("w_phi", "w_phidot")
     std_rows, per_seed_rows, fit_rows = [], [], []
     for variant in cfg.noise_variants:
@@ -625,9 +624,8 @@ def run_noise_characterization(cfg: ExperimentConfig) -> ExperimentReport:
                 hist_rows.append({"config_hash": chash, "bin_left": edges[b],
                                   "bin_right": edges[b + 1], "count": int(counts[b]),
                                   "fitted_pdf_at_center": pdf})
-            report.tables[f"histogram_{variant.label}_{ch_name}"] = hist_rows
-            report.descriptions[f"histogram_{variant.label}_{ch_name}"] = \
-                f"{ch_name} histogram with Gaussian fit ({variant.label})"
+            report.add(f"histogram_{variant.label}_{ch_name}", hist_rows,
+                       f"{ch_name} histogram with Gaussian fit ({variant.label})")
 
             corr = autocorrelation(series, max_lag)
             expected = kernel_autocorrelation(
@@ -636,18 +634,15 @@ def run_noise_characterization(cfg: ExperimentConfig) -> ExperimentReport:
                           "lag_s": h * cfg.run.dt, "r": float(corr[h]),
                           "expected_r": float(expected[h])}
                          for h in range(max_lag + 1)]
-            report.tables[f"autocorr_{variant.label}_{ch_name}"] = corr_rows
-            report.descriptions[f"autocorr_{variant.label}_{ch_name}"] = \
-                f"{ch_name} sample autocorrelation ({variant.label})"
+            report.add(f"autocorr_{variant.label}_{ch_name}", corr_rows,
+                       f"{ch_name} sample autocorrelation ({variant.label})")
 
-    report.tables["std_table"] = std_rows
-    report.tables["std_per_seed"] = per_seed_rows
-    report.tables["gaussian_fit"] = fit_rows
-    report.descriptions.update({
-        "std_table": "median state and residual-noise stds per regime",
-        "std_per_seed": "state and residual-noise stds per seed",
-        "gaussian_fit": "Gaussian fit and KS statistic per regime/channel",
-    })
+    report.add("std_table", std_rows,
+               "median state and residual-noise stds per regime")
+    report.add("std_per_seed", per_seed_rows,
+               "state and residual-noise stds per seed")
+    report.add("gaussian_fit", fit_rows,
+               "Gaussian fit and KS statistic per regime/channel")
     return report
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg
 
 # Same cap as the embedding order: double factorials and the derivative
 # covariance blow up combinatorially beyond this.
@@ -249,5 +249,7 @@ def gaussian_fit(series) -> GaussianFit:
     std = float(x.std(ddof=1))
     if std == 0.0:
         raise ValueError("series has zero variance")
+    # Imported here: scipy.stats costs ~1 s to load and only this fit uses it.
+    from scipy import stats
     ks = stats.kstest(x, stats.norm(loc=mean, scale=std).cdf).statistic
     return GaussianFit(mean=mean, std=std, ks_stat=float(ks))

@@ -155,16 +155,23 @@ def rescale_input_matrix(model: LtiModel, factors) -> LtiModel:
     return replace(model, b=model.b / factors)
 
 
-def discretize(model: LtiModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-order-hold discretization via the augmented matrix exponential."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n, r = model.n, model.r
+def zero_order_hold(a: np.ndarray, b: np.ndarray,
+                    dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Ad, Bd) of x' = a x + b u with u held over dt, from the matrix
+    exponential of the augmented block ``[[a, b], [0, 0]]``."""
+    n, r = a.shape[0], b.shape[1]
     block = np.zeros((n + r, n + r))
-    block[:n, :n] = model.a
-    block[:n, n:] = model.b
+    block[:n, :n] = a
+    block[:n, n:] = b
     phi = expm(block * dt)
     return phi[:n, :n], phi[:n, n:]
+
+
+def discretize(model: LtiModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-order-hold discretization of the plant."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return zero_order_hold(model.a, model.b, dt)
 
 
 def simulate(model: LtiModel, dt: float, n_steps: int, inputs,

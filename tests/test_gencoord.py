@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,14 +157,20 @@ class TestEmbedMeasurements:
             rel = abs(vec.block(j)[0] - truth) / truth
             assert rel <= 1e-8, f"derivative {j}: rel err {rel:.2e}"
 
-    def test_conditioning_warning_at_fast_sampling_high_order(self):
-        # 1/dt^p amplification makes the p=6, dt=0.0083 system suspect; the
-        # inverse must flag it rather than fail silently. The factorization
-        # is cached, so force a cold computation.
-        from demest.gencoord import _embedding_inverse
+    def test_no_warning_at_fast_sampling_high_order(self):
+        # The shipped p=6, dt=0.0083 inverse is built exactly from integer
+        # factors, so the Taylor matrix's conditioning (~2.5e14) says nothing
+        # about it. The factorization is cached, so force a cold computation.
         _embedding_inverse.cache_clear()
-        with pytest.warns(RuntimeWarning, match="conditioned"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             embedding_inverse(6, 0.0083, offsets=tuple(range(-3, 4)))
+
+    def test_inverse_checks_order_and_dt(self):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            embedding_inverse(13, 0.1)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            embedding_inverse(2, 0.0)
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_round_trip(self, p):
@@ -190,7 +197,6 @@ class TestEmbedSeries:
         ])
         np.testing.assert_allclose(gen, truth, atol=1e-9)
 
-    @pytest.mark.filterwarnings("ignore:embedding matrix badly conditioned")
     @pytest.mark.parametrize("dt", [0.1, 0.0083])
     @pytest.mark.parametrize("p", range(13))
     def test_constant_series_has_exactly_zero_derivatives(self, p, dt):
@@ -246,7 +252,6 @@ def series_cases(draw):
     return series, dt, order
 
 
-@pytest.mark.filterwarnings("ignore:embedding matrix badly conditioned")
 @settings(max_examples=200, deadline=None)
 @given(series_cases())
 def test_embed_series_matches_per_row_loop_bitwise(case):

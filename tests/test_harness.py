@@ -8,7 +8,8 @@ import pytest
 from demest.cli import main as cli_main
 from demest.config import (ExperimentConfig, config_hash, load_config_file,
                            parse_config, serialize_config)
-from demest.errors import ConfigError
+from demest import dem
+from demest.errors import ConfigError, DataFormatError, DivergenceError
 from demest.harness import run_experiment
 from demest.systems import ExperimentData, save_flight_log
 
@@ -63,6 +64,14 @@ class TestConfigValidation:
         raw["dem"]["momentum"] = 0.9
         with pytest.raises(ConfigError, match="dem.momentum"):
             parse_config(raw)
+
+    def test_log_backed_config_takes_one_seed(self):
+        raw = small_config()
+        raw["run"]["log_path"] = "flight.csv"
+        with pytest.raises(ConfigError, match="seeds"):
+            parse_config(raw)
+        raw["seeds"] = [1]
+        assert parse_config(raw).seeds == (1,)
 
     def test_sweep_kind_requires_section(self):
         with pytest.raises(ConfigError, match="sweep"):
@@ -142,14 +151,14 @@ class TestBenchmarkStateExperiment:
 
 
 class TestLogBackedExperiment:
-    def test_benchmark_on_flight_log(self, tmp_path):
+    def _log_config(self, tmp_path, dt):
         rng = np.random.default_rng(3)
         n = 400
-        t = np.arange(n) * 0.0083
+        t = np.arange(n) * dt
         phi = 0.02 * np.sin(2 * np.pi * 0.5 * t)
         phidot = 0.02 * 2 * np.pi * 0.5 * np.cos(2 * np.pi * 0.5 * t)
         data = ExperimentData(
-            dt=0.0083,
+            dt=dt,
             measurements=np.column_stack([phi, phidot]) +
             1e-4 * rng.standard_normal((n, 2)),
             inputs=0.1 * rng.standard_normal((n, 4)),
@@ -157,13 +166,23 @@ class TestLogBackedExperiment:
         log_path = tmp_path / "flight.csv"
         save_flight_log(log_path, data)
         raw = small_config(output_dir=str(tmp_path / "out"))
+        raw["seeds"] = [1]
         raw["run"]["log_path"] = str(log_path)
-        report = run_experiment(parse_config(raw))
+        return parse_config(raw)
+
+    def test_benchmark_on_flight_log(self, tmp_path):
+        report = run_experiment(self._log_config(tmp_path, 0.0083))
         rows = report.tables["per_seed_sse"]
         # no ground truth in the log: only the embedded-derivative reference
         assert all(row["sse_phidot_truth"] is None for row in rows)
         assert all(row["sse_phidot_embedded"] is not None for row in rows
                    if not row["diverged"])
+
+    def test_log_dt_must_match_run_dt(self, tmp_path):
+        # A 100 Hz log under run.dt 0.0083: the filters would replay at the
+        # log's dt against references built at run.dt.
+        with pytest.raises(DataFormatError, match=r"dt=0\.01.*dt=0\.0083"):
+            run_experiment(self._log_config(tmp_path, 0.01))
 
 
 class TestLandscapeExperiment:
@@ -208,6 +227,39 @@ class TestPriorSweepExperiment:
         summary = {row["pv"]: row for row in report.tables["sse_vs_pv"]}
         assert summary[1e6]["median_abs_dev_from_prior"] < 1e-2
         assert summary[1.0]["median_abs_dev_from_prior"] > 0.1
+
+    def test_divergence_leaves_empty_cells(self, tmp_path, monkeypatch):
+        run_observer = dem.run_observer
+
+        def diverge_at_pv_10(model, cfg, data, **kwargs):
+            if cfg.noise.input_prior_precision[0, 0] == 10.0:
+                raise DivergenceError(5, "non-finite estimate")
+            return run_observer(model, cfg, data, **kwargs)
+
+        monkeypatch.setattr(dem, "run_observer", diverge_at_pv_10)
+        raw = small_config(kind="prior_sweep", output_dir=str(tmp_path))
+        raw["seeds"] = [1, 2]
+        raw["prior_sweep"] = {"pv_grid": [1.0, 10.0], "eta_v": 1.0}
+        report = run_experiment(parse_config(raw))
+        rows = report.tables["per_seed_sse"]
+        assert [row["pv"] for row in rows] == [1.0, 1.0, 10.0, 10.0]
+        for row in rows:
+            cells = [row[c] for c in ("sse_input_measured", "sse_input_truth",
+                                      "sse_state_truth",
+                                      "mean_abs_dev_from_prior")]
+            if row["pv"] == 10.0:
+                assert cells == [None] * 4
+            else:
+                assert None not in cells
+        assert [(d["seed"], d["estimator"]) for d in report.diverged] == \
+            [(1, "pv10"), (2, "pv10")]
+        summary = {row["pv"]: row for row in report.tables["sse_vs_pv"]}
+        assert summary[10.0]["median_sse_input_measured"] is None
+        assert summary[1.0]["median_sse_input_measured"] is not None
+        traces = report.tables["input_traces"]
+        assert {row["pv"] for row in traces} == {1.0}
+        lines = (tmp_path / "per_seed_sse.csv").read_text().splitlines()
+        assert lines[3].endswith(",10.0,,,,")
 
 
 class TestNoiseCharacterizationExperiment:
