@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 from .benchmarks import (ArModel, KalmanResult, UioResult, fit_ar,
                          kalman_filter, smikf, sse, state_augmentation_filter,
                          uio)
-from .dem import (DemConfig, GeneralizedEstimate, ObserverMatrices,
-                  ObserverRun, assemble_observer, estimate_precision,
-                  free_energy, free_energy_landscape, prediction_error,
-                  run_observer)
+from .dem import (DemConfig, ObserverMatrices, ObserverRun,
+                  assemble_observer, estimate_precision, free_energy,
+                  free_energy_landscape, prediction_error, run_observer)
 from .gencoord import (EmbeddingWindow, GeneralizedVector, embed_measurements,
                        embed_series, lift_matrix, shift_matrix,
                        taylor_embedding_matrix)
@@ -29,7 +28,7 @@ __all__ = [
     "__version__",
     "ArModel", "KalmanResult", "UioResult", "fit_ar", "kalman_filter",
     "smikf", "sse", "state_augmentation_filter", "uio",
-    "DemConfig", "GeneralizedEstimate", "ObserverMatrices", "ObserverRun",
+    "DemConfig", "ObserverMatrices", "ObserverRun",
     "assemble_observer", "estimate_precision", "free_energy",
     "free_energy_landscape", "prediction_error", "run_observer",
     "EmbeddingWindow", "GeneralizedVector", "embed_measurements",

@@ -262,7 +262,8 @@ class UioResult(NamedTuple):
 
 def default_uio_poles(model: LtiModel) -> tuple[float, ...]:
     """Observer poles at five times the plant's dominant rate (floor 2/s so
-    integrator plants still converge within a standard transient)."""
+    plants with poles at the origin still converge within a standard
+    transient)."""
     rate = float(np.max(np.abs(np.linalg.eigvals(model.a).real)))
     base = 5.0 * max(rate, 2.0)
     return tuple(-base * (1.0 + 0.25 * i) for i in range(model.n))

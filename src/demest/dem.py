@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .errors import DivergenceError, ObserverDesignError
-from .gencoord import GeneralizedVector, embed_series, lift_matrix, shift_matrix
+from .gencoord import embed_series, lift_matrix, shift_matrix
 from .noise import GeneralizedPrecision, NoiseSpec, generalized_precision
 from .systems import (ExperimentData, LtiModel, is_observable,
                       zero_order_hold)
@@ -40,8 +40,6 @@ class DemConfig:
     eta_v: prior input mean; its generalized lift has zero derivative blocks
         (a constant prior does not move).
     dt: sampling interval of the data the observer will consume.
-    integrator: "expm" advances the estimate ODE exactly under a zero-order
-        hold; "euler" is a cross-checking fallback.
     """
 
     p: int
@@ -50,7 +48,6 @@ class DemConfig:
     eta_v: np.ndarray
     dt: float
     learning_rate: float | None = None
-    integrator: str = "expm"
 
     def __post_init__(self):
         if self.d < 0 or self.p < self.d:
@@ -59,8 +56,6 @@ class DemConfig:
             raise ValueError("dt must be positive")
         if self.learning_rate is not None and self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.integrator not in ("expm", "euler"):
-            raise ValueError("integrator must be 'expm' or 'euler'")
         eta = np.asarray(self.eta_v, dtype=float).reshape(-1)
         object.__setattr__(self, "eta_v", eta)
 
@@ -75,7 +70,11 @@ def generalized_prior(eta_v, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObserverMatrices:
-    """Assembled constant matrices defining one observer instance."""
+    """Assembled constant matrices defining one observer instance.
+
+    Nothing here depends on a record, so one assembly serves every replay
+    through ``run_observer``.
+    """
 
     drift: np.ndarray            # shift - rate * curvature
     drive: np.ndarray            # maps [y_tilde; -eta_tilde] into dX/dt
@@ -86,6 +85,7 @@ class ObserverMatrices:
     lifted_b: np.ndarray
     lifted_c: np.ndarray
     shift_x: np.ndarray
+    eta_gen: np.ndarray          # generalized prior input mean
     rate: float
     n: int
     r: int
@@ -105,10 +105,6 @@ class ObserverMatrices:
     @property
     def total_dim(self) -> int:
         return self.state_dim + self.input_dim
-
-    def discrete_step(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-order-hold discretization (Ad, Bd) of (drift, drive)."""
-        return zero_order_hold(self.drift, self.drive, dt)
 
 
 def prediction_error(m: ObserverMatrices, x_full: np.ndarray,
@@ -210,7 +206,8 @@ def assemble_observer(model: LtiModel, cfg: DemConfig,
     matrices = ObserverMatrices(
         drift=drift, drive=drive, curvature=curvature, shift=shift_full,
         precision=pi, lifted_a=lifted_a, lifted_b=lifted_b, lifted_c=lifted_c,
-        shift_x=shift_x, rate=float(rate),
+        shift_x=shift_x, eta_gen=generalized_prior(cfg.eta_v, d),
+        rate=float(rate),
         n=n, r=r, m=m_dim, p=p, d=d, dt=cfg.dt,
     )
 
@@ -250,30 +247,13 @@ def default_learning_rate(curvature: np.ndarray, shift_full: np.ndarray,
 
 
 def observer_step(m: ObserverMatrices, x_full: np.ndarray, y_gen: np.ndarray,
-                  eta_gen: np.ndarray, dt: float | None = None,
-                  method: str = "expm") -> np.ndarray:
-    """Advance the estimate ODE by one step with the input held constant."""
-    if dt is None:
-        dt = m.dt
+                  eta_gen: np.ndarray) -> np.ndarray:
+    """Advance the estimate ODE by ``m.dt`` with the input held constant."""
     u = np.concatenate([np.asarray(y_gen, dtype=float).reshape(-1),
                         -np.asarray(eta_gen, dtype=float).reshape(-1)])
     x_full = np.asarray(x_full, dtype=float).reshape(-1)
-    if method == "euler":
-        return x_full + dt * (m.drift @ x_full + m.drive @ u)
-    if method != "expm":
-        raise ValueError("method must be 'expm' or 'euler'")
-    ad, bd = m.discrete_step(dt)
+    ad, bd = zero_order_hold(m.drift, m.drive, m.dt)
     return ad @ x_full + bd @ u
-
-
-@dataclass(frozen=True)
-class GeneralizedEstimate:
-    """Generalized state/input estimate with its (constant) precisions."""
-
-    x_gen: GeneralizedVector
-    v_gen: GeneralizedVector
-    state_precision: np.ndarray
-    input_precision: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -284,82 +264,59 @@ class ObserverRun:
     vfe: np.ndarray              # (T,)
     states: np.ndarray           # (T, n) value block of x_tilde
     inputs: np.ndarray           # (T, r) value block of v_tilde
-    state_precision: np.ndarray
-    input_precision: np.ndarray
     matrices: ObserverMatrices
 
-    def estimate_at(self, t: int) -> GeneralizedEstimate:
-        m = self.matrices
-        x_full = self.estimates[t]
-        return GeneralizedEstimate(
-            x_gen=GeneralizedVector(m.n, m.p, x_full[:m.state_dim]),
-            v_gen=GeneralizedVector(m.r, m.d, x_full[m.state_dim:]),
-            state_precision=self.state_precision,
-            input_precision=self.input_precision,
-        )
 
-
-def run_observer(model: LtiModel, cfg: DemConfig, data: ExperimentData,
-                 known_inputs: bool = False, x0=None) -> ObserverRun:
-    """Replay a record through the observer.
+def run_observer(m: ObserverMatrices, data: ExperimentData,
+                 known_inputs: bool = False) -> ObserverRun:
+    """Replay a record through an assembled observer, starting from zero.
 
     The record is embedded into generalized outputs up front, and each step
-    advances the estimate ODE with the (Ad, Bd) discretized once per run.
-    With ``known_inputs`` the input block is clamped to the embedded
-    measured inputs after every step (the state benchmarking mode);
-    otherwise inputs are estimated against the prior. The free-energy trace
-    is computed after the replay from the stored estimates; it matches
-    ``free_energy(prediction_error(...))`` per step up to rounding.
+    advances the estimate ODE with (Ad, Bd) discretized once per replay at
+    the record's own ``data.dt`` (a flight log may differ slightly from the
+    design's ``dt``). With ``known_inputs`` the input block is clamped to
+    the embedded measured inputs after every step (the state benchmarking
+    mode); otherwise inputs are estimated against the prior. The
+    free-energy trace is computed after the replay from the stored
+    estimates; it matches ``free_energy(prediction_error(...))`` per step
+    up to rounding.
     """
-    if data.measurements.shape[1] != model.m:
+    if data.measurements.shape[1] != m.m:
         raise ValueError("measurement dimension does not match plant output")
-    if data.n_steps < cfg.p + 1:
+    if data.n_steps < m.p + 1:
         raise ValueError("record shorter than the embedding window")
-    m = assemble_observer(model, cfg)
-    y_gen_series = embed_series(data.measurements, data.dt, cfg.p)
-    eta_gen = generalized_prior(cfg.eta_v, cfg.d)
+    y_gen_series = embed_series(data.measurements, data.dt, m.p)
     if known_inputs:
-        v_gen_series = embed_series(data.inputs, data.dt, cfg.d)
+        v_gen_series = embed_series(data.inputs, data.dt, m.d)
 
     n_steps = data.n_steps
     # Row t holds the same values observer_step would concatenate at step t.
     u_rows = np.empty((n_steps, m.drive.shape[1]))
     u_rows[:, :y_gen_series.shape[1]] = y_gen_series
-    u_rows[:, y_gen_series.shape[1]:] = -eta_gen
-    dt = data.dt
-    euler = cfg.integrator == "euler"
-    if not euler:
-        ad, bd = m.discrete_step(dt)
+    u_rows[:, y_gen_series.shape[1]:] = -m.eta_gen
+    ad, bd = zero_order_hold(m.drift, m.drive, data.dt)
     sd = m.state_dim
-    x_full = np.zeros(m.total_dim) if x0 is None \
-        else np.asarray(x0, dtype=float).reshape(-1).copy()
+    x_full = np.zeros(m.total_dim)
     estimates = np.empty((n_steps, m.total_dim))
     for t in range(n_steps):
-        if euler:
-            x_full = x_full + dt * (m.drift @ x_full + m.drive @ u_rows[t])
-        else:
-            x_full = ad @ x_full + bd @ u_rows[t]
+        x_full = ad @ x_full + bd @ u_rows[t]
         if known_inputs:
             x_full[sd:] = v_gen_series[t]
         if not np.isfinite(x_full).all():
             raise DivergenceError(t, "non-finite estimate")
         estimates[t] = x_full
 
-    state_prec, input_prec = estimate_precision(m)
     return ObserverRun(
         estimates=estimates,
-        vfe=_free_energy_trace(m, estimates, y_gen_series, eta_gen),
-        states=estimates[:, :model.n],
-        inputs=estimates[:, sd:sd + model.r],
-        state_precision=state_prec,
-        input_precision=input_prec,
+        vfe=_free_energy_trace(m, estimates, y_gen_series),
+        states=estimates[:, :m.n],
+        inputs=estimates[:, sd:sd + m.r],
         matrices=m,
     )
 
 
 def _free_energy_trace(m: ObserverMatrices, estimates: np.ndarray,
-                       y_gen_series: np.ndarray,
-                       eta_gen: np.ndarray) -> np.ndarray:
+                       y_gen_series: np.ndarray) -> np.ndarray:
     """``free_energy(prediction_error(...))`` for every row of a replay.
 
     The precision is block-diagonal, so the quadratic form is summed one
@@ -372,7 +329,7 @@ def _free_energy_trace(m: ObserverMatrices, estimates: np.ndarray,
     v_t = estimates[:, m.state_dim:]
     pi = m.precision
     quad = weighted(y_gen_series - x_t @ m.lifted_c.T, pi.output_block)
-    quad += weighted(v_t - eta_gen, pi.input_block)
+    quad += weighted(v_t - m.eta_gen, pi.input_block)
     quad += weighted(x_t @ m.shift_x.T - x_t @ m.lifted_a.T
                      - v_t @ m.lifted_b.T, pi.state_block)
     np.maximum(quad, 0.0, out=quad)  # rounding guard; the form is PSD

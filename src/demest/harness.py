@@ -300,8 +300,10 @@ def _sse(estimate, reference, column: int, skip: int) -> float | None:
 
 def _observer_rate(model: LtiModel, dem_cfg: dem.DemConfig):
     """Grid estimate: the observer's roll rate, inputs known."""
+    matrices = dem.assemble_observer(model, dem_cfg)
+
     def estimate(rec: Record) -> np.ndarray:
-        run = dem.run_observer(model, dem_cfg, rec.data, known_inputs=True)
+        run = dem.run_observer(matrices, rec.data, known_inputs=True)
         return run.states[:, 1].copy()
     return estimate
 
@@ -428,10 +430,9 @@ def run_landscape(cfg: ExperimentConfig) -> ExperimentReport:
     data = get_record(cfg, seed, model).data
     dem_cfg = _dem_config(cfg, spec, model)
     t0 = time.perf_counter()
-    run = dem.run_observer(model, dem_cfg, data)
-    matrices = run.matrices
+    matrices = dem.assemble_observer(model, dem_cfg)
+    run = dem.run_observer(matrices, data)
     y_gen_series = embed_series(data.measurements, data.dt, dem_cfg.p)
-    eta_gen = dem.generalized_prior(dem_cfg.eta_v, dem_cfg.d)
 
     rng = np.random.default_rng([seed, 4])
     directions = rng.standard_normal((ls.n_perturbations, matrices.total_dim))
@@ -444,8 +445,8 @@ def run_landscape(cfg: ExperimentConfig) -> ExperimentReport:
     all_passed = True
     for step in probe_steps:
         result = dem.free_energy_landscape(
-            matrices, run.estimates[step], y_gen_series[step], eta_gen,
-            directions, [ls.magnitude], slack=ls.slack)
+            matrices, run.estimates[step], y_gen_series[step],
+            matrices.eta_gen, directions, [ls.magnitude], slack=ls.slack)
         all_passed &= result.passed
         for i in range(directions.shape[0]):
             surface_rows.append({
@@ -480,8 +481,9 @@ def run_input_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     poles = cfg.uio.poles if cfg.uio is not None else None
     # Designing up front surfaces existence failures before any run.
     benchmarks.design_uio(model, poles=poles)
+    matrices = dem.assemble_observer(model, dem_cfg)
     axis = [("dem", lambda rec: dem.run_observer(
-                 model, dem_cfg, rec.data).inputs[:, 0].copy()),
+                 matrices, rec.data).inputs[:, 0].copy()),
             ("uio", lambda rec: benchmarks.uio(
                  model, rec.data, poles=poles).inputs[:, 0].copy())]
     cells = _replay(report, records, axis)
@@ -528,10 +530,11 @@ def run_prior_sweep(cfg: ExperimentConfig) -> ExperimentReport:
 
     def observer(pv):
         spec = observer_noise_spec(cfg, model, input_prior_precision=pv)
-        dem_cfg = _dem_config(cfg, spec, model, eta_v=ps.eta_v)
+        matrices = dem.assemble_observer(
+            model, _dem_config(cfg, spec, model, eta_v=ps.eta_v))
 
         def estimate(rec):
-            run = dem.run_observer(model, dem_cfg, rec.data)
+            run = dem.run_observer(matrices, rec.data)
             return run.inputs[:, 0].copy(), run.states[:, 1].copy()
         return estimate
 

@@ -282,9 +282,10 @@ def load_flight_log(path, normalize: bool = False) -> ExperimentData:
                 raise DataFormatError(
                     f"{path}: row {lineno}: non-numeric cell") from None
             for name in header:
-                if math.isnan(values[index[name]]):
+                if not math.isfinite(values[index[name]]):
                     raise DataFormatError(
-                        f"{path}: row {lineno}: NaN in column '{name}'")
+                        f"{path}: row {lineno}: non-finite value in column "
+                        f"'{name}'")
             rows.append(values)
     if len(rows) < 2:
         raise DataFormatError(f"{path}: need at least two data rows")

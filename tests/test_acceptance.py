@@ -2,6 +2,7 @@
 its runtime (run with -s to see them). Criteria 5-8 execute the shipped
 experiment configs end to end."""
 
+import csv
 import json
 import math
 import time
@@ -25,6 +26,16 @@ from demest.noise import (autocorrelation, generate_colored_noise,
 from demest.systems import ExperimentData, discretize, quadrotor_roll_model
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+OUT_DIR = CONFIG_DIR.parent / "out"
+
+# Golden bound on regenerated tables, the one perfbench's table check uses.
+GOLDEN_RTOL, GOLDEN_ATOL = 1e-8, 1e-12
+# landscape's free energies are computed with precisions up to 1e8 and
+# temporal weights growing like sigma^-2j, so v_estimate (~ -0.01) moves
+# ~5e-8 relative under a ~1e-16 change of the embedding. These columns are
+# bounded against the table's scale, 1e-8 * max |max_probe|, instead.
+LANDSCAPE_FREE_ENERGY = ("v_estimate", "v_probe", "delta", "max_probe",
+                         "max_delta")
 
 
 def _report(criterion: int, elapsed: float, limit: float, detail: str):
@@ -248,9 +259,56 @@ def test_criterion_09_noise_model_fidelity():
             f"covariance within {rel:.1%}; reductions bitwise")
 
 
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _golden_mismatches(name, outdir):
+    """Where the tables in ``outdir`` leave the committed ``out/<name>/``.
+
+    The header, row count, ``config_hash`` and non-numeric cells must match
+    exactly; numbers within the golden bound.
+    """
+    committed = OUT_DIR / name
+    tables = sorted(p.name for p in committed.glob("*.csv"))
+    produced = sorted(p.name for p in outdir.glob("*.csv"))
+    if produced != tables:
+        return [f"{name}: tables {produced} != committed {tables}"]
+    atol = {}
+    if name == "landscape":
+        summary = _read_csv(committed / "summary.csv")
+        col = summary[0].index("max_probe")
+        scale = max(abs(float(row[col])) for row in summary[1:])
+        atol = dict.fromkeys(LANDSCAPE_FREE_ENERGY, 1e-8 * scale)
+    problems = []
+    for table in tables:
+        got, want = _read_csv(outdir / table), _read_csv(committed / table)
+        if got[:1] != want[:1] or len(got) != len(want):
+            problems.append(f"{name}/{table}: header or row count differs")
+            continue
+        for i, (row, ref) in enumerate(zip(got[1:], want[1:]), start=1):
+            if len(row) != len(ref):
+                problems.append(f"{name}/{table} row {i}: cell count differs")
+                continue
+            for col, a, b in zip(want[0], row, ref):
+                if a == b:
+                    continue
+                try:
+                    x, y = float(a), float(b)
+                except ValueError:
+                    x = y = None
+                if col == "config_hash" or x is None or not abs(x - y) <= \
+                        atol.get(col, GOLDEN_ATOL) + GOLDEN_RTOL * abs(y):
+                    problems.append(f"{name}/{table} row {i} column {col}: "
+                                    f"{a} != committed {b}")
+    return problems
+
+
 def test_criterion_10_determinism(tmp_path):
     start = time.perf_counter()
     names = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
+    golden = 0
     for name in names:
         cfg = _load(name)
         a = tmp_path / name / "a"
@@ -262,6 +320,11 @@ def test_criterion_10_determinism(tmp_path):
         for csv_name in csvs:
             if (a / csv_name).read_bytes() != (b / csv_name).read_bytes():
                 pytest.fail(f"{name}/{csv_name} differs between reruns")
+        if (OUT_DIR / name).is_dir():
+            golden += 1
+            problems = _golden_mismatches(name, a)
+            if problems:
+                pytest.fail("\n".join(problems[:10]))
     _report(10, time.perf_counter() - start, 600.0,
             f"all {len(names)} shipped configs reproduce their CSVs "
-            f"byte-identically")
+            f"byte-identically; {golden} match the committed out/ tables")

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,8 @@ from demest.dem import (DemConfig, assemble_observer, default_learning_rate,
 from demest.errors import DivergenceError, ObserverDesignError
 from demest.gencoord import embed_series
 from demest.noise import NoiseSpec, generalized_precision
-from demest.systems import LtiModel, quadrotor_roll_model, simulate
+from demest.systems import (LtiModel, quadrotor_roll_model, simulate,
+                            zero_order_hold)
 
 DT = 0.0083
 
@@ -258,12 +257,12 @@ class TestObserverStep:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(m.total_dim)
         y = rng.standard_normal(m.m * (m.p + 1))
-        eta = generalized_prior([0.0], 0)
+        u = np.concatenate([y, -generalized_prior([0.0], 0)])
         errors = []
         for dt in (1e-3, 5e-4, 2.5e-4):
-            e = observer_step(m, x, y, eta, dt=dt, method="euler")
-            ref = observer_step(m, x, y, eta, dt=dt, method="expm")
-            errors.append(np.linalg.norm(e - ref))
+            ad, bd = zero_order_hold(m.drift, m.drive, dt)
+            e = x + dt * (m.drift @ x + m.drive @ u)
+            errors.append(np.linalg.norm(e - (ad @ x + bd @ u)))
         # halving dt should quarter the defect (order dt^2)
         assert errors[1] <= 0.3 * errors[0]
         assert errors[2] <= 0.3 * errors[1]
@@ -291,7 +290,8 @@ class TestRunObserver:
         cfg = DemConfig(p=6, d=2, noise=spec, eta_v=np.zeros(4), dt=DT,
                         learning_rate=None)
         data = self._noiseless_data(model)
-        run = run_observer(model, cfg, data, known_inputs=True)
+        m = assemble_observer(model, cfg)
+        run = run_observer(m, data, known_inputs=True)
         skip = int(round(0.5 / DT))
         err = run.states[skip:] - data.truth_states[skip:]
         assert float(np.sum(err ** 2)) < 1e-4
@@ -299,14 +299,16 @@ class TestRunObserver:
     def test_free_energy_never_positive(self):
         model, cfg = roll_setup()
         data = self._noiseless_data(model, n=300)
-        run = run_observer(model, cfg, data, known_inputs=True)
+        m = assemble_observer(model, cfg)
+        run = run_observer(m, data, known_inputs=True)
         assert np.all(run.vfe <= 0.0)
 
     def test_deterministic(self):
         model, cfg = roll_setup()
         data = self._noiseless_data(model, n=200)
-        a = run_observer(model, cfg, data, known_inputs=True)
-        b = run_observer(model, cfg, data, known_inputs=True)
+        m = assemble_observer(model, cfg)
+        a = run_observer(m, data, known_inputs=True)
+        b = run_observer(m, data, known_inputs=True)
         np.testing.assert_array_equal(a.estimates, b.estimates)
         np.testing.assert_array_equal(a.vfe, b.vfe)
 
@@ -322,33 +324,25 @@ class TestRunObserver:
         data = simulate(model, DT, n, np.zeros((n, 4)),
                         rng.standard_normal((n, 2)) * 0.1,
                         rng.standard_normal((n, 1)) * 0.01)
-        run = run_observer(model, cfg, data, known_inputs=True)
+        m = assemble_observer(model, cfg)
+        run = run_observer(m, data, known_inputs=True)
         assert np.all(np.isfinite(run.estimates))
         assert np.abs(run.states).max() < 1e3
 
     def test_divergence_reports_step(self):
-        model, _ = roll_setup()
-        spec = NoiseSpec(sigma=0.0166, proc_precision=np.eye(2),
-                         meas_precision=[[1e8]],
-                         input_prior_precision=np.eye(4))
-        cfg = DemConfig(p=2, d=1, noise=spec, eta_v=np.zeros(4), dt=DT,
-                        learning_rate=1e9, integrator="euler")
-        data = self._noiseless_data(model, n=100)
-        with pytest.raises(DivergenceError, match="step"):
-            run_observer(model, cfg, data, known_inputs=True)
-
-    def test_estimate_at_accessor(self):
         model, cfg = roll_setup(p=2, d=1)
-        data = self._noiseless_data(model, n=50)
-        run = run_observer(model, cfg, data, known_inputs=True)
-        est = run.estimate_at(10)
-        assert est.x_gen.base_dim == 2 and est.x_gen.order == 2
-        assert est.v_gen.base_dim == 4 and est.v_gen.order == 1
-        np.testing.assert_array_equal(est.state_precision,
-                                      run.state_precision)
+        m = assemble_observer(model, cfg)
+        data = self._noiseless_data(model, n=100)
+        # Sample 40 first enters the centred 3-sample window at step 39.
+        data.measurements[40] = np.inf
+        for known_inputs in (True, False):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(DivergenceError, match="step") as exc:
+                run_observer(m, data, known_inputs=known_inputs)
+            assert exc.value.step == 39
 
     def _observer_case(self, case):
-        """The shipped roll design, or a scalar one stable under Euler."""
+        """The shipped roll design ("roll"), or a scalar one ("expm")."""
         if case == "roll":
             model, cfg = roll_setup()
             return model, cfg, self._noiseless_data(model, n=200)
@@ -357,31 +351,30 @@ class TestRunObserver:
         data = simulate(model, DT, n, np.sin(np.arange(n) * DT)[:, None],
                         0.1 * rng.standard_normal((n, 1)),
                         0.01 * rng.standard_normal((n, 1)))
-        cfg = replace(scalar_cfg(p=2, d=1), integrator=case)
-        return model, cfg, data
+        return model, scalar_cfg(p=2, d=1), data
 
-    @pytest.mark.parametrize("case", ["roll", "expm", "euler"])
+    @pytest.mark.parametrize("case", ["roll", "expm"])
     @pytest.mark.parametrize("known_inputs", [True, False])
     def test_estimates_equal_hand_stepped_observer(self, known_inputs, case):
         model, cfg, data = self._observer_case(case)
-        run = run_observer(model, cfg, data, known_inputs=known_inputs)
-        m = run.matrices
+        m = assemble_observer(model, cfg)
+        run = run_observer(m, data, known_inputs=known_inputs)
         y_gen = embed_series(data.measurements, DT, cfg.p)
         v_gen = embed_series(data.inputs, DT, cfg.d)
         eta = generalized_prior(cfg.eta_v, cfg.d)
         x = np.zeros(m.total_dim)
         for t in range(data.n_steps):
-            x = observer_step(m, x, y_gen[t], eta, method=cfg.integrator)
+            x = observer_step(m, x, y_gen[t], eta)
             if known_inputs:
                 x[m.state_dim:] = v_gen[t]
             assert np.array_equal(run.estimates[t], x)
 
-    @pytest.mark.parametrize("case", ["roll", "euler"])
+    @pytest.mark.parametrize("case", ["roll", "expm"])
     @pytest.mark.parametrize("known_inputs", [True, False])
     def test_free_energy_trace_matches_per_step(self, known_inputs, case):
         model, cfg, data = self._observer_case(case)
-        run = run_observer(model, cfg, data, known_inputs=known_inputs)
-        m = run.matrices
+        m = assemble_observer(model, cfg)
+        run = run_observer(m, data, known_inputs=known_inputs)
         y_gen = embed_series(data.measurements, DT, cfg.p)
         eta = generalized_prior(cfg.eta_v, cfg.d)
         expected = [free_energy(prediction_error(m, x, y, eta), m.precision)
@@ -440,7 +433,8 @@ class TestFreeEnergyLandscape:
                          input_prior_precision=[[1.0]])
         cfg = DemConfig(p=6, d=2, noise=spec, eta_v=[0.0], dt=DT,
                         learning_rate=None)
-        run = run_observer(model, cfg, data)
+        m = assemble_observer(model, cfg)
+        run = run_observer(m, data)
         y_gen = embed_series(data.measurements, DT, cfg.p)
         eta_gen = generalized_prior(cfg.eta_v, cfg.d)
         return run, y_gen, eta_gen
@@ -490,13 +484,6 @@ class TestDemConfig:
                          meas_precision=[[1.0]], input_prior_precision=[[1.0]])
         with pytest.raises(ValueError, match="p >= d"):
             DemConfig(p=1, d=2, noise=spec, eta_v=[0.0], dt=0.01)
-
-    def test_rejects_bad_integrator(self):
-        spec = NoiseSpec(sigma=0.1, proc_precision=[[1.0]],
-                         meas_precision=[[1.0]], input_prior_precision=[[1.0]])
-        with pytest.raises(ValueError, match="integrator"):
-            DemConfig(p=1, d=0, noise=spec, eta_v=[0.0], dt=0.01,
-                      integrator="rk4")
 
     def test_default_learning_rate_stabilizes(self):
         model, cfg = roll_setup()

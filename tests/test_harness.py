@@ -229,13 +229,22 @@ class TestPriorSweepExperiment:
         assert summary[1.0]["median_abs_dev_from_prior"] > 0.1
 
     def test_divergence_leaves_empty_cells(self, tmp_path, monkeypatch):
+        assemble_observer = dem.assemble_observer
         run_observer = dem.run_observer
+        diverging = []
 
-        def diverge_at_pv_10(model, cfg, data, **kwargs):
+        def note_pv_10(model, cfg, rate=None):
+            m = assemble_observer(model, cfg, rate)
             if cfg.noise.input_prior_precision[0, 0] == 10.0:
-                raise DivergenceError(5, "non-finite estimate")
-            return run_observer(model, cfg, data, **kwargs)
+                diverging.append(m)
+            return m
 
+        def diverge_at_pv_10(m, data, **kwargs):
+            if any(m is design for design in diverging):
+                raise DivergenceError(5, "non-finite estimate")
+            return run_observer(m, data, **kwargs)
+
+        monkeypatch.setattr(dem, "assemble_observer", note_pv_10)
         monkeypatch.setattr(dem, "run_observer", diverge_at_pv_10)
         raw = small_config(kind="prior_sweep", output_dir=str(tmp_path))
         raw["seeds"] = [1, 2]

@@ -247,12 +247,13 @@ class TestFlightLogIo:
         path = tmp_path / "log.csv"
         save_flight_log(path, data)
         lines = path.read_text().splitlines()
-        cells = lines[4].split(",")
-        cells[2] = "nan"
-        lines[4] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataFormatError, match="row 4.*phidot"):
-            load_flight_log(path)
+        for cell in ("nan", "inf", "-inf"):
+            cells = lines[4].split(",")
+            cells[2] = cell
+            path.write_text("\n".join(lines[:4] + [",".join(cells)]
+                                      + lines[5:]) + "\n")
+            with pytest.raises(DataFormatError, match="row 4.*phidot"):
+                load_flight_log(path)
 
     def test_non_monotone_timestamps(self, tmp_path):
         path = tmp_path / "bad.csv"
