@@ -14,8 +14,7 @@ from .benchmarks import (ArModel, KalmanResult, UioResult, fit_ar,
 from .dem import (DemConfig, ObserverMatrices, ObserverRun,
                   assemble_observer, estimate_precision, free_energy,
                   free_energy_landscape, prediction_error, run_observer)
-from .gencoord import (EmbeddingWindow, GeneralizedVector, embed_measurements,
-                       embed_series, lift_matrix, shift_matrix,
+from .gencoord import (embed_series, lift_matrix, shift_matrix,
                        taylor_embedding_matrix)
 from .noise import (GeneralizedPrecision, NoiseSpec, autocorrelation,
                     gaussian_fit, gaussian_kernel, generalized_precision,
@@ -31,7 +30,6 @@ __all__ = [
     "DemConfig", "ObserverMatrices", "ObserverRun",
     "assemble_observer", "estimate_precision", "free_energy",
     "free_energy_landscape", "prediction_error", "run_observer",
-    "EmbeddingWindow", "GeneralizedVector", "embed_measurements",
     "embed_series", "lift_matrix", "shift_matrix", "taylor_embedding_matrix",
     "GeneralizedPrecision", "NoiseSpec", "autocorrelation", "gaussian_fit",
     "gaussian_kernel", "generalized_precision", "generate_colored_noise",

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .gencoord import ORDER_CAP
 
 SCHEMA_VERSION = 1
 
@@ -71,6 +72,11 @@ class RunSettings:
     input_amplitude: float = 0.1
     input_offset: float = 0.0
     input_frequencies: tuple[float, ...] | None = None
+
+    @property
+    def skip_steps(self) -> int:
+        """Leading steps that the SSE scores leave out."""
+        return int(round(self.transient_skip_s / self.dt))
 
 
 @dataclass(frozen=True)
@@ -197,6 +203,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     dem = _parse_section(raw.get("dem"), "dem", DemSettings)
     _require(dem.p >= dem.d >= 0, "dem.p", "need p >= d >= 0")
+    _require(dem.p <= ORDER_CAP, "dem.p",
+             f"embedding order exceeds cap {ORDER_CAP}")
     if dem.learning_rate is not None:
         _require(dem.learning_rate > 0, "dem.learning_rate", "must be positive")
 
@@ -206,6 +214,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
              "must exceed the embedding order")
     _require(run.transient_skip_s >= 0, "run.transient_skip_s",
              "must be non-negative")
+    _require(run.log_path is not None or run.skip_steps < run.n_steps,
+             "run.transient_skip_s", "skips every step of the record")
     _require(run.log_path is None or len(seeds) == 1, "seeds",
              "a log-backed run (run.log_path) replays one record; "
              "list exactly one seed")
@@ -238,8 +248,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if kind == "sweep_p":
         _require(sweep is not None, "sweep", "required for sweep_p")
         _require(len(sweep.p_values) > 0, "sweep.p_values", "must be non-empty")
-        _require(all(0 <= p <= 12 for p in sweep.p_values), "sweep.p_values",
-                 "orders must lie in 0..12")
+        _require(all(0 <= p <= ORDER_CAP for p in sweep.p_values),
+                 "sweep.p_values", f"orders must lie in 0..{ORDER_CAP}")
+        _require(run.n_steps > max(sweep.p_values), "run.n_steps",
+                 "must exceed every swept embedding order")
     if kind == "prior_sweep":
         _require(prior_sweep is not None, "prior_sweep",
                  "required for prior_sweep")

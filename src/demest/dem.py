@@ -39,21 +39,17 @@ class DemConfig:
     noise: smoothness and precisions assumed by the observer.
     eta_v: prior input mean; its generalized lift has zero derivative blocks
         (a constant prior does not move).
-    dt: sampling interval of the data the observer will consume.
     """
 
     p: int
     d: int
     noise: NoiseSpec
     eta_v: np.ndarray
-    dt: float
     learning_rate: float | None = None
 
     def __post_init__(self):
         if self.d < 0 or self.p < self.d:
             raise ValueError("need p >= d >= 0")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         if self.learning_rate is not None and self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         eta = np.asarray(self.eta_v, dtype=float).reshape(-1)
@@ -92,7 +88,6 @@ class ObserverMatrices:
     m: int
     p: int
     d: int
-    dt: float
 
     @property
     def state_dim(self) -> int:
@@ -208,7 +203,7 @@ def assemble_observer(model: LtiModel, cfg: DemConfig,
         precision=pi, lifted_a=lifted_a, lifted_b=lifted_b, lifted_c=lifted_c,
         shift_x=shift_x, eta_gen=generalized_prior(cfg.eta_v, d),
         rate=float(rate),
-        n=n, r=r, m=m_dim, p=p, d=d, dt=cfg.dt,
+        n=n, r=r, m=m_dim, p=p, d=d,
     )
 
     jac = error_jacobian(matrices)
@@ -247,12 +242,12 @@ def default_learning_rate(curvature: np.ndarray, shift_full: np.ndarray,
 
 
 def observer_step(m: ObserverMatrices, x_full: np.ndarray, y_gen: np.ndarray,
-                  eta_gen: np.ndarray) -> np.ndarray:
-    """Advance the estimate ODE by ``m.dt`` with the input held constant."""
+                  eta_gen: np.ndarray, dt: float) -> np.ndarray:
+    """Advance the estimate ODE by ``dt`` with the input held constant."""
     u = np.concatenate([np.asarray(y_gen, dtype=float).reshape(-1),
                         -np.asarray(eta_gen, dtype=float).reshape(-1)])
     x_full = np.asarray(x_full, dtype=float).reshape(-1)
-    ad, bd = zero_order_hold(m.drift, m.drive, m.dt)
+    ad, bd = zero_order_hold(m.drift, m.drive, dt)
     return ad @ x_full + bd @ u
 
 
@@ -264,7 +259,6 @@ class ObserverRun:
     vfe: np.ndarray              # (T,)
     states: np.ndarray           # (T, n) value block of x_tilde
     inputs: np.ndarray           # (T, r) value block of v_tilde
-    matrices: ObserverMatrices
 
 
 def run_observer(m: ObserverMatrices, data: ExperimentData,
@@ -273,10 +267,9 @@ def run_observer(m: ObserverMatrices, data: ExperimentData,
 
     The record is embedded into generalized outputs up front, and each step
     advances the estimate ODE with (Ad, Bd) discretized once per replay at
-    the record's own ``data.dt`` (a flight log may differ slightly from the
-    design's ``dt``). With ``known_inputs`` the input block is clamped to
-    the embedded measured inputs after every step (the state benchmarking
-    mode); otherwise inputs are estimated against the prior. The
+    the record's own ``data.dt``. With ``known_inputs`` the input block is
+    clamped to the embedded measured inputs after every step (the state
+    benchmarking mode); otherwise inputs are estimated against the prior. The
     free-energy trace is computed after the replay from the stored
     estimates; it matches ``free_energy(prediction_error(...))`` per step
     up to rounding.
@@ -311,7 +304,6 @@ def run_observer(m: ObserverMatrices, data: ExperimentData,
         vfe=_free_energy_trace(m, estimates, y_gen_series),
         states=estimates[:, :m.n],
         inputs=estimates[:, sd:sd + m.r],
-        matrices=m,
     )
 
 

@@ -3,13 +3,13 @@ Taylor-polynomial embedding of sampled signals into derivative stacks.
 
 A generalized vector stacks a quantity and its first ``order`` time
 derivatives, ``[x; x'; x''; ...]``, with each derivative occupying a
-contiguous block of ``base_dim`` entries.
+contiguous block of ``base_dim`` entries. :func:`embed_series` is the one
+embedding: row t of its output is the generalized vector at sample t.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -20,41 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 ORDER_CAP = 12
 
 
-@dataclass(frozen=True)
-class GeneralizedVector:
-    """A quantity and its first ``order`` derivatives, stacked block-wise."""
-
-    base_dim: int
-    order: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.base_dim < 1:
-            raise ValueError("base_dim must be positive")
-        if self.order < 0:
-            raise ValueError("order must be non-negative")
-        data = np.asarray(self.data, dtype=float).reshape(-1)
-        if data.size != self.base_dim * (self.order + 1):
-            raise ValueError(
-                f"data length {data.size} != base_dim*(order+1) = "
-                f"{self.base_dim * (self.order + 1)}"
-            )
-        object.__setattr__(self, "data", data)
-
-    def block(self, j: int) -> np.ndarray:
-        """The j-th derivative block."""
-        if not 0 <= j <= self.order:
-            raise IndexError(f"derivative index {j} out of range 0..{self.order}")
-        return self.data[j * self.base_dim:(j + 1) * self.base_dim]
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "GeneralizedVector":
-        blocks = [np.atleast_1d(np.asarray(b, dtype=float)) for b in blocks]
-        base_dim = blocks[0].size
-        return cls(base_dim=base_dim, order=len(blocks) - 1,
-                   data=np.concatenate(blocks))
-
-
 def centered_offsets(order: int) -> tuple[int, ...]:
     """Sample offsets of the default embedding window around its nominal time.
 
@@ -63,36 +28,6 @@ def centered_offsets(order: int) -> tuple[int, ...]:
     """
     lead = -math.ceil(order / 2)
     return tuple(range(lead, lead + order + 1))
-
-
-@dataclass(frozen=True)
-class EmbeddingWindow:
-    """A window of ``order + 1`` uniformly spaced measurement samples."""
-
-    samples: np.ndarray  # (order+1, m)
-    dt: float
-    order: int
-    offsets: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim == 1:
-            samples = samples[:, None]
-        if samples.shape[0] != self.order + 1:
-            raise ValueError(
-                f"window needs exactly {self.order + 1} samples, "
-                f"got {samples.shape[0]}"
-            )
-        object.__setattr__(self, "samples", samples)
-        offsets = self.offsets
-        if offsets is None:
-            offsets = centered_offsets(self.order)
-        offsets = tuple(int(k) for k in offsets)
-        if len(offsets) != self.order + 1 or len(set(offsets)) != len(offsets):
-            raise ValueError("offsets must be order+1 distinct integers")
-        object.__setattr__(self, "offsets", offsets)
 
 
 def shift_matrix(order: int, base_dim: int) -> np.ndarray:
@@ -180,9 +115,9 @@ def _integer_inverse(offsets: tuple[int, ...]) -> tuple[np.ndarray, int]:
 
 
 class _FactoredInverse(NamedTuple):
-    numer: np.ndarray    # integer-valued, rows j >= 1 sum to exactly 0
-    scale: np.ndarray    # j! / (den * dt^j) per derivative j
-    inverse: np.ndarray  # numer scaled row-wise, i.e. inv(taylor matrix)
+    # inv(taylor matrix) == numer * scale[:, None]
+    numer: np.ndarray  # integer-valued, rows j >= 1 sum to exactly 0
+    scale: np.ndarray  # j! / (den * dt^j) per derivative j
 
 
 @lru_cache(maxsize=None)
@@ -202,40 +137,10 @@ def _embedding_inverse(order: int, dt: float,
     numer, den = _integer_inverse(offsets)
     scale = np.array([math.factorial(j) / (den * dt ** j)
                       for j in range(order + 1)])
-    factored = _FactoredInverse(numer, scale, numer * scale[:, None])
+    factored = _FactoredInverse(numer, scale)
     for arr in factored:
         arr.flags.writeable = False
     return factored
-
-
-def embedding_inverse(order: int, dt: float,
-                      offsets: tuple[int, ...] | None = None) -> np.ndarray:
-    """Inverse of :func:`taylor_embedding_matrix`, cached per configuration."""
-    if offsets is None:
-        offsets = centered_offsets(order)
-    return _embedding_inverse(order, float(dt),
-                              tuple(int(k) for k in offsets)).inverse
-
-
-def embed_measurements(window: EmbeddingWindow) -> GeneralizedVector:
-    """Estimate the derivative stack at the window's nominal time.
-
-    Solves the Taylor system for the window samples. A constant signal gets
-    derivatives of exactly 0.0; polynomials of degree <= order over the
-    window are exact up to rounding.
-    """
-    factored = _embedding_inverse(window.order, float(window.dt),
-                                  window.offsets)
-    # Integer rows that sum to zero cancel a constant exactly only if the
-    # products with it are exact, so the first sample is taken out first and
-    # added back to the value block (row 0 of the inverse sums to 1).
-    ref = window.samples[0]
-    stacked = (factored.numer @ (window.samples - ref)) \
-        * factored.scale[:, None]
-    stacked[0] += ref
-    return GeneralizedVector(base_dim=window.samples.shape[1],
-                             order=window.order,
-                             data=stacked.reshape(-1))
 
 
 def embed_series(series: np.ndarray, dt: float, order: int) -> np.ndarray:
@@ -260,8 +165,9 @@ def embed_series(series: np.ndarray, dt: float, order: int) -> np.ndarray:
         )
     dt = float(dt)
     lead = -math.ceil(order / 2)
-    # As in embed_measurements, a reference sample is taken out so that a
-    # constant reaches the integer numerators as exact zeros.
+    # Integer rows that sum to zero cancel a constant exactly only if the
+    # products with it are exact, so a reference sample is taken out first
+    # and added back to the value block (row 0 of the inverse sums to 1).
     ref = series[0]
     shifted = series - ref
     # Interior rows (lo = t + lead) share the centered window's numerators

@@ -15,11 +15,12 @@ from . import benchmarks, dem
 from .config import ExperimentConfig, NoiseVariant, config_hash
 from .errors import DataFormatError, DivergenceError
 from .gencoord import embed_series
-from .noise import (NoiseSpec, autocorrelation, gaussian_fit, generate_colored_noise,
+from .noise import (NoiseSpec, autocorrelation, gaussian_fit,
+                    gaussian_kernel_density, generate_colored_noise,
                     kernel_autocorrelation)
 from .systems import (DT_JITTER, ExperimentData, LtiModel, discretize,
                       load_flight_log, quadrotor_roll_model,
-                      residual_process_noise, simulate)
+                      rescale_input_matrix, residual_process_noise, simulate)
 
 # The state-augmentation benchmark mirrors the observer's default embedding
 # depth with a sixth-order AR noise model.
@@ -198,6 +199,14 @@ class Record(NamedTuple):
     w_fit: np.ndarray
 
 
+def _plant_for(model: LtiModel, data: ExperimentData) -> LtiModel:
+    """The plant a record replays against: for normalized inputs, B is
+    rescaled by the record's factors so that ``B @ v`` is unchanged."""
+    if data.input_scales is None:
+        return model
+    return rescale_input_matrix(model, data.input_scales)
+
+
 def get_record(cfg: ExperimentConfig, seed: int, model: LtiModel) -> Record:
     """Synthetic or log-backed record."""
     if cfg.run.log_path is None:
@@ -210,13 +219,19 @@ def get_record(cfg: ExperimentConfig, seed: int, model: LtiModel) -> Record:
         raise DataFormatError(
             f"{cfg.run.log_path}: log dt={log.dt:g} differs from "
             f"run.dt={cfg.run.dt:g} by more than {DT_JITTER:.0%}")
+    if cfg.run.skip_steps >= log.n_steps:
+        raise DataFormatError(
+            f"{cfg.run.log_path}: run.transient_skip_s="
+            f"{cfg.run.transient_skip_s:g} skips all {log.n_steps} steps")
     inputs = log.inputs[:, :model.r]
+    scales = None if log.input_scales is None else log.input_scales[:model.r]
     data = ExperimentData(dt=log.dt, measurements=log.measurements[:, :model.m],
                           inputs=inputs, truth_states=log.truth_states,
-                          labels=log.labels)
+                          input_scales=scales)
     full_state = ExperimentData(dt=log.dt, measurements=log.measurements,
                                 inputs=inputs, truth_states=log.truth_states)
-    return Record(seed, data, residual_process_noise(model, full_state))
+    return Record(seed, data,
+                  residual_process_noise(_plant_for(model, data), full_state))
 
 
 def _dem_config(cfg: ExperimentConfig, spec: NoiseSpec, model: LtiModel,
@@ -227,13 +242,9 @@ def _dem_config(cfg: ExperimentConfig, spec: NoiseSpec, model: LtiModel,
     eta = cfg.dem.eta_v if eta_v is None else eta_v
     return dem.DemConfig(
         p=p, d=min(d, p), noise=spec,
-        eta_v=np.full(model.r, eta), dt=cfg.run.dt,
+        eta_v=np.full(model.r, eta),
         learning_rate=cfg.dem.learning_rate,
     )
-
-
-def _skip_steps(cfg: ExperimentConfig) -> int:
-    return int(round(cfg.run.transient_skip_s / cfg.run.dt))
 
 
 def _aggregate(values) -> dict:
@@ -261,8 +272,9 @@ def _aggregate(values) -> dict:
 def _grid(cfg: ExperimentConfig):
     """Report, plant and records (one per seed) of a grid family."""
     model = build_model(cfg)
-    return (_new_report(cfg), model,
-            [get_record(cfg, seed, model) for seed in cfg.seeds])
+    records = [get_record(cfg, seed, model) for seed in cfg.seeds]
+    # A log-backed config has one seed, so one record sets the plant.
+    return _new_report(cfg), _plant_for(model, records[0].data), records
 
 
 def _replay(report: ExperimentReport, records: list[Record], axis) -> list:
@@ -343,7 +355,7 @@ def _rate_scores(cfg: ExperimentConfig, records: list[Record],
     None for a diverged replay. The references are computed once per
     record, for every axis point.
     """
-    skip = _skip_steps(cfg)
+    skip = cfg.run.skip_steps
     # phidot is not directly measured; a low-order embedding of phi acts as
     # the derivative pseudo-measurement reference.
     refs = [(rec.data.truth_states,
@@ -420,14 +432,15 @@ def run_sweep_p(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_landscape(cfg: ExperimentConfig) -> ExperimentReport:
     """Probe the free-energy surface around the converged estimate."""
-    model = build_model(cfg)
-    spec = observer_noise_spec(cfg, model)
-    ls = cfg.landscape
-    skip = _skip_steps(cfg)
     report = _new_report(cfg)
     chash = report.config_hash
     seed = cfg.seeds[0]
+    model = build_model(cfg)
     data = get_record(cfg, seed, model).data
+    model = _plant_for(model, data)
+    spec = observer_noise_spec(cfg, model)
+    ls = cfg.landscape
+    skip = cfg.run.skip_steps
     dem_cfg = _dem_config(cfg, spec, model)
     t0 = time.perf_counter()
     matrices = dem.assemble_observer(model, dem_cfg)
@@ -487,7 +500,7 @@ def run_input_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
             ("uio", lambda rec: benchmarks.uio(
                  model, rec.data, poles=poles).inputs[:, 0].copy())]
     cells = _replay(report, records, axis)
-    skip = _skip_steps(cfg)
+    skip = cfg.run.skip_steps
     chash = report.config_hash
     per_seed = []
     for i, rec in enumerate(records):
@@ -540,7 +553,7 @@ def run_prior_sweep(cfg: ExperimentConfig) -> ExperimentReport:
 
     cells = _replay(report, records,
                     [(f"pv{pv:g}", observer(pv)) for pv in ps.pv_grid])
-    skip = _skip_steps(cfg)
+    skip = cfg.run.skip_steps
     chash = report.config_hash
     per_seed, traces, summary = [], [], []
     for pv, row in zip(ps.pv_grid, cells):
@@ -619,14 +632,12 @@ def run_noise_characterization(cfg: ExperimentConfig) -> ExperimentReport:
                              "std": fit.std, "ks_stat": fit.ks_stat,
                              "n": int(series.size)})
             counts, edges = np.histogram(series, bins=30)
-            hist_rows = []
-            for b in range(counts.size):
-                center = 0.5 * (edges[b] + edges[b + 1])
-                pdf = float(np.exp(-0.5 * ((center - fit.mean) / fit.std) ** 2)
-                            / (fit.std * np.sqrt(2 * np.pi)))
-                hist_rows.append({"config_hash": chash, "bin_left": edges[b],
-                                  "bin_right": edges[b + 1], "count": int(counts[b]),
-                                  "fitted_pdf_at_center": pdf})
+            pdf = gaussian_kernel_density(
+                0.5 * (edges[:-1] + edges[1:]) - fit.mean, fit.std)
+            hist_rows = [{"config_hash": chash, "bin_left": edges[b],
+                          "bin_right": edges[b + 1], "count": int(counts[b]),
+                          "fitted_pdf_at_center": float(pdf[b])}
+                         for b in range(counts.size)]
             report.add(f"histogram_{variant.label}_{ch_name}", hist_rows,
                        f"{ch_name} histogram with Gaussian fit ({variant.label})")
 

@@ -16,9 +16,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy import linalg
 
-# Same cap as the embedding order: double factorials and the derivative
-# covariance blow up combinatorially beyond this.
-ORDER_CAP = 12
+# The embedding's cap also bounds the noise order: double factorials and the
+# derivative covariance blow up combinatorially beyond it.
+from .gencoord import ORDER_CAP
 
 # sigma at or below this is treated as "white" when choosing kernel support.
 WHITE_SIGMA = 1e-6

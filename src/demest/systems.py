@@ -62,19 +62,8 @@ def observability_matrix(model: LtiModel) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def controllability_matrix(model: LtiModel) -> np.ndarray:
-    blocks = [model.b]
-    for _ in range(model.n - 1):
-        blocks.append(model.a @ blocks[-1])
-    return np.hstack(blocks)
-
-
 def is_observable(model: LtiModel) -> bool:
     return np.linalg.matrix_rank(observability_matrix(model)) == model.n
-
-
-def is_controllable(model: LtiModel) -> bool:
-    return np.linalg.matrix_rank(controllability_matrix(model)) == model.n
 
 
 @dataclass(frozen=True)
@@ -86,7 +75,6 @@ class ExperimentData:
     inputs: np.ndarray                  # (T, r)
     truth_states: np.ndarray | None = None
     truth_inputs: np.ndarray | None = None
-    labels: dict | None = None
     input_scales: np.ndarray | None = None
 
     def __post_init__(self):
@@ -208,7 +196,6 @@ def simulate(model: LtiModel, dt: float, n_steps: int, inputs,
         inputs=inputs[:n_steps].copy(),
         truth_states=states,
         truth_inputs=inputs[:n_steps].copy(),
-        labels={"states": ("phi", "phidot")[:model.n]},
     )
 
 
@@ -276,6 +263,10 @@ def load_flight_log(path, normalize: bool = False) -> ExperimentData:
         for lineno, raw in enumerate(reader, start=1):
             if not raw:
                 continue
+            if len(raw) != len(header):
+                raise DataFormatError(
+                    f"{path}: row {lineno}: {len(raw)} cells, header has "
+                    f"{len(header)}")
             try:
                 values = [float(v) for v in raw]
             except ValueError:
@@ -319,7 +310,5 @@ def load_flight_log(path, normalize: bool = False) -> ExperimentData:
         measurements=measurements,
         inputs=inputs,
         truth_states=truth,
-        labels={"measurements": ("phi", "phidot"),
-                "inputs": ("pwm1", "pwm2", "pwm3", "pwm4")},
         input_scales=scales,
     )

@@ -22,8 +22,7 @@ def scalar_model():
 def scalar_cfg(p=0, d=0, rate=1.0, sigma=0.05):
     spec = NoiseSpec(sigma=sigma, proc_precision=[[1.0]],
                      meas_precision=[[1.0]], input_prior_precision=[[1.0]])
-    return DemConfig(p=p, d=d, noise=spec, eta_v=[0.0], dt=DT,
-                     learning_rate=rate)
+    return DemConfig(p=p, d=d, noise=spec, eta_v=[0.0], learning_rate=rate)
 
 
 def roll_setup(p=6, d=2, rate=1.0, pv=1.0):
@@ -32,7 +31,7 @@ def roll_setup(p=6, d=2, rate=1.0, pv=1.0):
                      proc_precision=np.diag([1.0 / 0.005 ** 2, 1.0 / 2.0 ** 2]),
                      meas_precision=[[1e6]],
                      input_prior_precision=pv * np.eye(4))
-    cfg = DemConfig(p=p, d=d, noise=spec, eta_v=np.zeros(4), dt=DT,
+    cfg = DemConfig(p=p, d=d, noise=spec, eta_v=np.zeros(4),
                     learning_rate=rate)
     return model, cfg
 
@@ -60,8 +59,7 @@ class TestPredictionError:
                          meas_precision=[[1.0]],
                          input_prior_precision=np.eye(4))
         eta = np.array([0.5, 0.0, 0.0, 0.0])
-        cfg = DemConfig(p=3, d=1, noise=spec, eta_v=eta, dt=DT,
-                        learning_rate=1.0)
+        cfg = DemConfig(p=3, d=1, noise=spec, eta_v=eta, learning_rate=1.0)
         m = assemble_observer(model, cfg)
         accel = g * 0.5  # B @ eta
         x_gen = np.array([0.0, 0.0,      # x(0)
@@ -165,8 +163,7 @@ class TestAssembleObserver:
                          c=[[0.0, 1.0]])  # only rate measured: unobservable
         spec = NoiseSpec(sigma=0.05, proc_precision=np.eye(2),
                          meas_precision=[[1.0]], input_prior_precision=[[1.0]])
-        cfg = DemConfig(p=1, d=0, noise=spec, eta_v=[0.0], dt=DT,
-                        learning_rate=1.0)
+        cfg = DemConfig(p=1, d=0, noise=spec, eta_v=[0.0], learning_rate=1.0)
         with pytest.raises(ObserverDesignError, match="observable"):
             assemble_observer(model, cfg)
 
@@ -226,7 +223,7 @@ class TestObserverStep:
         eta = generalized_prior(cfg.eta_v, cfg.d)
         u = np.concatenate([y, -eta])
         x_star = np.linalg.solve(m.drift, -m.drive @ u)
-        stepped = observer_step(m, x_star, y, eta)
+        stepped = observer_step(m, x_star, y, eta, DT)
         np.testing.assert_allclose(stepped, x_star, rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(x_star).max()))
 
@@ -247,7 +244,7 @@ class TestObserverStep:
     def test_zero_rate_zero_order_is_frozen(self):
         m = assemble_observer(scalar_model(), scalar_cfg(p=0, d=0), rate=0.0)
         x = np.array([1.5, -2.5])
-        stepped = observer_step(m, x, [7.0], [3.0])
+        stepped = observer_step(m, x, [7.0], [3.0], DT)
         np.testing.assert_allclose(stepped, x, atol=1e-15)
 
     def test_euler_matches_expm_to_second_order(self):
@@ -287,7 +284,7 @@ class TestRunObserver:
         spec = NoiseSpec(sigma=0.0166, proc_precision=1e6 * np.eye(2),
                          meas_precision=[[1e8]],
                          input_prior_precision=np.eye(4))
-        cfg = DemConfig(p=6, d=2, noise=spec, eta_v=np.zeros(4), dt=DT,
+        cfg = DemConfig(p=6, d=2, noise=spec, eta_v=np.zeros(4),
                         learning_rate=None)
         data = self._noiseless_data(model)
         m = assemble_observer(model, cfg)
@@ -317,7 +314,7 @@ class TestRunObserver:
         spec = NoiseSpec(sigma=1e-6, proc_precision=np.eye(2),
                          meas_precision=[[1e4]],
                          input_prior_precision=np.eye(4))
-        cfg = DemConfig(p=0, d=0, noise=spec, eta_v=np.zeros(4), dt=DT,
+        cfg = DemConfig(p=0, d=0, noise=spec, eta_v=np.zeros(4),
                         learning_rate=5.0)
         n = 500
         rng = np.random.default_rng(12)
@@ -364,7 +361,7 @@ class TestRunObserver:
         eta = generalized_prior(cfg.eta_v, cfg.d)
         x = np.zeros(m.total_dim)
         for t in range(data.n_steps):
-            x = observer_step(m, x, y_gen[t], eta)
+            x = observer_step(m, x, y_gen[t], eta, DT)
             if known_inputs:
                 x[m.state_dim:] = v_gen[t]
             assert np.array_equal(run.estimates[t], x)
@@ -431,17 +428,15 @@ class TestFreeEnergyLandscape:
         spec = NoiseSpec(sigma=0.0166, proc_precision=1e6 * np.eye(2),
                          meas_precision=1e8 * np.eye(2),
                          input_prior_precision=[[1.0]])
-        cfg = DemConfig(p=6, d=2, noise=spec, eta_v=[0.0], dt=DT,
-                        learning_rate=None)
+        cfg = DemConfig(p=6, d=2, noise=spec, eta_v=[0.0], learning_rate=None)
         m = assemble_observer(model, cfg)
         run = run_observer(m, data)
         y_gen = embed_series(data.measurements, DT, cfg.p)
         eta_gen = generalized_prior(cfg.eta_v, cfg.d)
-        return run, y_gen, eta_gen
+        return m, run, y_gen, eta_gen
 
     def test_estimate_tops_random_probes(self):
-        run, y_gen, eta_gen = self._converged_setup()
-        m = run.matrices
+        m, run, y_gen, eta_gen = self._converged_setup()
         rng = np.random.default_rng(13)
         dirs = rng.standard_normal((100, m.total_dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -452,8 +447,7 @@ class TestFreeEnergyLandscape:
         assert result.max_probe <= result.v_at_estimate
 
     def test_zero_magnitude_probes_equal_estimate(self):
-        run, y_gen, eta_gen = self._converged_setup()
-        m = run.matrices
+        m, run, y_gen, eta_gen = self._converged_setup()
         dirs = np.eye(m.total_dim)[:5]
         result = free_energy_landscape(m, run.estimates[300], y_gen[300],
                                        eta_gen, dirs, [0.0])
@@ -461,8 +455,7 @@ class TestFreeEnergyLandscape:
                                       np.full((5, 1), result.v_at_estimate))
 
     def test_concave_parabola_along_any_direction(self):
-        run, y_gen, eta_gen = self._converged_setup()
-        m = run.matrices
+        m, run, y_gen, eta_gen = self._converged_setup()
         rng = np.random.default_rng(14)
         direction = rng.standard_normal(m.total_dim)
         direction /= np.linalg.norm(direction)
@@ -483,7 +476,7 @@ class TestDemConfig:
         spec = NoiseSpec(sigma=0.1, proc_precision=[[1.0]],
                          meas_precision=[[1.0]], input_prior_precision=[[1.0]])
         with pytest.raises(ValueError, match="p >= d"):
-            DemConfig(p=1, d=2, noise=spec, eta_v=[0.0], dt=0.01)
+            DemConfig(p=1, d=2, noise=spec, eta_v=[0.0])
 
     def test_default_learning_rate_stabilizes(self):
         model, cfg = roll_setup()

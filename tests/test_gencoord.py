@@ -7,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from demest.gencoord import (EmbeddingWindow, GeneralizedVector,
-                             _embedding_inverse, centered_offsets,
-                             embed_measurements, embed_series,
-                             embedding_inverse, lift_matrix, shift_matrix,
+from demest.gencoord import (_embedding_inverse, centered_offsets,
+                             embed_series, lift_matrix, shift_matrix,
                              taylor_embedding_matrix)
+
+
+def embed_window(samples, dt, order):
+    """The generalized vector at a window's nominal time: the centre row
+    of ``embed_series`` over exactly ``order + 1`` samples."""
+    return embed_series(samples, dt, order)[math.ceil(order / 2)]
 
 
 class TestShiftMatrix:
@@ -31,8 +35,8 @@ class TestShiftMatrix:
         np.testing.assert_array_equal(shift_matrix(1, 2), expected)
 
     def test_shifts_blocks_up(self):
-        vec = GeneralizedVector.from_blocks([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        shifted = shift_matrix(2, 2) @ vec.data
+        # Blocks [1, 2], [3, 4], [5, 6] of a base_dim-2, order-2 vector.
+        shifted = shift_matrix(2, 2) @ np.arange(1.0, 7.0)
         np.testing.assert_array_equal(shifted, [3, 4, 5, 6, 0, 0])
 
     @pytest.mark.parametrize("order", range(7))
@@ -106,29 +110,33 @@ class TestTaylorMatrix:
             taylor_embedding_matrix(13, 0.01)
 
     def test_inverse_cached_and_readonly(self):
-        inv1 = embedding_inverse(3, 0.01)
-        inv2 = embedding_inverse(3, 0.01)
+        inv1 = _embedding_inverse(3, 0.01, centered_offsets(3))
+        inv2 = _embedding_inverse(3, 0.01, centered_offsets(3))
         assert inv1 is inv2
         with pytest.raises(ValueError):
-            inv1[0, 0] = 99.0
+            inv1.numer[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            inv1.scale[0] = 99.0
 
 
 class TestEmbedMeasurements:
+    """One window of measurements, embedded at its nominal time."""
+
     def test_constant_signal(self):
         for p in (0, 1, 2, 4, 6):
             samples = np.full((p + 1, 1), 7.5)
-            vec = embed_measurements(EmbeddingWindow(samples, dt=0.1, order=p))
-            np.testing.assert_allclose(vec.block(0), [7.5], atol=1e-12)
+            vec = embed_window(samples, 0.1, p)
+            np.testing.assert_allclose(vec[0], 7.5, atol=1e-12)
             for j in range(1, p + 1):
-                np.testing.assert_allclose(vec.block(j), [0.0], atol=1e-9)
+                np.testing.assert_allclose(vec[j], 0.0, atol=1e-9)
 
     def test_ramp(self):
         dt = 0.5
         offsets = np.array(centered_offsets(2))
         center = 4.0
         samples = 3.0 * (center + offsets * dt)
-        vec = embed_measurements(EmbeddingWindow(samples, dt=dt, order=2))
-        np.testing.assert_allclose(vec.data, [3.0 * center, 3.0, 0.0],
+        vec = embed_window(samples, dt, 2)
+        np.testing.assert_allclose(vec, [3.0 * center, 3.0, 0.0],
                                    atol=1e-12)
 
     def test_quadratic(self):
@@ -137,12 +145,8 @@ class TestEmbedMeasurements:
         dt = 0.1
         offsets = np.array(centered_offsets(2))
         samples = (offsets * dt) ** 2
-        vec = embed_measurements(EmbeddingWindow(samples, dt=dt, order=2))
-        np.testing.assert_allclose(vec.data, [0.0, 0.0, 2.0], atol=1e-12)
-
-    def test_wrong_sample_count_rejected(self):
-        with pytest.raises(ValueError, match="samples"):
-            EmbeddingWindow(np.zeros((3, 1)), dt=0.1, order=3)
+        vec = embed_window(samples, dt, 2)
+        np.testing.assert_allclose(vec, [0.0, 0.0, 2.0], atol=1e-12)
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_polynomial_exactness(self, p):
@@ -151,10 +155,10 @@ class TestEmbedMeasurements:
         offsets = np.array(centered_offsets(p))
         t = offsets * dt
         samples = sum(t ** i for i in range(p + 1))
-        vec = embed_measurements(EmbeddingWindow(samples, dt=dt, order=p))
+        vec = embed_window(samples, dt, p)
         for j in range(p + 1):
             truth = math.factorial(j)
-            rel = abs(vec.block(j)[0] - truth) / truth
+            rel = abs(vec[j] - truth) / truth
             assert rel <= 1e-8, f"derivative {j}: rel err {rel:.2e}"
 
     def test_no_warning_at_fast_sampling_high_order(self):
@@ -164,22 +168,21 @@ class TestEmbedMeasurements:
         _embedding_inverse.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            embedding_inverse(6, 0.0083, offsets=tuple(range(-3, 4)))
+            embed_window(np.arange(7.0), 0.0083, 6)
 
     def test_inverse_checks_order_and_dt(self):
         with pytest.raises(ValueError, match="exceeds cap"):
-            embedding_inverse(13, 0.1)
+            embed_window(np.zeros(14), 0.1, 13)
         with pytest.raises(ValueError, match="dt must be positive"):
-            embedding_inverse(2, 0.0)
+            embed_window(np.zeros(3), 0.0, 2)
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_round_trip(self, p):
         rng = np.random.default_rng(p)
         samples = rng.standard_normal((p + 1, 2))
-        window = EmbeddingWindow(samples, dt=0.05, order=p)
-        vec = embed_measurements(window)
+        vec = embed_window(samples, 0.05, p)
         t = taylor_embedding_matrix(p, 0.05)
-        rebuilt = t @ vec.data.reshape(p + 1, 2)
+        rebuilt = t @ vec.reshape(p + 1, 2)
         np.testing.assert_allclose(rebuilt, samples, atol=1e-10)
 
 
@@ -259,13 +262,3 @@ def test_embed_series_matches_per_row_loop_bitwise(case):
     assert np.array_equal(embed_series(series, dt, order),
                           per_row_embed(series, dt, order))
 
-
-class TestGeneralizedVector:
-    def test_block_layout(self):
-        vec = GeneralizedVector(base_dim=2, order=1, data=[1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(vec.block(0), [1.0, 2.0])
-        np.testing.assert_array_equal(vec.block(1), [3.0, 4.0])
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError, match="length"):
-            GeneralizedVector(base_dim=2, order=1, data=[1.0, 2.0, 3.0])

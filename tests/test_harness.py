@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from demest.config import (ExperimentConfig, config_hash, load_config_file,
 from demest import dem
 from demest.errors import ConfigError, DataFormatError, DivergenceError
 from demest.harness import run_experiment
-from demest.systems import ExperimentData, save_flight_log
+from demest.systems import (ExperimentData, quadrotor_roll_model,
+                            save_flight_log, simulate)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -72,6 +74,34 @@ class TestConfigValidation:
             parse_config(raw)
         raw["seeds"] = [1]
         assert parse_config(raw).seeds == (1,)
+
+    def test_order_above_cap_rejected(self, tmp_path, capsys):
+        # Caught at config time, not as a ValueError deep inside a run.
+        raw = small_config()
+        raw["dem"]["p"] = 13
+        with pytest.raises(ConfigError, match="dem.p"):
+            parse_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", str(path)]) == 1
+        assert "dem.p" in capsys.readouterr().err
+
+    def test_sweep_needs_steps_past_every_order(self):
+        raw = small_config(kind="sweep_p", sweep={"p_values": [2, 6]})
+        raw["run"].update(n_steps=6, transient_skip_s=0.0)
+        with pytest.raises(ConfigError, match="run.n_steps"):
+            parse_config(raw)
+        raw["run"]["n_steps"] = 7
+        assert parse_config(raw).sweep.p_values == (2, 6)
+
+    def test_skip_past_the_record_rejected(self):
+        # 0.83 s of 100 steps at 0.0083 s: no step would be scored.
+        raw = small_config()
+        raw["run"].update(n_steps=100, transient_skip_s=0.83)
+        with pytest.raises(ConfigError, match="run.transient_skip_s"):
+            parse_config(raw)
+        raw["run"]["transient_skip_s"] = 0.82
+        assert parse_config(raw).run.skip_steps == 99
 
     def test_sweep_kind_requires_section(self):
         with pytest.raises(ConfigError, match="sweep"):
@@ -183,6 +213,48 @@ class TestLogBackedExperiment:
         # log's dt against references built at run.dt.
         with pytest.raises(DataFormatError, match=r"dt=0\.01.*dt=0\.0083"):
             run_experiment(self._log_config(tmp_path, 0.01))
+
+    def test_skip_past_the_log_rejected(self, tmp_path):
+        # The 400-step log lasts 3.3 s; the config cannot know that.
+        cfg = self._log_config(tmp_path, 0.0083)
+        cfg = replace(cfg, run=replace(cfg.run, transient_skip_s=100.0))
+        with pytest.raises(DataFormatError, match="transient_skip_s"):
+            run_experiment(cfg)
+
+    def test_normalized_inputs_rescale_the_plant(self, tmp_path):
+        # One flight, logged once with raw PWM and normalize_log_inputs on,
+        # once with the PWM centred beforehand and the flag off. B is
+        # rescaled by the channel spans, so B @ v is the same in both.
+        dt, n = 0.0083, 400
+        rng = np.random.default_rng(5)
+        t = np.arange(n) * dt
+        pwm = 1500.0 + 0.01 * rng.standard_normal((n, 4)) + 0.1 * np.sin(
+            2 * np.pi * np.outer(t, [0.3, 0.45, 0.6, 0.75])
+            + rng.uniform(0.0, 2 * np.pi, 4))
+        centred = pwm - pwm.mean(axis=0)
+        model = quadrotor_roll_model(3.4e-3, 1.274e-3, full_state_output=True)
+        flight = simulate(model, dt, n, centred,
+                          0.05 * rng.standard_normal((n, 2)),
+                          1e-4 * rng.standard_normal((n, 2)))
+        sse = {}
+        for name, inputs, normalize in (("raw", pwm, True),
+                                        ("centred", centred, False)):
+            path = tmp_path / f"{name}.csv"
+            save_flight_log(path, replace(flight, inputs=inputs))
+            raw = small_config(output_dir=str(tmp_path / name), seeds=[1])
+            raw["run"].update(log_path=str(path),
+                              normalize_log_inputs=normalize)
+            report = run_experiment(parse_config(raw), write=False)
+            sse[name] = {row["estimator"]: (row["sse_phidot_truth"],
+                                            row["sse_phidot_embedded"])
+                         for row in report.tables["per_seed_sse"]}
+        # The observer's clamped input block still moves inside each step,
+        # at rates set by the input prior and the curvature in normalized
+        # units, so DEM agrees to ~4e-8 (1e-5 without the rescaled B).
+        for name, rtol in (("kalman", 1e-9), ("state_augmentation", 1e-9),
+                           ("smikf", 1e-9), ("dem", 1e-6)):
+            np.testing.assert_allclose(sse["raw"][name], sse["centred"][name],
+                                       rtol=rtol, err_msg=name)
 
 
 class TestLandscapeExperiment:

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from demest.errors import DataFormatError
-from demest.systems import (ExperimentData, LtiModel, controllability_matrix,
-                            discretize, is_controllable, is_observable,
-                            load_flight_log, normalize_inputs,
+from demest.systems import (ExperimentData, LtiModel, discretize,
+                            is_observable, load_flight_log, normalize_inputs,
                             observability_matrix, quadrotor_roll_model,
                             rescale_input_matrix, residual_process_noise,
                             save_flight_log, simulate)
@@ -31,8 +30,9 @@ class TestQuadrotorRollModel:
         model = quadrotor_roll_model(I_XX, C_B_PHI)
         assert np.linalg.matrix_rank(observability_matrix(model)) == 2
         assert is_observable(model)
-        assert is_controllable(model)
-        assert controllability_matrix(model).shape == (2, 8)
+        controllability = np.hstack([model.b, model.a @ model.b])
+        assert controllability.shape == (2, 8)
+        assert np.linalg.matrix_rank(controllability) == 2
 
     def test_full_state_variant(self):
         model = quadrotor_roll_model(I_XX, C_B_PHI, full_state_output=True)
@@ -253,6 +253,16 @@ class TestFlightLogIo:
             path.write_text("\n".join(lines[:4] + [",".join(cells)]
                                       + lines[5:]) + "\n")
             with pytest.raises(DataFormatError, match="row 4.*phidot"):
+                load_flight_log(path)
+
+    def test_ragged_row_cites_row(self, tmp_path):
+        data = self._data(n=10, dt=0.01)
+        path = tmp_path / "log.csv"
+        save_flight_log(path, data)
+        lines = path.read_text().splitlines()
+        for row in (lines[4].rsplit(",", 1)[0], lines[4] + ",0.5"):
+            path.write_text("\n".join(lines[:4] + [row] + lines[5:]) + "\n")
+            with pytest.raises(DataFormatError, match="row 4: (8|10) cells"):
                 load_flight_log(path)
 
     def test_non_monotone_timestamps(self, tmp_path):
