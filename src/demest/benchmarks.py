@@ -4,11 +4,14 @@ variant), the unknown input observer, plus AR fitting and the SSE metric.
 
 The Kalman filter, the state-augmentation filter (a Kalman filter on the
 augmented system) and SMIKF share one predict/update recursion; SMIKF only
-adds the AR(1) cross term to its prediction.
+adds the AR(1) cross term to its prediction. Each has a one-record entry and
+a ``*_batch`` entry that replays a list of records through the same
+recursion, stacked along a leading record axis.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,6 +28,9 @@ from .systems import ExperimentData, LtiModel, discretize, zero_order_hold
 
 # Hard cap on augmented filter size (n + n*order states).
 MAX_AUGMENTED_DIM = 128
+
+NOT_INVERTIBLE = "innovation covariance not invertible"
+NON_FINITE = "non-finite filter state"
 
 
 @dataclass(frozen=True)
@@ -82,65 +88,161 @@ def default_noise_matrices(noise: NoiseSpec, dt: float) -> tuple[np.ndarray, np.
     return 0.5 * (q + q.T), 0.5 * (r + r.T)
 
 
-def _filter(ad, bd, c, q, r, data: ExperimentData, x0, p0,
-            ar=None, keep=None) -> KalmanResult:
+def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
     """Predict/update recursion shared by the Kalman-family filters.
+
+    ``ys`` (T, m) and ``vs`` (T, r) replay one record. With a leading record
+    axis, (S, T, m) and (S, T, r), the S records replay in one stacked
+    recursion, with the means as an (S, n, 1) stack. ``ad``, ``q``, ``p0``
+    and ``ar`` are either (n, n), shared by every record, or (S, n, n), one
+    per record; the covariance recursion is stacked only when one of them
+    is, so a shared design runs it once for all records. ``bd``, ``c`` and
+    ``r`` are shared. Each slice of a stacked ``np.matmul`` is the same BLAS
+    call as the one-record product, so a record gets the same bits alone or
+    in any batch.
 
     With ``ar`` (the diagonal matrix of AR(1) noise coefficients) the
     prediction also carries the covariance between the posterior error and
     the upcoming noise sample, as SMIKF does. With ``keep`` only the first
-    ``keep`` states are returned, and only their covariance block is
-    stored. The innovation covariance is
-    factored by LAPACK ``potrf``/``potrs`` directly: the routines behind
-    ``cho_factor``/``cho_solve``, so the same bits without the per-step
-    wrapper and its finiteness checks. An overflowed prediction is caught
-    by the finite check on ``x`` and ``P`` at the step that uses it.
+    ``keep`` states and their covariance block are stored. The innovation
+    covariance is factored by LAPACK ``potrf``/``potrs`` directly, one call
+    per design slice: the routines behind ``cho_factor``/``cho_solve``, so
+    the same bits without the per-step wrapper and its finiteness checks. An
+    overflowed prediction is caught by the finite check on ``x`` and ``P``
+    at the step that uses it.
+
+    Returns ``(means, covariances, failed)``, time-major: means (T, [S,]
+    keep) and covariances (T, [S,] keep, keep), with the record axis only
+    where the covariance recursion is stacked. A one-record replay raises
+    its ``DivergenceError``; a stacked one maps the index of each record
+    that diverged to its error in ``failed``, drops the record from the
+    stack and leaves its rows unset, so the other records run on unchanged.
     """
-    ad = np.atleast_2d(np.asarray(ad, dtype=float))
-    bd = np.atleast_2d(np.asarray(bd, dtype=float))
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
-    n = ad.shape[0]
-    ys = data.measurements
-    vs = data.inputs
-    if ys.shape[1] != c.shape[0]:
+    ad, bd, c, q, r = (np.atleast_2d(np.asarray(a, dtype=float))
+                       for a in (ad, bd, c, q, r))
+    n, m = ad.shape[-1], c.shape[0]
+    if ys.shape[-1] != m:
         raise ValueError("measurement dimension does not match C")
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    p = np.eye(n) if p0 is None else np.asarray(p0, dtype=float).copy()
-    cross = np.zeros((n, n))  # cov(prior error, current noise sample)
+    lead = ys.shape[:-2]
+    p = np.eye(n) if p0 is None else np.asarray(p0, dtype=float)
+    if any(a is not None and a.ndim == 3 for a in (ad, q, p, ar)):
+        p = np.broadcast_to(p, lead + (n, n))
+    x = np.zeros(lead + (n, 1)) if x0 is None else np.broadcast_to(
+        np.asarray(x0, dtype=float)[..., None], lead + (n, 1))
+    # Step-major views, so that step k of every record is one index.
+    ys = np.moveaxis(ys, -2, 0)[..., None]
+    vs = np.moveaxis(vs, -2, 0)[..., None]
+    per_record = p.ndim == 3
+    add = np.add.reduce
+    cross = np.zeros(p.shape)  # cov(prior error, current noise sample)
     eye = np.eye(n)
-    whole = keep is None
-    means = np.empty((ys.shape[0], n))
-    covs = np.empty((ys.shape[0],) + p[:keep, :keep].shape)
+    kept = n if keep is None else keep
+    means = np.empty(ys.shape[:-2] + (kept,))
+    covs = np.empty((ys.shape[0],) + p.shape[:-2] + (kept, kept))
+    mean_block, cov_block = np.s_[..., :kept, 0], np.s_[..., :kept, :kept]
+    live = np.arange(lead[0]) if lead else None
+    rows = design_rows = slice(None)
+    failed = {}
+    ad_t = ad.swapaxes(-1, -2)
+    slices = list(np.ndindex(p.shape[:-2]))
     for k in range(ys.shape[0]):
         cp = c @ p
-        chol, info = dpotrf(cp @ c.T + r, lower=0, clean=0)
-        if info != 0:
-            raise DivergenceError(k, "innovation covariance not invertible")
-        gain = dpotrs(chol, cp, lower=0)[0].T
+        s = cp @ c.T + r
+        gains, singular = [], []
+        for idx in slices:
+            chol, info = dpotrf(s[idx], lower=0, clean=0)
+            if info == 0:
+                gains.append(dpotrs(chol, cp[idx], lower=0)[0].T)
+            elif lead:
+                singular.append(idx)
+                gains.append(np.zeros((n, m)))
+            else:
+                raise DivergenceError(k, NOT_INVERTIBLE)
+        gain = np.array(gains) if per_record else gains[0]
         x = x + gain @ (ys[k] - c @ x)
         ikc = eye - gain @ c
-        p = ikc @ p @ ikc.T + gain @ r @ gain.T
-        if not (np.isfinite(x).all() and np.isfinite(p).all()):
-            raise DivergenceError(k, "non-finite filter state")
-        means[k] = x
-        covs[k] = p if whole else p[:keep, :keep]
+        p = ikc @ p @ ikc.swapaxes(-1, -2) + gain @ r @ gain.swapaxes(-1, -2)
+        # A non-finite entry makes the sum non-finite; a sum of finite
+        # entries that overflows only sends the step to the exact check.
+        if singular or not math.isfinite(add(x, None) + add(p, None)):
+            stuck = np.zeros(p.shape[:-2], dtype=bool)
+            for idx in singular:
+                stuck[idx] = True
+            stuck = np.broadcast_to(stuck, x.shape[:-2])
+            bad = stuck | ~np.isfinite(x).all(axis=(-2, -1)) \
+                | ~np.isfinite(p).all(axis=(-2, -1))
+            if bad.any():
+                if not lead:
+                    raise DivergenceError(k, NON_FINITE)
+                for i in np.flatnonzero(bad):
+                    failed[int(live[i])] = DivergenceError(
+                        k, NOT_INVERTIBLE if stuck[i] else NON_FINITE)
+                if bad.all():
+                    break
+                ok = ~bad
+                live, x, ys, vs = live[ok], x[ok], ys[:, ok], vs[:, ok]
+                rows = live
+                if per_record:
+                    ad, ad_t, q, p, cross, ikc = (
+                        a[ok] if a.ndim == 3 else a
+                        for a in (ad, ad_t, q, p, cross, ikc))
+                    ar = None if ar is None or ar.ndim < 3 else ar[ok]
+                    design_rows = live
+                    slices = list(np.ndindex(p.shape[:-2]))
+        means[k, rows] = x[mean_block]
+        covs[k, design_rows] = p[cov_block]
         x = ad @ x + bd @ vs[k]
         if ar is None:
-            p = ad @ p @ ad.T + q
+            p = ad @ p @ ad_t + q
         else:
             # ikc @ cross: cov(posterior error, current noise sample)
             ad_psi = ad @ (ikc @ cross)
-            p = ad @ p @ ad.T + q + ad_psi + ad_psi.T
-            cross = (ad_psi + q) @ ar.T
-    return KalmanResult(means=means[:, :keep], covariances=covs)
+            p = ad @ p @ ad_t + q + ad_psi + ad_psi.swapaxes(-1, -2)
+            cross = (ad_psi + q) @ ar.swapaxes(-1, -2)
+    return means, covs, failed
+
+
+def _stack(datas) -> tuple[np.ndarray, np.ndarray]:
+    """(S, T, m) measurements and (S, T, r) inputs of a batch of records."""
+    if len({(d.dt, d.n_steps) for d in datas}) != 1:
+        raise ValueError("a batch replays records of one dt and length")
+    return (np.stack([d.measurements for d in datas]),
+            np.stack([d.inputs for d in datas]))
+
+
+def _unstack(means, covs, failed) -> list:
+    """Each record's ``KalmanResult``, or its ``DivergenceError``."""
+    shared = covs.ndim == 3
+    return [failed[i] if i in failed else
+            KalmanResult(means[:, i], covs if shared else covs[:, i])
+            for i in range(means.shape[1])]
+
+
+def _solo(fn, *args):
+    """``fn(*args)`` for one record of a batch, or the error it diverged
+    with."""
+    try:
+        return fn(*args)
+    except DivergenceError as exc:
+        return exc
 
 
 def kalman_filter(ad, bd, c, q, r, data: ExperimentData,
                   x0=None, p0=None) -> KalmanResult:
     """Standard discrete predict/update recursion (Joseph-form update)."""
-    return _filter(ad, bd, c, q, r, data, x0, p0)
+    means, covs, _ = _filter(ad, bd, c, q, r, data.measurements, data.inputs,
+                             x0, p0)
+    return KalmanResult(means=means, covariances=covs)
+
+
+def kalman_filter_batch(ad, bd, c, q, r, datas) -> list:
+    """``kalman_filter`` over records of one dt and length, with one
+    covariance recursion shared by every record. Returns each record's
+    ``KalmanResult``, or the ``DivergenceError`` of a record that diverged.
+    """
+    if len(datas) == 1:
+        return [_solo(kalman_filter, ad, bd, c, q, r, datas[0])]
+    return _unstack(*_filter(ad, bd, c, q, r, *_stack(datas)))
 
 
 def _unit_innovation_variance(coeffs: np.ndarray) -> float:
@@ -204,6 +306,21 @@ def build_augmented_system(ad, bd, c, q, ar_models):
     return a_aug, b_aug, c_aug, q_aug, stationary
 
 
+def _augmented(model: LtiModel, ad, bd, q, ar_models, x0=None, p0=None):
+    """``(A, B, C, Q, x0, P0)`` of the filter on the AR-augmented system."""
+    a_aug, b_aug, c_aug, q_aug, noise_cov = build_augmented_system(
+        ad, bd, model.c, q, ar_models)
+    x0_aug = np.zeros(a_aug.shape[0])
+    if x0 is not None:
+        x0_aug[:model.n] = np.asarray(x0, dtype=float)
+    p0_plant = np.eye(model.n) if p0 is None else np.asarray(p0, dtype=float)
+    return a_aug, b_aug, c_aug, q_aug, x0_aug, block_diag(p0_plant, noise_cov)
+
+
+def _white(ar_models) -> bool:
+    return all(np.all(m.coefficients == 0.0) for m in ar_models)
+
+
 def state_augmentation_filter(model: LtiModel, ar_models, data: ExperimentData,
                               q, r, x0=None, p0=None) -> KalmanResult:
     """Kalman filter on the AR-augmented system; returns the plant-state block.
@@ -212,18 +329,44 @@ def state_augmentation_filter(model: LtiModel, ar_models, data: ExperimentData,
     the call reduces to the plain Kalman filter on the original system.
     """
     ad, bd = discretize(model, data.dt)
-    if all(np.all(m.coefficients == 0.0) for m in ar_models):
-        return _filter(ad, bd, model.c, q, r, data, x0, p0)
-    a_aug, b_aug, c_aug, q_aug, noise_cov = build_augmented_system(
-        ad, bd, model.c, q, ar_models)
-    n = model.n
-    x0_aug = np.zeros(a_aug.shape[0])
-    if x0 is not None:
-        x0_aug[:n] = np.asarray(x0, dtype=float)
-    p0_plant = np.eye(n) if p0 is None else np.asarray(p0, dtype=float)
-    p0_aug = block_diag(p0_plant, noise_cov)
-    return _filter(a_aug, b_aug, c_aug, q_aug, r, data, x0_aug, p0_aug,
-                   keep=n)
+    a, b, c, q, x0, p0 = ((ad, bd, model.c, q, x0, p0) if _white(ar_models)
+                          else _augmented(model, ad, bd, q, ar_models, x0, p0))
+    means, covs, _ = _filter(a, b, c, q, r, data.measurements, data.inputs,
+                             x0, p0, keep=model.n)
+    return KalmanResult(means=means, covariances=covs)
+
+
+def state_augmentation_filter_batch(model: LtiModel, ar_models, datas,
+                                    q, r) -> list:
+    """``state_augmentation_filter`` over records of one dt and length, with
+    one list of AR models per record: one recursion over the stacked
+    per-record augmented designs. A record whose AR coefficients are all
+    zero replays alone as the plain Kalman filter, as in the one-record call.
+    Returns each record's ``KalmanResult``, or its ``DivergenceError``.
+    """
+    stacked = [i for i, ars in enumerate(ar_models) if not _white(ars)]
+    out = {}
+    if len(stacked) > 1:
+        ad, bd = discretize(model, datas[stacked[0]].dt)
+        designs = [_augmented(model, ad, bd, q, ar_models[i]) for i in stacked]
+        a_aug, q_aug, p0_aug = (np.stack([d[j] for d in designs])
+                                for j in (0, 3, 5))
+        b_aug, c_aug = designs[0][1:3]
+        out = dict(zip(stacked, _unstack(*_filter(
+            a_aug, b_aug, c_aug, q_aug, r,
+            *_stack([datas[i] for i in stacked]), p0=p0_aug, keep=model.n))))
+    return [out[i] if i in out else _solo(
+                state_augmentation_filter, model, ar_models[i], datas[i], q, r)
+            for i in range(len(datas))]
+
+
+def _ar1_matrix(model: LtiModel, ar1_coefficients) -> np.ndarray:
+    coeffs = np.asarray(ar1_coefficients, dtype=float).reshape(-1)
+    if coeffs.size != model.n:
+        raise ValueError("one AR(1) coefficient per noise channel required")
+    if np.any(np.abs(coeffs) >= 1.0):
+        raise ValueError("AR(1) coefficients must satisfy |a1| < 1")
+    return np.diag(coeffs)
 
 
 def smikf(model: LtiModel, ar1_coefficients, data: ExperimentData,
@@ -234,13 +377,24 @@ def smikf(model: LtiModel, ar1_coefficients, data: ExperimentData,
     error and the upcoming noise sample induced by first-order AR noise;
     zero coefficients give the plain Kalman filter's bits.
     """
-    coeffs = np.asarray(ar1_coefficients, dtype=float).reshape(-1)
-    if coeffs.size != model.n:
-        raise ValueError("one AR(1) coefficient per noise channel required")
-    if np.any(np.abs(coeffs) >= 1.0):
-        raise ValueError("AR(1) coefficients must satisfy |a1| < 1")
+    ar = _ar1_matrix(model, ar1_coefficients)
     ad, bd = discretize(model, data.dt)
-    return _filter(ad, bd, model.c, q, r, data, x0, p0, ar=np.diag(coeffs))
+    means, covs, _ = _filter(ad, bd, model.c, q, r, data.measurements,
+                             data.inputs, x0, p0, ar=ar)
+    return KalmanResult(means=means, covariances=covs)
+
+
+def smikf_batch(model: LtiModel, ar1_coefficients, datas, q, r) -> list:
+    """``smikf`` over records of one dt and length, with one set of AR(1)
+    coefficients per record: one recursion over stacked per-record
+    covariances. Returns each record's ``KalmanResult``, or its
+    ``DivergenceError``.
+    """
+    if len(datas) == 1:
+        return [_solo(smikf, model, ar1_coefficients[0], datas[0], q, r)]
+    ar = np.stack([_ar1_matrix(model, coeffs) for coeffs in ar1_coefficients])
+    ad, bd = discretize(model, datas[0].dt)
+    return _unstack(*_filter(ad, bd, model.c, q, r, *_stack(datas), ar=ar))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,10 @@ SA_AR_ORDER = 6
 # Keep fitted AR(1) coefficients strictly inside the stationarity region.
 AR1_CLAMP = 0.999
 
+# Order of the embedding of phi that stands in for the unmeasured roll rate
+# when the roll-rate estimates are scored.
+RATE_REFERENCE_ORDER = 2
+
 
 @dataclass
 class ExperimentReport:
@@ -66,6 +70,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _environment() -> dict:
+    """The numeric stack whose rounding the CSV bytes depend on: numpy's
+    BLAS runs the matrix products, scipy's LAPACK the Cholesky solves."""
+    import platform
+
+    import scipy
+
+    def blas(show_config) -> str:
+        try:
+            info = show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except TypeError:  # numpy < 1.25 and scipy < 1.11 print it only
+            return "unknown"
+        return f"{info.get('name')} {info.get('version')}"
+
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "numpy_blas": blas(np.show_config),
+            "scipy_blas": blas(scipy.show_config)}
+
+
 def write_report(report: ExperimentReport) -> None:
     """Write every table as CSV plus a manifest. Only the manifest carries
     non-reproducible content (wall-clock runtimes); the CSVs are
@@ -91,6 +114,7 @@ def write_report(report: ExperimentReport) -> None:
         "passed": report.passed,
         "diverged": report.diverged,
         "runtimes_s": {k: round(v, 3) for k, v in report.runtimes_s.items()},
+        "environment": _environment(),
     }
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -207,6 +231,16 @@ def _plant_for(model: LtiModel, data: ExperimentData) -> LtiModel:
     return rescale_input_matrix(model, data.input_scales)
 
 
+def _largest_order(cfg: ExperimentConfig) -> int:
+    """The largest embedding order a run of ``cfg`` applies to a record."""
+    orders = [cfg.dem.p]
+    if cfg.kind == "sweep_p":
+        orders += cfg.sweep.p_values
+    if cfg.kind in ("benchmark_state", "sweep_p"):
+        orders.append(RATE_REFERENCE_ORDER)
+    return max(orders)
+
+
 def get_record(cfg: ExperimentConfig, seed: int, model: LtiModel) -> Record:
     """Synthetic or log-backed record."""
     if cfg.run.log_path is None:
@@ -219,6 +253,11 @@ def get_record(cfg: ExperimentConfig, seed: int, model: LtiModel) -> Record:
         raise DataFormatError(
             f"{cfg.run.log_path}: log dt={log.dt:g} differs from "
             f"run.dt={cfg.run.dt:g} by more than {DT_JITTER:.0%}")
+    order = _largest_order(cfg)
+    if log.n_steps <= order:
+        raise DataFormatError(
+            f"{cfg.run.log_path}: {log.n_steps} rows; embedding order "
+            f"{order} needs at least {order + 1}")
     if cfg.run.skip_steps >= log.n_steps:
         raise DataFormatError(
             f"{cfg.run.log_path}: run.transient_skip_s="
@@ -280,26 +319,39 @@ def _grid(cfg: ExperimentConfig):
 def _replay(report: ExperimentReport, records: list[Record], axis) -> list:
     """Replay every record at each ``(label, estimate)`` axis point in turn.
 
-    ``estimate(record)`` returns copies of the vectors that get scored, so a
-    cell does not keep a whole trajectory alive. Returns the cells axis
-    point by axis point, each a list in record order. A replay that diverges
+    ``estimate(records)`` returns one cell per record: copies of the vectors
+    that get scored, so a cell does not keep a whole trajectory alive, or
+    the ``DivergenceError`` of a replay that diverged. Returns the cells axis
+    point by axis point, each a list in record order. A diverged replay
     leaves a None cell and a ``report.diverged`` entry. Each axis point's
     replays are timed together under its label.
     """
     cells = []
     for label, estimate in axis:
         t0 = time.perf_counter()
+        row = estimate(records)
+        report.runtimes_s[label] = time.perf_counter() - t0
+        for i, (rec, cell) in enumerate(zip(records, row)):
+            if isinstance(cell, DivergenceError):
+                row[i] = None
+                report.diverged.append(
+                    {"seed": rec.seed, "estimator": label, "error": str(cell)})
+        cells.append(row)
+    return cells
+
+
+def _each(estimate):
+    """A grid estimate that replays the records one at a time through
+    ``estimate(record)``."""
+    def replay(records: list[Record]) -> list:
         row = []
         for rec in records:
             try:
                 row.append(estimate(rec))
             except DivergenceError as exc:
-                row.append(None)
-                report.diverged.append(
-                    {"seed": rec.seed, "estimator": label, "error": str(exc)})
-        report.runtimes_s[label] = time.perf_counter() - t0
-        cells.append(row)
-    return cells
+                row.append(exc)
+        return row
+    return replay
 
 
 def _sse(estimate, reference, column: int, skip: int) -> float | None:
@@ -317,30 +369,38 @@ def _observer_rate(model: LtiModel, dem_cfg: dem.DemConfig):
     def estimate(rec: Record) -> np.ndarray:
         run = dem.run_observer(matrices, rec.data, known_inputs=True)
         return run.states[:, 1].copy()
-    return estimate
+    return _each(estimate)
+
+
+def _roll_rates(results: list) -> list:
+    """The roll-rate cell of each filter result; errors pass through."""
+    return [res if isinstance(res, DivergenceError) else
+            res.means[:, 1].copy() for res in results]
 
 
 def _state_estimators(cfg: ExperimentConfig, model: LtiModel) -> list:
-    """The shoot-out axis: each estimator's roll rate, inputs known."""
+    """The shoot-out axis: each estimator's roll rate, inputs known. The
+    three filters replay all records of the axis point in one batch."""
     spec = observer_noise_spec(cfg, model)
     q, r = benchmarks.default_noise_matrices(spec, cfg.run.dt)
 
-    def kalman(rec):
-        ad, bd = discretize(model, rec.data.dt)
-        return benchmarks.kalman_filter(
-            ad, bd, model.c, q, r, rec.data).means[:, 1].copy()
+    def kalman(records):
+        ad, bd = discretize(model, records[0].data.dt)
+        return _roll_rates(benchmarks.kalman_filter_batch(
+            ad, bd, model.c, q, r, [rec.data for rec in records]))
 
-    def state_augmentation(rec):
-        ars = [benchmarks.fit_ar(rec.w_fit[:, i], SA_AR_ORDER)
-               for i in range(model.n)]
-        return benchmarks.state_augmentation_filter(
-            model, ars, rec.data, q, r).means[:, 1].copy()
+    def state_augmentation(records):
+        ars = [[benchmarks.fit_ar(rec.w_fit[:, i], SA_AR_ORDER)
+                for i in range(model.n)] for rec in records]
+        return _roll_rates(benchmarks.state_augmentation_filter_batch(
+            model, ars, [rec.data for rec in records], q, r))
 
-    def smikf(rec):
-        coeffs = [float(np.clip(benchmarks.fit_ar(rec.w_fit[:, i], 1)
-                                .coefficients[0], -AR1_CLAMP, AR1_CLAMP))
-                  for i in range(model.n)]
-        return benchmarks.smikf(model, coeffs, rec.data, q, r).means[:, 1].copy()
+    def smikf(records):
+        coeffs = [[float(np.clip(benchmarks.fit_ar(rec.w_fit[:, i], 1)
+                                 .coefficients[0], -AR1_CLAMP, AR1_CLAMP))
+                   for i in range(model.n)] for rec in records]
+        return _roll_rates(benchmarks.smikf_batch(
+            model, coeffs, [rec.data for rec in records], q, r))
 
     return [("dem", _observer_rate(model, _dem_config(cfg, spec, model))),
             ("kalman", kalman), ("state_augmentation", state_augmentation),
@@ -359,7 +419,8 @@ def _rate_scores(cfg: ExperimentConfig, records: list[Record],
     # phidot is not directly measured; a low-order embedding of phi acts as
     # the derivative pseudo-measurement reference.
     refs = [(rec.data.truth_states,
-             embed_series(rec.data.measurements[:, 0], cfg.run.dt, 2))
+             embed_series(rec.data.measurements[:, 0], cfg.run.dt,
+                          RATE_REFERENCE_ORDER))
             for rec in records]
     return [[(_sse(est, truth, 1, skip), _sse(est, embedded, 1, skip),
               est is None) for est, (truth, embedded) in zip(row, refs)]
@@ -495,10 +556,10 @@ def run_input_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     # Designing up front surfaces existence failures before any run.
     benchmarks.design_uio(model, poles=poles)
     matrices = dem.assemble_observer(model, dem_cfg)
-    axis = [("dem", lambda rec: dem.run_observer(
-                 matrices, rec.data).inputs[:, 0].copy()),
-            ("uio", lambda rec: benchmarks.uio(
-                 model, rec.data, poles=poles).inputs[:, 0].copy())]
+    axis = [("dem", _each(lambda rec: dem.run_observer(
+                 matrices, rec.data).inputs[:, 0].copy())),
+            ("uio", _each(lambda rec: benchmarks.uio(
+                 model, rec.data, poles=poles).inputs[:, 0].copy()))]
     cells = _replay(report, records, axis)
     skip = cfg.run.skip_steps
     chash = report.config_hash
@@ -549,7 +610,7 @@ def run_prior_sweep(cfg: ExperimentConfig) -> ExperimentReport:
         def estimate(rec):
             run = dem.run_observer(matrices, rec.data)
             return run.inputs[:, 0].copy(), run.states[:, 1].copy()
-        return estimate
+        return _each(estimate)
 
     cells = _replay(report, records,
                     [(f"pv{pv:g}", observer(pv)) for pv in ps.pv_grid])

@@ -185,10 +185,14 @@ def simulate(model: LtiModel, dt: float, n_steps: int, inputs,
     x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
 
     ad, bd = discretize(model, dt)
+    # Each step's drive and noise, hoisted: the same products and sums, in
+    # the same order, as written inside the loop.
+    drive = np.matmul(bd, inputs[:n_steps - 1, :, None])[:, :, 0]
+    noise = proc_noise[:n_steps - 1] * dt
     states = np.empty((n_steps, model.n))
     states[0] = x0
     for k in range(n_steps - 1):
-        states[k + 1] = ad @ states[k] + bd @ inputs[k] + proc_noise[k] * dt
+        states[k + 1] = ad @ states[k] + drive[k] + noise[k]
     measurements = states @ model.c.T + meas_noise[:n_steps]
     return ExperimentData(
         dt=dt,

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag, cho_factor, cho_solve
 
-from demest.benchmarks import (ArModel, build_augmented_system,
+from demest.benchmarks import (ArModel, _filter, build_augmented_system,
                                default_noise_matrices, default_uio_poles,
-                               design_uio, fit_ar, kalman_filter, smikf, sse,
-                               state_augmentation_filter, uio)
+                               design_uio, fit_ar, kalman_filter,
+                               kalman_filter_batch, smikf, smikf_batch, sse,
+                               state_augmentation_filter,
+                               state_augmentation_filter_batch, uio)
 from demest.errors import DivergenceError, ObserverDesignError
 from demest.noise import NoiseSpec
 from demest.systems import (ExperimentData, LtiModel, discretize,
@@ -428,3 +432,149 @@ class TestFilterDivergence:
             kalman_filter(eye, 0.0, eye, 0.0 * eye, 0.0 * eye, self._data(),
                           p0=-eye)
         assert info.value.step == 0
+
+
+def _roll_records(seeds, n, full_state=False):
+    """Simulated roll records, one per seed, and the filters' (Q, R)."""
+    model = quadrotor_roll_model(3.4e-3, 1.274e-3,
+                                 full_state_output=full_state)
+    dt = 0.0083
+    datas = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        datas.append(simulate(
+            model, dt, n, 0.1 * rng.standard_normal((n, 4)),
+            rng.standard_normal((n, 2)) * [0.005, 2.0],
+            1e-3 * rng.standard_normal((n, model.m))))
+    q = np.diag([0.005 ** 2, 2.0 ** 2]) * dt
+    return model, datas, q, 1e-6 * np.eye(model.m)
+
+
+def _ar_models(seed, white=False):
+    """Per-channel AR(6) models well inside the stationarity region."""
+    rng = np.random.default_rng([seed, 7])
+    scale = 0.0 if white else 1.0
+    return [ArModel(6, scale * rng.uniform(-0.3, 0.3, 6)
+                    * [1.0, 0.5, 0.3, 0.2, 0.1, 0.05], 1.0) for _ in range(2)]
+
+
+def _same(batch, solo):
+    """A batch cell equals the one-record call: the same bits, or the same
+    divergence step and message."""
+    if isinstance(solo, DivergenceError):
+        return isinstance(batch, DivergenceError) and \
+            (batch.step, str(batch)) == (solo.step, str(solo))
+    return not isinstance(batch, DivergenceError) and \
+        np.array_equal(batch.means, solo.means) and \
+        np.array_equal(batch.covariances, solo.covariances)
+
+
+def _solo(fn, *args):
+    try:
+        return fn(*args)
+    except DivergenceError as exc:
+        return exc
+
+
+class TestStackedFilters:
+    """The batch entries replay a stack of records through the same core as
+    the one-record calls, with the same bits per record."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_records=st.integers(1, 5), n_steps=st.integers(3, 60),
+           seed=st.integers(0, 2 ** 16), poison=st.data())
+    def test_batch_equals_one_record_calls(self, n_records, n_steps, seed,
+                                           poison):
+        seeds = [seed + i for i in range(n_records)]
+        model, datas, q, r = _roll_records(seeds, n_steps)
+        # One record may get an inf measurement, and one may have white AR
+        # models (the state-augmentation filter's plain-Kalman shortcut).
+        bad = poison.draw(st.none() | st.integers(0, n_records - 1))
+        if bad is not None:
+            step = poison.draw(st.integers(0, n_steps - 1))
+            ys = datas[bad].measurements.copy()
+            ys[step, 0] = np.inf
+            datas[bad] = ExperimentData(dt=datas[bad].dt, measurements=ys,
+                                        inputs=datas[bad].inputs)
+        white = poison.draw(st.none() | st.integers(0, n_records - 1))
+        ars = [_ar_models(s, white=i == white) for i, s in enumerate(seeds)]
+        coeffs = [np.random.default_rng([s, 8]).uniform(-0.9, 0.9, 2)
+                  for s in seeds]
+        ad, bd = discretize(model, datas[0].dt)
+        with np.errstate(invalid="ignore", over="ignore"):
+            cases = [
+                (kalman_filter_batch(ad, bd, model.c, q, r, datas),
+                 [_solo(kalman_filter, ad, bd, model.c, q, r, d)
+                  for d in datas]),
+                (state_augmentation_filter_batch(model, ars, datas, q, r),
+                 [_solo(state_augmentation_filter, model, a, d, q, r)
+                  for a, d in zip(ars, datas)]),
+                (smikf_batch(model, coeffs, datas, q, r),
+                 [_solo(smikf, model, c, d, q, r)
+                  for c, d in zip(coeffs, datas)]),
+            ]
+        for batch, solo in cases:
+            assert len(batch) == n_records
+            for i, (b, o) in enumerate(zip(batch, solo)):
+                assert _same(b, o), i
+                if bad is not None:
+                    assert isinstance(o, DivergenceError) == (i == bad)
+                    if i == bad:
+                        assert o.step == step
+
+    def test_full_state_batch_matches_reference(self):
+        # m = 2 (C = I): the innovation solve and the gain products have a
+        # two-term inner dimension.
+        model, datas, q, r = _roll_records([1, 2, 3], 200, full_state=True)
+        ad, bd = discretize(model, datas[0].dt)
+        coeffs = [np.array([0.6, -0.4]), np.array([0.2, 0.5]),
+                  np.array([-0.7, 0.1])]
+        kf = kalman_filter_batch(ad, bd, model.c, q, r, datas)
+        sm = smikf_batch(model, coeffs, datas, q, r)
+        ars = [_ar_models(s) for s in (1, 2, 3)]
+        sa = state_augmentation_filter_batch(model, ars, datas, q, r)
+        for i, data in enumerate(datas):
+            means, covs = reference_recursion(ad, bd, model.c, q, r, data,
+                                              np.zeros(2), np.eye(2))
+            assert np.array_equal(kf[i].means, means)
+            assert np.array_equal(kf[i].covariances, covs)
+            means, covs = reference_recursion(ad, bd, model.c, q, r, data,
+                                              np.zeros(2), np.eye(2),
+                                              ar=np.diag(coeffs[i]))
+            assert np.array_equal(sm[i].means, means)
+            assert np.array_equal(sm[i].covariances, covs)
+            a_aug, b_aug, c_aug, q_aug, noise_cov = build_augmented_system(
+                ad, bd, model.c, q, ars[i])
+            means, covs = reference_recursion(
+                a_aug, b_aug, c_aug, q_aug, r, data, np.zeros(a_aug.shape[0]),
+                block_diag(np.eye(2), noise_cov))
+            assert np.array_equal(sa[i].means, means[:, :2])
+            assert np.array_equal(sa[i].covariances, covs[:, :2, :2])
+
+    def test_singular_design_fails_only_its_record(self):
+        # Per-record priors stack the covariance recursion; the middle
+        # record's prior makes its innovation covariance negative at step 0.
+        model, datas, q, r = _roll_records([1, 2, 3], 20)
+        ad, bd = discretize(model, datas[0].dt)
+        p0 = np.stack([np.eye(2), -np.eye(2), 2.0 * np.eye(2)])
+        means, covs, failed = _filter(
+            ad, bd, model.c, q, r, np.stack([d.measurements for d in datas]),
+            np.stack([d.inputs for d in datas]), p0=p0)
+        solo = [_solo(kalman_filter, ad, bd, model.c, q, r, d, None, p)
+                for d, p in zip(datas, p0)]
+        assert list(failed) == [1]
+        assert isinstance(solo[1], DivergenceError)
+        assert (failed[1].step, str(failed[1])) == (solo[1].step, str(solo[1]))
+        assert failed[1].step == 0 and "not invertible" in str(failed[1])
+        for i in (0, 2):
+            assert np.array_equal(means[:, i], solo[i].means)
+            assert np.array_equal(covs[:, i], solo[i].covariances)
+
+    def test_records_must_share_dt_and_length(self):
+        model, datas, q, r = _roll_records([1, 2], 30)
+        ad, bd = discretize(model, datas[0].dt)
+        short = ExperimentData(dt=datas[1].dt,
+                               measurements=datas[1].measurements[:20],
+                               inputs=datas[1].inputs[:20])
+        with pytest.raises(ValueError, match="one dt and length"):
+            kalman_filter_batch(ad, bd, model.c, q, r, [datas[0], short])

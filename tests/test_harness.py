@@ -1,15 +1,17 @@
 import csv
 import json
+import platform
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from demest.cli import main as cli_main
 from demest.config import (ExperimentConfig, config_hash, load_config_file,
                            parse_config, serialize_config)
-from demest import dem
+from demest import benchmarks, dem
 from demest.errors import ConfigError, DataFormatError, DivergenceError
 from demest.harness import run_experiment
 from demest.systems import (ExperimentData, quadrotor_roll_model,
@@ -180,6 +182,46 @@ class TestBenchmarkStateExperiment:
                                           "aggregate_sse.csv"}
 
 
+    def test_manifest_records_the_numeric_environment(self, report):
+        manifest = json.loads(
+            (Path(report.output_dir) / "manifest.json").read_text())
+        env = manifest["environment"]
+        assert (env["python"], env["numpy"], env["scipy"]) == (
+            platform.python_version(), np.__version__, scipy.__version__)
+        assert env["numpy_blas"] and env["scipy_blas"]
+
+    def test_one_diverging_record_leaves_one_empty_cell(self, report,
+                                                        monkeypatch):
+        # Seed 2 gets an inf measurement inside the Kalman batch only: its
+        # kalman cell is empty, and every other cell keeps its bits.
+        kalman_filter_batch = benchmarks.kalman_filter_batch
+
+        def poisoned(ad, bd, c, q, r, datas):
+            ys = datas[1].measurements.copy()
+            ys[150, 0] = np.inf
+            datas = [datas[0], replace(datas[1], measurements=ys), *datas[2:]]
+            return kalman_filter_batch(ad, bd, c, q, r, datas)
+
+        monkeypatch.setattr(benchmarks, "kalman_filter_batch", poisoned)
+        raw = small_config(output_dir="unused")
+        with np.errstate(invalid="ignore"):
+            result = run_experiment(parse_config(raw), write=False)
+        assert result.diverged == [{
+            "seed": 2, "estimator": "kalman",
+            "error": str(DivergenceError(150, "non-finite filter state"))}]
+        for clean, row in zip(report.tables["per_seed_sse"],
+                              result.tables["per_seed_sse"]):
+            if (row["seed"], row["estimator"]) == (2, "kalman"):
+                assert row["diverged"]
+                assert row["sse_phidot_truth"] is None
+                assert row["sse_phidot_embedded"] is None
+            else:
+                assert row == clean
+        kalman = next(row for row in result.tables["aggregate_sse"]
+                      if row["estimator"] == "kalman")
+        assert (kalman["n_runs"], kalman["n_diverged"]) == (2, 1)
+
+
 class TestLogBackedExperiment:
     def _log_config(self, tmp_path, dt):
         rng = np.random.default_rng(3)
@@ -220,6 +262,24 @@ class TestLogBackedExperiment:
         cfg = replace(cfg, run=replace(cfg.run, transient_skip_s=100.0))
         with pytest.raises(DataFormatError, match="transient_skip_s"):
             run_experiment(cfg)
+
+    def test_log_shorter_than_the_embedding_rejected(self, tmp_path):
+        # Five rows cannot fill the order-6 embedding window of the windy
+        # benchmark; the log is the problem, not the observer.
+        model = quadrotor_roll_model(3.4e-3, 1.274e-3, full_state_output=True)
+        rng = np.random.default_rng(4)
+        flight = simulate(model, 0.0083, 5, 0.1 * rng.standard_normal((5, 4)),
+                          rng.standard_normal((5, 2)),
+                          1e-3 * rng.standard_normal((5, 2)))
+        log_path = tmp_path / "short.csv"
+        save_flight_log(log_path, flight)
+        raw = serialize_config(
+            load_config_file(CONFIG_DIR / "benchmark_state_windy.json"))
+        raw.update(output_dir=str(tmp_path / "out"), seeds=[1])
+        raw["run"].update(log_path=str(log_path), transient_skip_s=0.0)
+        with pytest.raises(DataFormatError,
+                           match=r"short\.csv: 5 rows; embedding order 6"):
+            run_experiment(parse_config(raw))
 
     def test_normalized_inputs_rescale_the_plant(self, tmp_path):
         # One flight, logged once with raw PWM and normalize_log_inputs on,

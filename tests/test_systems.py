@@ -137,6 +137,23 @@ class TestSimulate:
         np.testing.assert_array_equal(a.truth_states, b.truth_states)
         np.testing.assert_array_equal(a.measurements, b.measurements)
 
+    def test_matches_the_step_by_step_recurrence(self):
+        # The drive and noise terms are computed before the loop; the
+        # states keep the bits of adding them inside it.
+        model = LtiModel(a=[[0.0, 1.0], [-4.0, -0.3]],
+                         b=[[0.0, 0.5, 0.1], [1.0, -2.0, 0.7]],
+                         c=[[1.0, 0.0]])
+        rng = np.random.default_rng(12)
+        dt, n = 0.0083, 300
+        v = rng.standard_normal((n, 3))
+        w = rng.standard_normal((n, 2))
+        data = simulate(model, dt, n, v, w, np.zeros((n, 1)))
+        ad, bd = discretize(model, dt)
+        states = np.zeros((n, 2))
+        for k in range(n - 1):
+            states[k + 1] = ad @ states[k] + bd @ v[k] + w[k] * dt
+        assert np.array_equal(data.truth_states, states)
+
     def test_dimension_mismatch(self):
         model = self._model()
         with pytest.raises(ValueError, match="process-noise"):
