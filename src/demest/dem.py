@@ -13,6 +13,7 @@ whose drift is the generalized shift minus the learning rate times the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ from .systems import (ExperimentData, LtiModel, is_observable,
 # Relative tolerance of the assembly self-check (two independent
 # constructions of the curvature must agree).
 _SELF_CHECK_RTOL = 1e-10
+
+NON_FINITE = "non-finite estimate"
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class ObserverMatrices:
     """Assembled constant matrices defining one observer instance.
 
     Nothing here depends on a record, so one assembly serves every replay
-    through ``run_observer``.
+    through ``run_observer`` or ``run_observer_batch``.
     """
 
     drift: np.ndarray            # shift - rate * curvature
@@ -296,7 +299,7 @@ def run_observer(m: ObserverMatrices, data: ExperimentData,
         if known_inputs:
             x_full[sd:] = v_gen_series[t]
         if not np.isfinite(x_full).all():
-            raise DivergenceError(t, "non-finite estimate")
+            raise DivergenceError(t, NON_FINITE)
         estimates[t] = x_full
 
     return ObserverRun(
@@ -305,6 +308,98 @@ def run_observer(m: ObserverMatrices, data: ExperimentData,
         states=estimates[:, :m.n],
         inputs=estimates[:, sd:sd + m.r],
     )
+
+
+def embed_records(datas, field: str, order: int,
+                  memo: dict | None = None) -> np.ndarray:
+    """Time-major (T, S, k) embedding of ``field`` ("measurements" or
+    "inputs") of every record, each written into one preallocated array.
+
+    ``memo`` keeps the embeddings by field, order and records, so calls
+    that pass the same dict and the same (live) records embed each record
+    once per order.
+    """
+    key = (field, order, tuple(map(id, datas)))
+    if memo is not None and key in memo:
+        return memo[key]
+    first = getattr(datas[0], field)
+    out = np.empty((first.shape[0], len(datas),
+                    first.shape[1] * (order + 1)))
+    for s, data in enumerate(datas):
+        out[:, s] = embed_series(getattr(data, field), data.dt, order)
+    if memo is not None:
+        memo[key] = out
+    return out
+
+
+def run_observer_batch(m: ObserverMatrices, datas, known_inputs: bool = False,
+                       keep=None, embeddings: dict | None = None) -> list:
+    """``run_observer`` over records of one dt and length, in one stacked
+    recursion.
+
+    The S estimates advance as an (S, D, 1) stack with (Ad, Bd) discretized
+    once. Each slice of a stacked ``np.matmul`` is the same BLAS call as the
+    one-record product, so every record gets the bits ``run_observer`` gives
+    it alone. Only the estimate columns ``keep`` (all by default) are
+    stored, and no free-energy trace is computed. ``embeddings`` is an
+    ``embed_records`` memo.
+
+    Returns each record's kept (T, len(keep)) estimates, or the
+    ``DivergenceError`` of a record that went non-finite: that record
+    leaves the stack at the step it failed, with the step and message of
+    its one-record run, and the others run on unchanged.
+    """
+    if not datas:
+        raise ValueError("a batch needs at least one record")
+    if len({(d.dt, d.n_steps) for d in datas}) != 1:
+        raise ValueError("a batch replays records of one dt and length")
+    if any(d.measurements.shape[1] != m.m for d in datas):
+        raise ValueError("measurement dimension does not match plant output")
+    n_records, n_steps = len(datas), datas[0].n_steps
+    if n_steps < m.p + 1:
+        raise ValueError("record shorter than the embedding window")
+    y_gen = embed_records(datas, "measurements", m.p, embeddings)
+    if known_inputs:
+        v_gen = embed_records(datas, "inputs", m.d, embeddings)
+    # Step t refills u with the (S, nu, 1) stack of the vectors
+    # [y_tilde; -eta_tilde] that run_observer concatenates at step t.
+    ny = y_gen.shape[2]
+    u = np.empty((n_records, m.drive.shape[1], 1))
+    u[:, ny:, 0] = -m.eta_gen
+    ad, bd = zero_order_hold(m.drift, m.drive, datas[0].dt)
+    sd = m.state_dim
+    dim = m.total_dim
+    columns = np.arange(dim) if keep is None else np.asarray(keep, dtype=int)
+    x = np.zeros((n_records, dim, 1))
+    ax, bu = np.empty_like(x), np.empty_like(x)
+    # Flat indices of the kept columns of every record of the stack.
+    flat = np.arange(n_records)[:, None] * dim + columns
+    kept = np.empty((n_steps, n_records, columns.size))
+    live, rows, failed = np.arange(n_records), slice(None), {}
+    add = np.add.reduce
+    for t in range(n_steps):
+        u[:, :ny, 0] = y_gen[t]
+        np.add(np.matmul(ad, x, out=ax), np.matmul(bd, u, out=bu), out=x)
+        if known_inputs:
+            x[:, sd:, 0] = v_gen[t]
+        # A non-finite entry makes the sum non-finite; a sum of finite
+        # entries that overflows only sends the step to the exact check.
+        if not math.isfinite(add(x, None)):
+            bad = ~np.isfinite(x).all(axis=(1, 2))
+            for i in np.flatnonzero(bad):
+                failed[int(live[i])] = DivergenceError(t, NON_FINITE)
+            if bad.all():
+                break
+            if bad.any():
+                ok = ~bad
+                live, x, ax, bu, u, y_gen = (
+                    live[ok], x[ok], ax[ok], bu[ok], u[ok], y_gen[:, ok])
+                if known_inputs:
+                    v_gen = v_gen[:, ok]
+                rows, flat = live, flat[:live.size]
+        kept[t, rows] = x.take(flat)
+    return [failed[i] if i in failed else kept[:, i]
+            for i in range(n_records)]
 
 
 def _free_energy_trace(m: ObserverMatrices, estimates: np.ndarray,

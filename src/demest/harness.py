@@ -362,20 +362,33 @@ def _sse(estimate, reference, column: int, skip: int) -> float | None:
     return benchmarks.sse(estimate, reference[:, column], skip=skip)
 
 
+def _cells(results: list, pick) -> list:
+    """``pick(result)`` of each result; a ``DivergenceError`` passes
+    through."""
+    return [res if isinstance(res, DivergenceError) else pick(res)
+            for res in results]
+
+
+def _observer(matrices: dem.ObserverMatrices, columns, pick,
+              known_inputs: bool = False, embeddings: dict | None = None):
+    """Grid estimate: ``pick`` of the observer's estimate ``columns`` of each
+    record; all records replay in one batch."""
+    def estimate(records: list[Record]) -> list:
+        return _cells(dem.run_observer_batch(
+            matrices, [rec.data for rec in records], known_inputs,
+            keep=columns, embeddings=embeddings), pick)
+    return estimate
+
+
 def _observer_rate(model: LtiModel, dem_cfg: dem.DemConfig):
     """Grid estimate: the observer's roll rate, inputs known."""
-    matrices = dem.assemble_observer(model, dem_cfg)
-
-    def estimate(rec: Record) -> np.ndarray:
-        run = dem.run_observer(matrices, rec.data, known_inputs=True)
-        return run.states[:, 1].copy()
-    return _each(estimate)
+    return _observer(dem.assemble_observer(model, dem_cfg), [1],
+                     lambda cols: cols[:, 0].copy(), known_inputs=True)
 
 
 def _roll_rates(results: list) -> list:
     """The roll-rate cell of each filter result; errors pass through."""
-    return [res if isinstance(res, DivergenceError) else
-            res.means[:, 1].copy() for res in results]
+    return _cells(results, lambda res: res.means[:, 1].copy())
 
 
 def _state_estimators(cfg: ExperimentConfig, model: LtiModel) -> list:
@@ -505,8 +518,14 @@ def run_landscape(cfg: ExperimentConfig) -> ExperimentReport:
     dem_cfg = _dem_config(cfg, spec, model)
     t0 = time.perf_counter()
     matrices = dem.assemble_observer(model, dem_cfg)
-    run = dem.run_observer(matrices, data)
-    y_gen_series = embed_series(data.measurements, data.dt, dem_cfg.p)
+    # The replay and the probes share the record's one embedding.
+    embeddings = {}
+    estimates = dem.run_observer_batch(matrices, [data],
+                                       embeddings=embeddings)[0]
+    if isinstance(estimates, DivergenceError):
+        raise estimates
+    y_gen_series = dem.embed_records([data], "measurements", dem_cfg.p,
+                                     embeddings)[:, 0]
 
     rng = np.random.default_rng([seed, 4])
     directions = rng.standard_normal((ls.n_perturbations, matrices.total_dim))
@@ -519,7 +538,7 @@ def run_landscape(cfg: ExperimentConfig) -> ExperimentReport:
     all_passed = True
     for step in probe_steps:
         result = dem.free_energy_landscape(
-            matrices, run.estimates[step], y_gen_series[step],
+            matrices, estimates[step], y_gen_series[step],
             matrices.eta_gen, directions, [ls.magnitude], slack=ls.slack)
         all_passed &= result.passed
         for i in range(directions.shape[0]):
@@ -556,8 +575,8 @@ def run_input_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     # Designing up front surfaces existence failures before any run.
     benchmarks.design_uio(model, poles=poles)
     matrices = dem.assemble_observer(model, dem_cfg)
-    axis = [("dem", _each(lambda rec: dem.run_observer(
-                 matrices, rec.data).inputs[:, 0].copy())),
+    axis = [("dem", _observer(matrices, [matrices.state_dim],
+                              lambda cols: cols[:, 0].copy())),
             ("uio", _each(lambda rec: benchmarks.uio(
                  model, rec.data, poles=poles).inputs[:, 0].copy()))]
     cells = _replay(report, records, axis)
@@ -601,16 +620,17 @@ def run_prior_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     """Accuracy/complexity trade-off as the input-prior precision varies."""
     report, model, records = _grid(cfg)
     ps = cfg.prior_sweep
+    # Every prior precision replays the same records at the same order.
+    embeddings = {}
 
     def observer(pv):
         spec = observer_noise_spec(cfg, model, input_prior_precision=pv)
         matrices = dem.assemble_observer(
             model, _dem_config(cfg, spec, model, eta_v=ps.eta_v))
-
-        def estimate(rec):
-            run = dem.run_observer(matrices, rec.data)
-            return run.inputs[:, 0].copy(), run.states[:, 1].copy()
-        return _each(estimate)
+        # The input and roll-rate estimates.
+        return _observer(matrices, [matrices.state_dim, 1],
+                         lambda cols: (cols[:, 0].copy(), cols[:, 1].copy()),
+                         embeddings=embeddings)
 
     cells = _replay(report, records,
                     [(f"pv{pv:g}", observer(pv)) for pv in ps.pv_grid])

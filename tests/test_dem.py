@@ -1,16 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from demest import dem
 from demest.dem import (DemConfig, assemble_observer, default_learning_rate,
                         error_jacobian, estimate_precision, free_energy,
                         free_energy_gradient, free_energy_landscape,
                         generalized_prior, observer_step, prediction_error,
-                        run_observer)
+                        run_observer, run_observer_batch)
 from demest.errors import DivergenceError, ObserverDesignError
 from demest.gencoord import embed_series
 from demest.noise import NoiseSpec, generalized_precision
-from demest.systems import (LtiModel, quadrotor_roll_model, simulate,
-                            zero_order_hold)
+from demest.systems import (ExperimentData, LtiModel, quadrotor_roll_model,
+                            simulate, zero_order_hold)
 
 DT = 0.0083
 
@@ -377,6 +382,119 @@ class TestRunObserver:
         expected = [free_energy(prediction_error(m, x, y, eta), m.precision)
                     for x, y in zip(run.estimates, y_gen)]
         np.testing.assert_allclose(run.vfe, expected, rtol=1e-12)
+
+
+def roll_records(seeds, n_steps):
+    """Noisy roll records, one per seed, with random inputs."""
+    model, _ = roll_setup()
+    datas = []
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 9])
+        datas.append(simulate(
+            model, DT, n_steps, 0.1 * rng.standard_normal((n_steps, model.r)),
+            0.1 * rng.standard_normal((n_steps, model.n)),
+            1e-3 * rng.standard_normal((n_steps, model.m))))
+    return datas
+
+
+def _solo(m, data, known_inputs):
+    """``run_observer``'s estimates, or the error it diverged with."""
+    try:
+        return run_observer(m, data, known_inputs=known_inputs).estimates
+    except DivergenceError as exc:
+        return exc
+
+
+class TestRunObserverBatch:
+    """The batch replays a stack of records with the same bits per record
+    as ``run_observer``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(orders=st.sampled_from([(0, 0), (2, 1), (6, 2)]),
+           n_records=st.integers(1, 5), seed=st.integers(0, 2 ** 16),
+           known_inputs=st.booleans(), draw=st.data())
+    def test_batch_equals_one_record_runs(self, orders, n_records, seed,
+                                          known_inputs, draw):
+        model, cfg = roll_setup(*orders)
+        m = assemble_observer(model, cfg)
+        n_steps = draw.draw(st.integers(orders[0] + 1, 80))
+        keep = draw.draw(st.none() | st.lists(
+            st.integers(0, m.total_dim - 1), min_size=1, max_size=4))
+        datas = roll_records(range(seed, seed + n_records), n_steps)
+        batch = run_observer_batch(m, datas, known_inputs, keep=keep)
+        assert len(batch) == n_records
+        for data, kept in zip(datas, batch):
+            solo = _solo(m, data, known_inputs)
+            assert np.array_equal(kept, solo if keep is None
+                                  else solo[:, keep])
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308])
+    @pytest.mark.parametrize("known_inputs", [True, False])
+    def test_diverging_record_leaves_the_stack(self, value, known_inputs):
+        model, cfg = roll_setup(p=2, d=1)
+        m = assemble_observer(model, cfg)
+        datas = roll_records([1, 2, 3, 4], 100)
+        ys = datas[1].measurements.copy()
+        ys[40] = value
+        datas[1] = replace(datas[1], measurements=ys)
+        with np.errstate(invalid="ignore", over="ignore"):
+            batch = run_observer_batch(m, datas, known_inputs)
+            solo = [_solo(m, data, known_inputs) for data in datas]
+        assert isinstance(solo[1], DivergenceError)
+        assert isinstance(batch[1], DivergenceError)
+        assert (batch[1].step, str(batch[1])) == (solo[1].step, str(solo[1]))
+        for i in (0, 2, 3):
+            assert np.array_equal(batch[i], solo[i])
+
+    @pytest.mark.parametrize("case, message", [
+        ("empty", "at least one record"),
+        ("mixed_dt", "one dt and length"),
+        ("mixed_length", "one dt and length"),
+        ("wide", "measurement dimension does not match plant output"),
+        ("short", "record shorter than the embedding window"),
+    ])
+    def test_rejects_bad_batches(self, case, message):
+        model, cfg = roll_setup(p=2, d=1)
+        m = assemble_observer(model, cfg)
+        a, b = roll_records([1, 2], 30)
+        datas = {
+            "empty": [],
+            "mixed_dt": [a, replace(b, dt=2 * DT)],
+            "mixed_length": [a, ExperimentData(
+                dt=DT, measurements=b.measurements[:20],
+                inputs=b.inputs[:20])],
+            "wide": [ExperimentData(
+                dt=DT, measurements=np.hstack([d.measurements] * 2),
+                inputs=d.inputs) for d in (a, b)],
+            "short": [ExperimentData(dt=DT, measurements=d.measurements[:2],
+                                     inputs=d.inputs[:2]) for d in (a, b)],
+        }[case]
+        with pytest.raises(ValueError, match=message):
+            run_observer_batch(m, datas)
+
+    def test_memo_embeds_each_record_once_per_order(self, monkeypatch):
+        embed_series_ = dem.embed_series
+        calls = []
+
+        def counted(series, dt, order):
+            calls.append(order)
+            return embed_series_(series, dt, order)
+
+        monkeypatch.setattr(dem, "embed_series", counted)
+        datas = roll_records([1, 2, 3], 50)
+        memo = {}
+        runs = []
+        for pv in (1.0, 10.0):
+            model, cfg = roll_setup(p=4, d=2, pv=pv)
+            runs.append(run_observer_batch(assemble_observer(model, cfg),
+                                           datas, True, embeddings=memo))
+        # The states at order 4 and the inputs at order 2, once per record.
+        assert sorted(calls) == [2, 2, 2, 4, 4, 4]
+        monkeypatch.setattr(dem, "embed_series", embed_series_)
+        model, cfg = roll_setup(p=4, d=2, pv=10.0)
+        fresh = run_observer_batch(assemble_observer(model, cfg), datas, True)
+        for kept, again in zip(runs[1], fresh):
+            assert np.array_equal(kept, again)
 
 
 class TestEstimatePrecision:

@@ -11,7 +11,7 @@ import scipy
 from demest.cli import main as cli_main
 from demest.config import (ExperimentConfig, config_hash, load_config_file,
                            parse_config, serialize_config)
-from demest import benchmarks, dem
+from demest import benchmarks, dem, harness
 from demest.errors import ConfigError, DataFormatError, DivergenceError
 from demest.harness import run_experiment
 from demest.systems import (ExperimentData, quadrotor_roll_model,
@@ -222,6 +222,34 @@ class TestBenchmarkStateExperiment:
         assert (kalman["n_runs"], kalman["n_diverged"]) == (2, 1)
 
 
+    def test_one_diverging_observer_record_leaves_one_empty_cell(self):
+        # Seed 2 gets an inf measurement: only its observer cell is empty,
+        # with the error of its one-record run, and the others keep their
+        # bits.
+        cfg = parse_config(small_config(output_dir="unused"))
+        report, model, records = harness._grid(cfg)
+        data = records[1].data
+        ys = data.measurements.copy()
+        ys[150, 0] = np.inf
+        poisoned = list(records)
+        poisoned[1] = records[1]._replace(
+            data=replace(data, measurements=ys))
+        spec = harness.observer_noise_spec(cfg, model)
+        dem_cfg = harness._dem_config(cfg, spec, model)
+        axis = [("dem", harness._observer_rate(model, dem_cfg))]
+        with np.errstate(invalid="ignore"):
+            cells = harness._replay(report, poisoned, axis)
+            with pytest.raises(DivergenceError) as solo:
+                dem.run_observer(dem.assemble_observer(model, dem_cfg),
+                                 poisoned[1].data, known_inputs=True)
+        assert report.diverged == [{"seed": 2, "estimator": "dem",
+                                    "error": str(solo.value)}]
+        clean = harness._replay(harness._new_report(cfg), records, axis)
+        assert cells[0][1] is None
+        for i in (0, 2):
+            assert np.array_equal(cells[0][i], clean[0][i])
+
+
 class TestLogBackedExperiment:
     def _log_config(self, tmp_path, dt):
         rng = np.random.default_rng(3)
@@ -336,6 +364,23 @@ class TestLandscapeExperiment:
         for row in report.tables["surface"]:
             assert row["delta"] == 0.0
 
+    def test_record_is_embedded_once(self, tmp_path, monkeypatch):
+        embed_series = dem.embed_series
+        calls = []
+
+        def counted(series, dt, order):
+            calls.append(order)
+            return embed_series(series, dt, order)
+
+        monkeypatch.setattr(dem, "embed_series", counted)
+        monkeypatch.setattr(harness, "embed_series", counted)
+        raw = small_config(kind="landscape", output_dir=str(tmp_path))
+        raw["seeds"] = [1]
+        raw["landscape"] = {"n_probe_times": 3, "n_perturbations": 5,
+                            "magnitude": 1e-3, "slack": 1e-8}
+        run_experiment(parse_config(raw), write=False)
+        assert calls == [4]
+
     def test_noiseless_run_passes(self, tmp_path):
         cfg = load_config_file(CONFIG_DIR / "landscape.json")
         raw = serialize_config(cfg)
@@ -362,7 +407,7 @@ class TestPriorSweepExperiment:
 
     def test_divergence_leaves_empty_cells(self, tmp_path, monkeypatch):
         assemble_observer = dem.assemble_observer
-        run_observer = dem.run_observer
+        run_observer_batch = dem.run_observer_batch
         diverging = []
 
         def note_pv_10(model, cfg, rate=None):
@@ -371,13 +416,14 @@ class TestPriorSweepExperiment:
                 diverging.append(m)
             return m
 
-        def diverge_at_pv_10(m, data, **kwargs):
+        def diverge_at_pv_10(m, datas, *args, **kwargs):
             if any(m is design for design in diverging):
-                raise DivergenceError(5, "non-finite estimate")
-            return run_observer(m, data, **kwargs)
+                return [DivergenceError(5, "non-finite estimate")
+                        for _ in datas]
+            return run_observer_batch(m, datas, *args, **kwargs)
 
         monkeypatch.setattr(dem, "assemble_observer", note_pv_10)
-        monkeypatch.setattr(dem, "run_observer", diverge_at_pv_10)
+        monkeypatch.setattr(dem, "run_observer_batch", diverge_at_pv_10)
         raw = small_config(kind="prior_sweep", output_dir=str(tmp_path))
         raw["seeds"] = [1, 2]
         raw["prior_sweep"] = {"pv_grid": [1.0, 10.0], "eta_v": 1.0}
