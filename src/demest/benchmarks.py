@@ -32,6 +32,11 @@ MAX_AUGMENTED_DIM = 128
 NOT_INVERTIBLE = "innovation covariance not invertible"
 NON_FINITE = "non-finite filter state"
 
+# Steps within which a filter looks for an exact cycle of its covariance
+# recursion; a design that has not cycled by then (SA-AR6 does not) runs the
+# full recursion to the end of the record.
+CYCLE_WINDOW = 512
+
 
 @dataclass(frozen=True)
 class ArModel:
@@ -78,6 +83,10 @@ def fit_ar(series, order: int) -> ArModel:
 class KalmanResult(NamedTuple):
     means: np.ndarray        # (T, n) filtered means
     covariances: np.ndarray  # (T, n, n) filtered covariances
+    # (step, period): from ``step`` on, the covariance recursion repeated
+    # with ``period`` and only the means were replayed; None if it did not
+    # cycle within CYCLE_WINDOW steps.
+    cycle: tuple[int, int] | None = None
 
 
 def default_noise_matrices(noise: NoiseSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -86,6 +95,11 @@ def default_noise_matrices(noise: NoiseSpec, dt: float) -> tuple[np.ndarray, np.
     q = np.linalg.inv(noise.proc_precision) * dt
     r = np.linalg.inv(noise.meas_precision)
     return 0.5 * (q + q.T), 0.5 * (r + r.T)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """``a``'s float64 entries as integers, so that ``==`` compares bits."""
+    return a.view(np.uint64)
 
 
 def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
@@ -111,12 +125,26 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
     overflowed prediction is caught by the finite check on ``x`` and ``P``
     at the step that uses it.
 
-    Returns ``(means, covariances, failed)``, time-major: means (T, [S,]
-    keep) and covariances (T, [S,] keep, keep), with the record axis only
-    where the covariance recursion is stacked. A one-record replay raises
-    its ``DivergenceError``; a stacked one maps the index of each record
-    that diverged to its error in ``failed``, drops the record from the
-    stack and leaves its rows unset, so the other records run on unchanged.
+    The covariance recursion does not see the data, and in floating point
+    it often enters an exact cycle: a design slice's state ``(P, cross)``
+    returns bit for bit to an earlier one. Within the first
+    ``CYCLE_WINDOW`` steps each slice's state is compared with one saved
+    state, re-saved at steps 0, 1, 2, 4, 8, ... (Brent, BIT 20, 1980); a
+    slice whose state matches repeats, from the saved step on, the gains
+    and covariances of the steps since, with their count as its period.
+    Once every slice has cycled, the rest of the record replays only the
+    means over that periodic gain schedule, and the covariances are copied
+    from the cycle: the same bits as the full recursion.
+
+    Returns ``(means, covariances, failed, cycle)``, time-major: means (T,
+    [S,] keep) and covariances (T, [S,] keep, keep), with the record axis
+    only where the covariance recursion is stacked. A one-record replay
+    raises its ``DivergenceError``; a stacked one maps the index of each
+    record that diverged to its error in ``failed``, drops the record from
+    the stack and leaves its rows unset, so the other records run on
+    unchanged. ``cycle`` is None, or ``(step, periods)``: the step from
+    which only the means were replayed, and each record's gain period (an
+    int array shaped like the record axis).
     """
     ad, bd, c, q, r = (np.atleast_2d(np.asarray(a, dtype=float))
                        for a in (ad, bd, c, q, r))
@@ -137,15 +165,38 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
     cross = np.zeros(p.shape)  # cov(prior error, current noise sample)
     eye = np.eye(n)
     kept = n if keep is None else keep
+    n_steps = ys.shape[0]
     means = np.empty(ys.shape[:-2] + (kept,))
-    covs = np.empty((ys.shape[0],) + p.shape[:-2] + (kept, kept))
+    covs = np.empty((n_steps,) + p.shape[:-2] + (kept, kept))
     mean_block, cov_block = np.s_[..., :kept, 0], np.s_[..., :kept, :kept]
     live = np.arange(lead[0]) if lead else None
     rows = design_rows = slice(None)
     failed = {}
     ad_t = ad.swapaxes(-1, -2)
     slices = list(np.ndindex(p.shape[:-2]))
-    for k in range(ys.shape[0]):
+    # Cycle search: each design slice's gains over the window, the saved
+    # state and the step it was saved at, and the start and period of each
+    # slice's cycle (period 0 until it is found).
+    window_gains = np.empty((min(n_steps, CYCLE_WINDOW),) + p.shape[:-2]
+                            + (n, m))
+    saved = saved_at = None
+    start = period = np.zeros(p.shape[:-2], dtype=int)
+    switch = None
+    for k in range(n_steps):
+        if k < CYCLE_WINDOW:
+            if saved is not None:
+                same = (_bits(p) == _bits(saved[0])).all(axis=(-2, -1))
+                if ar is not None:
+                    same &= (_bits(cross) == _bits(saved[1])).all(
+                        axis=(-2, -1))
+                found = same & (period == 0)
+                start = np.where(found, saved_at, start)
+                period = np.where(found, k - saved_at, period)
+                if period.all():
+                    switch = k
+                    break
+            if k & (k - 1) == 0:
+                saved, saved_at = (p.copy(), cross.copy()), k
         cp = c @ p
         s = cp @ c.T + r
         gains, singular = [], []
@@ -159,6 +210,8 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
             else:
                 raise DivergenceError(k, NOT_INVERTIBLE)
         gain = np.array(gains) if per_record else gains[0]
+        if k < CYCLE_WINDOW:
+            window_gains[k, design_rows] = gain
         x = x + gain @ (ys[k] - c @ x)
         ikc = eye - gain @ c
         p = ikc @ p @ ikc.swapaxes(-1, -2) + gain @ r @ gain.swapaxes(-1, -2)
@@ -187,6 +240,8 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
                         a[ok] if a.ndim == 3 else a
                         for a in (ad, ad_t, q, p, cross, ikc))
                     ar = None if ar is None or ar.ndim < 3 else ar[ok]
+                    saved = tuple(a[ok] for a in saved)
+                    start, period = start[ok], period[ok]
                     design_rows = live
                     slices = list(np.ndindex(p.shape[:-2]))
         means[k, rows] = x[mean_block]
@@ -199,7 +254,37 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
             ad_psi = ad @ (ikc @ cross)
             p = ad @ p @ ad_t + q + ad_psi + ad_psi.swapaxes(-1, -2)
             cross = (ad_psi + q) @ ar.swapaxes(-1, -2)
-    return means, covs, failed
+    if switch is None:
+        return means, covs, failed, None
+    # Step k of slice i repeats step start_i + (k - start_i) % period_i.
+    periods = np.zeros(lead, dtype=int)
+    designs = (live,) if per_record else ()
+    periods[designs] = period
+    steps = np.arange(switch, n_steps).reshape((-1,) + (1,) * period.ndim)
+    phase = (start + (steps - start) % period,) + designs
+    schedule = window_gains[phase]
+    covs[(np.s_[switch:],) + designs] = covs[phase]
+    bv = np.matmul(bd, vs[switch:])
+    for k in range(switch, n_steps):
+        x = x + schedule[k - switch] @ (ys[k] - c @ x)
+        if not math.isfinite(add(x, None)):
+            bad = ~np.isfinite(x).all(axis=(-2, -1))
+            if bad.any():
+                if not lead:
+                    raise DivergenceError(k, NON_FINITE)
+                for i in np.flatnonzero(bad):
+                    failed[int(live[i])] = DivergenceError(k, NON_FINITE)
+                if bad.all():
+                    break
+                ok = ~bad
+                live, x, ys, bv = live[ok], x[ok], ys[:, ok], bv[:, ok]
+                rows = live
+                if per_record:
+                    schedule = schedule[:, ok]
+                    ad = ad[ok] if ad.ndim == 3 else ad
+        means[k, rows] = x[mean_block]
+        x = ad @ x + bv[k - switch]
+    return means, covs, failed, (switch, periods)
 
 
 def _stack(datas) -> tuple[np.ndarray, np.ndarray]:
@@ -210,11 +295,19 @@ def _stack(datas) -> tuple[np.ndarray, np.ndarray]:
             np.stack([d.inputs for d in datas]))
 
 
-def _unstack(means, covs, failed) -> list:
+def _result(means, covs, cycle, record=()) -> KalmanResult:
+    """The ``KalmanResult`` of one record, given ``_filter``'s output for
+    it (``record`` indexes the record axis of ``cycle``'s periods)."""
+    if cycle is not None:
+        cycle = (cycle[0], int(cycle[1][record]))
+    return KalmanResult(means, covs, cycle)
+
+
+def _unstack(means, covs, failed, cycle) -> list:
     """Each record's ``KalmanResult``, or its ``DivergenceError``."""
     shared = covs.ndim == 3
     return [failed[i] if i in failed else
-            KalmanResult(means[:, i], covs if shared else covs[:, i])
+            _result(means[:, i], covs if shared else covs[:, i], cycle, i)
             for i in range(means.shape[1])]
 
 
@@ -230,9 +323,9 @@ def _solo(fn, *args):
 def kalman_filter(ad, bd, c, q, r, data: ExperimentData,
                   x0=None, p0=None) -> KalmanResult:
     """Standard discrete predict/update recursion (Joseph-form update)."""
-    means, covs, _ = _filter(ad, bd, c, q, r, data.measurements, data.inputs,
-                             x0, p0)
-    return KalmanResult(means=means, covariances=covs)
+    means, covs, _, cycle = _filter(ad, bd, c, q, r, data.measurements,
+                                    data.inputs, x0, p0)
+    return _result(means, covs, cycle)
 
 
 def kalman_filter_batch(ad, bd, c, q, r, datas) -> list:
@@ -331,9 +424,9 @@ def state_augmentation_filter(model: LtiModel, ar_models, data: ExperimentData,
     ad, bd = discretize(model, data.dt)
     a, b, c, q, x0, p0 = ((ad, bd, model.c, q, x0, p0) if _white(ar_models)
                           else _augmented(model, ad, bd, q, ar_models, x0, p0))
-    means, covs, _ = _filter(a, b, c, q, r, data.measurements, data.inputs,
-                             x0, p0, keep=model.n)
-    return KalmanResult(means=means, covariances=covs)
+    means, covs, _, cycle = _filter(a, b, c, q, r, data.measurements,
+                                    data.inputs, x0, p0, keep=model.n)
+    return _result(means, covs, cycle)
 
 
 def state_augmentation_filter_batch(model: LtiModel, ar_models, datas,
@@ -379,9 +472,9 @@ def smikf(model: LtiModel, ar1_coefficients, data: ExperimentData,
     """
     ar = _ar1_matrix(model, ar1_coefficients)
     ad, bd = discretize(model, data.dt)
-    means, covs, _ = _filter(ad, bd, model.c, q, r, data.measurements,
-                             data.inputs, x0, p0, ar=ar)
-    return KalmanResult(means=means, covariances=covs)
+    means, covs, _, cycle = _filter(ad, bd, model.c, q, r, data.measurements,
+                                    data.inputs, x0, p0, ar=ar)
+    return _result(means, covs, cycle)
 
 
 def smikf_batch(model: LtiModel, ar1_coefficients, datas, q, r) -> list:

@@ -332,6 +332,16 @@ def embed_records(datas, field: str, order: int,
     return out
 
 
+class InputMemo(dict):
+    """An ``embed_records`` memo that keeps only the input embeddings: replays
+    at several measurement orders share them, and each order's measurement
+    embedding is dropped with its replay."""
+
+    def __setitem__(self, key, value):
+        if key[0] == "inputs":
+            super().__setitem__(key, value)
+
+
 def run_observer_batch(m: ObserverMatrices, datas, known_inputs: bool = False,
                        keep=None, embeddings: dict | None = None) -> list:
     """``run_observer`` over records of one dt and length, in one stacked

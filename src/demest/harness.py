@@ -45,6 +45,7 @@ class ExperimentReport:
     descriptions: dict = field(default_factory=dict)
     runtimes_s: dict = field(default_factory=dict)
     diverged: list = field(default_factory=list)
+    gain_cycles: dict = field(default_factory=dict)
     passed: bool | None = None
 
     def files(self) -> list[str]:
@@ -113,6 +114,7 @@ def write_report(report: ExperimentReport) -> None:
                   for name in report.tables},
         "passed": report.passed,
         "diverged": report.diverged,
+        "gain_cycles": report.gain_cycles,
         "runtimes_s": {k: round(v, 3) for k, v in report.runtimes_s.items()},
         "environment": _environment(),
     }
@@ -380,39 +382,55 @@ def _observer(matrices: dem.ObserverMatrices, columns, pick,
     return estimate
 
 
-def _observer_rate(model: LtiModel, dem_cfg: dem.DemConfig):
+def _observer_rate(model: LtiModel, dem_cfg: dem.DemConfig,
+                   embeddings: dict | None = None):
     """Grid estimate: the observer's roll rate, inputs known."""
     return _observer(dem.assemble_observer(model, dem_cfg), [1],
-                     lambda cols: cols[:, 0].copy(), known_inputs=True)
+                     lambda cols: cols[:, 0].copy(), known_inputs=True,
+                     embeddings=embeddings)
 
 
-def _roll_rates(results: list) -> list:
-    """The roll-rate cell of each filter result; errors pass through."""
-    return _cells(results, lambda res: res.means[:, 1].copy())
+def _gain_cycles(results: list) -> dict | None:
+    """Manifest entry of a filter's replay: per record, the step from which
+    only the means were replayed and the period of its gains (None for a
+    record that diverged or did not switch); None if no record switched."""
+    cycles = [None if isinstance(res, DivergenceError) else res.cycle
+              for res in results]
+    if not any(cycles):
+        return None
+    return {"switch_step": [None if c is None else c[0] for c in cycles],
+            "period": [None if c is None else c[1] for c in cycles]}
 
 
-def _state_estimators(cfg: ExperimentConfig, model: LtiModel) -> list:
+def _state_estimators(cfg: ExperimentConfig, model: LtiModel,
+                      report: ExperimentReport) -> list:
     """The shoot-out axis: each estimator's roll rate, inputs known. The
-    three filters replay all records of the axis point in one batch."""
+    three filters replay all records of the axis point in one batch, and
+    note their gain cycles in ``report``."""
     spec = observer_noise_spec(cfg, model)
     q, r = benchmarks.default_noise_matrices(spec, cfg.run.dt)
 
+    def roll_rates(label, results):
+        report.gain_cycles[label] = _gain_cycles(results)
+        return _cells(results, lambda res: res.means[:, 1].copy())
+
     def kalman(records):
         ad, bd = discretize(model, records[0].data.dt)
-        return _roll_rates(benchmarks.kalman_filter_batch(
+        return roll_rates("kalman", benchmarks.kalman_filter_batch(
             ad, bd, model.c, q, r, [rec.data for rec in records]))
 
     def state_augmentation(records):
         ars = [[benchmarks.fit_ar(rec.w_fit[:, i], SA_AR_ORDER)
                 for i in range(model.n)] for rec in records]
-        return _roll_rates(benchmarks.state_augmentation_filter_batch(
-            model, ars, [rec.data for rec in records], q, r))
+        return roll_rates(
+            "state_augmentation", benchmarks.state_augmentation_filter_batch(
+                model, ars, [rec.data for rec in records], q, r))
 
     def smikf(records):
         coeffs = [[float(np.clip(benchmarks.fit_ar(rec.w_fit[:, i], 1)
                                  .coefficients[0], -AR1_CLAMP, AR1_CLAMP))
                    for i in range(model.n)] for rec in records]
-        return _roll_rates(benchmarks.smikf_batch(
+        return roll_rates("smikf", benchmarks.smikf_batch(
             model, coeffs, [rec.data for rec in records], q, r))
 
     return [("dem", _observer_rate(model, _dem_config(cfg, spec, model))),
@@ -447,7 +465,7 @@ def _rate_scores(cfg: ExperimentConfig, records: list[Record],
 def run_benchmark_state(cfg: ExperimentConfig) -> ExperimentReport:
     """Roll-rate estimation shoot-out: observer vs KF, SA(AR-6), SMIKF(AR-1)."""
     report, model, records = _grid(cfg)
-    axis = _state_estimators(cfg, model)
+    axis = _state_estimators(cfg, model, report)
     scores = _rate_scores(cfg, records, _replay(report, records, axis))
     chash = report.config_hash
     per_seed = []
@@ -481,8 +499,11 @@ def run_sweep_p(cfg: ExperimentConfig) -> ExperimentReport:
     report, model, records = _grid(cfg)
     spec = observer_noise_spec(cfg, model)
     p_values = cfg.sweep.p_values
+    # Every order replays the inputs at order min(d, p), embedded once.
+    inputs = dem.InputMemo()
     cells = _replay(report, records, [
-        (f"dem_p{p}", _observer_rate(model, _dem_config(cfg, spec, model, p=p)))
+        (f"dem_p{p}", _observer_rate(
+            model, _dem_config(cfg, spec, model, p=p), inputs))
         for p in p_values])
     chash = report.config_hash
     per_seed, summary = [], []

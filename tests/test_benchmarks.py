@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, cho_factor, cho_solve
 
-from demest.benchmarks import (ArModel, _filter, build_augmented_system,
+from demest.benchmarks import (ArModel, KalmanResult, _filter,
+                               build_augmented_system,
                                default_noise_matrices, default_uio_poles,
                                design_uio, fit_ar, kalman_filter,
                                kalman_filter_batch, smikf, smikf_batch, sse,
@@ -557,7 +558,7 @@ class TestStackedFilters:
         model, datas, q, r = _roll_records([1, 2, 3], 20)
         ad, bd = discretize(model, datas[0].dt)
         p0 = np.stack([np.eye(2), -np.eye(2), 2.0 * np.eye(2)])
-        means, covs, failed = _filter(
+        means, covs, failed, _ = _filter(
             ad, bd, model.c, q, r, np.stack([d.measurements for d in datas]),
             np.stack([d.inputs for d in datas]), p0=p0)
         solo = [_solo(kalman_filter, ad, bd, model.c, q, r, d, None, p)
@@ -578,3 +579,101 @@ class TestStackedFilters:
                                inputs=datas[1].inputs[:20])
         with pytest.raises(ValueError, match="one dt and length"):
             kalman_filter_batch(ad, bd, model.c, q, r, [datas[0], short])
+
+
+def _reference_outcome(ad, bd, c, q, r, data, ar=None):
+    """``reference_recursion`` from x0 = 0 and P0 = I, as the outcome a
+    replay reports: a ``KalmanResult``, or the ``DivergenceError`` of the
+    first step whose mean is not finite."""
+    n = ad.shape[0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        means, covs = reference_recursion(ad, bd, c, q, r, data, np.zeros(n),
+                                          np.eye(n), ar=ar)
+    bad = np.flatnonzero(~np.isfinite(means).all(axis=1))
+    if bad.size:
+        return DivergenceError(int(bad[0]), "non-finite filter state")
+    return KalmanResult(means, covs)
+
+
+def _poisoned(data, step):
+    ys = data.measurements.copy()
+    ys[step, 0] = np.inf
+    return ExperimentData(dt=data.dt, measurements=ys, inputs=data.inputs)
+
+
+class TestPeriodicReplay:
+    """Once a covariance recursion revisits a state bit for bit, the filters
+    replay only the means over the periodic gains: every record still gets
+    the reference recursion's bits, or its divergence step and message."""
+
+    def _replays(self, model, datas, q, r, coeffs):
+        """``(batch, solo, reference)`` outcomes of KF and SMIKF."""
+        ad, bd = discretize(model, datas[0].dt)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return [
+                (kalman_filter_batch(ad, bd, model.c, q, r, datas),
+                 [_solo(kalman_filter, ad, bd, model.c, q, r, d)
+                  for d in datas],
+                 [_reference_outcome(ad, bd, model.c, q, r, d)
+                  for d in datas]),
+                (smikf_batch(model, coeffs, datas, q, r),
+                 [_solo(smikf, model, c, d, q, r)
+                  for c, d in zip(coeffs, datas)],
+                 [_reference_outcome(ad, bd, model.c, q, r, d,
+                                     ar=np.diag(c))
+                  for c, d in zip(coeffs, datas)]),
+            ]
+
+    def test_divergence_before_and_after_the_switch(self):
+        seeds = [1, 2, 3, 4]
+        model, datas, q, r = _roll_records(seeds, 400)
+        coeffs = [np.random.default_rng([s, 8]).uniform(-0.9, 0.9, 2)
+                  for s in seeds]
+        (kf, _, _), (sm, sm_solo, _) = self._replays(model, datas, q, r,
+                                                     coeffs)
+        # KF shares one design; the SMIKF records cycle with their own
+        # periods, and the stack switches once every record has cycled.
+        assert len({res.cycle for res in kf}) == 1
+        assert len({res.cycle[0] for res in sm}) == 1
+        assert len({res.cycle[1] for res in sm}) > 1
+        assert [res.cycle[1] for res in sm] == \
+            [res.cycle[1] for res in sm_solo]
+        assert any(b.cycle[0] != o.cycle[0] for b, o in zip(sm, sm_solo))
+        # Record 1 diverges before either filter switches, record 2 after.
+        early, late = 10, 200
+        assert all(early < res.cycle[0] < late for res in (kf[0], sm[0]))
+        datas[1] = _poisoned(datas[1], early)
+        datas[2] = _poisoned(datas[2], late)
+        for batch, solo, reference in self._replays(model, datas, q, r,
+                                                    coeffs):
+            for i in range(len(seeds)):
+                assert _same(batch[i], reference[i]), i
+                assert _same(solo[i], reference[i]), i
+            assert (batch[1].step, batch[2].step) == (early, late)
+            assert batch[0].cycle is not None and batch[3].cycle is not None
+
+    @settings(max_examples=10, deadline=None)
+    @given(n_records=st.integers(1, 4), n_steps=st.integers(300, 400),
+           seed=st.integers(0, 2 ** 16), poison=st.data())
+    def test_long_records_match_reference(self, n_records, n_steps, seed,
+                                          poison):
+        seeds = [seed + i for i in range(n_records)]
+        model, datas, q, r = _roll_records(seeds, n_steps)
+        coeffs = [np.random.default_rng([s, 8]).uniform(-0.9, 0.9, 2)
+                  for s in seeds]
+        # One record may diverge early, before any design has cycled, and
+        # another late, after every design seen has.
+        early = poison.draw(st.none() | st.integers(0, n_records - 1))
+        late = poison.draw(st.none() | st.integers(0, n_records - 1))
+        if early is not None:
+            datas[early] = _poisoned(datas[early],
+                                     poison.draw(st.integers(0, 32)))
+        if late is not None and late != early:
+            datas[late] = _poisoned(datas[late], poison.draw(
+                st.integers(290, n_steps - 1)))
+        for batch, solo, reference in self._replays(model, datas, q, r,
+                                                    coeffs):
+            assert len(batch) == n_records
+            for i in range(n_records):
+                assert _same(batch[i], reference[i]), i
+                assert _same(solo[i], reference[i]), i

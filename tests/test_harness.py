@@ -190,6 +190,26 @@ class TestBenchmarkStateExperiment:
             platform.python_version(), np.__version__, scipy.__version__)
         assert env["numpy_blas"] and env["scipy_blas"]
 
+    def test_manifest_records_the_gain_cycles(self, tmp_path):
+        # On the shipped windy config the KF and SMIKF covariance recursions
+        # cycle, and replay only the means from then on; SA-AR6's does not.
+        raw = serialize_config(
+            load_config_file(CONFIG_DIR / "benchmark_state_windy.json"))
+        raw["output_dir"] = str(tmp_path)
+        report = run_experiment(parse_config(raw))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        cycles = manifest["gain_cycles"]
+        assert cycles == report.gain_cycles
+        assert set(cycles) == {"kalman", "state_augmentation", "smikf"}
+        assert cycles["state_augmentation"] is None
+        for name in ("kalman", "smikf"):
+            steps, periods = cycles[name]["switch_step"], cycles[name]["period"]
+            assert len(steps) == len(periods) == len(raw["seeds"])
+            # One stacked replay switches once, when every record has cycled.
+            assert len(set(steps)) == 1
+            assert 0 < steps[0] < benchmarks.CYCLE_WINDOW
+            assert all(1 <= period < steps[0] for period in periods)
+
     def test_one_diverging_record_leaves_one_empty_cell(self, report,
                                                         monkeypatch):
         # Seed 2 gets an inf measurement inside the Kalman batch only: its
@@ -343,6 +363,28 @@ class TestLogBackedExperiment:
                            ("smikf", 1e-9), ("dem", 1e-6)):
             np.testing.assert_allclose(sse["raw"][name], sse["centred"][name],
                                        rtol=rtol, err_msg=name)
+
+
+class TestSweepPExperiment:
+    def test_inputs_are_embedded_once_per_order(self, tmp_path, monkeypatch):
+        # Every embedding order p replays the inputs at order min(d, p); the
+        # orders share one embedding of each record's inputs per input order.
+        embed_series = dem.embed_series
+        inputs = []
+
+        def counted(series, dt, order):
+            if np.ndim(series) == 2 and np.shape(series)[1] == 4:
+                inputs.append(order)
+            return embed_series(series, dt, order)
+
+        monkeypatch.setattr(dem, "embed_series", counted)
+        raw = small_config(kind="sweep_p", output_dir=str(tmp_path),
+                           sweep={"p_values": [0, 1, 2, 3, 4]})
+        report = run_experiment(parse_config(raw), write=False)
+        assert sorted(inputs) == [0] * 3 + [1] * 3 + [2] * 3
+        monkeypatch.setattr(dem, "embed_series", embed_series)
+        assert report.tables == run_experiment(parse_config(raw),
+                                               write=False).tables
 
 
 class TestLandscapeExperiment:
