@@ -33,9 +33,11 @@ NOT_INVERTIBLE = "innovation covariance not invertible"
 NON_FINITE = "non-finite filter state"
 
 # Steps within which a filter looks for an exact cycle of its covariance
-# recursion; a design that has not cycled by then (SA-AR6 does not) runs the
-# full recursion to the end of the record.
+# recursion. From then on, a design that has not cycled (SA-AR6 does not)
+# freezes its gain at the first step that moves it by at most
+# CONVERGED_RTOL of its largest entry.
 CYCLE_WINDOW = 512
+CONVERGED_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,8 @@ class KalmanResult(NamedTuple):
     means: np.ndarray        # (T, n) filtered means
     covariances: np.ndarray  # (T, n, n) filtered covariances
     # (step, period): from ``step`` on, the covariance recursion repeated
-    # with ``period`` and only the means were replayed; None if it did not
-    # cycle within CYCLE_WINDOW steps.
+    # with ``period`` and only the means were replayed; period 0 marks a gain
+    # frozen at ``step``, once it had stopped moving. None if neither.
     cycle: tuple[int, int] | None = None
 
 
@@ -134,7 +136,12 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
     and covariances of the steps since, with their count as its period.
     Once every slice has cycled, the rest of the record replays only the
     means over that periodic gain schedule, and the covariances are copied
-    from the cycle: the same bits as the full recursion.
+    from the cycle: the same bits as the full recursion. A slice that has
+    not cycled within the window freezes its gain at the first step ``f``
+    where ``max|G_f - G_{f-1}| <= CONVERGED_RTOL * max|G_f|``: from then on
+    it restarts every step from step ``f``'s state, a cycle of period 1, so
+    it keeps ``G_f`` and step ``f``'s covariance whether or not the rest of
+    the stack has switched.
 
     Returns ``(means, covariances, failed, cycle)``, time-major: means (T,
     [S,] keep) and covariances (T, [S,] keep, keep), with the record axis
@@ -142,9 +149,9 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
     raises its ``DivergenceError``; a stacked one maps the index of each
     record that diverged to its error in ``failed``, drops the record from
     the stack and leaves its rows unset, so the other records run on
-    unchanged. ``cycle`` is None, or ``(step, periods)``: the step from
-    which only the means were replayed, and each record's gain period (an
-    int array shaped like the record axis).
+    unchanged. ``cycle`` is ``(steps, periods)``, int arrays shaped like the
+    record axis: each record's switch step and gain period, or its freeze
+    step and period 0; step -1 where the record did neither.
     """
     ad, bd, c, q, r = (np.atleast_2d(np.asarray(a, dtype=float))
                        for a in (ad, bd, c, q, r))
@@ -174,11 +181,11 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
     failed = {}
     ad_t = ad.swapaxes(-1, -2)
     slices = list(np.ndindex(p.shape[:-2]))
-    # Cycle search: each design slice's gains over the window, the saved
-    # state and the step it was saved at, and the start and period of each
-    # slice's cycle (period 0 until it is found).
-    window_gains = np.empty((min(n_steps, CYCLE_WINDOW),) + p.shape[:-2]
-                            + (n, m))
+    # Cycle search: each design slice's gains until the switch, the saved
+    # state (after the window, a frozen slice's state) and the step it was
+    # saved at, and the start and period of each slice's cycle (period 0
+    # until it is found; start >= CYCLE_WINDOW marks a frozen gain).
+    seen_gains = np.empty((n_steps,) + p.shape[:-2] + (n, m))
     saved = saved_at = None
     start = period = np.zeros(p.shape[:-2], dtype=int)
     switch = None
@@ -192,11 +199,15 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
                 found = same & (period == 0)
                 start = np.where(found, saved_at, start)
                 period = np.where(found, k - saved_at, period)
-                if period.all():
-                    switch = k
-                    break
             if k & (k - 1) == 0:
                 saved, saved_at = (p.copy(), cross.copy()), k
+        if period.all():
+            switch = k
+            break
+        frozen = (start >= CYCLE_WINDOW)[..., None, None]
+        if frozen.any():
+            p, cross = (np.where(frozen, a, b)
+                        for a, b in zip(saved, (p, cross)))
         cp = c @ p
         s = cp @ c.T + r
         gains, singular = [], []
@@ -210,8 +221,16 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
             else:
                 raise DivergenceError(k, NOT_INVERTIBLE)
         gain = np.array(gains) if per_record else gains[0]
-        if k < CYCLE_WINDOW:
-            window_gains[k, design_rows] = gain
+        seen_gains[k, design_rows] = gain
+        if k >= CYCLE_WINDOW:
+            moved = np.abs(gain - seen_gains[k - 1, design_rows])
+            settled = (period == 0) & (moved.max(axis=(-2, -1)) <= (
+                CONVERGED_RTOL * np.abs(gain).max(axis=(-2, -1))))
+            if settled.any():
+                start = np.where(settled, k, start)
+                period = np.where(settled, 1, period)
+                saved = tuple(np.where(settled[..., None, None], a, b)
+                              for a, b in zip((p, cross), saved))
         x = x + gain @ (ys[k] - c @ x)
         ikc = eye - gain @ c
         p = ikc @ p @ ikc.swapaxes(-1, -2) + gain @ r @ gain.swapaxes(-1, -2)
@@ -254,15 +273,17 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
             ad_psi = ad @ (ikc @ cross)
             p = ad @ p @ ad_t + q + ad_psi + ad_psi.swapaxes(-1, -2)
             cross = (ad_psi + q) @ ar.swapaxes(-1, -2)
-    if switch is None:
-        return means, covs, failed, None
-    # Step k of slice i repeats step start_i + (k - start_i) % period_i.
-    periods = np.zeros(lead, dtype=int)
+    frozen = start >= CYCLE_WINDOW
+    steps, periods = np.full(lead, -1), np.zeros(lead, dtype=int)
     designs = (live,) if per_record else ()
-    periods[designs] = period
-    steps = np.arange(switch, n_steps).reshape((-1,) + (1,) * period.ndim)
-    phase = (start + (steps - start) % period,) + designs
-    schedule = window_gains[phase]
+    steps[designs] = np.where(frozen, start, -1 if switch is None else switch)
+    periods[designs] = np.where(frozen, 0, period)
+    if switch is None:
+        return means, covs, failed, (steps, periods)
+    # Step k of slice i repeats step start_i + (k - start_i) % period_i.
+    tail = np.arange(switch, n_steps).reshape((-1,) + (1,) * period.ndim)
+    phase = (start + (tail - start) % period,) + designs
+    schedule = seen_gains[phase]
     covs[(np.s_[switch:],) + designs] = covs[phase]
     bv = np.matmul(bd, vs[switch:])
     for k in range(switch, n_steps):
@@ -284,7 +305,7 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
                     ad = ad[ok] if ad.ndim == 3 else ad
         means[k, rows] = x[mean_block]
         x = ad @ x + bv[k - switch]
-    return means, covs, failed, (switch, periods)
+    return means, covs, failed, (steps, periods)
 
 
 def _stack(datas) -> tuple[np.ndarray, np.ndarray]:
@@ -297,10 +318,9 @@ def _stack(datas) -> tuple[np.ndarray, np.ndarray]:
 
 def _result(means, covs, cycle, record=()) -> KalmanResult:
     """The ``KalmanResult`` of one record, given ``_filter``'s output for
-    it (``record`` indexes the record axis of ``cycle``'s periods)."""
-    if cycle is not None:
-        cycle = (cycle[0], int(cycle[1][record]))
-    return KalmanResult(means, covs, cycle)
+    it (``record`` indexes the record axis of ``cycle``'s arrays)."""
+    step, period = (int(a[record]) for a in cycle)
+    return KalmanResult(means, covs, None if step < 0 else (step, period))
 
 
 def _unstack(means, covs, failed, cycle) -> list:

@@ -392,8 +392,9 @@ def _observer_rate(model: LtiModel, dem_cfg: dem.DemConfig,
 
 def _gain_cycles(results: list) -> dict | None:
     """Manifest entry of a filter's replay: per record, the step from which
-    only the means were replayed and the period of its gains (None for a
-    record that diverged or did not switch); None if no record switched."""
+    only the means were replayed and the period of its gains, or the step
+    its gain froze at and period 0 (None for a record that diverged or did
+    neither); None if no record did either."""
     cycles = [None if isinstance(res, DivergenceError) else res.cycle
               for res in results]
     if not any(cycles):

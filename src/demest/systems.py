@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -248,6 +249,49 @@ def save_flight_log(path, data: ExperimentData) -> None:
             writer.writerow(_format_float(v) for v in row)
 
 
+def _checked_rows(path, reader, header, index) -> np.ndarray:
+    """The data rows parsed one by one, raising a ``DataFormatError`` that
+    names the first malformed row (and column)."""
+    rows = []
+    for lineno, raw in enumerate(reader, start=1):
+        if not raw:
+            continue
+        if len(raw) != len(header):
+            raise DataFormatError(
+                f"{path}: row {lineno}: {len(raw)} cells, header has "
+                f"{len(header)}")
+        try:
+            values = [float(v) for v in raw]
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: row {lineno}: non-numeric cell") from None
+        for name in header:
+            if not math.isfinite(values[index[name]]):
+                raise DataFormatError(
+                    f"{path}: row {lineno}: non-finite value in column "
+                    f"'{name}'")
+        rows.append(values)
+    if len(rows) < 2:
+        raise DataFormatError(f"{path}: need at least two data rows")
+    return np.asarray(rows)
+
+
+def _loadtxt_rows(fh, width: int):
+    """The data rows as one array, parsed by ``np.loadtxt`` (the same bits
+    as ``float`` of each cell); None when the rows need the per-row parse,
+    which names the offending row and column."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except (ValueError, Warning):
+        return None
+    if table.shape[1] != width or table.shape[0] < 2 \
+            or not np.isfinite(table).all():
+        return None
+    return table
+
+
 def load_flight_log(path, normalize: bool = False) -> ExperimentData:
     """Parse a flight-log CSV, validating schema, monotonicity, and jitter."""
     path = Path(path)
@@ -263,29 +307,11 @@ def load_flight_log(path, normalize: bool = False) -> ExperimentData:
                 raise DataFormatError(f"{path}: missing column '{col}'")
         has_truth = all(c in header for c in FLIGHT_LOG_TRUTH_COLUMNS)
         index = {name: header.index(name) for name in header}
-        rows = []
-        for lineno, raw in enumerate(reader, start=1):
-            if not raw:
-                continue
-            if len(raw) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {lineno}: {len(raw)} cells, header has "
-                    f"{len(header)}")
-            try:
-                values = [float(v) for v in raw]
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: row {lineno}: non-numeric cell") from None
-            for name in header:
-                if not math.isfinite(values[index[name]]):
-                    raise DataFormatError(
-                        f"{path}: row {lineno}: non-finite value in column "
-                        f"'{name}'")
-            rows.append(values)
-    if len(rows) < 2:
-        raise DataFormatError(f"{path}: need at least two data rows")
-
-    table = np.asarray(rows)
+        table = _loadtxt_rows(fh, len(header))
+        if table is None:
+            fh.seek(0)
+            next(reader)
+            table = _checked_rows(path, reader, header, index)
     t = table[:, index["t"]]
     diffs = np.diff(t)
     if np.any(diffs <= 0):

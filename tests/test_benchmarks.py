@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, cho_factor, cho_solve
 
-from demest.benchmarks import (ArModel, KalmanResult, _filter,
-                               build_augmented_system,
+from demest.benchmarks import (CYCLE_WINDOW, ArModel, KalmanResult,
+                               _filter, build_augmented_system,
                                default_noise_matrices, default_uio_poles,
                                design_uio, fit_ar, kalman_filter,
                                kalman_filter_batch, smikf, smikf_batch, sse,
                                state_augmentation_filter,
                                state_augmentation_filter_batch, uio)
 from demest.errors import DivergenceError, ObserverDesignError
-from demest.noise import NoiseSpec
+from demest.noise import NoiseSpec, generate_colored_noise
 from demest.systems import (ExperimentData, LtiModel, discretize,
                             quadrotor_roll_model, simulate)
 
@@ -677,3 +677,80 @@ class TestPeriodicReplay:
             for i in range(n_records):
                 assert _same(batch[i], reference[i]), i
                 assert _same(solo[i], reference[i]), i
+
+
+def _colored_ar_models(seed, smoothness):
+    """Per-channel AR(6) fits to Gaussian-kernel colored noise of the given
+    smoothness (in sample periods), as the shoot-out fits them."""
+    dt = 0.0083
+    w = generate_colored_noise(seed, smoothness * dt, np.eye(2), 2000, dt)
+    return [fit_ar(w[:, i], 6) for i in range(2)]
+
+
+class TestConvergedReplay:
+    """SA-AR6's covariance recursion does not cycle. From CYCLE_WINDOW on,
+    each record freezes its gain at the first step that barely moves it and
+    replays only the means from then on: a record gets the same bits alone
+    or in any batch, the full recursion's bits up to its freeze step, and
+    then keeps that step's covariance, with means within 1e-10 of the full
+    recursion."""
+
+    def _setup(self, n_steps=700):
+        # At smoothness 45 the three AR fits settle at three different steps
+        # past the window; record 3 shares record 0's design, so the stack
+        # still runs the full recursion after record 0 has left it.
+        model, datas, q, r = _roll_records([1, 2, 3, 4], n_steps)
+        ars = [_colored_ar_models(s, 45) for s in (1, 2, 3)]
+        return model, datas, q, r, ars + ars[:1]
+
+    @staticmethod
+    def _replays(model, datas, q, r, ars):
+        with np.errstate(invalid="ignore", over="ignore"):
+            return (state_augmentation_filter_batch(model, ars, datas, q, r),
+                    [_solo(state_augmentation_filter, model, a, d, q, r)
+                     for a, d in zip(ars, datas)])
+
+    def test_batch_equals_solo_across_the_freeze(self):
+        model, datas, q, r, ars = self._setup()
+        batch, solo = self._replays(model, datas, q, r, ars)
+        freeze = [res.cycle[0] for res in solo]
+        assert [res.cycle for res in batch] == [(f, 0) for f in freeze]
+        assert min(freeze) >= CYCLE_WINDOW and len(set(freeze)) == 3
+        for b, o in zip(batch, solo):
+            assert _same(b, o)
+        # inf measurements: record 0 before any freeze, the first record to
+        # freeze after its freeze but while the stack still runs the full
+        # recursion for record 3, and the remaining one after the stack has
+        # switched to the means.
+        first = int(np.argmin(freeze))
+        other = ({1, 2} - {first}).pop()
+        poison = {0: CYCLE_WINDOW // 2,
+                  first: (freeze[first] + freeze[3]) // 2,
+                  other: max(freeze) + 20}
+        assert freeze[first] < poison[first] < freeze[3]
+        for i, step in poison.items():
+            datas[i] = _poisoned(datas[i], step)
+        batch, solo = self._replays(model, datas, q, r, ars)
+        for i, (b, o) in enumerate(zip(batch, solo)):
+            assert _same(b, o), i
+            if i in poison:
+                assert o.step == poison[i]
+        assert batch[3].cycle == (freeze[3], 0)
+
+    def test_means_stay_near_the_full_recursion(self):
+        model, datas, q, r, ars = self._setup()
+        batch, _ = self._replays(model, datas, q, r, ars)
+        ad, bd = discretize(model, datas[0].dt)
+        for res, data, ar_models in zip(batch, datas, ars):
+            a_aug, b_aug, c_aug, q_aug, noise_cov = build_augmented_system(
+                ad, bd, model.c, q, ar_models)
+            means, covs = reference_recursion(
+                a_aug, b_aug, c_aug, q_aug, r, data, np.zeros(a_aug.shape[0]),
+                block_diag(np.eye(2), noise_cov))
+            means, covs = means[:, :2], covs[:, :2, :2]
+            end = res.cycle[0] + 1
+            assert np.array_equal(res.means[:end], means[:end])
+            assert np.array_equal(res.covariances[:end], covs[:end])
+            assert np.all(res.covariances[end:] == covs[end - 1])
+            assert np.all(np.abs(res.means - means).max(axis=0)
+                          <= 1e-10 * np.abs(means).max(axis=0))

@@ -192,7 +192,8 @@ class TestBenchmarkStateExperiment:
 
     def test_manifest_records_the_gain_cycles(self, tmp_path):
         # On the shipped windy config the KF and SMIKF covariance recursions
-        # cycle, and replay only the means from then on; SA-AR6's does not.
+        # cycle, and replay only the means from then on; SA-AR6's does not,
+        # and each record freezes its gain once it stops moving (period 0).
         raw = serialize_config(
             load_config_file(CONFIG_DIR / "benchmark_state_windy.json"))
         raw["output_dir"] = str(tmp_path)
@@ -201,7 +202,11 @@ class TestBenchmarkStateExperiment:
         cycles = manifest["gain_cycles"]
         assert cycles == report.gain_cycles
         assert set(cycles) == {"kalman", "state_augmentation", "smikf"}
-        assert cycles["state_augmentation"] is None
+        frozen = cycles["state_augmentation"]
+        assert len(frozen["switch_step"]) == len(raw["seeds"])
+        assert all(step >= benchmarks.CYCLE_WINDOW
+                   for step in frozen["switch_step"])
+        assert set(frozen["period"]) == {0}
         for name in ("kalman", "smikf"):
             steps, periods = cycles[name]["switch_step"], cycles[name]["period"]
             assert len(steps) == len(periods) == len(raw["seeds"])

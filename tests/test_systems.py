@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from demest import systems
 from demest.errors import DataFormatError
 from demest.systems import (ExperimentData, LtiModel, discretize,
                             is_observable, load_flight_log, normalize_inputs,
@@ -280,6 +283,49 @@ class TestFlightLogIo:
         for row in (lines[4].rsplit(",", 1)[0], lines[4] + ",0.5"):
             path.write_text("\n".join(lines[:4] + [row] + lines[5:]) + "\n")
             with pytest.raises(DataFormatError, match="row 4: (8|10) cells"):
+                load_flight_log(path)
+
+    def test_both_parses_give_the_same_bits(self, tmp_path, monkeypatch):
+        # Cells that are easy to misparse: signed zeros, subnormals, the
+        # ends of the float range and 17-digit reprs.
+        awkward = [-0.0, 0.0, 5e-324, -2.225073858507201e-308,
+                   2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+                   0.1 + 0.2, 1 / 3, -2.718281828459045, 9007199254740993.0]
+        data = self._data(n=len(awkward), dt=0.01)
+        data = ExperimentData(dt=data.dt, truth_states=data.truth_states,
+                              measurements=np.roll(np.c_[awkward, awkward],
+                                                   3, axis=0),
+                              inputs=np.c_[awkward, awkward[::-1],
+                                           np.roll(awkward, 5), awkward])
+        path = tmp_path / "log.csv"
+        save_flight_log(path, data)
+        parsed = []
+        loadtxt_rows = systems._loadtxt_rows
+
+        def spy(*args):
+            parsed.append(loadtxt_rows(*args))
+            return parsed[-1]
+
+        monkeypatch.setattr(systems, "_loadtxt_rows", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = load_flight_log(path)
+        assert parsed[0] is not None
+        monkeypatch.setattr(systems, "_loadtxt_rows", lambda *args: None)
+        slow = load_flight_log(path)
+        for name in ("measurements", "inputs", "truth_states"):
+            bits = [getattr(d, name).view(np.uint64) for d in (fast, slow)]
+            assert np.array_equal(*bits), name
+            assert np.array_equal(bits[0], getattr(data, name).view(np.uint64))
+
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_too_few_rows(self, tmp_path, n_rows):
+        path = tmp_path / "short.csv"
+        path.write_text("t,phi,phidot,pwm1,pwm2,pwm3,pwm4\n"
+                        + "0,0,0,0,0,0,0\n" * n_rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="two data rows"):
                 load_flight_log(path)
 
     def test_non_monotone_timestamps(self, tmp_path):
