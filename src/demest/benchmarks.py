@@ -23,7 +23,7 @@ from scipy.linalg import cho_factor, cho_solve  # noqa: F401
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DivergenceError, ObserverDesignError
-from .noise import NoiseSpec
+from .noise import NoiseSpec, sum_of_products
 from .systems import ExperimentData, LtiModel, discretize, zero_order_hold
 
 # Hard cap on augmented filter size (n + n*order states).
@@ -73,7 +73,8 @@ def fit_ar(series, order: int) -> ArModel:
         raise ValueError("series too short for the requested order")
     x = x - x.mean()
     n = x.size
-    acov = np.array([float(x[:n - h] @ x[h:]) / n for h in range(order + 1)])
+    acov = np.array([sum_of_products(x[:n - h], x[h:]) / n
+                     for h in range(order + 1)])
     if acov[0] == 0.0:
         raise ValueError("series has zero variance")
     coeffs = solve_toeplitz((acov[:order], acov[:order]), acov[1:order + 1])
@@ -614,4 +615,4 @@ def sse(estimate, reference, skip: int = 0) -> float:
     if est.size != ref.size:
         raise ValueError(f"length mismatch: {est.size} vs {ref.size}")
     diff = est[skip:] - ref[skip:]
-    return float(diff @ diff)
+    return sum_of_products(diff, diff)

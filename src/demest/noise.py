@@ -218,18 +218,25 @@ def generalized_precision(spec: NoiseSpec, p: int, d: int) -> GeneralizedPrecisi
     )
 
 
+def sum_of_products(a: np.ndarray, b: np.ndarray) -> float:
+    """``sum(a * b)`` of two 1-D arrays in numpy's pairwise order. A BLAS
+    dot product splits a long sum across its threads, so its bits would
+    depend on the thread count; this order does not."""
+    return float(np.add.reduce(a * b))
+
+
 def autocorrelation(series, max_lag: int) -> np.ndarray:
     """Biased sample autocorrelation r(0..max_lag); r(0) = 1."""
     x = np.asarray(series, dtype=float).reshape(-1)
     if x.size <= max_lag + 1:
         raise ValueError("series must be longer than max_lag + 1")
     x = x - x.mean()
-    denom = float(x @ x)
+    denom = sum_of_products(x, x)
     if denom == 0.0:
         raise ValueError("series has zero variance")
     out = np.empty(max_lag + 1)
     for h in range(max_lag + 1):
-        out[h] = float(x[:x.size - h] @ x[h:]) / denom
+        out[h] = sum_of_products(x[:x.size - h], x[h:]) / denom
     return out
 
 

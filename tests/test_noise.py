@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -181,6 +185,41 @@ class TestAutocorrelation:
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError, match="variance"):
             autocorrelation(np.ones(100), 5)
+
+
+# Prints the bits of the long reductions that reach the tables: an AR(6)
+# fit, an SSE and an autocorrelation of one 24,080-sample series.
+_REDUCTIONS = """
+import numpy as np
+from demest.benchmarks import fit_ar, sse
+from demest.noise import autocorrelation, generate_colored_noise
+x, y = generate_colored_noise(3, 0.05, np.eye(2), 24080, 0.0083).T
+ar = fit_ar(x, 6)
+out = [*ar.coefficients, ar.innovation_variance, sse(x, y),
+       *autocorrelation(y, 40)]
+print(np.array(out).view(np.uint64).tolist())
+"""
+
+
+def test_table_reductions_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a long dot product across its threads, which changes
+    # the summation order, so the bits would depend on the thread count.
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    if cores < 2:
+        pytest.skip("one core: two BLAS threads cannot run here, so this "
+                    "host cannot show a thread-count dependence")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _REDUCTIONS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestGaussianFit:
