@@ -4,9 +4,11 @@ variant), the unknown input observer, plus AR fitting and the SSE metric.
 
 The Kalman filter, the state-augmentation filter (a Kalman filter on the
 augmented system) and SMIKF share one predict/update recursion; SMIKF only
-adds the AR(1) cross term to its prediction. Each has a one-record entry and
-a ``*_batch`` entry that replays a list of records through the same
-recursion, stacked along a leading record axis.
+adds the AR(1) cross term to its prediction. It runs in two passes: a gain
+schedule per design, which never reads the data, then one pass of the means
+of a stack of records over it. Each filter has a ``*_batch`` entry that
+replays a list of records as one stack, and a one-record entry that replays
+a batch of one and raises its ``DivergenceError``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import cycle, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -105,91 +108,49 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return a.view(np.uint64)
 
 
-def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
-    """Predict/update recursion shared by the Kalman-family filters.
+def _schedule(ad, c, q, r, p, ar, n_steps, kept):
+    """Gain schedule of ``_filter``: the covariance recursion, which never
+    reads the data, over the (D, n, n) stack ``p`` of design slices.
 
-    ``ys`` (T, m) and ``vs`` (T, r) replay one record. With a leading record
-    axis, (S, T, m) and (S, T, r), the S records replay in one stacked
-    recursion, with the means as an (S, n, 1) stack. ``ad``, ``q``, ``p0``
-    and ``ar`` are either (n, n), shared by every record, or (S, n, n), one
-    per record; the covariance recursion is stacked only when one of them
-    is, so a shared design runs it once for all records. ``bd``, ``c`` and
-    ``r`` are shared. Each slice of a stacked ``np.matmul`` is the same BLAS
-    call as the one-record product, so a record gets the same bits alone or
-    in any batch.
+    In floating point the recursion often enters an exact cycle: a slice's
+    state ``(P, cross)`` returns bit for bit to an earlier one. Within the
+    first ``CYCLE_WINDOW`` steps each slice's state is compared with one
+    saved state, re-saved at steps 0, 1, 2, 4, 8, ... (Brent, BIT 20, 1980);
+    a slice whose state matches repeats, from the saved step on, the gains
+    and covariances of the steps since. A slice that has not cycled within
+    the window freezes its gain at the first step ``f`` where ``max|G_f -
+    G_{f-1}| <= CONVERGED_RTOL * max|G_f|``: from then on it restarts every
+    step from step ``f``'s state, a cycle of period 1. Once every slice has
+    cycled, the pass stops, and the rest of the schedule refers to the
+    cycles' gains: the same bits as the full recursion, from one array of at
+    most the least common multiple of the periods (one gain for a frozen
+    stack).
 
-    With ``ar`` (the diagonal matrix of AR(1) noise coefficients) the
-    prediction also carries the covariance between the posterior error and
-    the upcoming noise sample, as SMIKF does. With ``keep`` only the first
-    ``keep`` states and their covariance block are stored. The innovation
-    covariance is factored by LAPACK ``potrf``/``potrs`` directly, one call
-    per design slice: the routines behind ``cho_factor``/``cho_solve``, so
-    the same bits without the per-step wrapper and its finiteness checks. An
-    overflowed prediction is caught by the finite check on ``x`` and ``P``
-    at the step that uses it.
+    A slice fails at its first step with a singular innovation covariance or
+    a non-finite posterior covariance, and leaves the stack; its gain at that
+    step is NaN, so every mean replayed on it turns non-finite there. The
+    innovation covariance is factored by LAPACK ``potrf``/``potrs``, the
+    routines behind ``cho_factor``/``cho_solve``, without their wrappers'
+    per-step checks.
 
-    The covariance recursion does not see the data, and in floating point
-    it often enters an exact cycle: a design slice's state ``(P, cross)``
-    returns bit for bit to an earlier one. Within the first
-    ``CYCLE_WINDOW`` steps each slice's state is compared with one saved
-    state, re-saved at steps 0, 1, 2, 4, 8, ... (Brent, BIT 20, 1980); a
-    slice whose state matches repeats, from the saved step on, the gains
-    and covariances of the steps since, with their count as its period.
-    Once every slice has cycled, the rest of the record replays only the
-    means over that periodic gain schedule, and the covariances are copied
-    from the cycle: the same bits as the full recursion. A slice that has
-    not cycled within the window freezes its gain at the first step ``f``
-    where ``max|G_f - G_{f-1}| <= CONVERGED_RTOL * max|G_f|``: from then on
-    it restarts every step from step ``f``'s state, a cycle of period 1, so
-    it keeps ``G_f`` and step ``f``'s covariance whether or not the rest of
-    the stack has switched.
-
-    Returns ``(means, covariances, failed, cycle)``, time-major: means (T,
-    [S,] keep) and covariances (T, [S,] keep, keep), with the record axis
-    only where the covariance recursion is stacked. A one-record replay
-    raises its ``DivergenceError``; a stacked one maps the index of each
-    record that diverged to its error in ``failed``, drops the record from
-    the stack and leaves its rows unset, so the other records run on
-    unchanged. ``cycle`` is ``(steps, periods)``, int arrays shaped like the
-    record axis: each record's switch step and gain period, or its freeze
-    step and period 0; step -1 where the record did neither.
+    Returns a (D, n, m) gain per step, the (T, D, keep, keep) kept
+    covariance blocks, each slice's ``KalmanResult.cycle`` and the set of
+    singular ``(slice, step)`` pairs.
     """
-    ad, bd, c, q, r = (np.atleast_2d(np.asarray(a, dtype=float))
-                       for a in (ad, bd, c, q, r))
-    n, m = ad.shape[-1], c.shape[0]
-    if ys.shape[-1] != m:
-        raise ValueError("measurement dimension does not match C")
-    lead = ys.shape[:-2]
-    p = np.eye(n) if p0 is None else np.asarray(p0, dtype=float)
-    if any(a is not None and a.ndim == 3 for a in (ad, q, p, ar)):
-        p = np.broadcast_to(p, lead + (n, n))
-    x = np.zeros(lead + (n, 1)) if x0 is None else np.broadcast_to(
-        np.asarray(x0, dtype=float)[..., None], lead + (n, 1))
-    # Step-major views, so that step k of every record is one index.
-    ys = np.moveaxis(ys, -2, 0)[..., None]
-    vs = np.moveaxis(vs, -2, 0)[..., None]
-    per_record = p.ndim == 3
-    add = np.add.reduce
-    cross = np.zeros(p.shape)  # cov(prior error, current noise sample)
+    n_designs, n = p.shape[:2]
+    m = c.shape[0]
     eye = np.eye(n)
-    kept = n if keep is None else keep
-    n_steps = ys.shape[0]
-    means = np.empty(ys.shape[:-2] + (kept,))
-    covs = np.empty((n_steps,) + p.shape[:-2] + (kept, kept))
-    mean_block, cov_block = np.s_[..., :kept, 0], np.s_[..., :kept, :kept]
-    live = np.arange(lead[0]) if lead else None
-    rows = design_rows = slice(None)
-    failed = {}
+    cross = np.zeros(p.shape)  # cov(prior error, current noise sample)
     ad_t = ad.swapaxes(-1, -2)
-    slices = list(np.ndindex(p.shape[:-2]))
-    # Cycle search: each design slice's gains until the switch, the saved
-    # state (after the window, a frozen slice's state) and the step it was
-    # saved at, and the start and period of each slice's cycle (period 0
-    # until it is found; start >= CYCLE_WINDOW marks a frozen gain).
-    seen_gains = np.empty((n_steps,) + p.shape[:-2] + (n, m))
-    saved = saved_at = None
-    start = period = np.zeros(p.shape[:-2], dtype=int)
-    switch = None
+    covs = np.empty((n_steps, n_designs, kept, kept))
+    live, rows, singular = np.arange(n_designs), slice(None), set()
+    # Cycle search: the saved state (after the window, a frozen slice's
+    # state) and the step it was saved at, and the start and period of each
+    # slice's cycle (period 0 until it is found; start >= CYCLE_WINDOW marks
+    # a frozen gain).
+    gains, gain, saved, saved_at = [], None, None, None
+    start = period = np.zeros(n_designs, dtype=int)
+    switch = n_steps
     for k in range(n_steps):
         if k < CYCLE_WINDOW:
             if saved is not None:
@@ -205,68 +166,53 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
         if period.all():
             switch = k
             break
-        frozen = (start >= CYCLE_WINDOW)[..., None, None]
+        frozen = (start >= CYCLE_WINDOW)[:, None, None]
         if frozen.any():
             p, cross = (np.where(frozen, a, b)
                         for a, b in zip(saved, (p, cross)))
         cp = c @ p
         s = cp @ c.T + r
-        gains, singular = [], []
-        for idx in slices:
-            chol, info = dpotrf(s[idx], lower=0, clean=0)
+        prev, gain, stuck = gain, np.empty((len(live), n, m)), []
+        for i in range(len(live)):
+            chol, info = dpotrf(s[i], lower=0, clean=0)
             if info == 0:
-                gains.append(dpotrs(chol, cp[idx], lower=0)[0].T)
-            elif lead:
-                singular.append(idx)
-                gains.append(np.zeros((n, m)))
+                gain[i] = dpotrs(chol, cp[i], lower=0)[0].T
             else:
-                raise DivergenceError(k, NOT_INVERTIBLE)
-        gain = np.array(gains) if per_record else gains[0]
-        seen_gains[k, design_rows] = gain
+                gain[i] = np.nan
+                stuck.append(i)
         if k >= CYCLE_WINDOW:
-            moved = np.abs(gain - seen_gains[k - 1, design_rows])
-            settled = (period == 0) & (moved.max(axis=(-2, -1)) <= (
-                CONVERGED_RTOL * np.abs(gain).max(axis=(-2, -1))))
+            moved = np.abs(gain - prev).max(axis=(-2, -1))
+            settled = (period == 0) & (
+                moved <= CONVERGED_RTOL * np.abs(gain).max(axis=(-2, -1)))
             if settled.any():
                 start = np.where(settled, k, start)
                 period = np.where(settled, 1, period)
-                saved = tuple(np.where(settled[..., None, None], a, b)
+                saved = tuple(np.where(settled[:, None, None], a, b)
                               for a, b in zip((p, cross), saved))
-        x = x + gain @ (ys[k] - c @ x)
         ikc = eye - gain @ c
         p = ikc @ p @ ikc.swapaxes(-1, -2) + gain @ r @ gain.swapaxes(-1, -2)
-        # A non-finite entry makes the sum non-finite; a sum of finite
-        # entries that overflows only sends the step to the exact check.
-        if singular or not math.isfinite(add(x, None) + add(p, None)):
-            stuck = np.zeros(p.shape[:-2], dtype=bool)
-            for idx in singular:
-                stuck[idx] = True
-            stuck = np.broadcast_to(stuck, x.shape[:-2])
-            bad = stuck | ~np.isfinite(x).all(axis=(-2, -1)) \
-                | ~np.isfinite(p).all(axis=(-2, -1))
-            if bad.any():
-                if not lead:
-                    raise DivergenceError(k, NON_FINITE)
-                for i in np.flatnonzero(bad):
-                    failed[int(live[i])] = DivergenceError(
-                        k, NOT_INVERTIBLE if stuck[i] else NON_FINITE)
-                if bad.all():
-                    break
-                ok = ~bad
-                live, x, ys, vs = live[ok], x[ok], ys[:, ok], vs[:, ok]
-                rows = live
-                if per_record:
-                    ad, ad_t, q, p, cross, ikc = (
-                        a[ok] if a.ndim == 3 else a
-                        for a in (ad, ad_t, q, p, cross, ikc))
-                    ar = None if ar is None or ar.ndim < 3 else ar[ok]
-                    saved = tuple(a[ok] for a in saved)
-                    start, period = start[ok], period[ok]
-                    design_rows = live
-                    slices = list(np.ndindex(p.shape[:-2]))
-        means[k, rows] = x[mean_block]
-        covs[k, design_rows] = p[cov_block]
-        x = ad @ x + bd @ vs[k]
+        # A non-finite entry makes the sum of squares non-finite; finite
+        # squares whose sum overflows only send the step to the exact check.
+        fail = None
+        if stuck or not math.isfinite(np.vdot(p, p)):
+            fail = ~np.isfinite(p).all(axis=(-2, -1))
+            fail[stuck] = True
+            gain[fail] = np.nan
+            singular.update((d, k) for d in live[stuck].tolist())
+        gains.append(gain if len(live) == n_designs else
+                     np.zeros((n_designs, n, m)))
+        gains[-1][rows] = gain
+        covs[k, rows] = p[:, :kept, :kept]
+        if fail is not None and fail.any():
+            if fail.all():
+                break
+            ok = ~fail
+            live = rows = live[ok]
+            p, cross, ikc, gain, start, period = (
+                a[ok] for a in (p, cross, ikc, gain, start, period))
+            saved = tuple(a[ok] for a in saved)
+            ad, ad_t, q, ar = (a[ok] if a is not None and a.ndim == 3 else a
+                               for a in (ad, ad_t, q, ar))
         if ar is None:
             p = ad @ p @ ad_t + q
         else:
@@ -274,79 +220,108 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None, keep=None):
             ad_psi = ad @ (ikc @ cross)
             p = ad @ p @ ad_t + q + ad_psi + ad_psi.swapaxes(-1, -2)
             cross = (ad_psi + q) @ ar.swapaxes(-1, -2)
-    frozen = start >= CYCLE_WINDOW
-    steps, periods = np.full(lead, -1), np.zeros(lead, dtype=int)
-    designs = (live,) if per_record else ()
-    steps[designs] = np.where(frozen, start, -1 if switch is None else switch)
-    periods[designs] = np.where(frozen, 0, period)
-    if switch is None:
-        return means, covs, failed, (steps, periods)
-    # Step k of slice i repeats step start_i + (k - start_i) % period_i.
-    tail = np.arange(switch, n_steps).reshape((-1,) + (1,) * period.ndim)
-    phase = (start + (tail - start) % period,) + designs
-    schedule = seen_gains[phase]
-    covs[(np.s_[switch:],) + designs] = covs[phase]
-    bv = np.matmul(bd, vs[switch:])
-    for k in range(switch, n_steps):
-        x = x + schedule[k - switch] @ (ys[k] - c @ x)
-        if not math.isfinite(add(x, None)):
+    cycles = [None] * n_designs
+    for d, step, length in zip(live.tolist(), start.tolist(), period.tolist()):
+        if step >= CYCLE_WINDOW:
+            cycles[d] = (step, 0)
+        elif switch < n_steps:
+            cycles[d] = (switch, length)
+    if switch < n_steps:
+        # Step k of slice i repeats step start_i + (k - start_i) % period_i,
+        # and the gains repeat with the least common multiple of the periods.
+        phase = start + (np.arange(switch, n_steps)[:, None] - start) % period
+        covs[switch:, live] = covs[phase, live]
+        phase, first = phase[:math.lcm(*period.tolist())], int(phase.min())
+        repeat = np.zeros((len(phase), n_designs, n, m))
+        repeat[:, live] = np.stack(gains[first:])[phase - first, live]
+        gains.extend(islice(cycle(list(repeat)), n_steps - switch))
+    return gains, covs, cycles, singular
+
+
+def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
+            keep=None) -> list:
+    """Predict/update recursion shared by the Kalman-family filters.
+
+    ``ys`` (S, T, m) and ``vs`` (S, T, r) are a stack of S records. ``ad``,
+    ``q``, ``p0`` and ``ar`` are either (n, n), shared by every record, or
+    (S, n, n), one per record; ``bd``, ``c`` and ``r`` are shared. The
+    covariance recursion runs in ``_schedule``, once for a shared design and
+    once per record for a stacked one. One pass then replays the (S, n, 1)
+    stack of means over that gain schedule. Each slice of a stacked
+    ``np.matmul`` is the same BLAS call as the one-record product, so a
+    record gets the same bits alone or in any batch.
+
+    With ``ar`` (the diagonal matrix of AR(1) noise coefficients) the
+    prediction also carries the covariance between the posterior error and
+    the upcoming noise sample, as SMIKF does. With ``keep`` only the first
+    ``keep`` states and their covariance block are stored.
+
+    Returns each record's ``KalmanResult`` or ``DivergenceError``. A record
+    fails at the earlier of its design's first bad step and its own first
+    non-finite mean; from then on its mean restarts from zero whenever it
+    turns non-finite again, and the others run on unchanged.
+    """
+    ad, bd, c, q, r = (np.atleast_2d(np.asarray(a, dtype=float))
+                       for a in (ad, bd, c, q, r))
+    n, m = ad.shape[-1], c.shape[0]
+    if ys.shape[-1] != m:
+        raise ValueError("measurement dimension does not match C")
+    n_records, n_steps = ys.shape[:2]
+    p = np.eye(n) if p0 is None else np.asarray(p0, dtype=float)
+    stacked = any(a is not None and a.ndim == 3 for a in (ad, q, p, ar))
+    n_designs = n_records if stacked else 1
+    design = list(range(n_records)) if stacked else [0] * n_records
+    kept = n if keep is None else keep
+    gains, covs, cycles, singular = _schedule(
+        ad, c, q, r, np.broadcast_to(p, (n_designs, n, n)), ar, n_steps, kept)
+    x = np.zeros((n_records, n, 1)) if x0 is None else np.broadcast_to(
+        np.asarray(x0, dtype=float)[..., None], (n_records, n, 1))
+    # Step-major, so that step k of every record is one index.
+    ys = np.moveaxis(ys, 1, 0)[..., None]
+    bv = np.matmul(bd, np.moveaxis(vs, 1, 0)[..., None])
+    means = np.empty((n_steps, n_records, kept))
+    failed, vdot = {}, np.vdot
+    for k in range(n_steps):
+        x = x + gains[k] @ (ys[k] - c @ x)
+        if not math.isfinite(vdot(x, x)):
             bad = ~np.isfinite(x).all(axis=(-2, -1))
-            if bad.any():
-                if not lead:
-                    raise DivergenceError(k, NON_FINITE)
-                for i in np.flatnonzero(bad):
-                    failed[int(live[i])] = DivergenceError(k, NON_FINITE)
-                if bad.all():
-                    break
-                ok = ~bad
-                live, x, ys, bv = live[ok], x[ok], ys[:, ok], bv[:, ok]
-                rows = live
-                if per_record:
-                    schedule = schedule[:, ok]
-                    ad = ad[ok] if ad.ndim == 3 else ad
-        means[k, rows] = x[mean_block]
-        x = ad @ x + bv[k - switch]
-    return means, covs, failed, (steps, periods)
+            for i in np.flatnonzero(bad).tolist():
+                failed.setdefault(i, DivergenceError(k, NOT_INVERTIBLE if (
+                    design[i], k) in singular else NON_FINITE))
+            if len(failed) == n_records:
+                break
+            x[bad] = 0.0
+        means[k] = x[:, :kept, 0]
+        x = ad @ x + bv[k]
+    return [failed[i] if i in failed else KalmanResult(
+                means[:, i], covs[:, design[i]], cycles[design[i]])
+            for i in range(n_records)]
 
 
-def _stack(datas) -> tuple[np.ndarray, np.ndarray]:
+def _one(outcomes: list) -> KalmanResult:
+    """The result of a batch of one record; raises its DivergenceError."""
+    if isinstance(outcomes[0], DivergenceError):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def _stack(datas, designs=None) -> tuple[np.ndarray, np.ndarray]:
     """(S, T, m) measurements and (S, T, r) inputs of a batch of records."""
+    if not datas:
+        raise ValueError("a batch needs at least one record")
     if len({(d.dt, d.n_steps) for d in datas}) != 1:
         raise ValueError("a batch replays records of one dt and length")
+    if designs is not None and len(designs) != len(datas):
+        raise ValueError(f"{len(designs)} designs for {len(datas)} records")
     return (np.stack([d.measurements for d in datas]),
             np.stack([d.inputs for d in datas]))
-
-
-def _result(means, covs, cycle, record=()) -> KalmanResult:
-    """The ``KalmanResult`` of one record, given ``_filter``'s output for
-    it (``record`` indexes the record axis of ``cycle``'s arrays)."""
-    step, period = (int(a[record]) for a in cycle)
-    return KalmanResult(means, covs, None if step < 0 else (step, period))
-
-
-def _unstack(means, covs, failed, cycle) -> list:
-    """Each record's ``KalmanResult``, or its ``DivergenceError``."""
-    shared = covs.ndim == 3
-    return [failed[i] if i in failed else
-            _result(means[:, i], covs if shared else covs[:, i], cycle, i)
-            for i in range(means.shape[1])]
-
-
-def _solo(fn, *args):
-    """``fn(*args)`` for one record of a batch, or the error it diverged
-    with."""
-    try:
-        return fn(*args)
-    except DivergenceError as exc:
-        return exc
 
 
 def kalman_filter(ad, bd, c, q, r, data: ExperimentData,
                   x0=None, p0=None) -> KalmanResult:
     """Standard discrete predict/update recursion (Joseph-form update)."""
-    means, covs, _, cycle = _filter(ad, bd, c, q, r, data.measurements,
-                                    data.inputs, x0, p0)
-    return _result(means, covs, cycle)
+    return _one(_filter(ad, bd, c, q, r, data.measurements[None],
+                        data.inputs[None], x0, p0))
 
 
 def kalman_filter_batch(ad, bd, c, q, r, datas) -> list:
@@ -354,9 +329,7 @@ def kalman_filter_batch(ad, bd, c, q, r, datas) -> list:
     covariance recursion shared by every record. Returns each record's
     ``KalmanResult``, or the ``DivergenceError`` of a record that diverged.
     """
-    if len(datas) == 1:
-        return [_solo(kalman_filter, ad, bd, c, q, r, datas[0])]
-    return _unstack(*_filter(ad, bd, c, q, r, *_stack(datas)))
+    return _filter(ad, bd, c, q, r, *_stack(datas))
 
 
 def _unit_innovation_variance(coeffs: np.ndarray) -> float:
@@ -421,18 +394,18 @@ def build_augmented_system(ad, bd, c, q, ar_models):
 
 
 def _augmented(model: LtiModel, ad, bd, q, ar_models, x0=None, p0=None):
-    """``(A, B, C, Q, x0, P0)`` of the filter on the AR-augmented system."""
+    """``(A, B, C, Q, x0, P0)`` of the filter on the AR-augmented system, or
+    on the plain system when every AR coefficient is zero: then the
+    augmentation carries no information."""
+    p0 = np.eye(model.n) if p0 is None else np.asarray(p0, dtype=float)
+    if all(np.all(m.coefficients == 0.0) for m in ar_models):
+        return ad, bd, model.c, q, x0, p0
     a_aug, b_aug, c_aug, q_aug, noise_cov = build_augmented_system(
         ad, bd, model.c, q, ar_models)
     x0_aug = np.zeros(a_aug.shape[0])
     if x0 is not None:
         x0_aug[:model.n] = np.asarray(x0, dtype=float)
-    p0_plant = np.eye(model.n) if p0 is None else np.asarray(p0, dtype=float)
-    return a_aug, b_aug, c_aug, q_aug, x0_aug, block_diag(p0_plant, noise_cov)
-
-
-def _white(ar_models) -> bool:
-    return all(np.all(m.coefficients == 0.0) for m in ar_models)
+    return a_aug, b_aug, c_aug, q_aug, x0_aug, block_diag(p0, noise_cov)
 
 
 def state_augmentation_filter(model: LtiModel, ar_models, data: ExperimentData,
@@ -443,35 +416,33 @@ def state_augmentation_filter(model: LtiModel, ar_models, data: ExperimentData,
     the call reduces to the plain Kalman filter on the original system.
     """
     ad, bd = discretize(model, data.dt)
-    a, b, c, q, x0, p0 = ((ad, bd, model.c, q, x0, p0) if _white(ar_models)
-                          else _augmented(model, ad, bd, q, ar_models, x0, p0))
-    means, covs, _, cycle = _filter(a, b, c, q, r, data.measurements,
-                                    data.inputs, x0, p0, keep=model.n)
-    return _result(means, covs, cycle)
+    a, b, c, q, x0, p0 = _augmented(model, ad, bd, q, ar_models, x0, p0)
+    return _one(_filter(a, b, c, q, r, data.measurements[None],
+                        data.inputs[None], x0, p0, keep=model.n))
 
 
 def state_augmentation_filter_batch(model: LtiModel, ar_models, datas,
                                     q, r) -> list:
     """``state_augmentation_filter`` over records of one dt and length, with
-    one list of AR models per record: one recursion over the stacked
-    per-record augmented designs. A record whose AR coefficients are all
-    zero replays alone as the plain Kalman filter, as in the one-record call.
-    Returns each record's ``KalmanResult``, or its ``DivergenceError``.
+    one list of AR models per record. The designs of one size replay as one
+    stack: the plain design of the records whose AR coefficients are all
+    zero, as in the one-record call, and the augmented designs of the
+    others. Returns each record's ``KalmanResult``, or its
+    ``DivergenceError``.
     """
-    stacked = [i for i, ars in enumerate(ar_models) if not _white(ars)]
+    ys, vs = _stack(datas, ar_models)
+    ad, bd = discretize(model, datas[0].dt)
+    designs = [_augmented(model, ad, bd, q, ars) for ars in ar_models]
     out = {}
-    if len(stacked) > 1:
-        ad, bd = discretize(model, datas[stacked[0]].dt)
-        designs = [_augmented(model, ad, bd, q, ar_models[i]) for i in stacked]
-        a_aug, q_aug, p0_aug = (np.stack([d[j] for d in designs])
-                                for j in (0, 3, 5))
-        b_aug, c_aug = designs[0][1:3]
-        out = dict(zip(stacked, _unstack(*_filter(
-            a_aug, b_aug, c_aug, q_aug, r,
-            *_stack([datas[i] for i in stacked]), p0=p0_aug, keep=model.n))))
-    return [out[i] if i in out else _solo(
-                state_augmentation_filter, model, ar_models[i], datas[i], q, r)
-            for i in range(len(datas))]
+    for size in {d[0].shape[0] for d in designs}:
+        idx = [i for i, d in enumerate(designs) if d[0].shape[0] == size]
+        a, q_s, p0 = (np.stack([designs[i][j] for i in idx])
+                      for j in (0, 3, 5))
+        rows = idx if len(idx) < len(datas) else slice(None)
+        out.update(zip(idx, _filter(
+            a, *designs[idx[0]][1:3], q_s, r, ys[rows], vs[rows], p0=p0,
+            keep=model.n)))
+    return [out[i] for i in range(len(datas))]
 
 
 def _ar1_matrix(model: LtiModel, ar1_coefficients) -> np.ndarray:
@@ -493,9 +464,8 @@ def smikf(model: LtiModel, ar1_coefficients, data: ExperimentData,
     """
     ar = _ar1_matrix(model, ar1_coefficients)
     ad, bd = discretize(model, data.dt)
-    means, covs, _, cycle = _filter(ad, bd, model.c, q, r, data.measurements,
-                                    data.inputs, x0, p0, ar=ar)
-    return _result(means, covs, cycle)
+    return _one(_filter(ad, bd, model.c, q, r, data.measurements[None],
+                        data.inputs[None], x0, p0, ar=ar))
 
 
 def smikf_batch(model: LtiModel, ar1_coefficients, datas, q, r) -> list:
@@ -504,11 +474,10 @@ def smikf_batch(model: LtiModel, ar1_coefficients, datas, q, r) -> list:
     covariances. Returns each record's ``KalmanResult``, or its
     ``DivergenceError``.
     """
-    if len(datas) == 1:
-        return [_solo(smikf, model, ar1_coefficients[0], datas[0], q, r)]
+    ys, vs = _stack(datas, ar1_coefficients)
     ar = np.stack([_ar1_matrix(model, coeffs) for coeffs in ar1_coefficients])
     ad, bd = discretize(model, datas[0].dt)
-    return _unstack(*_filter(ad, bd, model.c, q, r, *_stack(datas), ar=ar))
+    return _filter(ad, bd, model.c, q, r, ys, vs, ar=ar)
 
 
 @dataclass(frozen=True)

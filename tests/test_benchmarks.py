@@ -1,3 +1,6 @@
+from functools import partial
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -558,9 +561,11 @@ class TestStackedFilters:
         model, datas, q, r = _roll_records([1, 2, 3], 20)
         ad, bd = discretize(model, datas[0].dt)
         p0 = np.stack([np.eye(2), -np.eye(2), 2.0 * np.eye(2)])
-        means, covs, failed, _ = _filter(
+        out = _filter(
             ad, bd, model.c, q, r, np.stack([d.measurements for d in datas]),
             np.stack([d.inputs for d in datas]), p0=p0)
+        failed = {i: o for i, o in enumerate(out)
+                  if isinstance(o, DivergenceError)}
         solo = [_solo(kalman_filter, ad, bd, model.c, q, r, d, None, p)
                 for d, p in zip(datas, p0)]
         assert list(failed) == [1]
@@ -568,8 +573,8 @@ class TestStackedFilters:
         assert (failed[1].step, str(failed[1])) == (solo[1].step, str(solo[1]))
         assert failed[1].step == 0 and "not invertible" in str(failed[1])
         for i in (0, 2):
-            assert np.array_equal(means[:, i], solo[i].means)
-            assert np.array_equal(covs[:, i], solo[i].covariances)
+            assert np.array_equal(out[i].means, solo[i].means)
+            assert np.array_equal(out[i].covariances, solo[i].covariances)
 
     def test_records_must_share_dt_and_length(self):
         model, datas, q, r = _roll_records([1, 2], 30)
@@ -677,6 +682,158 @@ class TestPeriodicReplay:
             for i in range(n_records):
                 assert _same(batch[i], reference[i]), i
                 assert _same(solo[i], reference[i]), i
+
+
+def _reference_failure(ad, bd, c, q, r, data, p0, ar=None, keep=None):
+    """``reference_recursion``'s outcome on ``data`` from x0 = 0: the
+    ``KalmanResult`` of the first ``keep`` states, or a ``DivergenceError``
+    at the first step whose Cholesky factor fails (not invertible) or that
+    leaves a non-finite mean or covariance. The factors skip scipy's
+    finiteness check, as LAPACK's ``potrf``/``potrs`` do in the filters: an
+    infinite innovation variance gives a NaN gain, and a NaN one is not
+    positive definite. Each prefix of the record is replayed anew, so the
+    failing step is the length of the longest prefix that replays."""
+    n = ad.shape[0]
+    with mock.patch(f"{__name__}.cho_factor",
+                    partial(cho_factor, check_finite=False)), \
+            mock.patch(f"{__name__}.cho_solve",
+                       partial(cho_solve, check_finite=False)), \
+            np.errstate(invalid="ignore", over="ignore"):
+        for k in range(data.n_steps):
+            prefix = ExperimentData(dt=data.dt,
+                                    measurements=data.measurements[:k + 1],
+                                    inputs=data.inputs[:k + 1])
+            try:
+                means, covs = reference_recursion(ad, bd, c, q, r, prefix,
+                                                  np.zeros(n), p0, ar=ar)
+            except np.linalg.LinAlgError:
+                return DivergenceError(k, "innovation covariance not "
+                                          "invertible")
+            if not (np.isfinite(means[k]).all() and
+                    np.isfinite(covs[k]).all()):
+                return DivergenceError(k, "non-finite filter state")
+    return KalmanResult(means[:, :keep], covs[:, :keep, :keep])
+
+
+class TestFailureRule:
+    """A record fails at the earlier of its design's first bad step and its
+    own first non-finite mean, with the step and message of its one-record
+    call and of ``reference_recursion``; the other records run on."""
+
+    @staticmethod
+    def _designs(family, model, q, seeds, faults, growths):
+        """Per-record ``(A, B, C, Q, P0, ar)`` of a family, each with its
+        fault: a negated prior (singular at step 0), a prior whose
+        cross-covariance overflows the first posterior while its gain stays
+        finite, or a transition scaled until the covariance overflows."""
+        ad, bd = discretize(model, 0.0083)
+        designs = []
+        for seed, fault, growth in zip(seeds, faults, growths):
+            a, b, c, qq, p0, ar = ad, bd, model.c, q, np.eye(2), None
+            if family == "augmented":
+                a, b, c, qq, noise = build_augmented_system(
+                    ad, bd, model.c, q, _ar_models(seed))
+                p0 = block_diag(p0, noise)
+            elif family == "smikf":
+                ar = np.diag(np.random.default_rng([seed, 8]).uniform(
+                    -0.9, 0.9, 2))
+            if fault == "singular":
+                p0 = -p0
+            elif fault == "cross":
+                p0 = p0.copy()
+                p0[0, 1] = p0[1, 0] = 1e200
+            elif fault == "growth":
+                a = a * 10.0 ** growth
+            designs.append((a, b, c, qq, p0, ar))
+        return designs
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["kalman", "smikf", "augmented"]),
+           n_steps=st.integers(4, 16), seed=st.integers(0, 2 ** 16),
+           draw=st.data())
+    def test_per_record_stacks(self, family, n_steps, seed, draw):
+        seeds = [seed + i for i in range(4)]
+        model, datas, q, r = _roll_records(seeds, n_steps)
+        faults = draw.draw(st.lists(st.sampled_from(
+            [None, "singular", "cross", "growth"]), min_size=4, max_size=4))
+        growths = draw.draw(st.lists(st.integers(20, 100), min_size=4,
+                                     max_size=4))
+        designs = self._designs(family, model, q, seeds, faults, growths)
+        # An inf measurement before, at or after the step at which the
+        # record's design alone would fail (anywhere if it would not).
+        for i, design in enumerate(designs):
+            clean = _reference_failure(*design[:4], r, datas[i], *design[4:])
+            offset = draw.draw(st.none() | st.integers(-2, 2))
+            if offset is not None:
+                step = (clean.step + offset if isinstance(
+                    clean, DivergenceError) else draw.draw(
+                        st.integers(0, n_steps - 1)))
+                datas[i] = _poisoned(datas[i], min(max(step, 0), n_steps - 1))
+        a, b, c, qq, p0, ar = designs[0]
+        a, qq, p0 = (np.stack([d[j] for d in designs]) for j in (0, 3, 4))
+        ar = None if ar is None else np.stack([d[5] for d in designs])
+        ys = np.stack([d.measurements for d in datas])
+        vs = np.stack([d.inputs for d in datas])
+        with np.errstate(invalid="ignore", over="ignore"):
+            batch = _filter(a, b, c, qq, r, ys, vs, p0=p0, ar=ar, keep=2)
+            alone = [_filter(d[0], d[1], d[2], d[3], r, ys[i:i + 1],
+                             vs[i:i + 1], p0=d[4], ar=d[5], keep=2)[0]
+                     for i, d in enumerate(designs)]
+        for i, design in enumerate(designs):
+            reference = _reference_failure(*design[:4], r, datas[i],
+                                           *design[4:], keep=2)
+            assert _same(batch[i], reference), (i, batch[i], reference)
+            assert _same(alone[i], reference), (i, alone[i], reference)
+
+    def test_singular_shared_design_fails_every_record(self):
+        # A negative Q makes the shared design's predicted innovation
+        # variance negative at step 1; record 1's own inf measurement comes
+        # at that step too, and record 2's at step 0, before it.
+        model, datas, q, r = _roll_records([1, 2, 3], 10)
+        ad, bd = discretize(model, datas[0].dt)
+        datas[1] = _poisoned(datas[1], 1)
+        datas[2] = _poisoned(datas[2], 0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            batch = kalman_filter_batch(ad, bd, model.c, -np.eye(2), r,
+                                        datas)
+        for i, data in enumerate(datas):
+            reference = _reference_failure(ad, bd, model.c, -np.eye(2), r,
+                                           data, np.eye(2))
+            assert _same(batch[i], reference), i
+        assert [str(e) for e in batch] == [
+            "estimator diverged at step 1: innovation covariance not "
+            "invertible"] * 2 + [
+            "estimator diverged at step 0: non-finite filter state"]
+
+
+def _batch_entry(entry, model, datas, n_designs):
+    """Call a ``*_batch`` entry on ``datas`` with ``n_designs`` per-record
+    designs (the Kalman filter shares one)."""
+    ad, bd = discretize(model, 0.0083)
+    q, r = 1e-4 * np.eye(2), 1e-6 * np.eye(1)
+    if entry == "kalman":
+        return kalman_filter_batch(ad, bd, model.c, q, r, datas)
+    if entry == "state_augmentation":
+        return state_augmentation_filter_batch(
+            model, [_ar_models(s) for s in range(n_designs)], datas, q, r)
+    return smikf_batch(model, [[0.5, 0.5]] * n_designs, datas, q, r)
+
+
+class TestBatchArguments:
+    @pytest.mark.parametrize("entry", ["kalman", "state_augmentation",
+                                       "smikf"])
+    def test_empty_batch(self, entry):
+        model = quadrotor_roll_model(3.4e-3, 1.274e-3)
+        with pytest.raises(ValueError, match="at least one record"):
+            _batch_entry(entry, model, [], 0)
+
+    @pytest.mark.parametrize("entry", ["state_augmentation", "smikf"])
+    def test_one_design_per_record(self, entry):
+        model, datas, _, _ = _roll_records([1, 2], 20)
+        assert len(_batch_entry(entry, model, datas, 2)) == 2
+        for n_designs in (1, 3):
+            with pytest.raises(ValueError, match="designs for 2 records"):
+                _batch_entry(entry, model, datas, n_designs)
 
 
 def _colored_ar_models(seed, smoothness):
