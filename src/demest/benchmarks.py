@@ -438,6 +438,7 @@ def state_augmentation_filter_batch(model: LtiModel, ar_models, datas,
         idx = [i for i, d in enumerate(designs) if d[0].shape[0] == size]
         a, q_s, p0 = (np.stack([designs[i][j] for i in idx])
                       for j in (0, 3, 5))
+        # A view, not a copy of the records, when one stack holds them all.
         rows = idx if len(idx) < len(datas) else slice(None)
         out.update(zip(idx, _filter(
             a, *designs[idx[0]][1:3], q_s, r, ys[rows], vs[rows], p0=p0,
