@@ -6,9 +6,11 @@ The Kalman filter, the state-augmentation filter (a Kalman filter on the
 augmented system) and SMIKF share one predict/update recursion; SMIKF only
 adds the AR(1) cross term to its prediction. It runs in two passes: a gain
 schedule per design, which never reads the data, then one pass of the means
-of a stack of records over it. Each filter has a ``*_batch`` entry that
-replays a list of records as one stack, and a one-record entry that replays
-a batch of one and raises its ``DivergenceError``.
+of a stack of records over it. The means, like the UIO's observer states,
+step through the replay driver ``systems._replay``. Each filter and the UIO
+have a ``*_batch`` entry that replays a list of records as one stack, and a
+one-record entry that replays a batch of one and raises its
+``DivergenceError``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DivergenceError, ObserverDesignError
 from .noise import NoiseSpec, sum_of_products
-from .systems import ExperimentData, LtiModel, discretize, zero_order_hold
+from .systems import (ExperimentData, LtiModel, _one, _replay, _stack,
+                      discretize, zero_order_hold)
 
 # Hard cap on augmented filter size (n + n*order states).
 MAX_AUGMENTED_DIM = 128
@@ -246,10 +249,9 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
     ``q``, ``p0`` and ``ar`` are either (n, n), shared by every record, or
     (S, n, n), one per record; ``bd``, ``c`` and ``r`` are shared. The
     covariance recursion runs in ``_schedule``, once for a shared design and
-    once per record for a stacked one. One pass then replays the (S, n, 1)
-    stack of means over that gain schedule. Each slice of a stacked
-    ``np.matmul`` is the same BLAS call as the one-record product, so a
-    record gets the same bits alone or in any batch.
+    once per record for a stacked one. The replay driver ``_replay`` then
+    steps the (S, n, 1) stack of means over that gain schedule: a step
+    predicts from the last step's mean (from step 1 on) and updates.
 
     With ``ar`` (the diagonal matrix of AR(1) noise coefficients) the
     prediction also carries the covariance between the posterior error and
@@ -257,9 +259,8 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
     ``keep`` states and their covariance block are stored.
 
     Returns each record's ``KalmanResult`` or ``DivergenceError``. A record
-    fails at the earlier of its design's first bad step and its own first
-    non-finite mean; from then on its mean restarts from zero whenever it
-    turns non-finite again, and the others run on unchanged.
+    fails at the earlier of its design's first bad step, where its gain is
+    NaN, and its own first non-finite mean.
     """
     ad, bd, c, q, r = (np.atleast_2d(np.asarray(a, dtype=float))
                        for a in (ad, bd, c, q, r))
@@ -279,42 +280,18 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
     # Step-major, so that step k of every record is one index.
     ys = np.moveaxis(ys, 1, 0)[..., None]
     bv = np.matmul(bd, np.moveaxis(vs, 1, 0)[..., None])
-    means = np.empty((n_steps, n_records, kept))
-    failed, vdot = {}, np.vdot
-    for k in range(n_steps):
-        x = x + gains[k] @ (ys[k] - c @ x)
-        if not math.isfinite(vdot(x, x)):
-            bad = ~np.isfinite(x).all(axis=(-2, -1))
-            for i in np.flatnonzero(bad).tolist():
-                failed.setdefault(i, DivergenceError(k, NOT_INVERTIBLE if (
-                    design[i], k) in singular else NON_FINITE))
-            if len(failed) == n_records:
-                break
-            x[bad] = 0.0
-        means[k] = x[:, :kept, 0]
-        x = ad @ x + bv[k]
+
+    def advance(k, x):
+        if k:
+            x = ad @ x + bv[k - 1]
+        return x + gains[k] @ (ys[k] - c @ x)
+
+    means, failed = _replay(
+        x, n_steps, advance, slice(kept), lambda i, k: NOT_INVERTIBLE if (
+            design[i], k) in singular else NON_FINITE)
     return [failed[i] if i in failed else KalmanResult(
                 means[:, i], covs[:, design[i]], cycles[design[i]])
             for i in range(n_records)]
-
-
-def _one(outcomes: list) -> KalmanResult:
-    """The result of a batch of one record; raises its DivergenceError."""
-    if isinstance(outcomes[0], DivergenceError):
-        raise outcomes[0]
-    return outcomes[0]
-
-
-def _stack(datas, designs=None) -> tuple[np.ndarray, np.ndarray]:
-    """(S, T, m) measurements and (S, T, r) inputs of a batch of records."""
-    if not datas:
-        raise ValueError("a batch needs at least one record")
-    if len({(d.dt, d.n_steps) for d in datas}) != 1:
-        raise ValueError("a batch replays records of one dt and length")
-    if designs is not None and len(designs) != len(datas):
-        raise ValueError(f"{len(designs)} designs for {len(datas)} records")
-    return (np.stack([d.measurements for d in datas]),
-            np.stack([d.inputs for d in datas]))
 
 
 def kalman_filter(ad, bd, c, q, r, data: ExperimentData,
@@ -329,7 +306,7 @@ def kalman_filter_batch(ad, bd, c, q, r, datas) -> list:
     covariance recursion shared by every record. Returns each record's
     ``KalmanResult``, or the ``DivergenceError`` of a record that diverged.
     """
-    return _filter(ad, bd, c, q, r, *_stack(datas))
+    return _filter(ad, bd, c, q, r, *_stack(datas, "measurements", "inputs"))
 
 
 def _unit_innovation_variance(coeffs: np.ndarray) -> float:
@@ -430,7 +407,7 @@ def state_augmentation_filter_batch(model: LtiModel, ar_models, datas,
     others. Returns each record's ``KalmanResult``, or its
     ``DivergenceError``.
     """
-    ys, vs = _stack(datas, ar_models)
+    ys, vs = _stack(datas, "measurements", "inputs", designs=ar_models)
     ad, bd = discretize(model, datas[0].dt)
     designs = [_augmented(model, ad, bd, q, ars) for ars in ar_models]
     out = {}
@@ -475,7 +452,7 @@ def smikf_batch(model: LtiModel, ar1_coefficients, datas, q, r) -> list:
     covariances. Returns each record's ``KalmanResult``, or its
     ``DivergenceError``.
     """
-    ys, vs = _stack(datas, ar1_coefficients)
+    ys, vs = _stack(datas, "measurements", "inputs", designs=ar1_coefficients)
     ar = np.stack([_ar1_matrix(model, coeffs) for coeffs in ar1_coefficients])
     ad, bd = discretize(model, datas[0].dt)
     return _filter(ad, bd, model.c, q, r, ys, vs, ar=ar)
@@ -536,46 +513,69 @@ def design_uio(model: LtiModel, poles=None) -> UioDesign:
     return UioDesign(f=f, k=k, h=h, t=t, poles=poles)
 
 
-def uio(model: LtiModel, data: ExperimentData, poles=None) -> UioResult:
-    """Run the unknown input observer and reconstruct the inputs.
+def uio_batch(model: LtiModel, datas, poles=None) -> list:
+    """Run the unknown input observer over records of one dt and length and
+    reconstruct their inputs.
 
     The input estimate inverts the plant relation B v = dx/dt - A x at the
     observer state. The derivative combines the observer's own continuous
     dynamics with the measured-output increment entering through H; the
     latter is the only path that carries input information, because the
     decoupling makes T B vanish.
-    """
-    design = design_uio(model, poles=poles)
-    ys = data.measurements
-    if ys.shape[0] < 2:
-        raise ValueError("need at least two samples")
-    if ys.shape[1] != model.m:
-        raise ValueError("measurement dimension does not match plant output")
-    n = model.n
-    dt = data.dt
-    fd, kd = zero_order_hold(design.f, design.k, dt)
 
+    The replay driver ``_replay`` steps the (S, n, 1) stack of observer
+    states z. The estimates are linear maps of z and the measurements at
+    one step, formed afterwards for all steps as stacked products. Returns
+    each record's ``UioResult``, or the ``DivergenceError`` of its first
+    step with a non-finite z, state estimate or input estimate.
+    """
+    ys, = _stack(datas, "measurements")
+    design = design_uio(model, poles=poles)
+    if ys.shape[1] < 2:
+        raise ValueError("need at least two samples")
+    if ys.shape[2] != model.m:
+        raise ValueError("measurement dimension does not match plant output")
+    dt = datas[0].dt
+    fd, kd = zero_order_hold(design.f, design.k, dt)
     if np.linalg.matrix_rank(model.b) < model.r:
         warnings.warn("B is column-rank deficient: the input estimate is the "
                       "least-norm solution, not per-channel values",
                       RuntimeWarning)
     b_pinv = np.linalg.pinv(model.b)
-    z = -design.h @ ys[0]  # xhat starts at zero
-    states = np.empty((ys.shape[0], n))
-    inputs = np.empty((ys.shape[0], model.r))
-    ydot = (ys[1] - ys[0]) / dt
-    for k in range(ys.shape[0]):
-        if k < ys.shape[0] - 1:
-            ydot = (ys[k + 1] - ys[k]) / dt
-        xhat = z + design.h @ ys[k]
-        zdot = design.f @ z + design.k @ ys[k]
-        vhat = b_pinv @ (zdot + design.h @ ydot - model.a @ xhat)
-        if not (np.all(np.isfinite(xhat)) and np.all(np.isfinite(vhat))):
-            raise DivergenceError(k, "non-finite observer state")
-        states[k] = xhat
-        inputs[k] = vhat
-        z = fd @ z + kd @ ys[k]
-    return UioResult(states=states, inputs=inputs, design=design)
+    # Step-major, so that step k of every record is one index.
+    y = np.moveaxis(ys, 1, 0)[..., None]
+    kdy = kd @ y
+
+    def advance(k, z):
+        return fd @ z + kdy[k - 1] if k else z
+
+    message = "non-finite observer state"
+    # z starts where the state estimate is zero.
+    z, failed = _replay(-design.h @ y[0], len(y), advance, slice(None),
+                        lambda i, k: message)
+    z = z[..., None]
+    xhat = z + design.h @ y
+    # The output derivative at step k is the increment to step k + 1; the
+    # last step keeps its predecessor's.
+    ydot = np.empty_like(y)
+    ydot[:-1] = (y[1:] - y[:-1]) / dt
+    ydot[-1] = ydot[-2]
+    zdot = design.f @ z + design.k @ y
+    vhat = b_pinv @ (zdot + design.h @ ydot - model.a @ xhat)
+    bad = ~(np.isfinite(xhat).all(axis=(2, 3))
+            & np.isfinite(vhat).all(axis=(2, 3)))
+    for i in np.flatnonzero(bad.any(axis=0)).tolist():
+        k = int(bad[:, i].argmax())
+        if i not in failed or k < failed[i].step:
+            failed[i] = DivergenceError(k, message)
+    return [failed[i] if i in failed else UioResult(
+                xhat[:, i, :, 0], vhat[:, i, :, 0], design)
+            for i in range(len(datas))]
+
+
+def uio(model: LtiModel, data: ExperimentData, poles=None) -> UioResult:
+    """``uio_batch`` of one record; raises its ``DivergenceError``."""
+    return _one(uio_batch(model, [data], poles=poles))
 
 
 def sse(estimate, reference, skip: int = 0) -> float:

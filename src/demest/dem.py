@@ -8,22 +8,24 @@ ascent collapses to a constant-coefficient linear ODE
     dX/dt = drift @ X + drive @ [y_tilde; -eta_tilde]
 
 whose drift is the generalized shift minus the learning rate times the
-(constant) negative free-energy curvature.
+(constant) negative free-energy curvature. ``run_observer_batch`` replays a
+stack of records through one assembled observer, stepping the discretized
+ODE with the replay driver ``systems._replay``; ``run_observer`` is a batch
+of one plus the free-energy trace.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
 
-from .errors import DivergenceError, ObserverDesignError
+from .errors import ObserverDesignError
 from .gencoord import embed_series, lift_matrix, shift_matrix
 from .noise import GeneralizedPrecision, NoiseSpec, generalized_precision
-from .systems import (ExperimentData, LtiModel, is_observable,
-                      zero_order_hold)
+from .systems import (ExperimentData, LtiModel, _one, _replay, _stack,
+                      is_observable, zero_order_hold)
 
 # Relative tolerance of the assembly self-check (two independent
 # constructions of the curvature must agree).
@@ -268,43 +270,21 @@ def run_observer(m: ObserverMatrices, data: ExperimentData,
                  known_inputs: bool = False) -> ObserverRun:
     """Replay a record through an assembled observer, starting from zero.
 
-    The record is embedded into generalized outputs up front, and each step
-    advances the estimate ODE with (Ad, Bd) discretized once per replay at
-    the record's own ``data.dt``. With ``known_inputs`` the input block is
-    clamped to the embedded measured inputs after every step (the state
-    benchmarking mode); otherwise inputs are estimated against the prior. The
-    free-energy trace is computed after the replay from the stored
-    estimates; it matches ``free_energy(prediction_error(...))`` per step
-    up to rounding.
+    A batch of one through ``run_observer_batch`` that raises its
+    ``DivergenceError``. With ``known_inputs`` the input block is clamped
+    to the embedded measured inputs after every step (the state
+    benchmarking mode); otherwise inputs are estimated against the prior.
+    The free-energy trace is computed from the estimates; it matches
+    ``free_energy(prediction_error(...))`` per step up to rounding.
     """
-    if data.measurements.shape[1] != m.m:
-        raise ValueError("measurement dimension does not match plant output")
-    if data.n_steps < m.p + 1:
-        raise ValueError("record shorter than the embedding window")
-    y_gen_series = embed_series(data.measurements, data.dt, m.p)
-    if known_inputs:
-        v_gen_series = embed_series(data.inputs, data.dt, m.d)
-
-    n_steps = data.n_steps
-    # Row t holds the same values observer_step would concatenate at step t.
-    u_rows = np.empty((n_steps, m.drive.shape[1]))
-    u_rows[:, :y_gen_series.shape[1]] = y_gen_series
-    u_rows[:, y_gen_series.shape[1]:] = -m.eta_gen
-    ad, bd = zero_order_hold(m.drift, m.drive, data.dt)
+    embeddings = {}
+    estimates = _one(run_observer_batch(m, [data], known_inputs,
+                                        embeddings=embeddings))
+    y_gen = embed_records([data], "measurements", m.p, embeddings)[:, 0]
     sd = m.state_dim
-    x_full = np.zeros(m.total_dim)
-    estimates = np.empty((n_steps, m.total_dim))
-    for t in range(n_steps):
-        x_full = ad @ x_full + bd @ u_rows[t]
-        if known_inputs:
-            x_full[sd:] = v_gen_series[t]
-        if not np.isfinite(x_full).all():
-            raise DivergenceError(t, NON_FINITE)
-        estimates[t] = x_full
-
     return ObserverRun(
         estimates=estimates,
-        vfe=_free_energy_trace(m, estimates, y_gen_series),
+        vfe=_free_energy_trace(m, estimates, y_gen),
         states=estimates[:, :m.n],
         inputs=estimates[:, sd:sd + m.r],
     )
@@ -344,25 +324,21 @@ class InputMemo(dict):
 
 def run_observer_batch(m: ObserverMatrices, datas, known_inputs: bool = False,
                        keep=None, embeddings: dict | None = None) -> list:
-    """``run_observer`` over records of one dt and length, in one stacked
-    recursion.
+    """Replay records of one dt and length through an assembled observer,
+    starting from zero, in one stacked recursion.
 
-    The S estimates advance as an (S, D, 1) stack with (Ad, Bd) discretized
-    once. Each slice of a stacked ``np.matmul`` is the same BLAS call as the
-    one-record product, so every record gets the bits ``run_observer`` gives
-    it alone. Only the estimate columns ``keep`` (all by default) are
-    stored, and no free-energy trace is computed. ``embeddings`` is an
-    ``embed_records`` memo.
+    Each record is embedded into generalized outputs up front (through the
+    ``embed_records`` memo ``embeddings``), and the replay driver
+    ``_replay`` advances the (S, D, 1) stack of estimates by the estimate
+    ODE, with (Ad, Bd) discretized once at the records' ``dt``. Only the
+    estimate columns ``keep`` (all by default; an index list or a slice,
+    which is cheaper to store) are stored, and no free-energy trace is
+    computed.
 
     Returns each record's kept (T, len(keep)) estimates, or the
-    ``DivergenceError`` of a record that went non-finite: that record
-    leaves the stack at the step it failed, with the step and message of
-    its one-record run, and the others run on unchanged.
+    ``DivergenceError`` of its first non-finite step.
     """
-    if not datas:
-        raise ValueError("a batch needs at least one record")
-    if len({(d.dt, d.n_steps) for d in datas}) != 1:
-        raise ValueError("a batch replays records of one dt and length")
+    _stack(datas)
     if any(d.measurements.shape[1] != m.m for d in datas):
         raise ValueError("measurement dimension does not match plant output")
     n_records, n_steps = len(datas), datas[0].n_steps
@@ -372,42 +348,25 @@ def run_observer_batch(m: ObserverMatrices, datas, known_inputs: bool = False,
     if known_inputs:
         v_gen = embed_records(datas, "inputs", m.d, embeddings)
     # Step t refills u with the (S, nu, 1) stack of the vectors
-    # [y_tilde; -eta_tilde] that run_observer concatenates at step t.
+    # [y_tilde; -eta_tilde] that observer_step concatenates at step t.
     ny = y_gen.shape[2]
     u = np.empty((n_records, m.drive.shape[1], 1))
     u[:, ny:, 0] = -m.eta_gen
     ad, bd = zero_order_hold(m.drift, m.drive, datas[0].dt)
     sd = m.state_dim
-    dim = m.total_dim
-    columns = np.arange(dim) if keep is None else np.asarray(keep, dtype=int)
-    x = np.zeros((n_records, dim, 1))
+    x = np.zeros((n_records, m.total_dim, 1))
     ax, bu = np.empty_like(x), np.empty_like(x)
-    # Flat indices of the kept columns of every record of the stack.
-    flat = np.arange(n_records)[:, None] * dim + columns
-    kept = np.empty((n_steps, n_records, columns.size))
-    live, rows, failed = np.arange(n_records), slice(None), {}
-    add = np.add.reduce
-    for t in range(n_steps):
+
+    def advance(t, x):
         u[:, :ny, 0] = y_gen[t]
         np.add(np.matmul(ad, x, out=ax), np.matmul(bd, u, out=bu), out=x)
         if known_inputs:
             x[:, sd:, 0] = v_gen[t]
-        # A non-finite entry makes the sum non-finite; a sum of finite
-        # entries that overflows only sends the step to the exact check.
-        if not math.isfinite(add(x, None)):
-            bad = ~np.isfinite(x).all(axis=(1, 2))
-            for i in np.flatnonzero(bad):
-                failed[int(live[i])] = DivergenceError(t, NON_FINITE)
-            if bad.all():
-                break
-            if bad.any():
-                ok = ~bad
-                live, x, ax, bu, u, y_gen = (
-                    live[ok], x[ok], ax[ok], bu[ok], u[ok], y_gen[:, ok])
-                if known_inputs:
-                    v_gen = v_gen[:, ok]
-                rows, flat = live, flat[:live.size]
-        kept[t, rows] = x.take(flat)
+        return x
+
+    kept, failed = _replay(x, n_steps, advance,
+                           slice(None) if keep is None else keep,
+                           lambda i, t: NON_FINITE)
     return [failed[i] if i in failed else kept[:, i]
             for i in range(n_records)]
 

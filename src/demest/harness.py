@@ -18,7 +18,7 @@ from .gencoord import embed_series
 from .noise import (NoiseSpec, autocorrelation, gaussian_fit,
                     gaussian_kernel_density, generate_colored_noise,
                     kernel_autocorrelation)
-from .systems import (DT_JITTER, ExperimentData, LtiModel, discretize,
+from .systems import (DT_JITTER, ExperimentData, LtiModel, _one, discretize,
                       load_flight_log, quadrotor_roll_model,
                       rescale_input_matrix, residual_process_noise, simulate)
 
@@ -342,20 +342,6 @@ def _replay(report: ExperimentReport, records: list[Record], axis) -> list:
     return cells
 
 
-def _each(estimate):
-    """A grid estimate that replays the records one at a time through
-    ``estimate(record)``."""
-    def replay(records: list[Record]) -> list:
-        row = []
-        for rec in records:
-            try:
-                row.append(estimate(rec))
-            except DivergenceError as exc:
-                row.append(exc)
-        return row
-    return replay
-
-
 def _sse(estimate, reference, column: int, skip: int) -> float | None:
     """SSE of one replay against ``reference[:, column]``; None if the
     replay diverged or there is no reference."""
@@ -373,7 +359,8 @@ def _cells(results: list, pick) -> list:
 
 def _observer(matrices: dem.ObserverMatrices, columns, pick,
               known_inputs: bool = False, embeddings: dict | None = None):
-    """Grid estimate: ``pick`` of the observer's estimate ``columns`` of each
+    """Grid estimate: ``pick`` of the observer's estimate ``columns`` (a
+    slice, which each step stores without a fancy-index copy) of each
     record; all records replay in one batch."""
     def estimate(records: list[Record]) -> list:
         return _cells(dem.run_observer_batch(
@@ -385,7 +372,7 @@ def _observer(matrices: dem.ObserverMatrices, columns, pick,
 def _observer_rate(model: LtiModel, dem_cfg: dem.DemConfig,
                    embeddings: dict | None = None):
     """Grid estimate: the observer's roll rate, inputs known."""
-    return _observer(dem.assemble_observer(model, dem_cfg), [1],
+    return _observer(dem.assemble_observer(model, dem_cfg), slice(1, 2),
                      lambda cols: cols[:, 0].copy(), known_inputs=True,
                      embeddings=embeddings)
 
@@ -542,10 +529,8 @@ def run_landscape(cfg: ExperimentConfig) -> ExperimentReport:
     matrices = dem.assemble_observer(model, dem_cfg)
     # The replay and the probes share the record's one embedding.
     embeddings = {}
-    estimates = dem.run_observer_batch(matrices, [data],
-                                       embeddings=embeddings)[0]
-    if isinstance(estimates, DivergenceError):
-        raise estimates
+    estimates = _one(dem.run_observer_batch(matrices, [data],
+                                            embeddings=embeddings))
     y_gen_series = dem.embed_records([data], "measurements", dem_cfg.p,
                                      embeddings)[:, 0]
 
@@ -597,10 +582,12 @@ def run_input_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     # Designing up front surfaces existence failures before any run.
     benchmarks.design_uio(model, poles=poles)
     matrices = dem.assemble_observer(model, dem_cfg)
-    axis = [("dem", _observer(matrices, [matrices.state_dim],
+    sd = matrices.state_dim
+    axis = [("dem", _observer(matrices, slice(sd, sd + 1),
                               lambda cols: cols[:, 0].copy())),
-            ("uio", _each(lambda rec: benchmarks.uio(
-                 model, rec.data, poles=poles).inputs[:, 0].copy()))]
+            ("uio", lambda recs: _cells(benchmarks.uio_batch(
+                model, [rec.data for rec in recs], poles=poles),
+                lambda res: res.inputs[:, 0].copy()))]
     cells = _replay(report, records, axis)
     skip = cfg.run.skip_steps
     chash = report.config_hash
@@ -649,9 +636,10 @@ def run_prior_sweep(cfg: ExperimentConfig) -> ExperimentReport:
         spec = observer_noise_spec(cfg, model, input_prior_precision=pv)
         matrices = dem.assemble_observer(
             model, _dem_config(cfg, spec, model, eta_v=ps.eta_v))
-        # The input and roll-rate estimates.
-        return _observer(matrices, [matrices.state_dim, 1],
-                         lambda cols: (cols[:, 0].copy(), cols[:, 1].copy()),
+        # The roll rate (column 1) and the input (column state_dim).
+        sd = matrices.state_dim
+        return _observer(matrices, slice(1, sd + 1, sd - 1),
+                         lambda cols: (cols[:, 1].copy(), cols[:, 0].copy()),
                          embeddings=embeddings)
 
     cells = _replay(report, records,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DataFormatError
+from .errors import DataFormatError, DivergenceError
 
 FLIGHT_LOG_COLUMNS = ("t", "phi", "phidot", "pwm1", "pwm2", "pwm3", "pwm4")
 FLIGHT_LOG_TRUTH_COLUMNS = ("phi_true", "phidot_true")
@@ -98,6 +98,58 @@ class ExperimentData:
     @property
     def n_steps(self) -> int:
         return self.measurements.shape[0]
+
+
+def _stack(datas, *fields, designs=None) -> tuple:
+    """The (S, T, ·) stacks of ``fields`` of a batch of records, once the
+    batch passes the checks every batch entry makes."""
+    if not datas:
+        raise ValueError("a batch needs at least one record")
+    if len({(d.dt, d.n_steps) for d in datas}) != 1:
+        raise ValueError("a batch replays records of one dt and length")
+    if designs is not None and len(designs) != len(datas):
+        raise ValueError(f"{len(designs)} designs for {len(datas)} records")
+    return tuple(np.stack([getattr(d, f) for d in datas]) for f in fields)
+
+
+def _one(outcomes: list):
+    """The result of a batch of one record; raises its DivergenceError."""
+    if isinstance(outcomes[0], DivergenceError):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def _replay(x, n_steps: int, advance, keep, message) -> tuple:
+    """The replay driver of every stacked estimator: advance the (S, n, 1)
+    stack ``x`` of S records' states by ``x = advance(k, x)``, which may
+    work in place, for ``n_steps`` steps, and store ``x[:, keep, 0]`` at
+    each. The steps are stacked ``np.matmul`` calls; each slice of one is
+    the same BLAS call as the one-record product, so a record gets the same
+    bits alone or in any batch.
+
+    One ``np.vdot`` checks the whole stack: a non-finite entry makes the sum
+    of squares non-finite, and finite squares whose sum overflows only send
+    the step to the exact per-record check. A record fails at its first
+    non-finite step ``k`` with ``DivergenceError(k, message(record, k))``.
+    Its state then restarts from zero, so the others run on unchanged, and
+    the replay stops once every record has failed.
+
+    Returns the (T, S, ·) stored rows and the ``{record: DivergenceError}``
+    map of the failed records.
+    """
+    rows = np.zeros((n_steps,) + x[:, keep, 0].shape)
+    failed, vdot = {}, np.vdot
+    for k in range(n_steps):
+        x = advance(k, x)
+        if not math.isfinite(vdot(x, x)):
+            bad = ~np.isfinite(x).all(axis=(1, 2))
+            for i in np.flatnonzero(bad).tolist():
+                failed.setdefault(i, DivergenceError(k, message(i, k)))
+            if len(failed) == len(x):
+                break
+            x[bad] = 0.0
+        rows[k] = x[:, keep, 0]
+    return rows, failed
 
 
 def quadrotor_roll_model(i_xx: float, c_b_phi: float,

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 from unittest import mock
 
@@ -13,11 +14,12 @@ from demest.benchmarks import (CYCLE_WINDOW, ArModel, KalmanResult,
                                design_uio, fit_ar, kalman_filter,
                                kalman_filter_batch, smikf, smikf_batch, sse,
                                state_augmentation_filter,
-                               state_augmentation_filter_batch, uio)
+                               state_augmentation_filter_batch, uio,
+                               uio_batch)
 from demest.errors import DivergenceError, ObserverDesignError
 from demest.noise import NoiseSpec, generate_colored_noise
 from demest.systems import (ExperimentData, LtiModel, discretize,
-                            quadrotor_roll_model, simulate)
+                            quadrotor_roll_model, simulate, zero_order_hold)
 
 
 def random_walk_setup(seed, a1=0.0, n=1000, q_var=0.04, r_var=0.25):
@@ -289,6 +291,112 @@ class TestUio:
         assert len(poles) == 2
         assert all(p < 0 for p in poles)
         assert len(set(poles)) == 2
+
+
+def reference_uio(model, data, poles=None):
+    """The UIO written out one step of one record at a time: ``(states,
+    inputs)``; raises the ``DivergenceError`` of the first step whose state
+    or input estimate is not finite."""
+    design = design_uio(model, poles=poles)
+    ys, dt = data.measurements, data.dt
+    fd, kd = zero_order_hold(design.f, design.k, dt)
+    b_pinv = np.linalg.pinv(model.b)
+    z = -design.h @ ys[0]  # xhat starts at zero
+    states = np.empty((ys.shape[0], model.n))
+    inputs = np.empty((ys.shape[0], model.r))
+    ydot = (ys[1] - ys[0]) / dt
+    for k in range(ys.shape[0]):
+        if k < ys.shape[0] - 1:
+            ydot = (ys[k + 1] - ys[k]) / dt
+        xhat = z + design.h @ ys[k]
+        zdot = design.f @ z + design.k @ ys[k]
+        vhat = b_pinv @ (zdot + design.h @ ydot - model.a @ xhat)
+        if not (np.all(np.isfinite(xhat)) and np.all(np.isfinite(vhat))):
+            raise DivergenceError(k, "non-finite observer state")
+        states[k] = xhat
+        inputs[k] = vhat
+        z = fd @ z + kd @ ys[k]
+    return states, inputs
+
+
+def _uio_records(seeds, n, n_inputs=1):
+    """Full-state roll plant with ``n_inputs`` PWM channels, and one noisy
+    record per seed."""
+    base = quadrotor_roll_model(3.4e-3, 1.274e-3, full_state_output=True)
+    model = LtiModel(a=base.a, b=base.b[:, :n_inputs], c=base.c)
+    datas = []
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 5])
+        datas.append(simulate(
+            model, 0.0083, n, 0.1 * rng.standard_normal((n, n_inputs)),
+            rng.standard_normal((n, 2)) * [0.005, 2.0],
+            1e-3 * rng.standard_normal((n, 2))))
+    return model, datas
+
+
+class TestUioBatch:
+    """``uio_batch`` replays a stack of records with, for every record, the
+    bits of ``uio`` and of the per-step loop ``reference_uio``, or their
+    divergence step and message."""
+
+    @pytest.mark.filterwarnings("ignore:B is column-rank deficient")
+    @pytest.mark.parametrize("n_inputs", [1, 4])
+    @pytest.mark.parametrize("n_records", [1, 2, 3, 4, 5])
+    def test_batch_equals_one_record_and_reference(self, n_records,
+                                                   n_inputs):
+        model, datas = _uio_records(range(n_records), 1204, n_inputs)
+        batch = uio_batch(model, datas)
+        assert len(batch) == n_records
+        for data, res in zip(datas, batch):
+            solo = uio(model, data)
+            states, inputs = reference_uio(model, data)
+            for got in (res, solo):
+                assert np.array_equal(got.states, states)
+                assert np.array_equal(got.inputs, inputs)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308])
+    def test_diverging_record_fails_alone(self, value):
+        model, datas = _uio_records([1, 2, 3, 4], 100)
+        ys = datas[1].measurements.copy()
+        ys[40] = value
+        datas[1] = replace(datas[1], measurements=ys)
+        with np.errstate(invalid="ignore", over="ignore"):
+            batch = uio_batch(model, datas)
+            with pytest.raises(DivergenceError) as solo:
+                uio(model, datas[1])
+            with pytest.raises(DivergenceError) as reference:
+                reference_uio(model, datas[1])
+        # Sample 40 first enters the output derivative at step 39.
+        assert isinstance(batch[1], DivergenceError)
+        for err in (batch[1], solo.value, reference.value):
+            assert (err.step, str(err)) == (
+                39, "estimator diverged at step 39: non-finite observer "
+                "state")
+        for i in (0, 2, 3):
+            alone = uio(model, datas[i])
+            assert np.array_equal(batch[i].states, alone.states)
+            assert np.array_equal(batch[i].inputs, alone.inputs)
+
+    def test_overflowing_observer_state_fails_at_its_step(self):
+        # An unstable pole: z multiplies by exp(460) ~ 1e200 per step and
+        # overflows at step 2, while every measurement stays finite. The
+        # replay resets the record's z there, so the state estimate formed
+        # afterwards would be finite; the failure is the replay's.
+        model = LtiModel(a=[[0.0]], b=[[1.0]], c=[[1.0]])
+        poles = (46000.0,)
+        datas = [ExperimentData(dt=0.01, measurements=np.full((6, 1), y0),
+                                inputs=np.zeros((6, 1))) for y0 in (1.0, 0.0)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            batch = uio_batch(model, datas, poles=poles)
+            with pytest.raises(DivergenceError) as reference:
+                reference_uio(model, datas[0], poles=poles)
+        assert reference.value.step == 2
+        assert isinstance(batch[0], DivergenceError)
+        assert (batch[0].step, str(batch[0])) == (
+            2, str(reference.value))
+        states, inputs = reference_uio(model, datas[1], poles=poles)
+        assert np.array_equal(batch[1].states, states)
+        assert np.array_equal(batch[1].inputs, inputs)
 
 
 class TestSse:
@@ -816,16 +924,30 @@ def _batch_entry(entry, model, datas, n_designs):
     if entry == "state_augmentation":
         return state_augmentation_filter_batch(
             model, [_ar_models(s) for s in range(n_designs)], datas, q, r)
+    if entry == "uio":
+        return uio_batch(model, datas)
     return smikf_batch(model, [[0.5, 0.5]] * n_designs, datas, q, r)
 
 
 class TestBatchArguments:
     @pytest.mark.parametrize("entry", ["kalman", "state_augmentation",
-                                       "smikf"])
+                                       "smikf", "uio"])
     def test_empty_batch(self, entry):
         model = quadrotor_roll_model(3.4e-3, 1.274e-3)
         with pytest.raises(ValueError, match="at least one record"):
             _batch_entry(entry, model, [], 0)
+
+    @pytest.mark.parametrize("entry", ["kalman", "state_augmentation",
+                                       "smikf", "uio"])
+    @pytest.mark.parametrize("mix", ["dt", "length"])
+    def test_records_of_one_dt_and_length(self, entry, mix):
+        model, datas, _, _ = _roll_records([1, 2], 30)
+        last = datas[1]
+        datas[1] = replace(last, dt=2 * last.dt) if mix == "dt" else \
+            ExperimentData(dt=last.dt, measurements=last.measurements[:20],
+                           inputs=last.inputs[:20])
+        with pytest.raises(ValueError, match="one dt and length"):
+            _batch_entry(entry, model, datas, 2)
 
     @pytest.mark.parametrize("entry", ["state_augmentation", "smikf"])
     def test_one_design_per_record(self, entry):

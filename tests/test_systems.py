@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from demest import systems
-from demest.errors import DataFormatError
+from demest.errors import DataFormatError, DivergenceError
 from demest.systems import (ExperimentData, LtiModel, discretize,
                             is_observable, load_flight_log, normalize_inputs,
                             observability_matrix, quadrotor_roll_model,
@@ -13,6 +13,53 @@ from demest.systems import (ExperimentData, LtiModel, discretize,
 
 I_XX = 3.4e-3
 C_B_PHI = 1.274e-3
+
+
+class TestReplayDriver:
+    """``systems._replay``, the step loop behind every stacked estimator."""
+
+    def _replay(self, w):
+        """Replay x = 2 x + w[k] over the (T, S, 1, 1) drive ``w``; returns
+        the stored rows, the failure map, and the (record, step) pairs the
+        message was asked for."""
+        asked = []
+
+        def message(i, k):
+            asked.append((i, k))
+            return f"record {i}"
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            rows, failed = systems._replay(
+                np.zeros(w.shape[1:]), len(w), lambda k, x: 2.0 * x + w[k],
+                slice(None), message)
+        return rows[..., 0], failed, asked
+
+    def test_first_failure_wins_and_the_record_restarts_from_zero(self):
+        w = np.ones((6, 3, 1, 1))
+        w[2, 1] = np.inf
+        w[4, 1] = np.nan
+        w[:, 2] = 1e200  # finite squares that overflow the stack's sum
+        rows, failed, asked = self._replay(w)
+        assert list(failed) == [1]
+        assert isinstance(failed[1], DivergenceError)
+        assert (failed[1].step, str(failed[1])) == (
+            2, "estimator diverged at step 2: record 1")
+        assert asked[0] == (1, 2)
+        x = 0.0
+        for k in range(6):
+            x = 2.0 * x + 1.0
+            assert rows[k, 0] == x
+        assert rows[:, 1].tolist() == [1.0, 3.0, 0.0, 1.0, 0.0, 1.0]
+        assert np.isfinite(rows[:, 2]).all()
+
+    def test_stops_once_every_record_has_failed(self):
+        w = np.ones((6, 2, 1, 1))
+        w[1, 0] = np.inf
+        w[3, 1] = -np.inf
+        rows, failed, _ = self._replay(w)
+        assert [(i, e.step) for i, e in sorted(failed.items())] == [
+            (0, 1), (1, 3)]
+        assert not rows[3:].any()
 
 
 class TestQuadrotorRollModel:
