@@ -7,10 +7,12 @@ augmented system) and SMIKF share one predict/update recursion; SMIKF only
 adds the AR(1) cross term to its prediction. It runs in two passes: a gain
 schedule per design, which never reads the data, then one pass of the means
 of a stack of records over it. The means, like the UIO's observer states,
-step through the replay driver ``systems._replay``. Each filter and the UIO
-have a ``*_batch`` entry that replays a list of records as one stack, and a
-one-record entry that replays a batch of one and raises its
-``DivergenceError``.
+are a linear recurrence ``x_k = M_k x_{k-1} + w_k``, handed to the replay
+driver ``systems._replay`` as its transitions, periodic once the gains
+cycle, and a drive built up front; the driver scans long periodic stretches
+in chunks. Each filter and the UIO have a ``*_batch`` entry that replays a
+list of records as one stack, and a one-record entry that replays a batch
+of one and raises its ``DivergenceError``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import cycle, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -136,9 +137,12 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     routines behind ``cho_factor``/``cho_solve``, without their wrappers'
     per-step checks.
 
-    Returns a (D, n, m) gain per step, the (T, D, keep, keep) kept
-    covariance blocks, each slice's ``KalmanResult.cycle`` and the set of
-    singular ``(slice, step)`` pairs.
+    Returns the (D, n, m) gains of the steps before the switch, then of one
+    period of the cycles (step k >= switch repeats step switch + (k -
+    switch) % period), the switch step, the ``(starts, periods)`` arrays
+    from which each slice's own gains repeat (period 0 if they do not), the
+    (T, D, keep, keep) kept covariance blocks, each slice's
+    ``KalmanResult.cycle`` and the set of singular ``(slice, step)`` pairs.
     """
     n_designs, n = p.shape[:2]
     m = c.shape[0]
@@ -224,6 +228,9 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
             p = ad @ p @ ad_t + q + ad_psi + ad_psi.swapaxes(-1, -2)
             cross = (ad_psi + q) @ ar.swapaxes(-1, -2)
     cycles = [None] * n_designs
+    starts, periods = np.zeros(n_designs, dtype=int), np.zeros(n_designs,
+                                                              dtype=int)
+    starts[live], periods[live] = start, period
     for d, step, length in zip(live.tolist(), start.tolist(), period.tolist()):
         if step >= CYCLE_WINDOW:
             cycles[d] = (step, 0)
@@ -237,8 +244,8 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
         phase, first = phase[:math.lcm(*period.tolist())], int(phase.min())
         repeat = np.zeros((len(phase), n_designs, n, m))
         repeat[:, live] = np.stack(gains[first:])[phase - first, live]
-        gains.extend(islice(cycle(list(repeat)), n_steps - switch))
-    return gains, covs, cycles, singular
+        gains[switch:] = list(repeat)
+    return gains, switch, (starts, periods), covs, cycles, singular
 
 
 def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
@@ -250,8 +257,10 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
     (S, n, n), one per record; ``bd``, ``c`` and ``r`` are shared. The
     covariance recursion runs in ``_schedule``, once for a shared design and
     once per record for a stacked one. The replay driver ``_replay`` then
-    steps the (S, n, 1) stack of means over that gain schedule: a step
-    predicts from the last step's mean (from step 1 on) and updates.
+    replays the (S, n, 1) stack of means over that gain schedule as the
+    recurrence ``x_k = M_k x_{k-1} + w_k``: a step predicts from the last
+    step's mean (from step 1 on) and updates, so ``M_k = (I - G_k C) Ad``
+    (``I - G_0 C`` at step 0) and ``w_k = (I - G_k C) Bd v_{k-1} + G_k y_k``.
 
     With ``ar`` (the diagonal matrix of AR(1) noise coefficients) the
     prediction also carries the covariance between the posterior error and
@@ -273,22 +282,37 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
     n_designs = n_records if stacked else 1
     design = list(range(n_records)) if stacked else [0] * n_records
     kept = n if keep is None else keep
-    gains, covs, cycles, singular = _schedule(
+    gains, switch, (starts, periods), covs, cycles, singular = _schedule(
         ad, c, q, r, np.broadcast_to(p, (n_designs, n, n)), ar, n_steps, kept)
+    period = len(gains) - switch
     x = np.zeros((n_records, n, 1)) if x0 is None else np.broadcast_to(
         np.asarray(x0, dtype=float)[..., None], (n_records, n, 1))
-    # Step-major, so that step k of every record is one index.
-    ys = np.moveaxis(ys, 1, 0)[..., None]
-    bv = np.matmul(bd, np.moveaxis(vs, 1, 0)[..., None])
+    # w_k = Bd v_{k-1} + G_k (y_k - C Bd v_{k-1}), with v_{-1} = 0: the
+    # prediction's drive and the update, in one product for the steps
+    # before the switch and one per phase of the cycle after it. Record by
+    # record, so that no temporary is as large as w.
+    w = np.zeros((n_records, n_steps, n))
+    for i, d in enumerate(design):
+        np.matmul(vs[i, :-1], bd.T, out=w[i, 1:])
+        innovation = ys[i] - w[i] @ c.T
+        head = np.stack([g[d] for g in gains[:switch]])
+        w[i, :len(head)] += np.matmul(
+            head, innovation[:len(head), :, None])[..., 0]
+        for j in range(switch, len(gains)):
+            w[i, j::period] += innovation[j::period] @ gains[j][d].T
+    eye, c_ad = np.eye(n), c @ ad
 
-    def advance(k, x):
-        if k:
-            x = ad @ x + bv[k - 1]
-        return x + gains[k] @ (ys[k] - c @ x)
+    def transition(k):
+        """M_k = (I - G_k C) Ad; step 0 updates x0 without a prediction."""
+        gain = gains[k if k < switch else switch + (k - switch) % period]
+        m = eye - gain @ c if k == 0 else ad - gain @ c_ad
+        return m if stacked else m[0]
 
+    # A record's M repeats where its design's gains do, from step 1 on.
     means, failed = _replay(
-        x, n_steps, advance, slice(kept), lambda i, k: NOT_INVERTIBLE if (
-            design[i], k) in singular else NON_FINITE)
+        x, w, slice(kept), lambda i, k: NOT_INVERTIBLE if (
+            design[i], k) in singular else NON_FINITE, transition,
+        np.maximum(starts, 1)[design], periods[design])
     return [failed[i] if i in failed else KalmanResult(
                 means[:, i], covs[:, design[i]], cycles[design[i]])
             for i in range(n_records)]
@@ -523,9 +547,10 @@ def uio_batch(model: LtiModel, datas, poles=None) -> list:
     latter is the only path that carries input information, because the
     decoupling makes T B vanish.
 
-    The replay driver ``_replay`` steps the (S, n, 1) stack of observer
-    states z. The estimates are linear maps of z and the measurements at
-    one step, formed afterwards for all steps as stacked products. Returns
+    The replay driver ``_replay`` replays the (S, n, 1) stack of observer
+    states ``z_k = Fd z_{k-1} + Kd y_{k-1}``. The estimates are linear maps
+    of z and the measurements at one step, formed afterwards for all steps
+    as stacked products. Returns
     each record's ``UioResult``, or the ``DivergenceError`` of its first
     step with a non-finite z, state estimate or input estimate.
     """
@@ -542,17 +567,16 @@ def uio_batch(model: LtiModel, datas, poles=None) -> list:
                       "least-norm solution, not per-channel values",
                       RuntimeWarning)
     b_pinv = np.linalg.pinv(model.b)
+    # z_0 = -H y_0, where the state estimate is zero, then z_k = Fd z_{k-1}
+    # + Kd y_{k-1}.
+    w = np.zeros(ys.shape[:2] + (model.n,))
+    np.matmul(ys[:, :-1], kd.T, out=w[:, 1:])
+    message = "non-finite observer state"
+    eye = np.eye(model.n)
+    z, failed = _replay(-design.h @ ys[:, 0, :, None], w, slice(None),
+                        lambda i, k: message, lambda k: fd if k else eye, 1)
     # Step-major, so that step k of every record is one index.
     y = np.moveaxis(ys, 1, 0)[..., None]
-    kdy = kd @ y
-
-    def advance(k, z):
-        return fd @ z + kdy[k - 1] if k else z
-
-    message = "non-finite observer state"
-    # z starts where the state estimate is zero.
-    z, failed = _replay(-design.h @ y[0], len(y), advance, slice(None),
-                        lambda i, k: message)
     z = z[..., None]
     xhat = z + design.h @ y
     # The output derivative at step k is the increment to step k + 1; the

@@ -9,9 +9,10 @@ ascent collapses to a constant-coefficient linear ODE
 
 whose drift is the generalized shift minus the learning rate times the
 (constant) negative free-energy curvature. ``run_observer_batch`` replays a
-stack of records through one assembled observer, stepping the discretized
-ODE with the replay driver ``systems._replay``; ``run_observer`` is a batch
-of one plus the free-energy trace.
+stack of records through one assembled observer: the discretized ODE is the
+recurrence ``X_t = Ad X_{t-1} + Bd u_t``, which the replay driver
+``systems._replay`` scans in chunks; ``run_observer`` is a batch of one plus
+the free-energy trace.
 """
 
 from __future__ import annotations
@@ -329,11 +330,11 @@ def run_observer_batch(m: ObserverMatrices, datas, known_inputs: bool = False,
 
     Each record is embedded into generalized outputs up front (through the
     ``embed_records`` memo ``embeddings``), and the replay driver
-    ``_replay`` advances the (S, D, 1) stack of estimates by the estimate
-    ODE, with (Ad, Bd) discretized once at the records' ``dt``. Only the
-    estimate columns ``keep`` (all by default; an index list or a slice,
-    which is cheaper to store) are stored, and no free-energy trace is
-    computed.
+    ``_replay`` replays the (S, D, 1) stack of estimates as ``X_t = Ad
+    X_{t-1} + w_t``, with (Ad, Bd) discretized once at the records' ``dt``
+    and every ``w_t = Bd [y_tilde_t; -eta_tilde]`` formed in one product.
+    Only the estimate columns ``keep`` (all by default; an index list or a
+    slice) are stored, and no free-energy trace is computed.
 
     Returns each record's kept (T, len(keep)) estimates, or the
     ``DivergenceError`` of its first non-finite step.
@@ -345,30 +346,42 @@ def run_observer_batch(m: ObserverMatrices, datas, known_inputs: bool = False,
     if n_steps < m.p + 1:
         raise ValueError("record shorter than the embedding window")
     y_gen = embed_records(datas, "measurements", m.p, embeddings)
+    ad, bd = zero_order_hold(m.drift, m.drive, datas[0].dt)
+    # With known inputs only the state block replays, and the clamped inputs
+    # of the last step drive it as Ad's input columns: the same
+    # zero-order-hold step as replaying every column and clamping after it.
+    n = m.state_dim if known_inputs else m.total_dim
+    ny = y_gen.shape[2]
+    w = np.matmul(y_gen.swapaxes(0, 1), bd[:n, :ny].T)
+    w -= bd[:n, ny:] @ m.eta_gen
+    cols = np.arange(m.total_dim)[slice(None) if keep is None else keep]
+    replayed = cols < n
     if known_inputs:
         v_gen = embed_records(datas, "inputs", m.d, embeddings)
-    # Step t refills u with the (S, nu, 1) stack of the vectors
-    # [y_tilde; -eta_tilde] that observer_step concatenates at step t.
-    ny = y_gen.shape[2]
-    u = np.empty((n_records, m.drive.shape[1], 1))
-    u[:, ny:, 0] = -m.eta_gen
-    ad, bd = zero_order_hold(m.drift, m.drive, datas[0].dt)
-    sd = m.state_dim
-    x = np.zeros((n_records, m.total_dim, 1))
-    ax, bu = np.empty_like(x), np.empty_like(x)
-
-    def advance(t, x):
-        u[:, :ny, 0] = y_gen[t]
-        np.add(np.matmul(ad, x, out=ax), np.matmul(bd, u, out=bu), out=x)
-        if known_inputs:
-            x[:, sd:, 0] = v_gen[t]
-        return x
-
-    kept, failed = _replay(x, n_steps, advance,
-                           slice(None) if keep is None else keep,
-                           lambda i, t: NON_FINITE)
+        for s in range(n_records):  # no temporary as large as w
+            w[s, 1:] += v_gen[:-1, s] @ ad[:n, n:].T
+    ad = ad[:n, :n]
+    kept, failed = _replay(np.zeros((n_records, n, 1)), w, cols[replayed],
+                           lambda i, t: NON_FINITE, lambda t: ad)
+    if not replayed.all():
+        out = np.empty(kept.shape[:2] + cols.shape)
+        out[..., replayed] = kept
+        out[..., ~replayed] = v_gen[..., cols[~replayed] - n]
+        kept = out
     return [failed[i] if i in failed else kept[:, i]
             for i in range(n_records)]
+
+
+def replay_growth(m: ObserverMatrices, dt: float, n_steps: int,
+                  known_inputs: bool = False) -> dict:
+    """Spectral radius of the transition ``run_observer_batch`` replays at
+    ``dt`` (the state block's, with known inputs), and its growth, the
+    radius to the power ``n_steps``: how far the replay can amplify a
+    state over a record of that length."""
+    ad, _ = zero_order_hold(m.drift, m.drive, dt)
+    n = m.state_dim if known_inputs else m.total_dim
+    radius = float(np.abs(np.linalg.eigvals(ad[:n, :n])).max())
+    return {"spectral_radius": radius, "growth": radius ** n_steps}
 
 
 def _free_energy_trace(m: ObserverMatrices, estimates: np.ndarray,

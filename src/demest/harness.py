@@ -46,6 +46,7 @@ class ExperimentReport:
     runtimes_s: dict = field(default_factory=dict)
     diverged: list = field(default_factory=list)
     gain_cycles: dict = field(default_factory=dict)
+    observer_growth: dict = field(default_factory=dict)
     passed: bool | None = None
 
     def files(self) -> list[str]:
@@ -115,6 +116,7 @@ def write_report(report: ExperimentReport) -> None:
         "passed": report.passed,
         "diverged": report.diverged,
         "gain_cycles": report.gain_cycles,
+        "observer_growth": report.observer_growth,
         "runtimes_s": {k: round(v, 3) for k, v in report.runtimes_s.items()},
         "environment": _environment(),
     }
@@ -357,24 +359,30 @@ def _cells(results: list, pick) -> list:
             for res in results]
 
 
-def _observer(matrices: dem.ObserverMatrices, columns, pick,
+def _observer(report: ExperimentReport, label: str,
+              matrices: dem.ObserverMatrices, columns, pick,
               known_inputs: bool = False, embeddings: dict | None = None):
-    """Grid estimate: ``pick`` of the observer's estimate ``columns`` (a
-    slice, which each step stores without a fancy-index copy) of each
-    record; all records replay in one batch."""
+    """Grid estimate: ``pick`` of the observer's estimate ``columns`` of
+    each record; all records replay in one batch. Notes the growth of the
+    replayed transition under ``label`` in ``report``."""
     def estimate(records: list[Record]) -> list:
+        data = records[0].data
+        report.observer_growth[label] = dem.replay_growth(
+            matrices, data.dt, data.n_steps, known_inputs)
         return _cells(dem.run_observer_batch(
             matrices, [rec.data for rec in records], known_inputs,
             keep=columns, embeddings=embeddings), pick)
     return estimate
 
 
-def _observer_rate(model: LtiModel, dem_cfg: dem.DemConfig,
-                   embeddings: dict | None = None):
-    """Grid estimate: the observer's roll rate, inputs known."""
-    return _observer(dem.assemble_observer(model, dem_cfg), slice(1, 2),
-                     lambda cols: cols[:, 0].copy(), known_inputs=True,
-                     embeddings=embeddings)
+def _observer_rate(report: ExperimentReport, label: str, model: LtiModel,
+                   dem_cfg: dem.DemConfig, embeddings: dict | None = None):
+    """Axis point ``(label, estimate)``: the observer's roll rate, inputs
+    known."""
+    return label, _observer(report, label,
+                            dem.assemble_observer(model, dem_cfg),
+                            slice(1, 2), lambda cols: cols[:, 0].copy(),
+                            known_inputs=True, embeddings=embeddings)
 
 
 def _gain_cycles(results: list) -> dict | None:
@@ -421,7 +429,8 @@ def _state_estimators(cfg: ExperimentConfig, model: LtiModel,
         return roll_rates("smikf", benchmarks.smikf_batch(
             model, coeffs, [rec.data for rec in records], q, r))
 
-    return [("dem", _observer_rate(model, _dem_config(cfg, spec, model))),
+    return [_observer_rate(report, "dem", model,
+                           _dem_config(cfg, spec, model)),
             ("kalman", kalman), ("state_augmentation", state_augmentation),
             ("smikf", smikf)]
 
@@ -490,8 +499,8 @@ def run_sweep_p(cfg: ExperimentConfig) -> ExperimentReport:
     # Every order replays the inputs at order min(d, p), embedded once.
     inputs = dem.InputMemo()
     cells = _replay(report, records, [
-        (f"dem_p{p}", _observer_rate(
-            model, _dem_config(cfg, spec, model, p=p), inputs))
+        _observer_rate(report, f"dem_p{p}", model,
+                       _dem_config(cfg, spec, model, p=p), inputs)
         for p in p_values])
     chash = report.config_hash
     per_seed, summary = [], []
@@ -531,6 +540,8 @@ def run_landscape(cfg: ExperimentConfig) -> ExperimentReport:
     embeddings = {}
     estimates = _one(dem.run_observer_batch(matrices, [data],
                                             embeddings=embeddings))
+    report.observer_growth["landscape"] = dem.replay_growth(
+        matrices, data.dt, data.n_steps)
     y_gen_series = dem.embed_records([data], "measurements", dem_cfg.p,
                                      embeddings)[:, 0]
 
@@ -583,7 +594,7 @@ def run_input_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     benchmarks.design_uio(model, poles=poles)
     matrices = dem.assemble_observer(model, dem_cfg)
     sd = matrices.state_dim
-    axis = [("dem", _observer(matrices, slice(sd, sd + 1),
+    axis = [("dem", _observer(report, "dem", matrices, slice(sd, sd + 1),
                               lambda cols: cols[:, 0].copy())),
             ("uio", lambda recs: _cells(benchmarks.uio_batch(
                 model, [rec.data for rec in recs], poles=poles),
@@ -632,18 +643,19 @@ def run_prior_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     # Every prior precision replays the same records at the same order.
     embeddings = {}
 
-    def observer(pv):
+    def observer(label, pv):
         spec = observer_noise_spec(cfg, model, input_prior_precision=pv)
         matrices = dem.assemble_observer(
             model, _dem_config(cfg, spec, model, eta_v=ps.eta_v))
         # The roll rate (column 1) and the input (column state_dim).
         sd = matrices.state_dim
-        return _observer(matrices, slice(1, sd + 1, sd - 1),
-                         lambda cols: (cols[:, 1].copy(), cols[:, 0].copy()),
-                         embeddings=embeddings)
+        return label, _observer(
+            report, label, matrices, slice(1, sd + 1, sd - 1),
+            lambda cols: (cols[:, 1].copy(), cols[:, 0].copy()),
+            embeddings=embeddings)
 
     cells = _replay(report, records,
-                    [(f"pv{pv:g}", observer(pv)) for pv in ps.pv_grid])
+                    [observer(f"pv{pv:g}", pv) for pv in ps.pv_grid])
     skip = cfg.run.skip_steps
     chash = report.config_hash
     per_seed, traces, summary = [], [], []

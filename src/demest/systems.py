@@ -1,5 +1,7 @@
 """LTI plant definition, the quadrotor roll model, discrete simulation under
-injected colored noise, input normalization, and flight-log CSV ingestion."""
+injected colored noise, input normalization, flight-log CSV ingestion, and
+the replay driver of every stacked estimator: the linear recurrence
+``x_k = M_k x_{k-1} + w_k``, scanned in chunks where ``M`` repeats."""
 
 from __future__ import annotations
 
@@ -119,36 +121,225 @@ def _one(outcomes: list):
     return outcomes[0]
 
 
-def _replay(x, n_steps: int, advance, keep, message) -> tuple:
-    """The replay driver of every stacked estimator: advance the (S, n, 1)
-    stack ``x`` of S records' states by ``x = advance(k, x)``, which may
-    work in place, for ``n_steps`` steps, and store ``x[:, keep, 0]`` at
-    each. The steps are stacked ``np.matmul`` calls; each slice of one is
-    the same BLAS call as the one-record product, so a record gets the same
-    bits alone or in any batch.
+# Steps per chunk of the scan in ``_replay``: a multiple of 2 and 3, the
+# periods of the flight log's Kalman and SMIKF gains. Shorter chunks
+# lengthen the carry loop, longer ones grow the block matrix quadratically.
+# Median replay times in ms (OpenBLAS on 1 thread, 2.0 GHz Xeon) for chunks
+# of 6/12/18/24/36 steps: 60/37/32/29/26 on the 24,080-step flight log,
+# 47/40/43/51/68 on the windy shoot-out and 36/29/37/36/49 on the prior
+# sweep (20 records of 1204 steps each).
+SCAN_CHUNK = 12
 
-    One ``np.vdot`` checks the whole stack: a non-finite entry makes the sum
-    of squares non-finite, and finite squares whose sum overflows only send
-    the step to the exact per-record check. A record fails at its first
-    non-finite step ``k`` with ``DivergenceError(k, message(record, k))``.
-    Its state then restarts from zero, so the others run on unchanged, and
-    the replay stops once every record has failed.
+# A chunk whose bound on its states reaches this replays step by step.
+SCAN_MARGIN = 1e300
+
+
+def _steps(x, w, steps, keep, rows, failed, message, ids=slice(None),
+           first=0):
+    """Step the records ``ids`` of a replay, whose states are the stack
+    ``x``, through ``x = M_k x + w_k`` for each ``(k, M_k)`` of ``steps``,
+    storing ``x[:, keep, 0]`` in ``rows[k - first]``. A record fails at its
+    first non-finite step; its state restarts from zero, and the loop stops
+    once all of these records have failed. Returns the last state."""
+    labels = np.arange(w.shape[0])[ids]
+    for k, m in steps:
+        x = np.matmul(m, x)
+        x += w[ids, k, :, None]
+        if not math.isfinite(np.vdot(x, x)):
+            bad = ~np.isfinite(x).all(axis=(1, 2))
+            for i in labels[bad].tolist():
+                failed.setdefault(i, DivergenceError(k, message(i, k)))
+            if all(i in failed for i in labels.tolist()):
+                break
+            x[bad] = 0.0
+        rows[k - first] = x[:, keep, 0]
+    return x
+
+
+def _blocks(window, keep):
+    """The chunk operators of the transitions ``window`` of a chunk's steps.
+
+    Step j's state is ``Phi_j x_in + sum_{i <= j} Psi_ji w_i``, where
+    ``Psi_jj = I``, ``Psi_ji = M_j Psi_{j-1,i}``, ``Phi_j = M_j Phi_{j-1}``
+    and ``Phi_{-1} = I``: block row j is block row j - 1 times ``M_j``, in
+    one stacked product. Returns, each with the window's leading (record)
+    axis if any:
+
+    - ``psi`` (L·n, L·k + n): the chunk's drive, as one row, times ``psi``
+      is the k kept states of each step from a zero entering state, then
+      the full state at the chunk's end;
+    - ``phi`` (n, L·k): the entering state's part of the kept states;
+    - ``phi_end`` (n, n): ``Phi`` of the chunk's last step;
+    - ``psi_norm`` and ``phi_norm``: the largest absolute row sums, over
+      every step and state, of the ``Psi_j·`` block rows and of ``Phi_j``.
+    """
+    lead = np.broadcast_shapes(*(m.shape for m in window))[:-2]
+    n, chunk = window[0].shape[-1], len(window)
+    idx = np.arange(n)[keep]
+    k = len(idx)
+    psi = np.zeros(lead + (chunk * n, chunk * k + n))
+    phi = np.empty(lead + (n, chunk * k))
+    psi_norm = phi_norm = np.zeros(lead)
+    row = np.broadcast_to(np.eye(n), lead + (1, n, n))  # [Phi_{-1}]
+    for j, m in enumerate(window):
+        # [Phi_j, Psi_j0, ..., Psi_jj]
+        row = np.concatenate([np.matmul(m[..., None, :, :], row),
+                              row[..., -1:, :, :]], -3)
+        phi[..., j * k:(j + 1) * k] = row[..., 0, idx, :].swapaxes(-1, -2)
+        psi[..., :(j + 1) * n, j * k:(j + 1) * k] = row[
+            ..., 1:, idx, :].swapaxes(-1, -2).reshape(lead + ((j + 1) * n, k))
+        sums = np.abs(row).sum(axis=-1)
+        phi_norm = np.maximum(phi_norm, sums[..., 0, :].max(axis=-1))
+        psi_norm = np.maximum(psi_norm,
+                              sums[..., 1:, :].sum(axis=-2).max(axis=-1))
+    psi[..., chunk * k:] = row[..., 1:, :, :].swapaxes(-1, -2).reshape(
+        lead + (chunk * n, n))
+    return psi, phi, row[..., 0, :, :], psi_norm, phi_norm
+
+
+def _gemm(a, b, first):
+    """``a @ b`` of the (S, C, ·) chunk rows ``a``: one stacked product for
+    a shared ``b``, else record i's own product from its chunk ``first[i]``
+    on (and zeros before), so that every product's shape, and with it the
+    BLAS kernel and its rounding, depends on its own record alone."""
+    if b.ndim == 2:
+        return np.matmul(a, b)
+    out = np.zeros(a.shape[:2] + b.shape[-1:])
+    for i, f in enumerate(first.tolist()):
+        out[i, f:] = a[i, f:] @ b[i]
+    return out
+
+
+def _scan(x, w, transition, first, keep, rows, failed, message):
+    """Replay the whole chunks of ``_replay`` from chunk ``first.min()`` on;
+    record i is scanned from its chunk ``first[i]``, and steps through the
+    chunks before. Returns the state after the last chunk replayed.
+
+    One stacked GEMM gives every chunk's kept states from a zero entering
+    state, and its end state. A loop over the chunks carries each chunk's
+    end state into the next, and a second GEMM adds each chunk's entering
+    state to its kept states.
+
+    A record's chunk is accepted when its bound ``psi_norm·max|w| +
+    phi_norm·max|x_in|`` on every state of every step, kept or not, stays
+    below ``SCAN_MARGIN``, so that no state or partial sum can overflow; a
+    non-finite drive or entering state fails the check, as NaN compares
+    false. Otherwise the record replays the chunk through ``_steps``, which
+    gives its exact ``DivergenceError``, unless it has failed before: then
+    its state only restarts from zero.
+    """
+    (n_records, n_steps, n), chunk = w.shape, SCAN_CHUNK
+    c0, n_chunks = int(first.min()), n_steps // chunk
+    # Each record's transitions over one of its scanned chunks (any chunk
+    # for a record that is not scanned): every such chunk starts at the
+    # same phase of its period.
+    own = np.minimum(first, n_chunks - 1).tolist()
+    window = []
+    for j in range(chunk):
+        ms = {f: transition(f * chunk + j) for f in set(own)}
+        m = ms[c0]
+        if m.ndim == 3 and len(ms) > 1:
+            m = np.stack([ms[f][i] for i, f in enumerate(own)])
+        window.append(m)
+    psi, phi, phi_end, psi_norm, phi_norm = _blocks(window, keep)
+    drive = w[:, c0 * chunk:n_chunks * chunk].reshape(
+        n_records, n_chunks - c0, chunk * n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        wbound = np.asarray(psi_norm)[..., None] * np.maximum(
+            drive.max(axis=2), -drive.min(axis=2))
+        zero_in = _gemm(drive, psi, first - c0)
+    ends = zero_in[..., -n:, None]
+    # A record's chunks before its first scanned one fail the check.
+    wbound[first[:, None] > np.arange(c0, n_chunks)] = np.inf
+    # Most chunks pass on one sum of squares: when every record's drive
+    # term is below half the margin and |x| <= sqrt(x'x) is below half the
+    # margin over the largest phi_norm, every record's bound holds.
+    calm = (wbound < SCAN_MARGIN / 2).all(axis=0).tolist()
+    limit = SCAN_MARGIN / 2 / float(np.max(phi_norm))
+    entering = np.zeros((n_records, n_chunks - c0, n))
+    patches = []
+    for c in range(n_chunks - c0):
+        entering[:, c] = x[..., 0]
+        out = np.matmul(phi_end, x)
+        out += ends[:, c]
+        if not (calm[c] and math.sqrt(np.vdot(x, x)) < limit):
+            with np.errstate(invalid="ignore", over="ignore"):
+                ok = wbound[:, c] + phi_norm * np.abs(x).max(axis=(1, 2)) \
+                    < SCAN_MARGIN
+            dead = np.array([i in failed for i in range(n_records)])
+            out[~ok & dead] = 0.0
+            ids = np.flatnonzero(~ok & ~dead)
+            if ids.size:
+                start = (c0 + c) * chunk
+                steps = [(k, m if m.ndim == 2 else m[ids]) for k, m in (
+                    (k, transition(k)) for k in range(start, start + chunk))]
+                patch = np.zeros((chunk, len(ids)) + rows.shape[2:])
+                out[ids] = _steps(x[ids], w, steps, keep, patch, failed,
+                                  message, ids, start)
+                patches.append((start, ids, patch))
+        x = out
+        if len(failed) == n_records:
+            break
+    done = c + 1
+    kept = zero_in[..., :-n]
+    kept += _gemm(entering, phi, first - c0)
+    start, stop = c0 * chunk, (c0 + done) * chunk
+    rows[start:stop] = kept[:, :done].reshape(
+        n_records, stop - start, -1).swapaxes(0, 1)
+    for start, ids, patch in patches:
+        rows[start:start + chunk, ids] = patch
+    return x
+
+
+def _replay(x, w, keep, message, transition, starts=0, periods=1) -> tuple:
+    """The replay driver of every stacked estimator: the recurrence
+    ``x_k = M_k x_{k-1} + w_k`` of S records' states, from the (S, n, 1)
+    stack ``x`` before step 0, over the (S, T, n) drive ``w``, storing
+    ``x_k[:, keep, 0]`` at each step.
+
+    ``transition(k)`` is ``M_k``: (n, n), shared by the stack, or (S, n,
+    n), one per record. Record i's own ``M_k`` repeats with period
+    ``periods[i]`` from step ``starts[i]`` on (0: it does not repeat);
+    scalars hold for every record.
+
+    The steps fall into chunks of ``SCAN_CHUNK`` steps from step 0. From the
+    first chunk that starts at or after its ``start``, a record whose period
+    divides the chunk length gets every chunk's operators from the same
+    products of its M; if it has at least two such chunks, ``_scan``
+    replays them, and the rest of its steps go one by one. Every product is
+    a stacked ``np.matmul`` whose slices are one record's BLAS call, and
+    which steps of a record are scanned depends on that record alone, so a
+    record gets the same bits alone or in any batch.
+
+    A step checks the whole stack with one ``np.vdot``: a non-finite entry
+    makes the sum of squares non-finite, and finite squares whose sum
+    overflows only send the step to the exact per-record check. A record
+    fails at its first non-finite step ``k`` with ``DivergenceError(k,
+    message(record, k))``, also inside a scanned chunk, which then replays
+    step by step. Its state then restarts from zero, so the others run on
+    unchanged, and the replay stops once every record has failed.
 
     Returns the (T, S, ·) stored rows and the ``{record: DivergenceError}``
     map of the failed records.
     """
+    (n_records, n_steps), chunk = w.shape[:2], SCAN_CHUNK
+    n_chunks = n_steps // chunk
+    starts, periods = (np.broadcast_to(a, n_records) for a in (starts,
+                                                                periods))
+    first = np.where((periods > 0) & (chunk % np.maximum(periods, 1) == 0),
+                     -(-starts // chunk), n_chunks)
+    first[first > n_chunks - 2] = n_chunks
     rows = np.zeros((n_steps,) + x[:, keep, 0].shape)
-    failed, vdot = {}, np.vdot
-    for k in range(n_steps):
-        x = advance(k, x)
-        if not math.isfinite(vdot(x, x)):
-            bad = ~np.isfinite(x).all(axis=(1, 2))
-            for i in np.flatnonzero(bad).tolist():
-                failed.setdefault(i, DivergenceError(k, message(i, k)))
-            if len(failed) == len(x):
-                break
-            x[bad] = 0.0
-        rows[k] = x[:, keep, 0]
+    failed = {}
+    stop = int(first.min()) * chunk
+    x = _steps(x, w, ((k, transition(k)) for k in range(stop)), keep, rows,
+               failed, message)
+    if stop < n_chunks * chunk and len(failed) < n_records:
+        x = _scan(x, w, transition, first, keep, rows, failed, message)
+        stop = n_chunks * chunk
+    if len(failed) < n_records:
+        _steps(x, w, ((k, transition(k)) for k in range(stop, n_steps)),
+               keep, rows, failed, message)
     return rows, failed
 
 

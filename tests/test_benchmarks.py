@@ -293,6 +293,28 @@ class TestUio:
         assert len(set(poles)) == 2
 
 
+# The replays step x_k = M_k x_{k-1} + w_k, with M_k and w_k formed up
+# front, and scan long periodic stretches in chunks, summing each chunk's
+# drive in one GEMM, so their means and estimates move from the per-step
+# references by rounding alone. MEAN_RTOL is about 10 times the
+# worst relative move measured over these tests (1.05e-13, in five runs of
+# their hypothesis properties).
+MEAN_RTOL = 1e-12
+
+
+def _move(got, want):
+    """Largest deviation of ``got`` from ``want``, per column, relative to
+    the column's largest magnitude."""
+    got, want = (np.asarray(a).reshape(len(a), -1) for a in (got, want))
+    scale = np.abs(want).max(axis=0)
+    return float((np.abs(got - want).max(axis=0) / np.where(
+        scale > 0, scale, 1.0)).max())
+
+
+def _near(got, want):
+    return _move(got, want) <= MEAN_RTOL
+
+
 def reference_uio(model, data, poles=None):
     """The UIO written out one step of one record at a time: ``(states,
     inputs)``; raises the ``DivergenceError`` of the first step whose state
@@ -350,9 +372,9 @@ class TestUioBatch:
         for data, res in zip(datas, batch):
             solo = uio(model, data)
             states, inputs = reference_uio(model, data)
-            for got in (res, solo):
-                assert np.array_equal(got.states, states)
-                assert np.array_equal(got.inputs, inputs)
+            assert np.array_equal(res.states, solo.states)
+            assert np.array_equal(res.inputs, solo.inputs)
+            assert _near(res.states, states) and _near(res.inputs, inputs)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308])
     def test_diverging_record_fails_alone(self, value):
@@ -395,8 +417,8 @@ class TestUioBatch:
         assert (batch[0].step, str(batch[0])) == (
             2, str(reference.value))
         states, inputs = reference_uio(model, datas[1], poles=poles)
-        assert np.array_equal(batch[1].states, states)
-        assert np.array_equal(batch[1].inputs, inputs)
+        assert _near(batch[1].states, states)
+        assert _near(batch[1].inputs, inputs)
 
 
 class TestSse:
@@ -467,8 +489,8 @@ def reference_recursion(ad, bd, c, q, r, data, x0, p0, ar=None):
 
 
 class TestSharedRecursionBitwise:
-    """The shared filter loop reproduces the wrapper-based recursion bit for
-    bit, so the benchmark tables do not move."""
+    """The shared filter loop reproduces the covariances of the
+    wrapper-based recursion bit for bit, and its means within MEAN_RTOL."""
 
     def _roll_setup(self, n=400):
         model = quadrotor_roll_model(3.4e-3, 1.274e-3)
@@ -488,7 +510,7 @@ class TestSharedRecursionBitwise:
         result = kalman_filter(ad, bd, model.c, q, r, data)
         means, covs = reference_recursion(ad, bd, model.c, q, r, data,
                                           np.zeros(2), np.eye(2))
-        assert np.array_equal(result.means, means)
+        assert _near(result.means, means)
         assert np.array_equal(result.covariances, covs)
 
     def test_state_augmentation_ar6(self):
@@ -501,7 +523,7 @@ class TestSharedRecursionBitwise:
         means, covs = reference_recursion(
             a_aug, b_aug, c_aug, q_aug, r, data, np.zeros(a_aug.shape[0]),
             block_diag(np.eye(2), noise_cov))
-        assert np.array_equal(result.means, means[:, :2])
+        assert _near(result.means, means[:, :2])
         assert np.array_equal(result.covariances, covs[:, :2, :2])
 
     def test_smikf(self):
@@ -511,7 +533,7 @@ class TestSharedRecursionBitwise:
         means, covs = reference_recursion(ad, bd, model.c, q, r, data,
                                           np.zeros(2), np.eye(2),
                                           ar=np.diag(coeffs))
-        assert np.array_equal(result.means, means)
+        assert _near(result.means, means)
         assert np.array_equal(result.covariances, covs)
 
 
@@ -581,6 +603,18 @@ def _same(batch, solo):
         np.array_equal(batch.covariances, solo.covariances)
 
 
+def _close(result, reference, means=True):
+    """A replay's outcome against a per-step reference: the same divergence
+    step and message, or the same covariance bits and, with ``means``,
+    means within MEAN_RTOL."""
+    if isinstance(reference, DivergenceError):
+        return isinstance(result, DivergenceError) and \
+            (result.step, str(result)) == (reference.step, str(reference))
+    return not isinstance(result, DivergenceError) and \
+        np.array_equal(result.covariances, reference.covariances) and \
+        (not means or _near(result.means, reference.means))
+
+
 def _solo(fn, *args):
     try:
         return fn(*args)
@@ -648,19 +682,19 @@ class TestStackedFilters:
         for i, data in enumerate(datas):
             means, covs = reference_recursion(ad, bd, model.c, q, r, data,
                                               np.zeros(2), np.eye(2))
-            assert np.array_equal(kf[i].means, means)
+            assert _near(kf[i].means, means)
             assert np.array_equal(kf[i].covariances, covs)
             means, covs = reference_recursion(ad, bd, model.c, q, r, data,
                                               np.zeros(2), np.eye(2),
                                               ar=np.diag(coeffs[i]))
-            assert np.array_equal(sm[i].means, means)
+            assert _near(sm[i].means, means)
             assert np.array_equal(sm[i].covariances, covs)
             a_aug, b_aug, c_aug, q_aug, noise_cov = build_augmented_system(
                 ad, bd, model.c, q, ars[i])
             means, covs = reference_recursion(
                 a_aug, b_aug, c_aug, q_aug, r, data, np.zeros(a_aug.shape[0]),
                 block_diag(np.eye(2), noise_cov))
-            assert np.array_equal(sa[i].means, means[:, :2])
+            assert _near(sa[i].means, means[:, :2])
             assert np.array_equal(sa[i].covariances, covs[:, :2, :2])
 
     def test_singular_design_fails_only_its_record(self):
@@ -717,7 +751,9 @@ def _poisoned(data, step):
 class TestPeriodicReplay:
     """Once a covariance recursion revisits a state bit for bit, the filters
     replay only the means over the periodic gains: every record still gets
-    the reference recursion's bits, or its divergence step and message."""
+    the reference recursion's covariance bits and its means within
+    MEAN_RTOL, or its divergence step and message, and the same bits alone
+    or in any batch."""
 
     def _replays(self, model, datas, q, r, coeffs):
         """``(batch, solo, reference)`` outcomes of KF and SMIKF."""
@@ -760,8 +796,8 @@ class TestPeriodicReplay:
         for batch, solo, reference in self._replays(model, datas, q, r,
                                                     coeffs):
             for i in range(len(seeds)):
-                assert _same(batch[i], reference[i]), i
-                assert _same(solo[i], reference[i]), i
+                assert _same(batch[i], solo[i]), i
+                assert _close(solo[i], reference[i]), i
             assert (batch[1].step, batch[2].step) == (early, late)
             assert batch[0].cycle is not None and batch[3].cycle is not None
 
@@ -788,8 +824,8 @@ class TestPeriodicReplay:
                                                     coeffs):
             assert len(batch) == n_records
             for i in range(n_records):
-                assert _same(batch[i], reference[i]), i
-                assert _same(solo[i], reference[i]), i
+                assert _same(batch[i], solo[i]), i
+                assert _close(solo[i], reference[i]), i
 
 
 def _reference_failure(ad, bd, c, q, r, data, p0, ar=None, keep=None):
@@ -826,7 +862,8 @@ def _reference_failure(ad, bd, c, q, r, data, p0, ar=None, keep=None):
 class TestFailureRule:
     """A record fails at the earlier of its design's first bad step and its
     own first non-finite mean, with the step and message of its one-record
-    call and of ``reference_recursion``; the other records run on."""
+    call and of ``reference_recursion``; the other records run on, with
+    their one-record bits."""
 
     @staticmethod
     def _designs(family, model, q, seeds, faults, growths):
@@ -890,8 +927,12 @@ class TestFailureRule:
         for i, design in enumerate(designs):
             reference = _reference_failure(*design[:4], r, datas[i],
                                            *design[4:], keep=2)
-            assert _same(batch[i], reference), (i, batch[i], reference)
-            assert _same(alone[i], reference), (i, alone[i], reference)
+            assert _same(batch[i], alone[i]), (i, batch[i], alone[i])
+            # A grown transition (entries up to 1e100) makes the mean a
+            # difference of huge terms: any two summation orders give
+            # different rounding noise, so only its steps and bits count.
+            assert _close(alone[i], reference, faults[i] != "growth"), (
+                i, alone[i], reference)
 
     def test_singular_shared_design_fails_every_record(self):
         # A negative Q makes the shared design's predicted innovation
@@ -907,7 +948,7 @@ class TestFailureRule:
         for i, data in enumerate(datas):
             reference = _reference_failure(ad, bd, model.c, -np.eye(2), r,
                                            data, np.eye(2))
-            assert _same(batch[i], reference), i
+            assert _close(batch[i], reference), i
         assert [str(e) for e in batch] == [
             "estimator diverged at step 1: innovation covariance not "
             "invertible"] * 2 + [
@@ -1028,7 +1069,7 @@ class TestConvergedReplay:
                 block_diag(np.eye(2), noise_cov))
             means, covs = means[:, :2], covs[:, :2, :2]
             end = res.cycle[0] + 1
-            assert np.array_equal(res.means[:end], means[:end])
+            assert _near(res.means[:end], means[:end])
             assert np.array_equal(res.covariances[:end], covs[:end])
             assert np.all(res.covariances[end:] == covs[end - 1])
             assert np.all(np.abs(res.means - means).max(axis=0)

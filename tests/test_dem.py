@@ -365,11 +365,13 @@ class TestRunObserver:
         v_gen = embed_series(data.inputs, DT, cfg.d)
         eta = generalized_prior(cfg.eta_v, cfg.d)
         x = np.zeros(m.total_dim)
+        stepped = []
         for t in range(data.n_steps):
             x = observer_step(m, x, y_gen[t], eta, DT)
             if known_inputs:
                 x[m.state_dim:] = v_gen[t]
-            assert np.array_equal(run.estimates[t], x)
+            stepped.append(x)
+        assert _move(run.estimates, stepped) <= ESTIMATE_RTOL
 
     @pytest.mark.parametrize("case", ["roll", "expm"])
     @pytest.mark.parametrize("known_inputs", [True, False])
@@ -382,6 +384,24 @@ class TestRunObserver:
         expected = [free_energy(prediction_error(m, x, y, eta), m.precision)
                     for x, y in zip(run.estimates, y_gen)]
         np.testing.assert_allclose(run.vfe, expected, rtol=1e-12)
+
+
+# The replay forms each step's drive up front, with known inputs steps only
+# the state block, and scans long records in chunks, each summing its drive
+# in one GEMM, so the estimates move from the per-step observer by rounding
+# alone.
+# ESTIMATE_RTOL is about 10 times the worst relative move measured over these
+# tests (2.1e-13, in five runs of their hypothesis properties).
+ESTIMATE_RTOL = 2e-12
+
+
+def _move(got, want):
+    """Largest deviation of ``got`` from ``want``, per column, relative to
+    the column's largest magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = np.abs(want).max(axis=0)
+    return float((np.abs(got - want).max(axis=0) / np.where(
+        scale > 0, scale, 1.0)).max())
 
 
 def roll_records(seeds, n_steps):
@@ -424,9 +444,13 @@ class TestRunObserverBatch:
         batch = run_observer_batch(m, datas, known_inputs, keep=keep)
         assert len(batch) == n_records
         for data, kept in zip(datas, batch):
+            alone, = run_observer_batch(m, [data], known_inputs, keep=keep)
+            assert np.array_equal(kept, alone)
+            # A scanned chunk forms only the kept columns, in a product
+            # whose rounding depends on how many there are.
             solo = _solo(m, data, known_inputs)
-            assert np.array_equal(kept, solo if keep is None
-                                  else solo[:, keep])
+            assert _move(kept, solo if keep is None else solo[:, keep]) \
+                <= ESTIMATE_RTOL
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308])
     @pytest.mark.parametrize("known_inputs", [True, False])

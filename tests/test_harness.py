@@ -215,6 +215,23 @@ class TestBenchmarkStateExperiment:
             assert 0 < steps[0] < benchmarks.CYCLE_WINDOW
             assert all(1 <= period < steps[0] for period in periods)
 
+    def test_manifest_records_the_observer_growth(self, tmp_path):
+        # The shipped roll observer's state block is marginally unstable:
+        # spectral radius 1.0000213 a step, a growth of 1.67 over the
+        # 24,080-step flight log. The tables do not change.
+        raw = serialize_config(
+            load_config_file(CONFIG_DIR / "benchmark_state_windy.json"))
+        raw["output_dir"] = str(tmp_path)
+        report = run_experiment(parse_config(raw))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["observer_growth"] == report.observer_growth
+        dem_growth = manifest["observer_growth"]["dem"]
+        radius = dem_growth["spectral_radius"]
+        assert radius == pytest.approx(1.0000213, abs=1e-7)
+        assert dem_growth["growth"] == pytest.approx(
+            radius ** raw["run"]["n_steps"], rel=1e-12)
+        assert radius ** 24080 == pytest.approx(1.67, abs=0.005)
+
     def test_one_diverging_record_leaves_one_empty_cell(self, report,
                                                         monkeypatch):
         # Seed 2 gets an inf measurement inside the Kalman batch only: its
@@ -261,7 +278,7 @@ class TestBenchmarkStateExperiment:
             data=replace(data, measurements=ys))
         spec = harness.observer_noise_spec(cfg, model)
         dem_cfg = harness._dem_config(cfg, spec, model)
-        axis = [("dem", harness._observer_rate(model, dem_cfg))]
+        axis = [harness._observer_rate(report, "dem", model, dem_cfg)]
         with np.errstate(invalid="ignore"):
             cells = harness._replay(report, poisoned, axis)
             with pytest.raises(DivergenceError) as solo:

@@ -201,9 +201,10 @@ print(np.array(out).view(np.uint64).tolist())
 """
 
 
-def test_table_reductions_do_not_depend_on_blas_threads():
-    # OpenBLAS splits a long dot product across its threads, which changes
-    # the summation order, so the bits would depend on the thread count.
+def _outputs_by_blas_threads(script):
+    """``script``'s standard output with OpenBLAS on 1 and on 2 threads."""
+    # OpenBLAS splits a long product across its threads, which can change
+    # the summation order, so the bits could depend on the thread count.
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     if cores < 2:
@@ -215,10 +216,47 @@ def test_table_reductions_do_not_depend_on_blas_threads():
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        [src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", _REDUCTIONS], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
+    return outputs
+
+
+def test_table_reductions_do_not_depend_on_blas_threads():
+    outputs = _outputs_by_blas_threads(_REDUCTIONS)
+    assert outputs[0] == outputs[1]
+
+
+# Prints the bits of the DEM observer's and SA-AR6's scans of one record of
+# the flight log's length (24,080 steps) from the shipped windy config: GEMMs
+# with an inner dimension of a chunk times the state dimension.
+_SCANS = """
+import dataclasses, hashlib
+import numpy as np
+from demest import benchmarks, dem, harness
+from demest.config import load_config_file
+cfg = load_config_file(%r)
+cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, n_steps=24080))
+model = harness.build_model(cfg)
+rec = harness.get_record(cfg, 1, model)
+spec = harness.observer_noise_spec(cfg, model)
+m = dem.assemble_observer(model, harness._dem_config(cfg, spec, model))
+est, = dem.run_observer_batch(m, [rec.data], True, keep=slice(1, 2))
+q, r = benchmarks.default_noise_matrices(spec, cfg.run.dt)
+ars = [benchmarks.fit_ar(rec.w_fit[:, i], 6) for i in range(model.n)]
+sa, = benchmarks.state_augmentation_filter_batch(model, [ars], [rec.data],
+                                                 q, r)
+print(sa.cycle, hashlib.sha256(est.tobytes() + sa.means.tobytes()).hexdigest())
+"""
+
+
+def test_scans_do_not_depend_on_blas_threads():
+    config = Path(__file__).resolve().parent.parent / "configs" / \
+        "benchmark_state_windy.json"
+    outputs = _outputs_by_blas_threads(_SCANS % str(config))
+    # SA-AR6 freezes its gain, so both replays scan almost all their steps.
+    assert outputs[0].startswith("(512, 0) ")
     assert outputs[0] == outputs[1]
 
 
