@@ -289,8 +289,8 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
         np.asarray(x0, dtype=float)[..., None], (n_records, n, 1))
     # w_k = Bd v_{k-1} + G_k (y_k - C Bd v_{k-1}), with v_{-1} = 0: the
     # prediction's drive and the update, in one product for the steps
-    # before the switch and one per phase of the cycle after it. Record by
-    # record, so that no temporary is as large as w.
+    # before the switch and one per phase of the record's own period after
+    # it. Record by record, so that no temporary is as large as w.
     w = np.zeros((n_records, n_steps, n))
     for i, d in enumerate(design):
         np.matmul(vs[i, :-1], bd.T, out=w[i, 1:])
@@ -298,8 +298,9 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
         head = np.stack([g[d] for g in gains[:switch]])
         w[i, :len(head)] += np.matmul(
             head, innovation[:len(head), :, None])[..., 0]
-        for j in range(switch, len(gains)):
-            w[i, j::period] += innovation[j::period] @ gains[j][d].T
+        own = periods[d] if switch < len(gains) else 0
+        for j in range(switch, switch + own):
+            w[i, j::own] += innovation[j::own] @ gains[j][d].T
     eye, c_ad = np.eye(n), c @ ad
 
     def transition(k):

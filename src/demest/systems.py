@@ -121,11 +121,11 @@ def _one(outcomes: list):
     return outcomes[0]
 
 
-# Steps per chunk of the scan in ``_replay``: a multiple of 2 and 3, the
-# periods of the flight log's Kalman and SMIKF gains. Shorter chunks
-# lengthen the carry loop, longer ones grow the block matrix quadratically.
-# Median replay times in ms (OpenBLAS on 1 thread, 2.0 GHz Xeon) for chunks
-# of 6/12/18/24/36 steps: 60/37/32/29/26 on the 24,080-step flight log,
+# Most steps per chunk of the scan in ``_replay``; a record's chunk is the
+# most whole periods of its M that fit. Shorter chunks lengthen the carry
+# loop, longer ones grow the block matrix quadratically. Median replay
+# times in ms (OpenBLAS on 1 thread, 2.0 GHz Xeon) for chunks of
+# 6/12/18/24/36 steps: 60/37/32/29/26 on the 24,080-step flight log,
 # 47/40/43/51/68 on the windy shoot-out and 36/29/37/36/49 on the prior
 # sweep (20 records of 1204 steps each).
 SCAN_CHUNK = 12
@@ -210,10 +210,11 @@ def _gemm(a, b, first):
     return out
 
 
-def _scan(x, w, transition, first, keep, rows, failed, message):
-    """Replay the whole chunks of ``_replay`` from chunk ``first.min()`` on;
-    record i is scanned from its chunk ``first[i]``, and steps through the
-    chunks before. Returns the state after the last chunk replayed.
+def _scan(x, w, transition, chunk, first, keep, rows, failed, message):
+    """Replay the whole chunks of ``chunk`` steps of ``_replay`` from chunk
+    ``first.min()`` on; record i is scanned from its chunk ``first[i]``, and
+    steps through the chunks before. Returns the state after the last chunk
+    replayed.
 
     One stacked GEMM gives every chunk's kept states from a zero entering
     state, and its end state. A loop over the chunks carries each chunk's
@@ -228,7 +229,7 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
     gives its exact ``DivergenceError``, unless it has failed before: then
     its state only restarts from zero.
     """
-    (n_records, n_steps, n), chunk = w.shape, SCAN_CHUNK
+    n_records, n_steps, n = w.shape
     c0, n_chunks = int(first.min()), n_steps // chunk
     # Each record's transitions over one of its scanned chunks (any chunk
     # for a record that is not scanned): every such chunk starts at the
@@ -302,14 +303,16 @@ def _replay(x, w, keep, message, transition, starts=0, periods=1) -> tuple:
     ``periods[i]`` from step ``starts[i]`` on (0: it does not repeat);
     scalars hold for every record.
 
-    The steps fall into chunks of ``SCAN_CHUNK`` steps from step 0. From the
-    first chunk that starts at or after its ``start``, a record whose period
-    divides the chunk length gets every chunk's operators from the same
-    products of its M; if it has at least two such chunks, ``_scan``
-    replays them, and the rest of its steps go one by one. Every product is
-    a stacked ``np.matmul`` whose slices are one record's BLAS call, and
-    which steps of a record are scanned depends on that record alone, so a
-    record gets the same bits alone or in any batch.
+    A record whose period P is at most ``SCAN_CHUNK`` has chunks of the most
+    whole periods that fit, ``SCAN_CHUNK // P * P`` steps, on a grid from
+    step 0. From its first chunk that starts at or after its ``start``,
+    every chunk gets the same operators from products of its M; if it has
+    at least two such chunks, ``_scan`` replays them, and the rest of its
+    steps go one by one. Records with other chunk lengths replay as
+    separate stacks. Every product is a stacked ``np.matmul`` whose slices
+    are one record's BLAS call, and which steps of a record are scanned
+    depends on that record alone, so a record gets the same bits alone or
+    in any batch.
 
     A step checks the whole stack with one ``np.vdot``: a non-finite entry
     makes the sum of squares non-finite, and finite squares whose sum
@@ -322,20 +325,34 @@ def _replay(x, w, keep, message, transition, starts=0, periods=1) -> tuple:
     Returns the (T, S, ·) stored rows and the ``{record: DivergenceError}``
     map of the failed records.
     """
-    (n_records, n_steps), chunk = w.shape[:2], SCAN_CHUNK
-    n_chunks = n_steps // chunk
+    n_records, n_steps = w.shape[:2]
     starts, periods = (np.broadcast_to(a, n_records) for a in (starts,
                                                                 periods))
-    first = np.where((periods > 0) & (chunk % np.maximum(periods, 1) == 0),
-                     -(-starts // chunk), n_chunks)
-    first[first > n_chunks - 2] = n_chunks
+    chunks = np.where((periods > 0) & (periods <= SCAN_CHUNK),
+                      SCAN_CHUNK // np.maximum(periods, 1) * periods, 0)
+    first = -(-starts // np.maximum(chunks, 1))
+    chunks[n_steps // np.maximum(chunks, 1) - first < 2] = 0
     rows = np.zeros((n_steps,) + x[:, keep, 0].shape)
     failed = {}
+    if len(set(chunks.tolist())) > 1:
+        for chunk in set(chunks.tolist()):
+            ids = np.flatnonzero(chunks == chunk)
+            part, part_failed = _replay(
+                x[ids], w[ids], keep, lambda i, k: message(ids[i], k),
+                lambda k: m if (m := transition(k)).ndim == 2 else m[ids],
+                starts[ids], periods[ids])
+            rows[:, ids] = part
+            failed.update((ids[i].item(), e) for i, e in part_failed.items())
+        return rows, failed
+    chunk = int(chunks[0])
+    n_chunks = n_steps // chunk if chunk else 0
+    first = first if chunk else np.full(n_records, n_chunks)
     stop = int(first.min()) * chunk
     x = _steps(x, w, ((k, transition(k)) for k in range(stop)), keep, rows,
                failed, message)
     if stop < n_chunks * chunk and len(failed) < n_records:
-        x = _scan(x, w, transition, first, keep, rows, failed, message)
+        x = _scan(x, w, transition, chunk, first, keep, rows, failed,
+                  message)
         stop = n_chunks * chunk
     if len(failed) < n_records:
         _steps(x, w, ((k, transition(k)) for k in range(stop, n_steps)),

@@ -144,7 +144,7 @@ class TestScan:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_records=st.sampled_from([1, 3]),
            n=st.integers(1, 6), prefix=st.integers(0, 40),
-           period=st.sampled_from([1, 2, 3]), per_record=st.booleans(),
+           period=st.sampled_from([1, 2, 3, 5, 7]), per_record=st.booleans(),
            all_kept=st.booleans(), draw=st.data())
     def test_rows_match_the_reference_and_one_record_batches(
             self, seed, n_records, n, prefix, period, per_record, all_kept,
@@ -173,7 +173,7 @@ class TestScan:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_records=st.sampled_from([1, 3]),
            n=st.integers(1, 4), prefix=st.integers(0, 40),
-           period=st.sampled_from([1, 2, 3]), per_record=st.booleans(),
+           period=st.sampled_from([1, 2, 3, 5, 7]), per_record=st.booleans(),
            value=st.sampled_from([np.inf, -np.inf, np.nan, 1e308]),
            draw=st.data())
     def test_divergence_matches_the_step_by_step_path(
@@ -200,6 +200,30 @@ class TestScan:
                 assert one[0].step == failed[i].step
             else:
                 assert not one and np.array_equal(alone[:, 0], rows[:, i])
+
+    def test_records_of_other_periods_replay_apart(self):
+        # Periods 1, 5, 7 and 13: chunks of 12, 10 and 7 steps, and no scan;
+        # each record gets its own bits in the stack.
+        periods = np.array([1, 5, 7, 13])
+        rng = np.random.default_rng(11)
+        cycles = [np.stack([_random_transition(rng, 3, 1.00003)
+                            for _ in range(p)]) for p in periods]
+
+        def transition(k, ids=range(len(periods))):
+            return np.stack([cycles[i][k % periods[i]] for i in ids])
+
+        x = rng.standard_normal((4, 3, 1))
+        w = rng.standard_normal((4, 100, 3))
+        rows, failed = systems._replay(x, w, slice(0, 2), str, transition,
+                                       0, periods)
+        steps, _ = systems._replay(x, w, slice(0, 2), str, transition, 0, 0)
+        assert not failed
+        assert np.abs(rows - steps).max() <= 1e-12 * np.abs(steps).max()
+        for i in range(4):
+            alone, _ = systems._replay(
+                x[i:i + 1], w[i:i + 1], slice(0, 2), str,
+                lambda k: transition(k, [i]), 0, periods[i:i + 1])
+            assert np.array_equal(alone[:, 0], rows[:, i])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_records=st.sampled_from([1, 3]),
