@@ -231,16 +231,14 @@ def _scan(x, w, transition, chunk, first, keep, rows, failed, message):
     """
     n_records, n_steps, n = w.shape
     c0, n_chunks = int(first.min()), n_steps // chunk
-    # Each record's transitions over one of its scanned chunks (any chunk
-    # for a record that is not scanned): every such chunk starts at the
-    # same phase of its period.
-    own = np.minimum(first, n_chunks - 1).tolist()
+    # Each record's transitions over its first scanned chunk: every later
+    # one starts at the same phase of its period.
     window = []
     for j in range(chunk):
-        ms = {f: transition(f * chunk + j) for f in set(own)}
+        ms = {f: transition(f * chunk + j) for f in set(first.tolist())}
         m = ms[c0]
         if m.ndim == 3 and len(ms) > 1:
-            m = np.stack([ms[f][i] for i, f in enumerate(own)])
+            m = np.stack([ms[f][i] for i, f in enumerate(first.tolist())])
         window.append(m)
     psi, phi, phi_end, psi_norm, phi_norm = _blocks(window, keep)
     drive = w[:, c0 * chunk:n_chunks * chunk].reshape(
@@ -346,7 +344,6 @@ def _replay(x, w, keep, message, transition, starts=0, periods=1) -> tuple:
         return rows, failed
     chunk = int(chunks[0])
     n_chunks = n_steps // chunk if chunk else 0
-    first = first if chunk else np.full(n_records, n_chunks)
     stop = int(first.min()) * chunk
     x = _steps(x, w, ((k, transition(k)) for k in range(stop)), keep, rows,
                failed, message)
