@@ -298,7 +298,7 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
         head = np.stack([g[d] for g in gains[:switch]])
         w[i, :len(head)] += np.matmul(
             head, innovation[:len(head), :, None])[..., 0]
-        own = periods[d] if switch < len(gains) else 0
+        own = min(periods[d], len(gains) - switch)  # the tail may be shorter
         for j in range(switch, switch + own):
             w[i, j::own] += innovation[j::own] @ gains[j][d].T
     eye, c_ad = np.eye(n), c @ ad
