@@ -39,11 +39,8 @@ MAX_AUGMENTED_DIM = 128
 NOT_INVERTIBLE = "innovation covariance not invertible"
 NON_FINITE = "non-finite filter state"
 
-# Steps within which a filter looks for an exact cycle of its covariance
-# recursion. From then on, a design that has not cycled (SA-AR6 does not)
-# freezes its gain at the first step that moves it by at most
-# CONVERGED_RTOL of its largest entry.
-CYCLE_WINDOW = 512
+# A filter's design freezes its gain at the first step that moves its gain
+# and its covariance state by at most CONVERGED_RTOL of their largest entry.
 CONVERGED_RTOL = 1e-12
 
 
@@ -107,28 +104,27 @@ def default_noise_matrices(noise: NoiseSpec, dt: float) -> tuple[np.ndarray, np.
     return 0.5 * (q + q.T), 0.5 * (r + r.T)
 
 
-def _bits(a: np.ndarray) -> np.ndarray:
-    """``a``'s float64 entries as integers, so that ``==`` compares bits."""
-    return a.view(np.uint64)
+def _still(new, old) -> np.ndarray:
+    """Per slice of the (D, ·, ·) stacks: whether ``new`` moved from ``old``
+    by at most ``CONVERGED_RTOL`` of its largest entry (False if either is
+    not finite)."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(new - old).max(axis=(-2, -1)) <= \
+            CONVERGED_RTOL * np.abs(new).max(axis=(-2, -1))
 
 
 def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     """Gain schedule of ``_filter``: the covariance recursion, which never
     reads the data, over the (D, n, n) stack ``p`` of design slices.
 
-    In floating point the recursion often enters an exact cycle: a slice's
-    state ``(P, cross)`` returns bit for bit to an earlier one. Within the
-    first ``CYCLE_WINDOW`` steps each slice's state is compared with one
-    saved state, re-saved at steps 0, 1, 2, 4, 8, ... (Brent, BIT 20, 1980);
-    a slice whose state matches repeats, from the saved step on, the gains
-    and covariances of the steps since. A slice that has not cycled within
-    the window freezes its gain at the first step ``f`` where ``max|G_f -
-    G_{f-1}| <= CONVERGED_RTOL * max|G_f|``: from then on it restarts every
-    step from step ``f``'s state, a cycle of period 1. Once every slice has
-    cycled, the pass stops, and the rest of the schedule refers to the
-    cycles' gains: the same bits as the full recursion, from one array of at
-    most the least common multiple of the periods (one gain for a frozen
-    stack).
+    The recursion converges to a fixed point (Anderson & Moore, *Optimal
+    Filtering*, 1979, ch. 4). A slice freezes at the first step ``f >= 1``
+    where its gain and its state ``(P, cross)`` each moved by at most
+    ``CONVERGED_RTOL`` of their largest entry since step ``f - 1``: from
+    then on it restarts every step from step ``f``'s state, so its gain and
+    covariance keep step ``f``'s bits. The gain alone is not enough: it can
+    settle while P grows without bound. Once every slice has frozen, the
+    pass stops.
 
     A slice fails at its first step with a singular innovation covariance or
     a non-finite posterior covariance, and leaves the stack; its gain at that
@@ -137,12 +133,12 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     routines behind ``cho_factor``/``cho_solve``, without their wrappers'
     per-step checks.
 
-    Returns the (D, n, m) gains of the steps before the switch, then of one
-    period of the cycles (step k >= switch repeats step switch + (k -
-    switch) % period), the switch step, the ``(starts, periods)`` arrays
-    from which each slice's own gains repeat (period 0 if they do not), the
-    (T, D, keep, keep) kept covariance blocks, each slice's
-    ``KalmanResult.cycle`` and the set of singular ``(slice, step)`` pairs.
+    Returns the (D, n, m) gains of the steps before the switch, then one
+    step's gains that every later step repeats, the switch step, the
+    ``(starts, periods)`` arrays from which each slice's own gains repeat
+    (period 0 if they do not), the (T, D, keep, keep) kept covariance
+    blocks, each slice's ``KalmanResult.cycle`` and the set of singular
+    ``(slice, step)`` pairs.
     """
     n_designs, n = p.shape[:2]
     m = c.shape[0]
@@ -151,31 +147,19 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     ad_t = ad.swapaxes(-1, -2)
     covs = np.empty((n_steps, n_designs, kept, kept))
     live, rows, singular = np.arange(n_designs), slice(None), set()
-    # Cycle search: the saved state (after the window, a frozen slice's
-    # state) and the step it was saved at, and the start and period of each
-    # slice's cycle (period 0 until it is found; start >= CYCLE_WINDOW marks
-    # a frozen gain).
-    gains, gain, saved, saved_at = [], None, None, None
-    start = period = np.zeros(n_designs, dtype=int)
+    # Each live slice's freeze step (n_steps until it freezes) and the state
+    # it restarts from once frozen.
+    gains, gain, last = [], None, None
+    start = np.full(n_designs, n_steps)
+    saved = (p, cross)
     switch = n_steps
     for k in range(n_steps):
-        if k < CYCLE_WINDOW:
-            if saved is not None:
-                same = (_bits(p) == _bits(saved[0])).all(axis=(-2, -1))
-                if ar is not None:
-                    same &= (_bits(cross) == _bits(saved[1])).all(
-                        axis=(-2, -1))
-                found = same & (period == 0)
-                start = np.where(found, saved_at, start)
-                period = np.where(found, k - saved_at, period)
-            if k & (k - 1) == 0:
-                saved, saved_at = (p.copy(), cross.copy()), k
-        if period.all():
+        frozen = start < n_steps
+        if frozen.all():
             switch = k
             break
-        frozen = (start >= CYCLE_WINDOW)[:, None, None]
         if frozen.any():
-            p, cross = (np.where(frozen, a, b)
+            p, cross = (np.where(frozen[:, None, None], a, b)
                         for a, b in zip(saved, (p, cross)))
         cp = c @ p
         s = cp @ c.T + r
@@ -187,15 +171,14 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
             else:
                 gain[i] = np.nan
                 stuck.append(i)
-        if k >= CYCLE_WINDOW:
-            moved = np.abs(gain - prev).max(axis=(-2, -1))
-            settled = (period == 0) & (
-                moved <= CONVERGED_RTOL * np.abs(gain).max(axis=(-2, -1)))
+        if k:
+            settled = ~frozen & _still(gain, prev) & _still(p, last[0]) & \
+                _still(cross, last[1])
             if settled.any():
                 start = np.where(settled, k, start)
-                period = np.where(settled, 1, period)
                 saved = tuple(np.where(settled[:, None, None], a, b)
                               for a, b in zip((p, cross), saved))
+        last = p, cross
         ikc = eye - gain @ c
         p = ikc @ p @ ikc.swapaxes(-1, -2) + gain @ r @ gain.swapaxes(-1, -2)
         # A non-finite entry makes the sum of squares non-finite; finite
@@ -215,9 +198,9 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
                 break
             ok = ~fail
             live = rows = live[ok]
-            p, cross, ikc, gain, start, period = (
-                a[ok] for a in (p, cross, ikc, gain, start, period))
-            saved = tuple(a[ok] for a in saved)
+            p, cross, ikc, gain, start = (
+                a[ok] for a in (p, cross, ikc, gain, start))
+            saved, last = (tuple(a[ok] for a in t) for t in (saved, last))
             ad, ad_t, q, ar = (a[ok] if a is not None and a.ndim == 3 else a
                                for a in (ad, ad_t, q, ar))
         if ar is None:
@@ -230,12 +213,11 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     cycles = [None] * n_designs
     starts, periods = np.zeros(n_designs, dtype=int), np.zeros(n_designs,
                                                               dtype=int)
+    period = (start < n_steps).astype(int)
     starts[live], periods[live] = start, period
     for d, step, length in zip(live.tolist(), start.tolist(), period.tolist()):
-        if step >= CYCLE_WINDOW:
+        if length:
             cycles[d] = (step, 0)
-        elif switch < n_steps:
-            cycles[d] = (switch, length)
     if switch < n_steps:
         # Step k of slice i repeats step start_i + (k - start_i) % period_i,
         # and the gains repeat with the least common multiple of the periods.

@@ -191,9 +191,9 @@ class TestBenchmarkStateExperiment:
         assert env["numpy_blas"] and env["scipy_blas"]
 
     def test_manifest_records_the_gain_cycles(self, tmp_path):
-        # On the shipped windy config the KF and SMIKF covariance recursions
-        # cycle, and replay only the means from then on; SA-AR6's does not,
-        # and each record freezes its gain once it stops moving (period 0).
+        # On the shipped windy config each filter's gain freezes early in
+        # the record, and only the means replay from then on: KF's one
+        # shared design at one step, SA-AR6 and SMIKF per record.
         raw = serialize_config(
             load_config_file(CONFIG_DIR / "benchmark_state_windy.json"))
         raw["output_dir"] = str(tmp_path)
@@ -202,18 +202,13 @@ class TestBenchmarkStateExperiment:
         cycles = manifest["gain_cycles"]
         assert cycles == report.gain_cycles
         assert set(cycles) == {"kalman", "state_augmentation", "smikf"}
-        frozen = cycles["state_augmentation"]
-        assert len(frozen["switch_step"]) == len(raw["seeds"])
-        assert all(step >= benchmarks.CYCLE_WINDOW
-                   for step in frozen["switch_step"])
-        assert set(frozen["period"]) == {0}
-        for name in ("kalman", "smikf"):
-            steps, periods = cycles[name]["switch_step"], cycles[name]["period"]
-            assert len(steps) == len(periods) == len(raw["seeds"])
-            # One stacked replay switches once, when every record has cycled.
-            assert len(set(steps)) == 1
-            assert 0 < steps[0] < benchmarks.CYCLE_WINDOW
-            assert all(1 <= period < steps[0] for period in periods)
+        for name, entry in cycles.items():
+            steps = entry["switch_step"]
+            assert len(steps) == len(raw["seeds"])
+            assert all(0 < step < raw["run"]["n_steps"] // 4
+                       for step in steps)
+            assert set(entry["period"]) == {0}
+        assert len(set(cycles["kalman"]["switch_step"])) == 1
 
     def test_manifest_records_the_observer_growth(self, tmp_path):
         # The shipped roll observer's state block is marginally unstable:

@@ -247,7 +247,7 @@ q, r = benchmarks.default_noise_matrices(spec, cfg.run.dt)
 ars = [benchmarks.fit_ar(rec.w_fit[:, i], 6) for i in range(model.n)]
 sa, = benchmarks.state_augmentation_filter_batch(model, [ars], [rec.data],
                                                  q, r)
-print(sa.cycle, hashlib.sha256(est.tobytes() + sa.means.tobytes()).hexdigest())
+print(sa.cycle[0], hashlib.sha256(est.tobytes() + sa.means.tobytes()).hexdigest())
 """
 
 
@@ -255,8 +255,9 @@ def test_scans_do_not_depend_on_blas_threads():
     config = Path(__file__).resolve().parent.parent / "configs" / \
         "benchmark_state_windy.json"
     outputs = _outputs_by_blas_threads(_SCANS % str(config))
-    # SA-AR6 freezes its gain, so both replays scan almost all their steps.
-    assert outputs[0].startswith("(512, 0) ")
+    # SA-AR6 freezes its gain early in the record, so both replays scan
+    # almost all their steps.
+    assert int(outputs[0].split()[0]) < 1000
     assert outputs[0] == outputs[1]
 
 
