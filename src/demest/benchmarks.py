@@ -5,11 +5,12 @@ variant), the unknown input observer, plus AR fitting and the SSE metric.
 The Kalman filter, the state-augmentation filter (a Kalman filter on the
 augmented system) and SMIKF share one predict/update recursion; SMIKF only
 adds the AR(1) cross term to its prediction. It runs in two passes: a gain
-schedule per design, which never reads the data, then one pass of the means
-of a stack of records over it. The means, like the UIO's observer states,
-are a linear recurrence ``x_k = M_k x_{k-1} + w_k``, handed to the replay
-driver ``systems._replay`` as its transitions, periodic once the gains
-cycle, and a drive built up front; the driver scans long periodic stretches
+schedule per design, which never reads the data and freezes each design's
+gain once it has converged, then one pass of the means of a stack of
+records over it. The means, like the UIO's observer states, are a linear
+recurrence ``x_k = M_k x_{k-1} + w_k``, handed to the replay driver
+``systems._replay`` as its transitions, constant from each record's freeze
+step, and a drive built up front; the driver scans the constant stretches
 in chunks. Each filter and the UIO have a ``*_batch`` entry that replays a
 list of records as one stack, and a one-record entry that replays a batch
 of one and raises its ``DivergenceError``.
@@ -90,10 +91,10 @@ def fit_ar(series, order: int) -> ArModel:
 class KalmanResult(NamedTuple):
     means: np.ndarray        # (T, n) filtered means
     covariances: np.ndarray  # (T, n, n) filtered covariances
-    # (step, period): from ``step`` on, the covariance recursion repeated
-    # with ``period`` and only the means were replayed; period 0 marks a gain
-    # frozen at ``step``, once it had stopped moving. None if neither.
-    cycle: tuple[int, int] | None = None
+    # The step at which the gain froze: from then on the covariance
+    # recursion restarted from that step's state and only the means were
+    # replayed. None if it did not freeze.
+    freeze: int | None = None
 
 
 def default_noise_matrices(noise: NoiseSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +125,7 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     then on it restarts every step from step ``f``'s state, so its gain and
     covariance keep step ``f``'s bits. The gain alone is not enough: it can
     settle while P grows without bound. Once every slice has frozen, the
-    pass stops.
+    pass stops, and every later step repeats the last step's gains.
 
     A slice fails at its first step with a singular innovation covariance or
     a non-finite posterior covariance, and leaves the stack; its gain at that
@@ -133,12 +134,9 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     routines behind ``cho_factor``/``cho_solve``, without their wrappers'
     per-step checks.
 
-    Returns the (D, n, m) gains of the steps before the switch, then one
-    step's gains that every later step repeats, the switch step, the
-    ``(starts, periods)`` arrays from which each slice's own gains repeat
-    (period 0 if they do not), the (T, D, keep, keep) kept covariance
-    blocks, each slice's ``KalmanResult.cycle`` and the set of singular
-    ``(slice, step)`` pairs.
+    Returns the (D, n, m) gains of the steps of the pass, each slice's
+    freeze step (``T`` if it did not freeze), the (T, D, keep, keep) kept
+    covariance blocks and the set of singular ``(slice, step)`` pairs.
     """
     n_designs, n = p.shape[:2]
     m = c.shape[0]
@@ -152,11 +150,9 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     gains, gain, last = [], None, None
     start = np.full(n_designs, n_steps)
     saved = (p, cross)
-    switch = n_steps
     for k in range(n_steps):
         frozen = start < n_steps
         if frozen.all():
-            switch = k
             break
         if frozen.any():
             p, cross = (np.where(frozen[:, None, None], a, b)
@@ -194,12 +190,12 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
         gains[-1][rows] = gain
         covs[k, rows] = p[:, :kept, :kept]
         if fail is not None and fail.any():
-            if fail.all():
-                break
             ok = ~fail
             live = rows = live[ok]
-            p, cross, ikc, gain, start = (
-                a[ok] for a in (p, cross, ikc, gain, start))
+            start = start[ok]
+            if not live.size:
+                break
+            p, cross, ikc, gain = (a[ok] for a in (p, cross, ikc, gain))
             saved, last = (tuple(a[ok] for a in t) for t in (saved, last))
             ad, ad_t, q, ar = (a[ok] if a is not None and a.ndim == 3 else a
                                for a in (ad, ad_t, q, ar))
@@ -210,24 +206,11 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
             ad_psi = ad @ (ikc @ cross)
             p = ad @ p @ ad_t + q + ad_psi + ad_psi.swapaxes(-1, -2)
             cross = (ad_psi + q) @ ar.swapaxes(-1, -2)
-    cycles = [None] * n_designs
-    starts, periods = np.zeros(n_designs, dtype=int), np.zeros(n_designs,
-                                                              dtype=int)
-    period = (start < n_steps).astype(int)
-    starts[live], periods[live] = start, period
-    for d, step, length in zip(live.tolist(), start.tolist(), period.tolist()):
-        if length:
-            cycles[d] = (step, 0)
-    if switch < n_steps:
-        # Step k of slice i repeats step start_i + (k - start_i) % period_i,
-        # and the gains repeat with the least common multiple of the periods.
-        phase = start + (np.arange(switch, n_steps)[:, None] - start) % period
-        covs[switch:, live] = covs[phase, live]
-        phase, first = phase[:math.lcm(*period.tolist())], int(phase.min())
-        repeat = np.zeros((len(phase), n_designs, n, m))
-        repeat[:, live] = np.stack(gains[first:])[phase - first, live]
-        gains[switch:] = list(repeat)
-    return gains, switch, (starts, periods), covs, cycles, singular
+    freeze = np.full(n_designs, n_steps)
+    freeze[live] = start
+    if len(gains) < n_steps:  # every live slice froze, or none is left
+        covs[len(gains):, live] = covs[start, live]
+    return gains, freeze, covs, singular
 
 
 def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
@@ -264,41 +247,39 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
     n_designs = n_records if stacked else 1
     design = list(range(n_records)) if stacked else [0] * n_records
     kept = n if keep is None else keep
-    gains, switch, (starts, periods), covs, cycles, singular = _schedule(
+    gains, freeze, covs, singular = _schedule(
         ad, c, q, r, np.broadcast_to(p, (n_designs, n, n)), ar, n_steps, kept)
-    period = len(gains) - switch
     x = np.zeros((n_records, n, 1)) if x0 is None else np.broadcast_to(
         np.asarray(x0, dtype=float)[..., None], (n_records, n, 1))
     # w_k = Bd v_{k-1} + G_k (y_k - C Bd v_{k-1}), with v_{-1} = 0: the
-    # prediction's drive and the update, in one product for the steps
-    # before the switch and one per phase of the record's own period after
-    # it. Record by record, so that no temporary is as large as w.
+    # prediction's drive and the update, in one product for the steps of
+    # the schedule and one for the steps after it, which repeat its last
+    # gain. Record by record, so that no temporary is as large as w.
     w = np.zeros((n_records, n_steps, n))
     for i, d in enumerate(design):
         np.matmul(vs[i, :-1], bd.T, out=w[i, 1:])
         innovation = ys[i] - w[i] @ c.T
-        head = np.stack([g[d] for g in gains[:switch]])
+        head = np.stack([g[d] for g in gains])
         w[i, :len(head)] += np.matmul(
             head, innovation[:len(head), :, None])[..., 0]
-        own = min(periods[d], len(gains) - switch)  # the tail may be shorter
-        for j in range(switch, switch + own):
-            w[i, j::own] += innovation[j::own] @ gains[j][d].T
+        w[i, len(head):] += innovation[len(head):] @ gains[-1][d].T
     eye, c_ad = np.eye(n), c @ ad
 
     def transition(k):
         """M_k = (I - G_k C) Ad; step 0 updates x0 without a prediction."""
-        gain = gains[k if k < switch else switch + (k - switch) % period]
+        gain = gains[min(k, len(gains) - 1)]
         m = eye - gain @ c if k == 0 else ad - gain @ c_ad
         return m if stacked else m[0]
 
-    # A record's M repeats where its design's gains do, from step 1 on.
+    # A record's M is constant from its design's freeze step (>= 1) on.
     means, failed = _replay(
         x, w, slice(kept), lambda i, k: NOT_INVERTIBLE if (
             design[i], k) in singular else NON_FINITE, transition,
-        np.maximum(starts, 1)[design], periods[design])
+        freeze[design])
+    steps = [None if f == n_steps else f for f in freeze.tolist()]
     return [failed[i] if i in failed else KalmanResult(
-                means[:, i], covs[:, design[i]], cycles[design[i]])
-            for i in range(n_records)]
+                means[:, i], covs[:, d], steps[d])
+            for i, d in enumerate(design)]
 
 
 def kalman_filter(ad, bd, c, q, r, data: ExperimentData,

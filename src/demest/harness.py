@@ -45,7 +45,7 @@ class ExperimentReport:
     descriptions: dict = field(default_factory=dict)
     runtimes_s: dict = field(default_factory=dict)
     diverged: list = field(default_factory=list)
-    gain_cycles: dict = field(default_factory=dict)
+    gain_freeze: dict = field(default_factory=dict)
     observer_growth: dict = field(default_factory=dict)
     passed: bool | None = None
 
@@ -115,7 +115,7 @@ def write_report(report: ExperimentReport) -> None:
                   for name in report.tables},
         "passed": report.passed,
         "diverged": report.diverged,
-        "gain_cycles": report.gain_cycles,
+        "gain_freeze": report.gain_freeze,
         "observer_growth": report.observer_growth,
         "runtimes_s": {k: round(v, 3) for k, v in report.runtimes_s.items()},
         "environment": _environment(),
@@ -385,29 +385,25 @@ def _observer_rate(report: ExperimentReport, label: str, model: LtiModel,
                             known_inputs=True, embeddings=embeddings)
 
 
-def _gain_cycles(results: list) -> dict | None:
-    """Manifest entry of a filter's replay: per record, the step from which
-    only the means were replayed and the period of its gains, or the step
-    its gain froze at and period 0 (None for a record that diverged or did
-    neither); None if no record did either."""
-    cycles = [None if isinstance(res, DivergenceError) else res.cycle
-              for res in results]
-    if not any(cycles):
-        return None
-    return {"switch_step": [None if c is None else c[0] for c in cycles],
-            "period": [None if c is None else c[1] for c in cycles]}
+def _gain_freeze(results: list) -> list | None:
+    """Manifest entry of a filter's replay: per record, the step its gain
+    froze at, from which only the means were replayed (None for a record
+    that diverged or did not freeze); None if no record froze."""
+    steps = [None if isinstance(res, DivergenceError) else res.freeze
+             for res in results]
+    return None if steps.count(None) == len(steps) else steps
 
 
 def _state_estimators(cfg: ExperimentConfig, model: LtiModel,
                       report: ExperimentReport) -> list:
     """The shoot-out axis: each estimator's roll rate, inputs known. The
     three filters replay all records of the axis point in one batch, and
-    note their gain cycles in ``report``."""
+    note their gain freeze steps in ``report``."""
     spec = observer_noise_spec(cfg, model)
     q, r = benchmarks.default_noise_matrices(spec, cfg.run.dt)
 
     def roll_rates(label, results):
-        report.gain_cycles[label] = _gain_cycles(results)
+        report.gain_freeze[label] = _gain_freeze(results)
         return _cells(results, lambda res: res.means[:, 1].copy())
 
     def kalman(records):

@@ -1,7 +1,8 @@
 """LTI plant definition, the quadrotor roll model, discrete simulation under
 injected colored noise, input normalization, flight-log CSV ingestion, and
 the replay driver of every stacked estimator: the linear recurrence
-``x_k = M_k x_{k-1} + w_k``, scanned in chunks where ``M`` repeats."""
+``x_k = M_k x_{k-1} + w_k``, scanned in chunks where each record's ``M`` is
+constant."""
 
 from __future__ import annotations
 
@@ -121,9 +122,8 @@ def _one(outcomes: list):
     return outcomes[0]
 
 
-# Most steps per chunk of the scan in ``_replay``; a record's chunk is the
-# most whole periods of its M that fit. Shorter chunks lengthen the carry
-# loop, longer ones grow the block matrix quadratically. Median replay
+# Steps per chunk of the scan in ``_replay``. Shorter chunks lengthen the
+# carry loop, longer ones grow the block matrix quadratically. Median replay
 # times in ms (OpenBLAS on 1 thread, 2.0 GHz Xeon) for chunks of
 # 6/12/18/24/36 steps: 60/37/32/29/26 on the 24,080-step flight log,
 # 47/40/43/51/68 on the windy shoot-out and 36/29/37/36/49 on the prior
@@ -156,14 +156,14 @@ def _steps(x, w, steps, keep, rows, failed, message, ids=slice(None),
     return x
 
 
-def _blocks(window, keep):
-    """The chunk operators of the transitions ``window`` of a chunk's steps.
+def _blocks(m, keep):
+    """The chunk operators of ``SCAN_CHUNK`` steps of the transition ``m``.
 
     Step j's state is ``Phi_j x_in + sum_{i <= j} Psi_ji w_i``, where
-    ``Psi_jj = I``, ``Psi_ji = M_j Psi_{j-1,i}``, ``Phi_j = M_j Phi_{j-1}``
-    and ``Phi_{-1} = I``: block row j is block row j - 1 times ``M_j``, in
-    one stacked product. Returns, each with the window's leading (record)
-    axis if any:
+    ``Psi_jj = I``, ``Psi_ji = M Psi_{j-1,i}``, ``Phi_j = M Phi_{j-1}`` and
+    ``Phi_{-1} = I``: block row j is block row j - 1 times ``M``, in one
+    stacked product. Returns, each with ``m``'s leading (record) axis if
+    any:
 
     - ``psi`` (L·n, L·k + n): the chunk's drive, as one row, times ``psi``
       is the k kept states of each step from a zero entering state, then
@@ -173,15 +173,14 @@ def _blocks(window, keep):
     - ``psi_norm`` and ``phi_norm``: the largest absolute row sums, over
       every step and state, of the ``Psi_j·`` block rows and of ``Phi_j``.
     """
-    lead = np.broadcast_shapes(*(m.shape for m in window))[:-2]
-    n, chunk = window[0].shape[-1], len(window)
+    lead, n, chunk = m.shape[:-2], m.shape[-1], SCAN_CHUNK
     idx = np.arange(n)[keep]
     k = len(idx)
     psi = np.zeros(lead + (chunk * n, chunk * k + n))
     phi = np.empty(lead + (n, chunk * k))
     psi_norm = phi_norm = np.zeros(lead)
     row = np.broadcast_to(np.eye(n), lead + (1, n, n))  # [Phi_{-1}]
-    for j, m in enumerate(window):
+    for j in range(chunk):
         # [Phi_j, Psi_j0, ..., Psi_jj]
         row = np.concatenate([np.matmul(m[..., None, :, :], row),
                               row[..., -1:, :, :]], -3)
@@ -210,11 +209,10 @@ def _gemm(a, b, first):
     return out
 
 
-def _scan(x, w, transition, chunk, first, keep, rows, failed, message):
-    """Replay the whole chunks of ``chunk`` steps of ``_replay`` from chunk
-    ``first.min()`` on; record i is scanned from its chunk ``first[i]``, and
-    steps through the chunks before. Returns the state after the last chunk
-    replayed.
+def _scan(x, w, transition, first, keep, rows, failed, message):
+    """Replay the whole chunks of ``_replay`` from chunk ``first.min()`` on;
+    record i is scanned from its chunk ``first[i]``, and steps through the
+    chunks before. Returns the state after the last chunk replayed.
 
     One stacked GEMM gives every chunk's kept states from a zero entering
     state, and its end state. A loop over the chunks carries each chunk's
@@ -230,17 +228,16 @@ def _scan(x, w, transition, chunk, first, keep, rows, failed, message):
     its state only restarts from zero.
     """
     n_records, n_steps, n = w.shape
+    chunk = SCAN_CHUNK
     c0, n_chunks = int(first.min()), n_steps // chunk
-    # Each record's transitions over its first scanned chunk: every later
-    # one starts at the same phase of its period.
-    window = []
-    for j in range(chunk):
-        ms = {f: transition(f * chunk + j) for f in set(first.tolist())}
-        m = ms[c0]
-        if m.ndim == 3 and len(ms) > 1:
-            m = np.stack([ms[f][i] for i, f in enumerate(first.tolist())])
-        window.append(m)
-    psi, phi, phi_end, psi_norm, phi_norm = _blocks(window, keep)
+    # Each record's one M, from its first scanned chunk on (a record that
+    # scans no chunk takes the last chunk's).
+    ms = {f: transition(min(f, n_chunks - 1) * chunk)
+          for f in set(first.tolist())}
+    m = ms[c0]
+    if m.ndim == 3 and len(ms) > 1:
+        m = np.stack([ms[f][i] for i, f in enumerate(first.tolist())])
+    psi, phi, phi_end, psi_norm, phi_norm = _blocks(m, keep)
     drive = w[:, c0 * chunk:n_chunks * chunk].reshape(
         n_records, n_chunks - c0, chunk * n)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -252,9 +249,11 @@ def _scan(x, w, transition, chunk, first, keep, rows, failed, message):
     wbound[first[:, None] > np.arange(c0, n_chunks)] = np.inf
     # Most chunks pass on one sum of squares: when every record's drive
     # term is below half the margin and |x| <= sqrt(x'x) is below half the
-    # margin over the largest phi_norm, every record's bound holds.
+    # margin over the largest phi_norm, every record's bound holds. A zero
+    # phi_norm (M = 0) puts no bound on the entering state.
     calm = (wbound < SCAN_MARGIN / 2).all(axis=0).tolist()
-    limit = SCAN_MARGIN / 2 / float(np.max(phi_norm))
+    phi_max = float(np.max(phi_norm))
+    limit = SCAN_MARGIN / 2 / phi_max if phi_max else math.inf
     entering = np.zeros((n_records, n_chunks - c0, n))
     patches = []
     for c in range(n_chunks - c0):
@@ -290,27 +289,25 @@ def _scan(x, w, transition, chunk, first, keep, rows, failed, message):
     return x
 
 
-def _replay(x, w, keep, message, transition, starts=0, periods=1) -> tuple:
+def _replay(x, w, keep, message, transition, starts=0) -> tuple:
     """The replay driver of every stacked estimator: the recurrence
     ``x_k = M_k x_{k-1} + w_k`` of S records' states, from the (S, n, 1)
     stack ``x`` before step 0, over the (S, T, n) drive ``w``, storing
     ``x_k[:, keep, 0]`` at each step.
 
     ``transition(k)`` is ``M_k``: (n, n), shared by the stack, or (S, n,
-    n), one per record. Record i's own ``M_k`` repeats with period
-    ``periods[i]`` from step ``starts[i]`` on (0: it does not repeat);
-    scalars hold for every record.
+    n), one per record. Record i's own ``M_k`` is constant from step
+    ``starts[i]`` on (a scalar holds for every record; ``T`` or more: it
+    never is).
 
-    A record whose period P is at most ``SCAN_CHUNK`` has chunks of the most
-    whole periods that fit, ``SCAN_CHUNK // P * P`` steps, on a grid from
-    step 0. From its first chunk that starts at or after its ``start``,
-    every chunk gets the same operators from products of its M; if it has
-    at least two such chunks, ``_scan`` replays them, and the rest of its
-    steps go one by one. Records with other chunk lengths replay as
-    separate stacks. Every product is a stacked ``np.matmul`` whose slices
-    are one record's BLAS call, and which steps of a record are scanned
-    depends on that record alone, so a record gets the same bits alone or
-    in any batch.
+    The steps fall into chunks of ``SCAN_CHUNK`` on a grid from step 0.
+    From its first chunk that starts at or after its ``start``, every chunk
+    of a record gets the same operators, from powers of its M; if it has at
+    least two such chunks, ``_scan`` replays them, and the rest of its steps
+    go one by one. Every product is a stacked ``np.matmul`` whose slices are
+    one record's BLAS call, and which steps of a record are scanned depends
+    on that record alone, so a record gets the same bits alone or in any
+    batch.
 
     A step checks the whole stack with one ``np.vdot``: a non-finite entry
     makes the sum of squares non-finite, and finite squares whose sum
@@ -324,33 +321,17 @@ def _replay(x, w, keep, message, transition, starts=0, periods=1) -> tuple:
     map of the failed records.
     """
     n_records, n_steps = w.shape[:2]
-    starts, periods = (np.broadcast_to(a, n_records) for a in (starts,
-                                                                periods))
-    chunks = np.where((periods > 0) & (periods <= SCAN_CHUNK),
-                      SCAN_CHUNK // np.maximum(periods, 1) * periods, 0)
-    first = -(-starts // np.maximum(chunks, 1))
-    chunks[n_steps // np.maximum(chunks, 1) - first < 2] = 0
+    n_chunks = n_steps // SCAN_CHUNK
+    first = -(-np.broadcast_to(starts, n_records) // SCAN_CHUNK)
+    first = np.where(n_chunks - first < 2, n_chunks, first)
     rows = np.zeros((n_steps,) + x[:, keep, 0].shape)
     failed = {}
-    if len(set(chunks.tolist())) > 1:
-        for chunk in set(chunks.tolist()):
-            ids = np.flatnonzero(chunks == chunk)
-            part, part_failed = _replay(
-                x[ids], w[ids], keep, lambda i, k: message(ids[i], k),
-                lambda k: m if (m := transition(k)).ndim == 2 else m[ids],
-                starts[ids], periods[ids])
-            rows[:, ids] = part
-            failed.update((ids[i].item(), e) for i, e in part_failed.items())
-        return rows, failed
-    chunk = int(chunks[0])
-    n_chunks = n_steps // chunk if chunk else 0
-    stop = int(first.min()) * chunk
+    stop = int(first.min()) * SCAN_CHUNK
     x = _steps(x, w, ((k, transition(k)) for k in range(stop)), keep, rows,
                failed, message)
-    if stop < n_chunks * chunk and len(failed) < n_records:
-        x = _scan(x, w, transition, chunk, first, keep, rows, failed,
-                  message)
-        stop = n_chunks * chunk
+    if stop < n_chunks * SCAN_CHUNK and len(failed) < n_records:
+        x = _scan(x, w, transition, first, keep, rows, failed, message)
+        stop = n_chunks * SCAN_CHUNK
     if len(failed) < n_records:
         _steps(x, w, ((k, transition(k)) for k in range(stop, n_steps)),
                keep, rows, failed, message)

@@ -58,6 +58,17 @@ class TestKalmanFilter:
         err = result.means[skip:] - data.truth_states[skip:]
         assert float(np.sum(err ** 2)) < 1e-6
 
+    def test_unit_gain_returns_the_measurements(self):
+        # C = I and R = 1e-300 I: the gain rounds to exactly I, so the
+        # means' transition (I - G C) Ad is exactly 0 from step 1, where
+        # the gain freezes, and each mean is its measurement.
+        model, datas, _, _ = _roll_records([1], 200, full_state=True)
+        ad, bd = discretize(model, datas[0].dt)
+        result = kalman_filter(ad, bd, model.c, np.eye(2),
+                               1e-300 * np.eye(2), datas[0])
+        assert result.freeze == 1
+        assert _near(result.means, datas[0].measurements)
+
     def test_static_system_recursive_averaging(self):
         c_value = 2.5
         n = 1000
@@ -328,11 +339,6 @@ def _cov_move(got, want):
                   / np.abs(want).max(axis=(1, 2))).max())
 
 
-def _freeze(result):
-    """The step at which a filter's gain froze, or None."""
-    return result.cycle[0] if result.cycle else None
-
-
 def reference_uio(model, data, poles=None):
     """The UIO written out one step of one record at a time: ``(states,
     inputs)``; raises the ``DivergenceError`` of the first step whose state
@@ -529,7 +535,7 @@ class TestSharedRecursionBitwise:
         result = kalman_filter(ad, bd, model.c, q, r, data)
         means, covs = reference_recursion(ad, bd, model.c, q, r, data,
                                           np.zeros(2), np.eye(2))
-        assert _freeze(result) is not None
+        assert result.freeze is not None
         assert _follows(result, KalmanResult(means, covs))
 
     def test_state_augmentation_ar6(self):
@@ -542,7 +548,7 @@ class TestSharedRecursionBitwise:
         means, covs = reference_recursion(
             a_aug, b_aug, c_aug, q_aug, r, data, np.zeros(a_aug.shape[0]),
             block_diag(np.eye(2), noise_cov))
-        assert _freeze(result) is not None
+        assert result.freeze is not None
         assert _follows(result, KalmanResult(means[:, :2], covs[:, :2, :2]))
 
     def test_smikf(self):
@@ -552,7 +558,7 @@ class TestSharedRecursionBitwise:
         means, covs = reference_recursion(ad, bd, model.c, q, r, data,
                                           np.zeros(2), np.eye(2),
                                           ar=np.diag(coeffs))
-        assert _freeze(result) is not None
+        assert result.freeze is not None
         assert _follows(result, KalmanResult(means, covs))
 
 
@@ -642,7 +648,7 @@ def _follows(result, reference, cov_rtol=COV_RTOL, mean_rtol=MEAN_RTOL):
     if isinstance(result, DivergenceError) or \
             isinstance(reference, DivergenceError):
         return _close(result, reference)
-    covs, freeze = reference.covariances, _freeze(result)
+    covs, freeze = reference.covariances, result.freeze
     end = len(covs) if freeze is None else freeze + 1
     return np.array_equal(result.covariances[:end], covs[:end]) and \
         np.all(result.covariances[end:] == covs[end - 1]) and \
@@ -729,7 +735,7 @@ class TestStackedFilters:
                 block_diag(np.eye(2), noise_cov))
             assert _follows(sa[i], KalmanResult(means[:, :2],
                                                 covs[:, :2, :2]))
-            assert None not in {_freeze(res) for res in (kf[i], sm[i], sa[i])}
+            assert None not in {res.freeze for res in (kf[i], sm[i], sa[i])}
 
     def test_singular_design_fails_only_its_record(self):
         # Per-record priors stack the covariance recursion; the middle
@@ -815,13 +821,13 @@ class TestPeriodicReplay:
                                                      coeffs)
         # KF shares one design; each SMIKF record freezes at its own step,
         # alone as in the stack.
-        assert len({_freeze(res) for res in kf}) == 1
-        assert len({_freeze(res) for res in sm}) > 1
-        assert [_freeze(res) for res in sm] == \
-            [_freeze(res) for res in sm_solo]
+        assert len({res.freeze for res in kf}) == 1
+        assert len({res.freeze for res in sm}) > 1
+        assert [res.freeze for res in sm] == \
+            [res.freeze for res in sm_solo]
         # Record 1 diverges before either filter freezes, record 2 after.
         early, late = 10, 200
-        assert all(early < _freeze(res) < late for res in kf + sm)
+        assert all(early < res.freeze < late for res in kf + sm)
         datas[1] = _poisoned(datas[1], early)
         datas[2] = _poisoned(datas[2], late)
         for batch, solo, reference in self._replays(model, datas, q, r,
@@ -830,7 +836,7 @@ class TestPeriodicReplay:
                 assert _same(batch[i], solo[i]), i
                 assert _follows(solo[i], reference[i]), i
             assert (batch[1].step, batch[2].step) == (early, late)
-            assert None not in (_freeze(batch[0]), _freeze(batch[3]))
+            assert None not in (batch[0].freeze, batch[3].freeze)
 
     @settings(max_examples=10, deadline=None)
     @given(n_records=st.integers(1, 4), n_steps=st.integers(300, 400),
@@ -1063,8 +1069,8 @@ class TestConvergedReplay:
     def test_batch_equals_solo_across_the_freeze(self):
         model, datas, q, r, ars = self._setup()
         batch, solo = self._replays(model, datas, q, r, ars)
-        freeze = [_freeze(res) for res in solo]
-        assert [_freeze(res) for res in batch] == freeze
+        freeze = [res.freeze for res in solo]
+        assert [res.freeze for res in batch] == freeze
         assert len(set(freeze)) == 3 and max(freeze) + 20 < len(
             datas[0].measurements)
         for b, o in zip(batch, solo):
@@ -1086,7 +1092,7 @@ class TestConvergedReplay:
             assert _same(b, o), i
             if i in poison:
                 assert o.step == poison[i]
-        assert _freeze(batch[3]) == freeze[3]
+        assert batch[3].freeze == freeze[3]
 
     def test_means_stay_near_the_full_recursion(self):
         # These designs converge slowly: the full recursion's covariance
@@ -1102,6 +1108,6 @@ class TestConvergedReplay:
             means, covs = reference_recursion(
                 a_aug, b_aug, c_aug, q_aug, r, data, np.zeros(a_aug.shape[0]),
                 block_diag(np.eye(2), noise_cov))
-            assert _freeze(res) is not None
+            assert res.freeze is not None
             assert _follows(res, KalmanResult(means[:, :2], covs[:, :2, :2]),
                             cov_rtol=1e-9, mean_rtol=1e-10)

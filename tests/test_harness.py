@@ -190,7 +190,7 @@ class TestBenchmarkStateExperiment:
             platform.python_version(), np.__version__, scipy.__version__)
         assert env["numpy_blas"] and env["scipy_blas"]
 
-    def test_manifest_records_the_gain_cycles(self, tmp_path):
+    def test_manifest_records_the_gain_freeze(self, tmp_path):
         # On the shipped windy config each filter's gain freezes early in
         # the record, and only the means replay from then on: KF's one
         # shared design at one step, SA-AR6 and SMIKF per record.
@@ -199,16 +199,14 @@ class TestBenchmarkStateExperiment:
         raw["output_dir"] = str(tmp_path)
         report = run_experiment(parse_config(raw))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        cycles = manifest["gain_cycles"]
-        assert cycles == report.gain_cycles
-        assert set(cycles) == {"kalman", "state_augmentation", "smikf"}
-        for name, entry in cycles.items():
-            steps = entry["switch_step"]
+        freeze = manifest["gain_freeze"]
+        assert freeze == report.gain_freeze
+        assert set(freeze) == {"kalman", "state_augmentation", "smikf"}
+        for steps in freeze.values():
             assert len(steps) == len(raw["seeds"])
             assert all(0 < step < raw["run"]["n_steps"] // 4
                        for step in steps)
-            assert set(entry["period"]) == {0}
-        assert len(set(cycles["kalman"]["switch_step"])) == 1
+        assert len(set(freeze["kalman"])) == 1
 
     def test_manifest_records_the_observer_growth(self, tmp_path):
         # The shipped roll observer's state block is marginally unstable:

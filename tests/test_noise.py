@@ -247,7 +247,7 @@ q, r = benchmarks.default_noise_matrices(spec, cfg.run.dt)
 ars = [benchmarks.fit_ar(rec.w_fit[:, i], 6) for i in range(model.n)]
 sa, = benchmarks.state_augmentation_filter_batch(model, [ars], [rec.data],
                                                  q, r)
-print(sa.cycle[0], hashlib.sha256(est.tobytes() + sa.means.tobytes()).hexdigest())
+print(sa.freeze, hashlib.sha256(est.tobytes() + sa.means.tobytes()).hexdigest())
 """
 
 

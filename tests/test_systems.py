@@ -80,38 +80,38 @@ def _random_transition(rng, n, radius):
 
 
 class _Recurrence:
-    """A random periodic recurrence in ``_replay``'s terms: ``prefix``
-    steps of their own transitions, then a cycle of ``period``; the
-    transitions are shared, or one per record."""
+    """A random recurrence in ``_replay``'s terms: ``prefix`` steps of their
+    own transitions, then one constant transition; the transitions are
+    shared, or one per record."""
 
-    def __init__(self, seed, n_records, n, prefix, period, per_record):
+    def __init__(self, seed, n_records, n, prefix, per_record):
         rng = np.random.default_rng(seed)
         lead = (n_records,) if per_record else ()
-        radii = rng.uniform(0.5, 1.00003, prefix + period)
-        radii[rng.integers(prefix + period)] = 1.00003  # one marginal
+        radii = rng.uniform(0.5, 1.00003, prefix + 1)
+        radii[rng.integers(prefix + 1)] = 1.00003  # one marginal
         self.ms = np.stack([np.stack([
             _random_transition(rng, n, rho) for _ in range(
                 n_records if per_record else 1)]).reshape(lead + (n, n))
             for rho in radii])
-        self.prefix, self.period = prefix, period
+        self.prefix = prefix
 
     def transition(self, k):
-        if k >= self.prefix:
-            k = self.prefix + (k - self.prefix) % self.period
-        return self.ms[k]
+        return self.ms[min(k, self.prefix)]
 
     def one(self, i):
         """Record i's recurrence alone, as a batch of one."""
         one = object.__new__(_Recurrence)
         one.ms = self.ms[:, i:i + 1] if self.ms.ndim == 4 else self.ms
-        one.prefix, one.period = self.prefix, self.period
+        one.prefix = self.prefix
         return one
 
     def replay(self, x, w, keep, scan=True):
+        """``_replay``; without ``scan`` the transition is never said to be
+        constant, so every step goes one by one."""
         with np.errstate(invalid="ignore", over="ignore"):
             return systems._replay(
                 x, w, keep, lambda i, k: f"record {i} at {k}",
-                self.transition, self.prefix, self.period if scan else 0)
+                self.transition, self.prefix if scan else w.shape[1])
 
     def reference(self, x, w, keep):
         """The recurrence stepped in ``np.longdouble``, and the same
@@ -131,7 +131,8 @@ class _Recurrence:
 
 class TestScan:
     """``_replay``'s chunked scan against its own step-by-step path (a
-    period of 0 turns the scan off) and a long-double reference."""
+    start at the record's end turns the scan off) and a long-double
+    reference."""
 
     @staticmethod
     def _lengths(draw, prefix):
@@ -144,13 +145,11 @@ class TestScan:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_records=st.sampled_from([1, 3]),
            n=st.integers(1, 6), prefix=st.integers(0, 40),
-           period=st.sampled_from([1, 2, 3, 5, 7]), per_record=st.booleans(),
-           all_kept=st.booleans(), draw=st.data())
+           per_record=st.booleans(), all_kept=st.booleans(), draw=st.data())
     def test_rows_match_the_reference_and_one_record_batches(
-            self, seed, n_records, n, prefix, period, per_record, all_kept,
-            draw):
+            self, seed, n_records, n, prefix, per_record, all_kept, draw):
         n_steps = self._lengths(draw, prefix)
-        rec = _Recurrence(seed, n_records, n, prefix, period, per_record)
+        rec = _Recurrence(seed, n_records, n, prefix, per_record)
         rng = np.random.default_rng([seed, 1])
         x = rng.standard_normal((n_records, n, 1))
         w = rng.standard_normal((n_records, n_steps, n))
@@ -173,14 +172,13 @@ class TestScan:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_records=st.sampled_from([1, 3]),
            n=st.integers(1, 4), prefix=st.integers(0, 40),
-           period=st.sampled_from([1, 2, 3, 5, 7]), per_record=st.booleans(),
+           per_record=st.booleans(),
            value=st.sampled_from([np.inf, -np.inf, np.nan, 1e308]),
            draw=st.data())
     def test_divergence_matches_the_step_by_step_path(
-            self, seed, n_records, n, prefix, period, per_record, value,
-            draw):
+            self, seed, n_records, n, prefix, per_record, value, draw):
         n_steps = prefix + 5 * systems.SCAN_CHUNK
-        rec = _Recurrence(seed, n_records, n, prefix, period, per_record)
+        rec = _Recurrence(seed, n_records, n, prefix, per_record)
         rng = np.random.default_rng([seed, 2])
         x = np.zeros((n_records, n, 1))
         w = rng.standard_normal((n_records, n_steps, n))
@@ -201,29 +199,37 @@ class TestScan:
             else:
                 assert not one and np.array_equal(alone[:, 0], rows[:, i])
 
-    def test_records_of_other_periods_replay_apart(self):
-        # Periods 1, 5, 7 and 13: chunks of 12, 10 and 7 steps, and no scan;
-        # each record gets its own bits in the stack.
-        periods = np.array([1, 5, 7, 13])
+    def test_records_of_other_starts_share_one_stack(self):
+        # Constant from steps 0, 13, 40 and never: first scanned chunks 0,
+        # 2 and 4, and no scan; each record gets its own bits in the stack.
+        starts = np.array([0, 13, 40, 100])
         rng = np.random.default_rng(11)
-        cycles = [np.stack([_random_transition(rng, 3, 1.00003)
-                            for _ in range(p)]) for p in periods]
+        ms = np.stack([[_random_transition(rng, 3, 1.00003) for _ in range(4)]
+                       for _ in range(100)])
 
-        def transition(k, ids=range(len(periods))):
-            return np.stack([cycles[i][k % periods[i]] for i in ids])
+        def transition(k, ids=slice(None)):
+            return np.stack([ms[min(k, s), i] for i, s in enumerate(
+                starts)])[ids]
 
         x = rng.standard_normal((4, 3, 1))
         w = rng.standard_normal((4, 100, 3))
         rows, failed = systems._replay(x, w, slice(0, 2), str, transition,
-                                       0, periods)
-        steps, _ = systems._replay(x, w, slice(0, 2), str, transition, 0, 0)
+                                       starts)
+        steps, _ = systems._replay(x, w, slice(0, 2), str, transition, 100)
         assert not failed
         assert np.abs(rows - steps).max() <= 1e-12 * np.abs(steps).max()
         for i in range(4):
             alone, _ = systems._replay(
                 x[i:i + 1], w[i:i + 1], slice(0, 2), str,
-                lambda k: transition(k, [i]), 0, periods[i:i + 1])
+                lambda k: transition(k, [i]), starts[i:i + 1])
             assert np.array_equal(alone[:, 0], rows[:, i])
+
+    def test_zero_transition(self):
+        # M = 0 bounds no entering state: x_k = w_k exactly.
+        w = np.random.default_rng(12).standard_normal((1, 100, 2))
+        rows, failed = systems._replay(np.zeros((1, 2, 1)), w, slice(None),
+                                       str, lambda k: np.zeros((2, 2)))
+        assert not failed and np.array_equal(rows[:, 0], w[0])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_records=st.sampled_from([1, 3]),
@@ -240,7 +246,8 @@ class TestScan:
         with np.errstate(invalid="ignore", over="ignore"):
             (_, failed), (_, expected) = (
                 systems._replay(x, w, slice(0, 1), lambda i, k: "overflow",
-                                lambda k: m, 0, period) for period in (1, 0))
+                                lambda k: m, start) for start in (
+                                    0, w.shape[1]))
         assert len(failed) == n_records
         assert {i: e.step for i, e in failed.items()} == {
             i: e.step for i, e in expected.items()}
