@@ -17,7 +17,7 @@ the free-energy trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -94,6 +94,21 @@ class ObserverMatrices:
     m: int
     p: int
     d: int
+    # Zero-order holds of (drift, drive) by dt, so that the replays and the
+    # growth of one design at one dt share one matrix exponential.
+    _holds: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def replayed(self, dt: float, known_inputs: bool):
+        """``(Ad, Bd)`` rows of the states a replay at ``dt`` steps: the
+        zero-order hold of the drift and drive, all rows, or with known
+        inputs the state rows alone (the clamped inputs enter through
+        ``Ad``'s input columns)."""
+        if dt not in self._holds:
+            self._holds[dt] = zero_order_hold(self.drift, self.drive, dt)
+        ad, bd = self._holds[dt]
+        n = self.state_dim if known_inputs else self.total_dim
+        return ad[:n], bd[:n]
 
     @property
     def state_dim(self) -> int:
@@ -346,21 +361,21 @@ def run_observer_batch(m: ObserverMatrices, datas, known_inputs: bool = False,
     if n_steps < m.p + 1:
         raise ValueError("record shorter than the embedding window")
     y_gen = embed_records(datas, "measurements", m.p, embeddings)
-    ad, bd = zero_order_hold(m.drift, m.drive, datas[0].dt)
     # With known inputs only the state block replays, and the clamped inputs
     # of the last step drive it as Ad's input columns: the same
     # zero-order-hold step as replaying every column and clamping after it.
-    n = m.state_dim if known_inputs else m.total_dim
+    ad, bd = m.replayed(datas[0].dt, known_inputs)
+    n = ad.shape[0]
     ny = y_gen.shape[2]
-    w = np.matmul(y_gen.swapaxes(0, 1), bd[:n, :ny].T)
-    w -= bd[:n, ny:] @ m.eta_gen
+    w = np.matmul(y_gen.swapaxes(0, 1), bd[:, :ny].T)
+    w -= bd[:, ny:] @ m.eta_gen
     cols = np.arange(m.total_dim)[slice(None) if keep is None else keep]
     replayed = cols < n
     if known_inputs:
         v_gen = embed_records(datas, "inputs", m.d, embeddings)
         for s in range(n_records):  # no temporary as large as w
-            w[s, 1:] += v_gen[:-1, s] @ ad[:n, n:].T
-    ad = ad[:n, :n]
+            w[s, 1:] += v_gen[:-1, s] @ ad[:, n:].T
+    ad = ad[:, :n]
     kept, failed = _replay(np.zeros((n_records, n, 1)), w, cols[replayed],
                            lambda i, t: NON_FINITE, lambda t: ad)
     if not replayed.all():
@@ -378,9 +393,8 @@ def replay_growth(m: ObserverMatrices, dt: float, n_steps: int,
     ``dt`` (the state block's, with known inputs), and its growth, the
     radius to the power ``n_steps``: how far the replay can amplify a
     state over a record of that length."""
-    ad, _ = zero_order_hold(m.drift, m.drive, dt)
-    n = m.state_dim if known_inputs else m.total_dim
-    radius = float(np.abs(np.linalg.eigvals(ad[:n, :n])).max())
+    ad, _ = m.replayed(dt, known_inputs)
+    radius = float(np.abs(np.linalg.eigvals(ad[:, :len(ad)])).max())
     return {"spectral_radius": radius, "growth": radius ** n_steps}
 
 

@@ -450,6 +450,23 @@ class TestLandscapeExperiment:
 
 
 class TestPriorSweepExperiment:
+    def test_each_design_is_discretized_once(self, tmp_path, monkeypatch):
+        # The replay and the manifest's growth of an axis point share one
+        # zero-order hold of its design.
+        zero_order_hold = dem.zero_order_hold
+        calls = []
+
+        def counted(a, b, dt):
+            calls.append(dt)
+            return zero_order_hold(a, b, dt)
+
+        monkeypatch.setattr(dem, "zero_order_hold", counted)
+        raw = small_config(kind="prior_sweep", output_dir=str(tmp_path))
+        raw["prior_sweep"] = {"pv_grid": [1.0, 10.0, 100.0], "eta_v": 1.0}
+        report = run_experiment(parse_config(raw), write=False)
+        assert len(calls) == 3
+        assert len(report.observer_growth) == 3
+
     def test_pinned_at_high_precision(self, tmp_path):
         cfg = load_config_file(CONFIG_DIR / "prior_sweep.json")
         raw = serialize_config(cfg)
