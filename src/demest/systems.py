@@ -230,13 +230,9 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
     n_records, n_steps, n = w.shape
     chunk = SCAN_CHUNK
     c0, n_chunks = int(first.min()), n_steps // chunk
-    # Each record's one M, from its first scanned chunk on (a record that
-    # scans no chunk takes the last chunk's).
-    ms = {f: transition(min(f, n_chunks - 1) * chunk)
-          for f in set(first.tolist())}
-    m = ms[c0]
-    if m.ndim == 3 and len(ms) > 1:
-        m = np.stack([ms[f][i] for i, f in enumerate(first.tolist())])
+    # A record's M is constant from its first scanned chunk on, so the
+    # transition at the last of those chunks is every scanned record's M.
+    m = transition(int(first[first < n_chunks].max()) * chunk)
     psi, phi, phi_end, psi_norm, phi_norm = _blocks(m, keep)
     drive = w[:, c0 * chunk:n_chunks * chunk].reshape(
         n_records, n_chunks - c0, chunk * n)
@@ -297,8 +293,8 @@ def _replay(x, w, keep, message, transition, starts=0) -> tuple:
 
     ``transition(k)`` is ``M_k``: (n, n), shared by the stack, or (S, n,
     n), one per record. Record i's own ``M_k`` is constant from step
-    ``starts[i]`` on (a scalar holds for every record; ``T`` or more: it
-    never is).
+    ``starts[i]`` on; a scalar holds for every record, and a start of ``T``
+    or more scans none of its steps.
 
     The steps fall into chunks of ``SCAN_CHUNK`` on a grid from step 0.
     From its first chunk that starts at or after its ``start``, every chunk
