@@ -309,8 +309,7 @@ class TestUio:
 # drive in one GEMM, so their means and estimates move from the per-step
 # references by rounding alone, and the filters' means by their frozen
 # gains. MEAN_RTOL is about 3 times the worst relative move measured over
-# these tests (3.1e-13 in five runs of their hypothesis properties;
-# 1.05e-13 before the gains froze).
+# these tests (3.1e-13, in five runs of their hypothesis properties).
 MEAN_RTOL = 1e-12
 
 # A filter keeps its freeze step's covariance from then on, where the full
