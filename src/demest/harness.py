@@ -198,25 +198,30 @@ def input_signal(cfg: ExperimentConfig, seed: int, n_inputs: int) -> np.ndarray:
     return v
 
 
-def synthesize_record(cfg: ExperimentConfig, seed: int, model: LtiModel,
-                      variant: NoiseVariant | None = None):
-    """Simulate one record; returns (data, injected process-noise series)."""
+def synthesize_records(cfg: ExperimentConfig, seeds, model: LtiModel,
+                       variant: NoiseVariant | None = None) -> list[tuple]:
+    """Simulate one record per seed in one stacked recursion; returns a
+    (data, injected process-noise series) pair per seed."""
     run = cfg.run
     proc_cov, meas_cov = injected_covariances(cfg, model, variant)
     sigma = variant.sigma if variant else cfg.noise.sigma
-    if proc_cov is None:
-        w = np.zeros((run.n_steps, model.n))
-    else:
-        w = generate_colored_noise([seed, 1], sigma, proc_cov,
-                                   run.n_steps, run.dt)
-    if meas_cov is None:
-        z = np.zeros((run.n_steps, model.m))
-    else:
-        z = generate_colored_noise([seed, 2], sigma, meas_cov,
-                                   run.n_steps, run.dt)
-    v = input_signal(cfg, seed, model.r)
-    data = simulate(model, run.dt, run.n_steps, v, w, z)
-    return data, w
+
+    def noise(seed, stream, cov, dim):
+        if cov is None:
+            return np.zeros((run.n_steps, dim))
+        return generate_colored_noise([seed, stream], sigma, cov,
+                                      run.n_steps, run.dt)
+
+    w = np.stack([noise(seed, 1, proc_cov, model.n) for seed in seeds])
+    z = np.stack([noise(seed, 2, meas_cov, model.m) for seed in seeds])
+    v = np.stack([input_signal(cfg, seed, model.r) for seed in seeds])
+    return list(zip(simulate(model, run.dt, run.n_steps, v, w, z), w))
+
+
+def synthesize_record(cfg: ExperimentConfig, seed: int, model: LtiModel,
+                      variant: NoiseVariant | None = None):
+    """Simulate one record; returns (data, injected process-noise series)."""
+    return synthesize_records(cfg, [seed], model, variant)[0]
 
 
 class Record(NamedTuple):
@@ -243,6 +248,15 @@ def _largest_order(cfg: ExperimentConfig) -> int:
     if cfg.kind in ("benchmark_state", "sweep_p"):
         orders.append(RATE_REFERENCE_ORDER)
     return max(orders)
+
+
+def get_records(cfg: ExperimentConfig, model: LtiModel) -> list[Record]:
+    """The run's records, one per seed; synthetic ones come from one
+    stacked recursion."""
+    if cfg.run.log_path is not None:
+        return [get_record(cfg, seed, model) for seed in cfg.seeds]
+    pairs = synthesize_records(cfg, cfg.seeds, model)
+    return [Record(seed, *pair) for seed, pair in zip(cfg.seeds, pairs)]
 
 
 def get_record(cfg: ExperimentConfig, seed: int, model: LtiModel) -> Record:
@@ -315,7 +329,7 @@ def _aggregate(values) -> dict:
 def _grid(cfg: ExperimentConfig):
     """Report, plant and records (one per seed) of a grid family."""
     model = build_model(cfg)
-    records = [get_record(cfg, seed, model) for seed in cfg.seeds]
+    records = get_records(cfg, model)
     # A log-backed config has one seed, so one record sets the plant.
     return _new_report(cfg), _plant_for(model, records[0].data), records
 
@@ -703,8 +717,8 @@ def run_noise_characterization(cfg: ExperimentConfig) -> ExperimentReport:
         t0 = time.perf_counter()
         stds = {"phi": [], "phidot": [], "w_phi": [], "w_phidot": []}
         first_residuals = None
-        for seed in cfg.seeds:
-            data, _ = synthesize_record(cfg, seed, model, variant=variant)
+        pairs = synthesize_records(cfg, cfg.seeds, model, variant)
+        for seed, (data, _) in zip(cfg.seeds, pairs):
             residuals = residual_process_noise(model, data)
             if first_residuals is None:
                 first_residuals = residuals

@@ -398,44 +398,63 @@ def discretize(model: LtiModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simulate(model: LtiModel, dt: float, n_steps: int, inputs,
-             proc_noise, meas_noise, x0=None) -> ExperimentData:
+             proc_noise, meas_noise, x0=None):
     """Propagate the plant under injected noise and return full ground truth.
+
+    Series of shape (T, ·) give one record and return its ExperimentData.
+    Stacks of shape (S, T, ·) give S records, stepped together through one
+    recurrence from one discretization, and return a list of S
+    ExperimentData, each with the bits of its own one-record call. Every
+    record starts from ``x0`` (zeros by default).
 
     The process noise series is a continuous-time density sampled at the
     steps; it enters the recurrence scaled by dt so its precision keeps
     continuous-time units.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    proc_noise = np.atleast_2d(np.asarray(proc_noise, dtype=float))
-    meas_noise = np.atleast_2d(np.asarray(meas_noise, dtype=float))
-    if inputs.shape[0] < n_steps or proc_noise.shape[0] < n_steps \
-            or meas_noise.shape[0] < n_steps:
+    series = [np.asarray(s, dtype=float)
+              for s in (inputs, proc_noise, meas_noise)]
+    stacked = series[0].ndim == 3
+    if any((s.ndim == 3) != stacked for s in series):
+        raise ValueError("stack every series (S, T, ·) or none")
+    if not stacked:
+        series = [np.atleast_2d(s)[None] for s in series]
+    inputs, proc_noise, meas_noise = series
+    if len({s.shape[0] for s in series}) != 1:
+        raise ValueError("stacked series must hold the same number of "
+                         f"records, got {[s.shape[0] for s in series]}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+    if min(s.shape[1] for s in series) < n_steps:
         raise ValueError("series must provide at least n_steps samples")
-    if inputs.shape[1] != model.r:
+    if inputs.shape[2] != model.r:
         raise ValueError("input dimension mismatch")
-    if proc_noise.shape[1] != model.n:
+    if proc_noise.shape[2] != model.n:
         raise ValueError("process-noise dimension mismatch")
-    if meas_noise.shape[1] != model.m:
+    if meas_noise.shape[2] != model.m:
         raise ValueError("measurement-noise dimension mismatch")
     x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (model.n,):
+        raise ValueError(f"x0 must hold the plant's {model.n} states, got "
+                         f"shape {x0.shape}")
 
     ad, bd = discretize(model, dt)
     # Each step's drive and noise, hoisted: the same products and sums, in
     # the same order, as written inside the loop.
-    drive = np.matmul(bd, inputs[:n_steps - 1, :, None])[:, :, 0]
-    noise = proc_noise[:n_steps - 1] * dt
-    states = np.empty((n_steps, model.n))
-    states[0] = x0
+    drive = np.matmul(bd, inputs[:, :n_steps - 1, :, None])[..., 0]
+    noise = proc_noise[:, :n_steps - 1] * dt
+    states = np.empty((inputs.shape[0], n_steps, model.n))
+    states[:, 0] = x0
     for k in range(n_steps - 1):
-        states[k + 1] = ad @ states[k] + drive[k] + noise[k]
-    measurements = states @ model.c.T + meas_noise[:n_steps]
-    return ExperimentData(
-        dt=dt,
-        measurements=measurements,
-        inputs=inputs[:n_steps].copy(),
-        truth_states=states,
-        truth_inputs=inputs[:n_steps].copy(),
-    )
+        # One product per record, as ``ad @ x`` makes for a lone record.
+        states[:, k + 1] = (ad @ states[:, k, :, None])[..., 0] \
+            + drive[:, k] + noise[:, k]
+    measurements = states @ model.c.T + meas_noise[:, :n_steps]
+    records = [ExperimentData(dt=dt, measurements=measurements[i],
+                              inputs=inputs[i, :n_steps].copy(),
+                              truth_states=states[i],
+                              truth_inputs=inputs[i, :n_steps].copy())
+               for i in range(inputs.shape[0])]
+    return records if stacked else records[0]
 
 
 def residual_process_noise(model: LtiModel, data: ExperimentData) -> np.ndarray:

@@ -558,6 +558,52 @@ class TestNoiseCharacterizationExperiment:
             assert row["ks_stat"] < 1.63 / np.sqrt(row["n"])
 
 
+class TestSynthesis:
+    """A run's records come from one stacked recursion, with the bits of
+    each seed's record synthesized alone."""
+
+    def _count_simulations(self, monkeypatch):
+        simulate = harness.simulate
+        calls = []
+
+        def counted(model, dt, n_steps, inputs, *args, **kwargs):
+            calls.append(np.shape(inputs))
+            return simulate(model, dt, n_steps, inputs, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["benchmark_state", "prior_sweep"])
+    def test_grid_records_equal_each_seed_alone(self, kind, monkeypatch):
+        raw = small_config(kind=kind, seeds=[1, 2, 3, 4])
+        raw["run"]["n_steps"] = 300
+        if kind == "prior_sweep":
+            raw["prior_sweep"] = {"pv_grid": [1.0], "eta_v": 1.0}
+        cfg = parse_config(raw)
+        calls = self._count_simulations(monkeypatch)
+        _, _, records = harness._grid(cfg)
+        assert calls == [(4, 300, 4)]
+        model = harness.build_model(cfg)
+        for rec, seed in zip(records, cfg.seeds, strict=True):
+            data, w = harness.synthesize_record(cfg, seed, model)
+            assert rec.seed == seed
+            assert np.array_equal(rec.w_fit, w)
+            for name in ("measurements", "inputs", "truth_states",
+                         "truth_inputs"):
+                assert np.array_equal(getattr(rec.data, name),
+                                      getattr(data, name)), name
+
+    def test_one_synthesis_per_noise_variant(self, monkeypatch):
+        cfg = load_config_file(CONFIG_DIR / "noise_characterization.json")
+        raw = serialize_config(cfg)
+        raw["seeds"] = [1, 2, 3]
+        raw["run"]["n_steps"] = 300
+        calls = self._count_simulations(monkeypatch)
+        run_experiment(parse_config(raw), write=False)
+        r = harness.build_model(cfg).r
+        assert calls == [(3, 300, r)] * len(cfg.noise_variants)
+
+
 class TestCli:
     def test_version(self, capsys):
         assert cli_main(["version"]) == 0

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from demest.systems import load_flight_log
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # After the tracer is installed, call every entry whose wrapper counts
@@ -69,3 +71,25 @@ def test_benchmark_tracer_counts_the_steps_of_every_wrapped_entry():
     assert steps == {f"{name}.steps": 20 for name in (
         "dem.run_observer", "benchmarks.kalman_filter",
         "benchmarks.state_augmentation_filter", "benchmarks.smikf")}
+
+
+def test_benchmark_writes_its_flight_log(tmp_path):
+    # perfbench's flight-log workload synthesizes its CSV in ``prepare``
+    # through ``harness.synthesize_record``; a change to that entry would
+    # otherwise only surface as a failed benchmark run.
+    raw = json.loads((ROOT / "configs/benchmark_state_windy.json").read_text())
+    raw["seeds"] = [1]
+    raw["run"]["log_path"] = str(tmp_path / "flight_log.csv")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    proc = _run_child(f"import child; child.prepare({str(config)!r}, '1', "
+                      "'50')")
+    assert proc.returncode == 0, proc.stderr
+    prepared = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(prepared) == {"config_hash", "environment"}
+    log = load_flight_log(tmp_path / "flight_log.csv")
+    assert log.n_steps == 50
+    assert log.measurements.shape == (50, 2)
+    assert log.inputs.shape == (50, 4)
+    assert log.truth_states.shape == (50, 2)
+    assert abs(log.dt - raw["run"]["dt"]) < 1e-12
