@@ -262,16 +262,6 @@ def default_learning_rate(curvature: np.ndarray, shift_full: np.ndarray,
     raise ObserverDesignError("no stable learning rate found")
 
 
-def observer_step(m: ObserverMatrices, x_full: np.ndarray, y_gen: np.ndarray,
-                  eta_gen: np.ndarray, dt: float) -> np.ndarray:
-    """Advance the estimate ODE by ``dt`` with the input held constant."""
-    u = np.concatenate([np.asarray(y_gen, dtype=float).reshape(-1),
-                        -np.asarray(eta_gen, dtype=float).reshape(-1)])
-    x_full = np.asarray(x_full, dtype=float).reshape(-1)
-    ad, bd = zero_order_hold(m.drift, m.drive, dt)
-    return ad @ x_full + bd @ u
-
-
 @dataclass(frozen=True)
 class ObserverRun:
     """Trajectory of estimates with the free-energy trace."""

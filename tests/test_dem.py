@@ -9,7 +9,7 @@ from demest import dem
 from demest.dem import (DemConfig, assemble_observer, default_learning_rate,
                         error_jacobian, estimate_precision, free_energy,
                         free_energy_gradient, free_energy_landscape,
-                        generalized_prior, observer_step, prediction_error,
+                        generalized_prior, prediction_error,
                         run_observer, run_observer_batch)
 from demest.errors import DivergenceError, ObserverDesignError
 from demest.gencoord import embed_series
@@ -217,6 +217,16 @@ class TestAssembleObserver:
         m = assemble_observer(model, cfg)
         eigs = np.linalg.eigvalsh(-m.curvature)
         assert eigs.max() <= 1e-10
+
+
+def observer_step(m, x_full, y_gen, eta_gen, dt):
+    """Reference: advance the estimate ODE by ``dt`` with the input held
+    constant, one record and one step at a time."""
+    u = np.concatenate([np.asarray(y_gen, dtype=float).reshape(-1),
+                        -np.asarray(eta_gen, dtype=float).reshape(-1)])
+    x_full = np.asarray(x_full, dtype=float).reshape(-1)
+    ad, bd = zero_order_hold(m.drift, m.drive, dt)
+    return ad @ x_full + bd @ u
 
 
 class TestObserverStep:
