@@ -309,7 +309,6 @@ def _golden_mismatches(name, outdir):
 def test_criterion_10_determinism(tmp_path):
     start = time.perf_counter()
     names = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
-    golden = 0
     for name in names:
         cfg = _load(name)
         a = tmp_path / name / "a"
@@ -321,11 +320,12 @@ def test_criterion_10_determinism(tmp_path):
         for csv_name in csvs:
             if (a / csv_name).read_bytes() != (b / csv_name).read_bytes():
                 pytest.fail(f"{name}/{csv_name} differs between reruns")
-        if (OUT_DIR / name).is_dir():
-            golden += 1
-            problems = _golden_mismatches(name, a)
-            if problems:
-                pytest.fail("\n".join(problems[:10]))
+        # Every shipped config is golden-checked, not only those that
+        # happen to have tables committed.
+        assert (OUT_DIR / name).is_dir(), f"{name}: no committed out/ tables"
+        problems = _golden_mismatches(name, a)
+        if problems:
+            pytest.fail("\n".join(problems[:10]))
     _report(10, time.perf_counter() - start, 600.0,
             f"all {len(names)} shipped configs reproduce their CSVs "
-            f"byte-identically; {golden} match the committed out/ tables")
+            f"byte-identically and match the committed out/ tables")
