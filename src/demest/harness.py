@@ -250,15 +250,6 @@ def _largest_order(cfg: ExperimentConfig) -> int:
     return max(orders)
 
 
-def get_records(cfg: ExperimentConfig, model: LtiModel) -> list[Record]:
-    """The run's records, one per seed; synthetic ones come from one
-    stacked recursion."""
-    if cfg.run.log_path is not None:
-        return [get_record(cfg, seed, model) for seed in cfg.seeds]
-    pairs = synthesize_records(cfg, cfg.seeds, model)
-    return [Record(seed, *pair) for seed, pair in zip(cfg.seeds, pairs)]
-
-
 def get_record(cfg: ExperimentConfig, seed: int, model: LtiModel) -> Record:
     """Synthetic or log-backed record."""
     if cfg.run.log_path is None:
@@ -329,7 +320,11 @@ def _aggregate(values) -> dict:
 def _grid(cfg: ExperimentConfig):
     """Report, plant and records (one per seed) of a grid family."""
     model = build_model(cfg)
-    records = get_records(cfg, model)
+    if cfg.run.log_path is None:
+        pairs = synthesize_records(cfg, cfg.seeds, model)
+        records = [Record(seed, *pair) for seed, pair in zip(cfg.seeds, pairs)]
+    else:
+        records = [get_record(cfg, seed, model) for seed in cfg.seeds]
     # A log-backed config has one seed, so one record sets the plant.
     return _new_report(cfg), _plant_for(model, records[0].data), records
 
