@@ -198,10 +198,17 @@ def input_signal(cfg: ExperimentConfig, seed: int, n_inputs: int) -> np.ndarray:
     return v
 
 
+class Record(NamedTuple):
+    """A seed's record and the process-noise series AR models are fit to."""
+
+    seed: int
+    data: ExperimentData
+    w_fit: np.ndarray
+
+
 def synthesize_records(cfg: ExperimentConfig, seeds, model: LtiModel,
-                       variant: NoiseVariant | None = None) -> list[tuple]:
-    """Simulate one record per seed in one stacked recursion; returns a
-    (data, injected process-noise series) pair per seed."""
+                       variant: NoiseVariant | None = None) -> list[Record]:
+    """Simulate one record per seed, all in one stacked recursion."""
     run = cfg.run
     proc_cov, meas_cov = injected_covariances(cfg, model, variant)
     sigma = variant.sigma if variant else cfg.noise.sigma
@@ -215,21 +222,15 @@ def synthesize_records(cfg: ExperimentConfig, seeds, model: LtiModel,
     w = np.stack([noise(seed, 1, proc_cov, model.n) for seed in seeds])
     z = np.stack([noise(seed, 2, meas_cov, model.m) for seed in seeds])
     v = np.stack([input_signal(cfg, seed, model.r) for seed in seeds])
-    return list(zip(simulate(model, run.dt, run.n_steps, v, w, z), w))
+    datas = simulate(model, run.dt, run.n_steps, v, w, z)
+    return [Record(*rec) for rec in zip(seeds, datas, w)]
 
 
 def synthesize_record(cfg: ExperimentConfig, seed: int, model: LtiModel,
                       variant: NoiseVariant | None = None):
     """Simulate one record; returns (data, injected process-noise series)."""
-    return synthesize_records(cfg, [seed], model, variant)[0]
-
-
-class Record(NamedTuple):
-    """A seed's record and the process-noise series AR models are fit to."""
-
-    seed: int
-    data: ExperimentData
-    w_fit: np.ndarray
+    _, data, w = synthesize_records(cfg, [seed], model, variant)[0]
+    return data, w
 
 
 def _plant_for(model: LtiModel, data: ExperimentData) -> LtiModel:
@@ -253,7 +254,7 @@ def _largest_order(cfg: ExperimentConfig) -> int:
 def get_record(cfg: ExperimentConfig, seed: int, model: LtiModel) -> Record:
     """Synthetic or log-backed record."""
     if cfg.run.log_path is None:
-        return Record(seed, *synthesize_record(cfg, seed, model))
+        return synthesize_records(cfg, [seed], model)[0]
     log = load_flight_log(cfg.run.log_path,
                           normalize=cfg.run.normalize_log_inputs)
     # The estimators replay at the log's dt, while Q, the embedded
@@ -321,8 +322,7 @@ def _grid(cfg: ExperimentConfig):
     """Report, plant and records (one per seed) of a grid family."""
     model = build_model(cfg)
     if cfg.run.log_path is None:
-        pairs = synthesize_records(cfg, cfg.seeds, model)
-        records = [Record(seed, *pair) for seed, pair in zip(cfg.seeds, pairs)]
+        records = synthesize_records(cfg, cfg.seeds, model)
     else:
         records = [get_record(cfg, seed, model) for seed in cfg.seeds]
     # A log-backed config has one seed, so one record sets the plant.
@@ -712,8 +712,8 @@ def run_noise_characterization(cfg: ExperimentConfig) -> ExperimentReport:
         t0 = time.perf_counter()
         stds = {"phi": [], "phidot": [], "w_phi": [], "w_phidot": []}
         first_residuals = None
-        pairs = synthesize_records(cfg, cfg.seeds, model, variant)
-        for seed, (data, _) in zip(cfg.seeds, pairs):
+        for seed, data, _ in synthesize_records(cfg, cfg.seeds, model,
+                                                variant):
             residuals = residual_process_noise(model, data)
             if first_residuals is None:
                 first_residuals = residuals
