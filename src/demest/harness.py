@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -36,7 +37,8 @@ RATE_REFERENCE_ORDER = 2
 
 @dataclass
 class ExperimentReport:
-    """Tables, aggregates, and the emitted-file manifest of one experiment."""
+    """Tables, aggregates, and the emitted-file manifest of one experiment.
+    A table maps each column name, in order, to a 1-D array or sequence."""
 
     kind: str
     config_hash: str
@@ -52,8 +54,8 @@ class ExperimentReport:
     def files(self) -> list[str]:
         return [f"{name}.csv" for name in self.tables] + ["manifest.json"]
 
-    def add(self, name: str, rows: list, description: str) -> None:
-        self.tables[name] = rows
+    def add(self, name: str, columns: dict, description: str) -> None:
+        self.tables[name] = columns
         self.descriptions[name] = description
 
 
@@ -70,6 +72,21 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def _formatted(column):
+    """A column's CSV cells, formatted lazily by one formatter chosen by its
+    dtype: ``repr`` of each float, the digits of each int (0 or 1 for a
+    bool). A list of values of one type is formatted as their array; one
+    that holds None or mixes ints and floats keeps ``_fmt``'s rules."""
+    if not isinstance(column, np.ndarray) and len(set(map(type, column))) == 1:
+        column = np.asarray(column)
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return map(repr, column.tolist())
+        if column.dtype.kind in "biu":
+            return map(str, map(int, column.tolist()))
+    return map(_fmt, column)
 
 
 def _environment() -> dict:
@@ -92,21 +109,20 @@ def _environment() -> dict:
 
 
 def write_report(report: ExperimentReport) -> None:
-    """Write every table as CSV plus a manifest. Only the manifest carries
-    non-reproducible content (wall-clock runtimes); the CSVs are
-    byte-deterministic for a fixed config."""
+    """Write every table as CSV plus a manifest. Each CSV starts with the
+    ``config_hash`` column, and a table without rows keeps its header line.
+    Only the manifest carries non-reproducible content (wall-clock
+    runtimes); the CSVs are byte-deterministic for a fixed config."""
     outdir = Path(report.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, rows in report.tables.items():
-        path = outdir / f"{name}.csv"
-        with open(path, "w", newline="") as fh:
-            if not rows:
-                fh.write("\n")
-                continue
-            columns = list(rows[0].keys())
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+    for name, table in report.tables.items():
+        n_rows = len(next(iter(table.values())))
+        columns = [repeat(report.config_hash, n_rows),
+                   *map(_formatted, table.values())]
+        with open(outdir / f"{name}.csv", "w", newline="") as fh:
+            fh.write(",".join(["config_hash", *table]) + "\n")
+            fh.writelines(",".join(row) + "\n"
+                          for row in zip(*columns, strict=True))
     manifest = {
         "schema_version": 1,
         "kind": report.kind,
@@ -296,20 +312,22 @@ def _dem_config(cfg: ExperimentConfig, spec: NoiseSpec, model: LtiModel,
     )
 
 
-def _aggregate(values) -> dict:
-    """Summary statistics of the values that are not None."""
-    arr = np.asarray([v for v in values if v is not None], dtype=float)
-    if arr.size == 0:
-        return {"n_runs": 0, "median": None, "iqr": None,
-                "mean": None, "std": None}
-    q1, q3 = np.percentile(arr, [25.0, 75.0])
-    return {
-        "n_runs": int(arr.size),
-        "median": float(np.median(arr)),
-        "iqr": float(q3 - q1),
-        "mean": float(arr.mean()),
-        "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-    }
+def _aggregate(grid) -> dict:
+    """Summary statistics of each row of an (axis x record) grid, over its
+    cells that are not None: a column per statistic, a cell per row."""
+    stats = {"n_runs": [], "median": [], "iqr": [], "mean": [], "std": []}
+    for row in grid:
+        arr = np.asarray([v for v in row if v is not None], dtype=float)
+        if arr.size == 0:
+            values = (0, None, None, None, None)
+        else:
+            q1, q3 = np.percentile(arr, [25.0, 75.0])
+            values = (int(arr.size), float(np.median(arr)), float(q3 - q1),
+                      float(arr.mean()),
+                      float(arr.std(ddof=1)) if arr.size > 1 else 0.0)
+        for column, value in zip(stats.values(), values):
+            column.append(value)
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +371,26 @@ def _replay(report: ExperimentReport, records: list[Record], axis) -> list:
     return cells
 
 
-def _sse(estimate, reference, column: int, skip: int) -> float | None:
-    """SSE of one replay against ``reference[:, column]``; None if the
-    replay diverged or there is no reference."""
-    if estimate is None or reference is None:
-        return None
-    return benchmarks.sse(estimate, reference[:, column], skip=skip)
+def _score(cells: list, references: list, column: int, skip: int) -> list:
+    """Grid of the SSE of each cell against ``reference[:, column]`` of its
+    record; None where the replay diverged or there is no reference."""
+    return [[None if est is None or ref is None else
+             benchmarks.sse(est, ref[:, column], skip=skip)
+             for est, ref in zip(row, references)] for row in cells]
+
+
+def _per_seed(records: list[Record], axis_name: str, axis_values,
+              scores: dict, by_record: bool = False) -> dict:
+    """Table of an (axis x record) grid family: ``seed`` and ``axis_name``
+    columns, then one per grid of ``scores``. The rows run axis point by
+    axis point, or with ``by_record`` record by record."""
+    grids = {"seed": [[rec.seed for rec in records]] * len(axis_values),
+             axis_name: [[value] * len(records) for value in axis_values],
+             **scores}
+    if by_record:
+        grids = {name: list(zip(*grid)) for name, grid in grids.items()}
+    return {name: [cell for row in grid for cell in row]
+            for name, grid in grids.items()}
 
 
 def _cells(results: list, pick) -> list:
@@ -441,23 +473,22 @@ def _state_estimators(cfg: ExperimentConfig, model: LtiModel,
 
 
 def _rate_scores(cfg: ExperimentConfig, records: list[Record],
-                 cells: list) -> list:
-    """``(sse_truth, sse_embedded, diverged)`` of every roll-rate cell.
+                 cells: list) -> tuple[list, list]:
+    """SSE grids of the roll-rate cells against the ground truth and
+    against the embedded reference.
 
-    ``sse_truth`` is None for a record without ground truth, and both are
+    A truth cell is None for a record without ground truth, and both are
     None for a diverged replay. The references are computed once per
     record, for every axis point.
     """
     skip = cfg.run.skip_steps
     # phidot is not directly measured; a low-order embedding of phi acts as
     # the derivative pseudo-measurement reference.
-    refs = [(rec.data.truth_states,
-             embed_series(rec.data.measurements[:, 0], cfg.run.dt,
-                          RATE_REFERENCE_ORDER))
-            for rec in records]
-    return [[(_sse(est, truth, 1, skip), _sse(est, embedded, 1, skip),
-              est is None) for est, (truth, embedded) in zip(row, refs)]
-            for row in cells]
+    embedded = [embed_series(rec.data.measurements[:, 0], cfg.run.dt,
+                             RATE_REFERENCE_ORDER) for rec in records]
+    return (_score(cells, [rec.data.truth_states for rec in records], 1,
+                   skip),
+            _score(cells, embedded, 1, skip))
 
 
 # ---------------------------------------------------------------------------
@@ -468,31 +499,23 @@ def run_benchmark_state(cfg: ExperimentConfig) -> ExperimentReport:
     """Roll-rate estimation shoot-out: observer vs KF, SA(AR-6), SMIKF(AR-1)."""
     report, model, records = _grid(cfg)
     axis = _state_estimators(cfg, model, report)
-    scores = _rate_scores(cfg, records, _replay(report, records, axis))
-    chash = report.config_hash
-    per_seed = []
-    for i, rec in enumerate(records):
-        for (name, _), row in zip(axis, scores):
-            sse_truth, sse_embedded, diverged = row[i]
-            per_seed.append({"config_hash": chash, "seed": rec.seed,
-                             "estimator": name, "sse_phidot_truth": sse_truth,
-                             "sse_phidot_embedded": sse_embedded,
-                             "diverged": diverged})
-    aggregate_rows = []
-    for (name, _), row in zip(axis, scores):
-        truth, embedded, diverged = zip(*row)
-        agg_t, agg_e = _aggregate(truth), _aggregate(embedded)
-        aggregate_rows.append({
-            "config_hash": chash, "estimator": name,
-            "n_runs": agg_e["n_runs"], "n_diverged": sum(diverged),
-            "median_sse_truth": agg_t["median"], "iqr_sse_truth": agg_t["iqr"],
-            "mean_sse_truth": agg_t["mean"], "std_sse_truth": agg_t["std"],
-            "median_sse_embedded": agg_e["median"],
-            "iqr_sse_embedded": agg_e["iqr"],
-        })
-    report.add("per_seed_sse", per_seed, "roll-rate SSE per (seed, estimator)")
-    report.add("aggregate_sse", aggregate_rows,
-               "per-estimator SSE aggregates (bar-chart data)")
+    names = [name for name, _ in axis]
+    cells = _replay(report, records, axis)
+    truth, embedded = _rate_scores(cfg, records, cells)
+    diverged = [[cell is None for cell in row] for row in cells]
+    report.add("per_seed_sse", _per_seed(records, "estimator", names, {
+        "sse_phidot_truth": truth, "sse_phidot_embedded": embedded,
+        "diverged": diverged}, by_record=True),
+        "roll-rate SSE per (seed, estimator)")
+    agg_t, agg_e = _aggregate(truth), _aggregate(embedded)
+    report.add("aggregate_sse", {
+        "estimator": names, "n_runs": agg_e["n_runs"],
+        "n_diverged": [sum(row) for row in diverged],
+        "median_sse_truth": agg_t["median"], "iqr_sse_truth": agg_t["iqr"],
+        "mean_sse_truth": agg_t["mean"], "std_sse_truth": agg_t["std"],
+        "median_sse_embedded": agg_e["median"],
+        "iqr_sse_embedded": agg_e["iqr"]},
+        "per-estimator SSE aggregates (bar-chart data)")
     return report
 
 
@@ -507,30 +530,23 @@ def run_sweep_p(cfg: ExperimentConfig) -> ExperimentReport:
         _observer_rate(report, f"dem_p{p}", model,
                        _dem_config(cfg, spec, model, p=p), inputs)
         for p in p_values])
-    chash = report.config_hash
-    per_seed, summary = [], []
-    for p, row in zip(p_values, _rate_scores(cfg, records, cells)):
-        for rec, (sse_truth, sse_embedded, diverged) in zip(records, row):
-            per_seed.append({"config_hash": chash, "seed": rec.seed, "p": p,
-                             "sse_truth": sse_truth,
-                             "sse_embedded": sse_embedded,
-                             "diverged": diverged})
-        truth, embedded, _ = zip(*row)
-        agg = _aggregate(truth if any(v is not None for v in truth)
-                         else embedded)
-        summary.append({"config_hash": chash, "p": p, "n_runs": agg["n_runs"],
-                        "mean_sse": agg["mean"], "std_sse": agg["std"],
-                        "median_sse": agg["median"]})
-    report.add("per_seed_sse", per_seed,
-               "roll-rate SSE per (seed, embedding order)")
-    report.add("sweep_summary", summary, "SSE statistics per embedding order")
+    truth, embedded = _rate_scores(cfg, records, cells)
+    report.add("per_seed_sse", _per_seed(records, "p", p_values, {
+        "sse_truth": truth, "sse_embedded": embedded,
+        "diverged": [[cell is None for cell in row] for row in cells]}),
+        "roll-rate SSE per (seed, embedding order)")
+    agg = _aggregate([t if any(v is not None for v in t) else e
+                      for t, e in zip(truth, embedded)])
+    report.add("sweep_summary", {
+        "p": p_values, "n_runs": agg["n_runs"], "mean_sse": agg["mean"],
+        "std_sse": agg["std"], "median_sse": agg["median"]},
+        "SSE statistics per embedding order")
     return report
 
 
 def run_landscape(cfg: ExperimentConfig) -> ExperimentReport:
     """Probe the free-energy surface around the converged estimate."""
     report = _new_report(cfg)
-    chash = report.config_hash
     seed = cfg.seeds[0]
     model = build_model(cfg)
     data = get_record(cfg, seed, model).data
@@ -557,36 +573,33 @@ def run_landscape(cfg: ExperimentConfig) -> ExperimentReport:
 
     probe_steps = np.unique(np.linspace(skip, data.n_steps - 1,
                                         ls.n_probe_times).astype(int))
-    surface_rows, summary_rows = [], []
-    all_passed = True
-    for step in probe_steps:
-        result = dem.free_energy_landscape(
-            matrices, estimates[step], y_gen_series[step],
-            matrices.eta_gen, directions, [ls.magnitude], slack=ls.slack)
-        all_passed &= result.passed
-        for i in range(directions.shape[0]):
-            surface_rows.append({
-                "config_hash": chash, "probe_step": int(step),
-                "time_s": step * cfg.run.dt, "probe_index": i,
-                "magnitude": ls.magnitude,
-                "v_estimate": result.v_at_estimate,
-                "v_probe": float(result.probe_values[i, 0]),
-                "delta": float(result.probe_values[i, 0] - result.v_at_estimate),
-            })
-        summary_rows.append({
-            "config_hash": chash, "probe_step": int(step),
-            "time_s": step * cfg.run.dt,
-            "n_probes": int(directions.shape[0]),
-            "v_estimate": result.v_at_estimate,
-            "max_probe": result.max_probe,
-            "max_delta": result.max_probe - result.v_at_estimate,
-            "passed": result.passed,
-        })
+    results = [dem.free_energy_landscape(
+        matrices, estimates[step], y_gen_series[step], matrices.eta_gen,
+        directions, [ls.magnitude], slack=ls.slack) for step in probe_steps]
     report.runtimes_s["landscape"] = time.perf_counter() - t0
-    report.add("surface", surface_rows,
-               "free energy at perturbed probes around the estimate")
-    report.add("summary", summary_rows, "per-probe-time maximality check")
-    report.passed = bool(all_passed)
+    # (probe time x probe) grid of free energies.
+    probes = np.array([res.probe_values[:, 0] for res in results])
+    n_probes = directions.shape[0]
+    v_estimate = np.array([res.v_at_estimate for res in results])
+    max_probe = np.array([res.max_probe for res in results])
+    time_s = probe_steps * cfg.run.dt
+    report.add("surface", {
+        "probe_step": np.repeat(probe_steps, n_probes),
+        "time_s": np.repeat(time_s, n_probes),
+        "probe_index": np.tile(np.arange(n_probes), probe_steps.size),
+        "magnitude": np.full(probes.size, ls.magnitude),
+        "v_estimate": np.repeat(v_estimate, n_probes),
+        "v_probe": probes.ravel(),
+        "delta": (probes - v_estimate[:, None]).ravel()},
+        "free energy at perturbed probes around the estimate")
+    report.add("summary", {
+        "probe_step": probe_steps, "time_s": time_s,
+        "n_probes": np.full(probe_steps.size, n_probes),
+        "v_estimate": v_estimate, "max_probe": max_probe,
+        "max_delta": max_probe - v_estimate,
+        "passed": np.array([res.passed for res in results])},
+        "per-probe-time maximality check")
+    report.passed = all(res.passed for res in results)
     return report
 
 
@@ -604,40 +617,33 @@ def run_input_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
             ("uio", lambda recs: _cells(benchmarks.uio_batch(
                 model, [rec.data for rec in recs], poles=poles),
                 lambda res: res.inputs[:, 0].copy()))]
+    names = [name for name, _ in axis]
     cells = _replay(report, records, axis)
     skip = cfg.run.skip_steps
-    chash = report.config_hash
-    per_seed = []
-    for i, rec in enumerate(records):
-        for (name, _), row in zip(axis, cells):
-            per_seed.append({
-                "config_hash": chash, "seed": rec.seed, "estimator": name,
-                "sse_input_measured": _sse(row[i], rec.data.inputs, 0, skip),
-                "sse_input_truth": _sse(row[i], rec.data.truth_inputs, 0, skip),
-                "diverged": row[i] is None})
-    agg_rows = []
-    for name, _ in axis:
-        agg = _aggregate(row["sse_input_measured"] for row in per_seed
-                         if row["estimator"] == name)
-        agg_rows.append({"config_hash": chash, "estimator": name,
-                         "n_runs": agg["n_runs"],
-                         "median_sse_input": agg["median"],
-                         "iqr_sse_input": agg["iqr"],
-                         "mean_sse_input": agg["mean"]})
-    traces = []
+    measured = _score(cells, [rec.data.inputs for rec in records], 0, skip)
+    report.add("per_seed_input_sse", _per_seed(records, "estimator", names, {
+        "sse_input_measured": measured,
+        "sse_input_truth": _score(
+            cells, [rec.data.truth_inputs for rec in records], 0, skip),
+        "diverged": [[cell is None for cell in row] for row in cells]},
+        by_record=True),
+        "input-estimate SSE per (seed, estimator)")
+    agg = _aggregate(measured)
+    report.add("aggregate_input_sse", {
+        "estimator": names, "n_runs": agg["n_runs"],
+        "median_sse_input": agg["median"], "iqr_sse_input": agg["iqr"],
+        "mean_sse_input": agg["mean"]}, "per-estimator input SSE aggregates")
+    # The first record's traces, none if either of its replays diverged.
     v_dem, v_uio = (row[0] for row in cells)
-    if v_dem is not None and v_uio is not None:
-        measured = records[0].data.inputs[:, 0]
-        traces = [{"config_hash": chash, "seed": records[0].seed, "step": k,
-                   "time_s": k * cfg.run.dt, "v_measured": measured[k],
-                   "v_dem": v_dem[k], "v_uio": v_uio[k]}
-                  for k in range(measured.size)]
-    report.add("per_seed_input_sse", per_seed,
-               "input-estimate SSE per (seed, estimator)")
-    report.add("aggregate_input_sse", agg_rows,
-               "per-estimator input SSE aggregates")
-    report.add("input_traces", traces,
-               "input-estimate traces for the first seed")
+    if v_dem is None or v_uio is None:
+        v_dem = v_uio = np.empty(0)
+    step = np.arange(v_dem.size)
+    report.add("input_traces", {
+        "seed": np.full(step.size, records[0].seed), "step": step,
+        "time_s": step * cfg.run.dt,
+        "v_measured": records[0].data.inputs[:step.size, 0],
+        "v_dem": v_dem, "v_uio": v_uio},
+        "input-estimate traces for the first seed")
     return report
 
 
@@ -662,42 +668,41 @@ def run_prior_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     cells = _replay(report, records,
                     [observer(f"pv{pv:g}", pv) for pv in ps.pv_grid])
     skip = cfg.run.skip_steps
-    chash = report.config_hash
-    per_seed, traces, summary = [], [], []
-    for pv, row in zip(ps.pv_grid, cells):
-        rows = []
-        for rec, cell in zip(records, row):
-            v_hat, rate = (None, None) if cell is None else cell
-            data = rec.data
-            rows.append({
-                "config_hash": chash, "seed": rec.seed, "pv": pv,
-                "sse_input_measured": _sse(v_hat, data.inputs, 0, skip),
-                "sse_input_truth": _sse(v_hat, data.truth_inputs, 0, skip),
-                "sse_state_truth": _sse(rate, data.truth_states, 1, skip),
-                "mean_abs_dev_from_prior": None if v_hat is None else float(
-                    np.mean(np.abs(v_hat[skip:] - ps.eta_v)))})
-        per_seed += rows
-        if row[0] is not None:
-            v_hat, measured = row[0][0], records[0].data.inputs[:, 0]
-            traces += [{"config_hash": chash, "pv": pv, "step": k,
-                        "time_s": k * cfg.run.dt, "v_measured": measured[k],
-                        "v_hat": v_hat[k], "prior": ps.eta_v}
-                       for k in range(measured.size)]
-
-        def median(column):
-            return _aggregate(r[column] for r in rows)["median"]
-        summary.append({
-            "config_hash": chash, "pv": pv,
-            "median_sse_input_truth": median("sse_input_truth"),
-            "median_sse_input_measured": median("sse_input_measured"),
-            "median_sse_state_truth": median("sse_state_truth"),
-            "median_abs_dev_from_prior": median("mean_abs_dev_from_prior"),
-        })
-    report.add("per_seed_sse", per_seed,
+    v_hat, rate = ([[None if cell is None else cell[j] for cell in row]
+                    for row in cells] for j in (0, 1))
+    scores = {
+        "sse_input_measured": _score(
+            v_hat, [rec.data.inputs for rec in records], 0, skip),
+        "sse_input_truth": _score(
+            v_hat, [rec.data.truth_inputs for rec in records], 0, skip),
+        "sse_state_truth": _score(
+            rate, [rec.data.truth_states for rec in records], 1, skip),
+        "mean_abs_dev_from_prior": [
+            [None if v is None else float(np.mean(np.abs(v[skip:] - ps.eta_v)))
+             for v in row] for row in v_hat]}
+    report.add("per_seed_sse", _per_seed(records, "pv", ps.pv_grid, scores),
                "input/state SSE per (seed, prior precision)")
-    report.add("sse_vs_pv", summary, "median SSE versus prior precision")
-    report.add("input_traces", traces,
-               "input-estimate traces for the first seed")
+    median = {name: _aggregate(grid)["median"]
+              for name, grid in scores.items()}
+    report.add("sse_vs_pv", {
+        "pv": ps.pv_grid,
+        "median_sse_input_truth": median["sse_input_truth"],
+        "median_sse_input_measured": median["sse_input_measured"],
+        "median_sse_state_truth": median["sse_state_truth"],
+        "median_abs_dev_from_prior": median["mean_abs_dev_from_prior"]},
+        "median SSE versus prior precision")
+    # The first record's input traces at every precision where it ran.
+    traced = [(pv, row[0]) for pv, row in zip(ps.pv_grid, v_hat)
+              if row[0] is not None]
+    measured = records[0].data.inputs[:, 0]
+    step = np.tile(np.arange(measured.size), len(traced))
+    report.add("input_traces", {
+        "pv": [pv for pv, _ in traced for _ in range(measured.size)],
+        "step": step, "time_s": step * cfg.run.dt,
+        "v_measured": np.tile(measured, len(traced)),
+        "v_hat": np.array([v for _, v in traced]).ravel(),
+        "prior": np.full(step.size, ps.eta_v)},
+        "input-estimate traces for the first seed")
     return report
 
 
@@ -705,66 +710,57 @@ def run_noise_characterization(cfg: ExperimentConfig) -> ExperimentReport:
     """Residual-noise statistics, Gaussianity, and autocorrelation per regime."""
     model = build_model(cfg)
     report = _new_report(cfg)
-    chash = report.config_hash
     channel_names = ("w_phi", "w_phidot")
-    std_rows, per_seed_rows, fit_rows = [], [], []
+    labels = [variant.label for variant in cfg.noise_variants]
+    # (variant x record) grids of the std of each state and residual.
+    stds = {f"std_{name}": [] for name in ("phi", "phidot", *channel_names)}
+    fits = []  # (mean, std, ks_stat, n) per (variant, channel)
     for variant in cfg.noise_variants:
         t0 = time.perf_counter()
-        stds = {"phi": [], "phidot": [], "w_phi": [], "w_phidot": []}
-        first_residuals = None
-        for seed, data, _ in synthesize_records(cfg, cfg.seeds, model,
-                                                variant):
-            residuals = residual_process_noise(model, data)
-            if first_residuals is None:
-                first_residuals = residuals
-            states = data.truth_states
-            row = {"config_hash": chash, "variant": variant.label, "seed": seed,
-                   "std_phi": float(states[:, 0].std(ddof=1)),
-                   "std_phidot": float(states[:, 1].std(ddof=1)),
-                   "std_w_phi": float(residuals[:, 0].std(ddof=1)),
-                   "std_w_phidot": float(residuals[:, 1].std(ddof=1))}
-            for key in stds:
-                stds[key].append(row[f"std_{key}"])
-            per_seed_rows.append(row)
+        records = synthesize_records(cfg, cfg.seeds, model, variant)
+        residuals = [residual_process_noise(model, rec.data)
+                     for rec in records]
+        states = [rec.data.truth_states for rec in records]
+        for grid, series, ch in zip(stds.values(), (states, states, residuals,
+                                                    residuals), (0, 1, 0, 1)):
+            grid.append([float(x[:, ch].std(ddof=1)) for x in series])
         report.runtimes_s[variant.label] = time.perf_counter() - t0
-        std_rows.append({"config_hash": chash, "variant": variant.label,
-                         **{f"std_{k}": float(np.median(v))
-                            for k, v in stds.items()}})
 
-        max_lag = min(60, first_residuals.shape[0] - 2)
+        first = residuals[0]
+        max_lag = min(60, first.shape[0] - 2)
+        lag = np.arange(max_lag + 1)
         for ch, ch_name in enumerate(channel_names):
-            series = first_residuals[:, ch]
+            series = first[:, ch]
             fit = gaussian_fit(series)
-            fit_rows.append({"config_hash": chash, "variant": variant.label,
-                             "channel": ch_name, "mean": fit.mean,
-                             "std": fit.std, "ks_stat": fit.ks_stat,
-                             "n": int(series.size)})
+            fits.append((*fit, series.size))
             counts, edges = np.histogram(series, bins=30)
             pdf = gaussian_kernel_density(
                 0.5 * (edges[:-1] + edges[1:]) - fit.mean, fit.std)
-            hist_rows = [{"config_hash": chash, "bin_left": edges[b],
-                          "bin_right": edges[b + 1], "count": int(counts[b]),
-                          "fitted_pdf_at_center": float(pdf[b])}
-                         for b in range(counts.size)]
-            report.add(f"histogram_{variant.label}_{ch_name}", hist_rows,
-                       f"{ch_name} histogram with Gaussian fit ({variant.label})")
+            report.add(f"histogram_{variant.label}_{ch_name}", {
+                "bin_left": edges[:-1], "bin_right": edges[1:],
+                "count": counts, "fitted_pdf_at_center": pdf},
+                f"{ch_name} histogram with Gaussian fit ({variant.label})")
+            report.add(f"autocorr_{variant.label}_{ch_name}", {
+                "lag": lag, "lag_s": lag * cfg.run.dt,
+                "r": autocorrelation(series, max_lag),
+                "expected_r": kernel_autocorrelation(lag * cfg.run.dt,
+                                                     variant.sigma)},
+                f"{ch_name} sample autocorrelation ({variant.label})")
 
-            corr = autocorrelation(series, max_lag)
-            expected = kernel_autocorrelation(
-                np.arange(max_lag + 1) * cfg.run.dt, variant.sigma)
-            corr_rows = [{"config_hash": chash, "lag": h,
-                          "lag_s": h * cfg.run.dt, "r": float(corr[h]),
-                          "expected_r": float(expected[h])}
-                         for h in range(max_lag + 1)]
-            report.add(f"autocorr_{variant.label}_{ch_name}", corr_rows,
-                       f"{ch_name} sample autocorrelation ({variant.label})")
-
-    report.add("std_table", std_rows,
-               "median state and residual-noise stds per regime")
-    report.add("std_per_seed", per_seed_rows,
-               "state and residual-noise stds per seed")
-    report.add("gaussian_fit", fit_rows,
-               "Gaussian fit and KS statistic per regime/channel")
+    report.add("std_table", {"variant": labels, **{
+        name: _aggregate(grid)["median"] for name, grid in stds.items()}},
+        "median state and residual-noise stds per regime")
+    report.add("std_per_seed", {
+        "variant": [label for label in labels for _ in cfg.seeds],
+        "seed": list(cfg.seeds) * len(labels),
+        **{name: sum(grid, []) for name, grid in stds.items()}},
+        "state and residual-noise stds per seed")
+    report.add("gaussian_fit", {
+        "variant": [label for label in labels for _ in channel_names],
+        "channel": list(channel_names) * len(labels),
+        **{name: [fit[i] for fit in fits]
+           for i, name in enumerate(("mean", "std", "ks_stat", "n"))}},
+        "Gaussian fit and KS statistic per regime/channel")
     return report
 
 

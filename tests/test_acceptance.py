@@ -139,19 +139,19 @@ def test_criterion_04_concavity_and_landscape(tmp_path):
     report = _run_into(cfg, tmp_path)
     assert report.passed
     summary = report.tables["summary"]
-    assert len(summary) == 10
-    assert all(row["n_probes"] == 100 for row in summary)
-    assert all(row["passed"] for row in summary)
+    assert len(summary["passed"]) == 10
+    assert all(n == 100 for n in summary["n_probes"])
+    assert all(summary["passed"])
     _report(4, time.perf_counter() - start, 10.0,
             f"max eig(-curvature) = {eig_max:.1e}; estimate tops all probes "
-            f"at {len(summary)} times")
+            f"at {len(summary['passed'])} times")
 
 
 def test_criterion_05_colored_noise_benchmark_ordering(tmp_path):
     start = time.perf_counter()
     windy = _run_into(_load("benchmark_state_windy"), tmp_path / "windy")
-    med = {row["estimator"]: row["median_sse_truth"]
-           for row in windy.tables["aggregate_sse"]}
+    agg = windy.tables["aggregate_sse"]
+    med = dict(zip(agg["estimator"], agg["median_sse_truth"]))
     assert med["dem"] < med["state_augmentation"], med
     assert med["state_augmentation"] < med["smikf"], med
     assert med["state_augmentation"] < med["kalman"], med
@@ -159,8 +159,8 @@ def test_criterion_05_colored_noise_benchmark_ordering(tmp_path):
     assert not windy.diverged
 
     calm = _run_into(_load("benchmark_state_calm"), tmp_path / "calm")
-    med_calm = {row["estimator"]: row["median_sse_truth"]
-                for row in calm.tables["aggregate_sse"]}
+    agg = calm.tables["aggregate_sse"]
+    med_calm = dict(zip(agg["estimator"], agg["median_sse_truth"]))
     assert med_calm["kalman"] <= med_calm["dem"], med_calm
     _report(5, time.perf_counter() - start, 180.0,
             f"windy medians dem={med['dem']:.3g} < sa="
@@ -171,9 +171,10 @@ def test_criterion_05_colored_noise_benchmark_ordering(tmp_path):
 def test_criterion_06_embedding_order_trend(tmp_path):
     start = time.perf_counter()
     report = _run_into(_load("sweep_p"), tmp_path)
-    summary = sorted(report.tables["sweep_summary"], key=lambda r: r["p"])
-    assert [row["p"] for row in summary] == list(range(7))
-    medians = [row["median_sse"] for row in summary]
+    summary = report.tables["sweep_summary"]
+    p_values, medians = zip(*sorted(zip(summary["p"],
+                                        summary["median_sse"])))
+    assert list(p_values) == list(range(7))
     rho = spearmanr(range(7), medians).statistic
     assert rho < 0.0
     assert medians[6] < medians[0] / 2.0
@@ -185,15 +186,17 @@ def test_criterion_06_embedding_order_trend(tmp_path):
 def test_criterion_07_input_estimation_parity(tmp_path):
     start = time.perf_counter()
     colored = _run_into(_load("input_benchmark_colored"), tmp_path / "colored")
-    med = {row["estimator"]: row["median_sse_input"]
-           for row in colored.tables["aggregate_input_sse"]}
+    agg = colored.tables["aggregate_input_sse"]
+    med = dict(zip(agg["estimator"], agg["median_sse_input"]))
     ratio = med["dem"] / med["uio"]
     assert 0.5 <= ratio <= 2.0, med
 
     clean = _run_into(_load("input_benchmark_noiseless"), tmp_path / "clean")
-    for row in clean.tables["per_seed_input_sse"]:
-        assert not row["diverged"]
-        assert row["sse_input_measured"] < 1e-3, row
+    per_seed = clean.tables["per_seed_input_sse"]
+    for diverged, sse in zip(per_seed["diverged"],
+                             per_seed["sse_input_measured"], strict=True):
+        assert not diverged
+        assert sse < 1e-3, sse
     _report(7, time.perf_counter() - start, 120.0,
             f"colored dem/uio median ratio {ratio:.2f}; noiseless input SSE "
             f"< 1e-3 for every seed and estimator")
@@ -205,13 +208,14 @@ def test_criterion_08_accuracy_complexity_sweep(tmp_path):
     assert len(cfg.prior_sweep.pv_grid) == 9
     assert cfg.prior_sweep.eta_v == 1.0
     report = _run_into(cfg, tmp_path)
-    summary = sorted(report.tables["sse_vs_pv"], key=lambda r: r["pv"])
-    grid = [row["pv"] for row in summary]
-    sse_truth = [row["median_sse_input_truth"] for row in summary]
+    summary = report.tables["sse_vs_pv"]
+    grid, sse_truth, deviation = zip(*sorted(zip(
+        summary["pv"], summary["median_sse_input_truth"],
+        summary["median_abs_dev_from_prior"])))
     rho = spearmanr(grid, sse_truth).statistic
     assert rho > 0.0
-    pinned = summary[-1]["median_abs_dev_from_prior"]
-    assert summary[-1]["pv"] == 1e6
+    pinned = deviation[-1]
+    assert grid[-1] == 1e6
     assert pinned <= 1e-2
     _report(8, time.perf_counter() - start, 120.0,
             f"input SSE rises with prior precision (spearman {rho:.2f}); "

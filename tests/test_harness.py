@@ -13,7 +13,7 @@ from demest.config import (ExperimentConfig, config_hash, load_config_file,
                            parse_config, serialize_config)
 from demest import benchmarks, dem, harness
 from demest.errors import ConfigError, DataFormatError, DivergenceError
-from demest.harness import run_experiment
+from demest.harness import run_experiment, write_report
 from demest.systems import (ExperimentData, quadrotor_roll_model,
                             save_flight_log, simulate)
 
@@ -154,23 +154,28 @@ class TestBenchmarkStateExperiment:
         return bench_report
 
     def test_row_keys(self, report):
-        rows = report.tables["per_seed_sse"]
-        assert len(rows) == 3 * 4
-        for row in rows:
-            assert row["config_hash"] == report.config_hash
-            assert row["estimator"] in ("dem", "kalman",
-                                        "state_augmentation", "smikf")
-            assert row["seed"] in (1, 2, 3)
+        table = report.tables["per_seed_sse"]
+        assert len(table["seed"]) == 3 * 4
+        assert set(table["estimator"]) <= {"dem", "kalman",
+                                           "state_augmentation", "smikf"}
+        assert set(table["seed"]) <= {1, 2, 3}
+        # write_report adds the config_hash column to every table.
+        rows = read_csv(Path(report.output_dir) / "per_seed_sse.csv")
+        assert [row["config_hash"] for row in rows] == \
+            [report.config_hash] * 12
 
     def test_aggregates_match_recomputation(self, report):
         per_seed = report.tables["per_seed_sse"]
-        for agg in report.tables["aggregate_sse"]:
-            values = [row["sse_phidot_truth"] for row in per_seed
-                      if row["estimator"] == agg["estimator"]
-                      and not row["diverged"]]
-            assert agg["median_sse_truth"] == pytest.approx(
-                float(np.median(values)), abs=1e-12)
-            assert agg["n_runs"] == len(values)
+        agg = report.tables["aggregate_sse"]
+        for name, median, n_runs in zip(agg["estimator"],
+                                        agg["median_sse_truth"],
+                                        agg["n_runs"], strict=True):
+            values = [sse for estimator, sse, diverged in zip(
+                per_seed["estimator"], per_seed["sse_phidot_truth"],
+                per_seed["diverged"]) if estimator == name and not diverged]
+            assert median == pytest.approx(float(np.median(values)),
+                                           abs=1e-12)
+            assert n_runs == len(values)
 
     def test_files_written(self, report):
         outdir = Path(report.output_dir)
@@ -244,17 +249,20 @@ class TestBenchmarkStateExperiment:
         assert result.diverged == [{
             "seed": 2, "estimator": "kalman",
             "error": str(DivergenceError(150, "non-finite filter state"))}]
-        for clean, row in zip(report.tables["per_seed_sse"],
-                              result.tables["per_seed_sse"]):
-            if (row["seed"], row["estimator"]) == (2, "kalman"):
-                assert row["diverged"]
-                assert row["sse_phidot_truth"] is None
-                assert row["sse_phidot_embedded"] is None
-            else:
-                assert row == clean
-        kalman = next(row for row in result.tables["aggregate_sse"]
-                      if row["estimator"] == "kalman")
-        assert (kalman["n_runs"], kalman["n_diverged"]) == (2, 1)
+        clean, table = report.tables["per_seed_sse"], \
+            result.tables["per_seed_sse"]
+        hit = [key == (2, "kalman")
+               for key in zip(table["seed"], table["estimator"])]
+        i = hit.index(True)
+        assert table["diverged"][i]
+        assert table["sse_phidot_truth"][i] is None
+        assert table["sse_phidot_embedded"][i] is None
+        for name, column in table.items():
+            assert [c for c, h in zip(column, hit, strict=True) if not h] == \
+                [c for c, h in zip(clean[name], hit, strict=True) if not h]
+        agg = result.tables["aggregate_sse"]
+        k = agg["estimator"].index("kalman")
+        assert (agg["n_runs"][k], agg["n_diverged"][k]) == (2, 1)
 
 
     def test_one_diverging_observer_record_leaves_one_empty_cell(self):
@@ -307,11 +315,11 @@ class TestLogBackedExperiment:
 
     def test_benchmark_on_flight_log(self, tmp_path):
         report = run_experiment(self._log_config(tmp_path, 0.0083))
-        rows = report.tables["per_seed_sse"]
+        table = report.tables["per_seed_sse"]
         # no ground truth in the log: only the embedded-derivative reference
-        assert all(row["sse_phidot_truth"] is None for row in rows)
-        assert all(row["sse_phidot_embedded"] is not None for row in rows
-                   if not row["diverged"])
+        assert all(sse is None for sse in table["sse_phidot_truth"])
+        assert all(sse is not None for sse, diverged in zip(
+            table["sse_phidot_embedded"], table["diverged"]) if not diverged)
 
     def test_log_dt_must_match_run_dt(self, tmp_path):
         # A 100 Hz log under run.dt 0.0083: the filters would replay at the
@@ -368,9 +376,9 @@ class TestLogBackedExperiment:
             raw["run"].update(log_path=str(path),
                               normalize_log_inputs=normalize)
             report = run_experiment(parse_config(raw), write=False)
-            sse[name] = {row["estimator"]: (row["sse_phidot_truth"],
-                                            row["sse_phidot_embedded"])
-                         for row in report.tables["per_seed_sse"]}
+            table = report.tables["per_seed_sse"]
+            sse[name] = dict(zip(table["estimator"], zip(
+                table["sse_phidot_truth"], table["sse_phidot_embedded"])))
         # The observer's clamped input block still moves inside each step,
         # at rates set by the input prior and the curvature in normalized
         # units, so DEM agrees to ~4e-8 (1e-5 without the rescaled B).
@@ -398,8 +406,12 @@ class TestSweepPExperiment:
         report = run_experiment(parse_config(raw), write=False)
         assert sorted(inputs) == [0] * 3 + [1] * 3 + [2] * 3
         monkeypatch.setattr(dem, "embed_series", embed_series)
-        assert report.tables == run_experiment(parse_config(raw),
-                                               write=False).tables
+        again = run_experiment(parse_config(raw), write=False).tables
+        assert list(report.tables) == list(again)
+        for name, table in report.tables.items():
+            assert list(table) == list(again[name])
+            for column, cells in table.items():
+                assert np.array_equal(cells, again[name][column]), column
 
 
 class TestLandscapeExperiment:
@@ -418,8 +430,7 @@ class TestLandscapeExperiment:
                             "magnitude": 0.0, "slack": 1e-8}
         report = run_experiment(parse_config(raw))
         assert report.passed
-        for row in report.tables["surface"]:
-            assert row["delta"] == 0.0
+        assert all(delta == 0.0 for delta in report.tables["surface"]["delta"])
 
     def test_record_is_embedded_once(self, tmp_path, monkeypatch):
         embed_series = dem.embed_series
@@ -446,7 +457,7 @@ class TestLandscapeExperiment:
         raw["run"]["n_steps"] = 500
         report = run_experiment(parse_config(raw))
         assert report.passed
-        assert all(row["passed"] for row in report.tables["summary"])
+        assert all(report.tables["summary"]["passed"])
 
 
 class TestPriorSweepExperiment:
@@ -475,9 +486,11 @@ class TestPriorSweepExperiment:
         raw["run"]["n_steps"] = 400
         raw["prior_sweep"]["pv_grid"] = [1.0, 1e6]
         report = run_experiment(parse_config(raw))
-        summary = {row["pv"]: row for row in report.tables["sse_vs_pv"]}
-        assert summary[1e6]["median_abs_dev_from_prior"] < 1e-2
-        assert summary[1.0]["median_abs_dev_from_prior"] > 0.1
+        summary = report.tables["sse_vs_pv"]
+        deviation = dict(zip(summary["pv"],
+                             summary["median_abs_dev_from_prior"]))
+        assert deviation[1e6] < 1e-2
+        assert deviation[1.0] > 0.1
 
     def test_divergence_leaves_empty_cells(self, tmp_path, monkeypatch):
         assemble_observer = dem.assemble_observer
@@ -502,23 +515,20 @@ class TestPriorSweepExperiment:
         raw["seeds"] = [1, 2]
         raw["prior_sweep"] = {"pv_grid": [1.0, 10.0], "eta_v": 1.0}
         report = run_experiment(parse_config(raw))
-        rows = report.tables["per_seed_sse"]
-        assert [row["pv"] for row in rows] == [1.0, 1.0, 10.0, 10.0]
-        for row in rows:
-            cells = [row[c] for c in ("sse_input_measured", "sse_input_truth",
-                                      "sse_state_truth",
-                                      "mean_abs_dev_from_prior")]
-            if row["pv"] == 10.0:
-                assert cells == [None] * 4
-            else:
-                assert None not in cells
+        table = report.tables["per_seed_sse"]
+        assert list(table["pv"]) == [1.0, 1.0, 10.0, 10.0]
+        for column in ("sse_input_measured", "sse_input_truth",
+                       "sse_state_truth", "mean_abs_dev_from_prior"):
+            assert [cell is None for cell in table[column]] == \
+                [pv == 10.0 for pv in table["pv"]], column
         assert [(d["seed"], d["estimator"]) for d in report.diverged] == \
             [(1, "pv10"), (2, "pv10")]
-        summary = {row["pv"]: row for row in report.tables["sse_vs_pv"]}
-        assert summary[10.0]["median_sse_input_measured"] is None
-        assert summary[1.0]["median_sse_input_measured"] is not None
-        traces = report.tables["input_traces"]
-        assert {row["pv"] for row in traces} == {1.0}
+        summary = report.tables["sse_vs_pv"]
+        medians = dict(zip(summary["pv"],
+                           summary["median_sse_input_measured"]))
+        assert medians[10.0] is None
+        assert medians[1.0] is not None
+        assert set(report.tables["input_traces"]["pv"]) == {1.0}
         lines = (tmp_path / "per_seed_sse.csv").read_text().splitlines()
         assert lines[3].endswith(",10.0,,,,")
 
@@ -529,33 +539,120 @@ class TestNoiseCharacterizationExperiment:
         return noisechar_report
 
     def test_std_table_shape(self, report):
-        rows = report.tables["std_table"]
-        assert [row["variant"] for row in rows] == ["without_wind",
-                                                    "with_wind"]
-        for row in rows:
-            for col in ("std_phi", "std_phidot", "std_w_phi", "std_w_phidot"):
-                assert row[col] > 0
+        table = report.tables["std_table"]
+        assert table["variant"] == ["without_wind", "with_wind"]
+        for col in ("std_phi", "std_phidot", "std_w_phi", "std_w_phidot"):
+            assert len(table[col]) == 2
+            assert all(std > 0 for std in table[col])
 
     def test_wind_increases_stds(self, report):
-        calm, windy = report.tables["std_table"]
-        assert windy["std_w_phi"] > calm["std_w_phi"]
-        assert windy["std_w_phidot"] > calm["std_w_phidot"]
+        table = report.tables["std_table"]
+        for col in ("std_w_phi", "std_w_phidot"):
+            calm, windy = table[col]
+            assert windy > calm
 
     def test_white_variant_autocorrelation_drops(self, report):
-        rows = report.tables["autocorr_without_wind_w_phidot"]
-        assert rows[0]["r"] == pytest.approx(1.0)
+        r = report.tables["autocorr_without_wind_w_phidot"]["r"]
+        assert r[0] == pytest.approx(1.0)
         floor = 3.0 / np.sqrt(1203)
-        assert all(abs(row["r"]) < floor for row in rows[1:])
+        assert all(abs(value) < floor for value in r[1:])
 
     def test_colored_variant_matches_kernel_curve(self, report):
-        rows = report.tables["autocorr_with_wind_w_phidot"]
-        for row in rows:
-            if row["lag_s"] <= 3 * 0.0498:
-                assert row["r"] == pytest.approx(row["expected_r"], abs=0.1)
+        table = report.tables["autocorr_with_wind_w_phidot"]
+        for lag_s, r, expected in zip(table["lag_s"], table["r"],
+                                      table["expected_r"], strict=True):
+            if lag_s <= 3 * 0.0498:
+                assert r == pytest.approx(expected, abs=0.1)
 
     def test_gaussian_fits_accepted(self, report):
-        for row in report.tables["gaussian_fit"]:
-            assert row["ks_stat"] < 1.63 / np.sqrt(row["n"])
+        table = report.tables["gaussian_fit"]
+        assert len(table["n"]) == 4
+        for ks_stat, n in zip(table["ks_stat"], table["n"], strict=True):
+            assert ks_stat < 1.63 / np.sqrt(n)
+
+
+class TestWriteReport:
+    """write_report owns the config_hash column and formats each column by
+    one rule, chosen by its type, or value by value where types mix."""
+
+    def test_formatting_rules(self, tmp_path):
+        report = harness.ExperimentReport(kind="prior_sweep",
+                                          config_hash="0123abcd",
+                                          output_dir=tmp_path)
+        report.add("table", {
+            "pv": [1, 10.5], "diverged": [False, True], "sse": [0.25, None],
+            "step": np.arange(2), "passed": np.array([True, False]),
+            "time_s": np.arange(2) * 0.5, "estimator": ["dem", "uio"]}, "")
+        write_report(report)
+        assert (tmp_path / "table.csv").read_text() == (
+            "config_hash,pv,diverged,sse,step,passed,time_s,estimator\n"
+            "0123abcd,1,0,0.25,0,1,0.0,dem\n"
+            "0123abcd,10.5,1,,1,0,0.5,uio\n")
+
+    def test_prior_sweep_precisions_keep_their_type(self, tmp_path,
+                                                   monkeypatch):
+        # pv_grid values are not coerced to float, so the int 1 reads 1
+        # beside 10.5 in every table. Seed 2's replay at 10.5 diverges and
+        # leaves its cells empty; seed 1 still traces at both precisions.
+        assemble_observer = dem.assemble_observer
+        run_observer_batch = dem.run_observer_batch
+        diverging = []
+
+        def note_pv(model, cfg, rate=None):
+            m = assemble_observer(model, cfg, rate)
+            if cfg.noise.input_prior_precision[0, 0] == 10.5:
+                diverging.append(m)
+            return m
+
+        def diverge_seed_2(m, datas, *args, **kwargs):
+            cells = run_observer_batch(m, datas, *args, **kwargs)
+            if any(m is design for design in diverging):
+                cells[1] = DivergenceError(5, "non-finite estimate")
+            return cells
+
+        monkeypatch.setattr(dem, "assemble_observer", note_pv)
+        monkeypatch.setattr(dem, "run_observer_batch", diverge_seed_2)
+        raw = small_config(kind="prior_sweep", output_dir=str(tmp_path),
+                           seeds=[1, 2])
+        raw["prior_sweep"] = {"pv_grid": [1, 10.5], "eta_v": 1.0}
+        run_experiment(parse_config(raw))
+        per_seed = read_csv(tmp_path / "per_seed_sse.csv")
+        assert [(row["seed"], row["pv"]) for row in per_seed] == [
+            ("1", "1"), ("2", "1"), ("1", "10.5"), ("2", "10.5")]
+        scores = ("sse_input_measured", "sse_input_truth", "sse_state_truth",
+                  "mean_abs_dev_from_prior")
+        for i, row in enumerate(per_seed):
+            assert [row[c] == "" for c in scores] == [i == 3] * 4, row
+        summary = read_csv(tmp_path / "sse_vs_pv.csv")
+        assert [row["pv"] for row in summary] == ["1", "10.5"]
+        traces = read_csv(tmp_path / "input_traces.csv")
+        assert [row["pv"] for row in traces] == ["1"] * 400 + ["10.5"] * 400
+
+    def test_empty_table_keeps_its_header(self, tmp_path, monkeypatch):
+        # An inf measurement in the first record makes its replays diverge,
+        # so it has no input traces to write.
+        synthesize_records = harness.synthesize_records
+
+        def poisoned(*args, **kwargs):
+            records = synthesize_records(*args, **kwargs)
+            data = records[0].data
+            ys = data.measurements.copy()
+            ys[150, 0] = np.inf
+            records[0] = records[0]._replace(
+                data=replace(data, measurements=ys))
+            return records
+
+        monkeypatch.setattr(harness, "synthesize_records", poisoned)
+        raw = small_config(kind="input_benchmark", output_dir=str(tmp_path),
+                           model={"full_state_output": True,
+                                  "single_input": True})
+        raw["run"]["input_frequencies"] = [0.7]
+        with np.errstate(invalid="ignore"):
+            report = run_experiment(parse_config(raw))
+        assert {entry["seed"] for entry in report.diverged} == {1}
+        assert (tmp_path / "input_traces.csv").read_text() == \
+            "config_hash,seed,step,time_s,v_measured,v_dem,v_uio\n"
+        assert len(read_csv(tmp_path / "per_seed_input_sse.csv")) == 6
 
 
 class TestSynthesis:
@@ -686,7 +783,10 @@ class TestDeterminism:
         raw["output_dir"] = str(tmp_path / "one")
         raw["seeds"] = [2]
         single = run_experiment(parse_config(raw))
-        full_rows = {(r["seed"], r["estimator"]): r["sse_phidot_truth"]
-                     for r in full.tables["per_seed_sse"]}
-        for row in single.tables["per_seed_sse"]:
-            assert full_rows[(2, row["estimator"])] == row["sse_phidot_truth"]
+        table = full.tables["per_seed_sse"]
+        full_rows = dict(zip(zip(table["seed"], table["estimator"]),
+                             table["sse_phidot_truth"]))
+        table = single.tables["per_seed_sse"]
+        for name, sse in zip(table["estimator"], table["sse_phidot_truth"],
+                             strict=True):
+            assert full_rows[(2, name)] == sse
