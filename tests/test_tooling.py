@@ -93,3 +93,33 @@ def test_benchmark_writes_its_flight_log(tmp_path):
     assert log.inputs.shape == (50, 4)
     assert log.truth_states.shape == (50, 2)
     assert abs(log.dt - raw["run"]["dt"]) < 1e-12
+
+
+def test_benchmark_counts_the_bytes_write_report_writes(tmp_path):
+    # perfbench's write_report wrapper binds the call's ``report`` argument
+    # and sums the sizes of the CSVs named in ``report.tables`` under
+    # ``report.output_dir``; a renamed parameter or another shape of
+    # ``tables`` would otherwise only surface in `perfbench/run.py --trace 1`.
+    raw = json.loads((ROOT / "configs/prior_sweep.json").read_text())
+    raw["seeds"] = [1, 2]
+    raw["run"]["n_steps"] = 200
+    raw["prior_sweep"]["pv_grid"] = [1.0, 10.0]
+    raw["output_dir"] = str(tmp_path / "out")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    proc = _run_child(
+        "import json\n"
+        "import child\n"
+        "from demest import harness\n"
+        "from demest.config import load_config_file\n"
+        "tracer = child.Tracer()\n"
+        "child.install(tracer)\n"
+        f"harness.run_experiment(load_config_file({str(config)!r}))\n"
+        "print(json.dumps(tracer.counts))\n")
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.strip().splitlines()[-1])
+    csvs = sorted((tmp_path / "out").glob("*.csv"))
+    assert [path.name for path in csvs] == [
+        "input_traces.csv", "per_seed_sse.csv", "sse_vs_pv.csv"]
+    assert counts["harness.write_report.bytes"] == sum(
+        path.stat().st_size for path in csvs)
