@@ -942,9 +942,9 @@ class TestFailureRule:
            poison=st.lists(st.none() | st.tuples(st.integers(-2, 2),
                                                  st.integers(0, 15)),
                            min_size=4, max_size=4))
-    # The mean of a record with a noisy measurement under a 1e43 transition
-    # was rounding noise: the reference's hit exactly 0.0 at step 2 and
-    # ended finite, while the one in M_k form overflowed at step 9.
+    # On its noisy record, the growth record's mean under the 1e43
+    # transition is rounding noise: the reference's hits exactly 0.0 at
+    # step 2 and ends finite, while the one in M_k form overflows at step 9.
     @example(family="kalman", n_steps=10, seed=0,
              faults=[None, "growth", None, None], growths=[20, 43, 20, 20],
              poison=[None] * 4)
