@@ -5,15 +5,15 @@ variant), the unknown input observer, plus AR fitting and the SSE metric.
 The Kalman filter, the state-augmentation filter (a Kalman filter on the
 augmented system) and SMIKF share one predict/update recursion; SMIKF only
 adds the AR(1) cross term to its prediction. It runs in two passes: a gain
-schedule per design, which never reads the data and freezes each design's
-gain once it has converged, then one pass of the means of a stack of
-records over it. The means, like the UIO's observer states, are a linear
-recurrence ``x_k = M_k x_{k-1} + w_k``, handed to the replay driver
-``systems._replay`` as its transitions, constant from each record's freeze
-step, and a drive built up front; the driver scans the constant stretches
-in chunks. Each filter and the UIO have a ``*_batch`` entry that replays a
-list of records as one stack, and a one-record entry that replays a batch
-of one and raises its ``DivergenceError``.
+schedule per design, which never reads the data and stops each design at
+one step, where its gain froze or failed, then one pass of the means of a
+stack of records over it. The means, like the UIO's observer states, are
+a linear recurrence ``x_k = M_k x_{k-1} + w_k``, handed to the replay
+driver ``systems._replay`` as its transitions, constant from each record's
+freeze step, and a drive built up front; the driver scans the constant
+stretches in chunks. Each filter and the UIO have a ``*_batch`` entry
+that replays a list of records as one stack, and a one-record entry that
+replays a batch of one and raises its ``DivergenceError``.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ def fit_ar(series, order: int) -> ArModel:
 class KalmanResult(NamedTuple):
     means: np.ndarray        # (T, n) filtered means
     covariances: np.ndarray  # (T, n, n) filtered covariances
-    # The step at which the gain froze: from then on the covariance
-    # recursion restarted from that step's state and only the means were
-    # replayed. None if it did not freeze.
+    # The step at which the gain froze: from then on the gain and the
+    # covariance repeat that step's, and only the means are replayed. None
+    # if it did not freeze.
     freeze: int | None = None
 
 
@@ -118,87 +118,66 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     """Gain schedule of ``_filter``: the covariance recursion, which never
     reads the data, over the (D, n, n) stack ``p`` of design slices.
 
-    The recursion converges to a fixed point (Anderson & Moore, *Optimal
-    Filtering*, 1979, ch. 4). A slice freezes at the first step ``f >= 1``
-    where its gain and its state ``(P, cross)`` each moved by at most
-    ``CONVERGED_RTOL`` of their largest entry since step ``f - 1``: from
-    then on it restarts every step from step ``f``'s state, so its gain and
-    covariance keep step ``f``'s bits. The gain alone is not enough: it can
-    settle while P grows without bound. Once every slice has frozen, the
-    pass stops, and every later step repeats the last step's gains.
+    Each slice has one stop step. The recursion converges to a fixed point
+    (Anderson & Moore, *Optimal Filtering*, 1979, ch. 4), and a slice
+    freezes at the first step ``f >= 1`` where its gain and its state ``(P,
+    cross)`` each moved by at most ``CONVERGED_RTOL`` of their largest
+    entry since step ``f - 1``. The gain alone is not enough: it can settle
+    while P grows without bound. A slice fails at its first step with a
+    singular innovation covariance or a non-finite posterior covariance;
+    its gain there is NaN, so every mean replayed on it turns non-finite
+    there. A stopped slice stays in the stack: a frozen one runs on, and
+    one whose step fails restarts from zero, as a failed record does in
+    ``systems._replay``. The pass ends once every slice has stopped; then
+    each slice's gain and covariance after its stop step repeat that
+    step's, and every step after the pass repeats its last gains.
 
-    A slice fails at its first step with a singular innovation covariance or
-    a non-finite posterior covariance, and leaves the stack; its gain at that
-    step is NaN, so every mean replayed on it turns non-finite there. The
-    innovation covariance is factored by LAPACK ``potrf``/``potrs``, the
-    routines behind ``cho_factor``/``cho_solve``, without their wrappers'
-    per-step checks.
+    The innovation covariance is factored by LAPACK ``potrf``/``potrs``,
+    the routines behind ``cho_factor``/``cho_solve``, without their
+    wrappers' per-step checks.
 
-    Returns the (D, n, m) gains of the steps of the pass, each slice's
-    freeze step (``T`` if it did not freeze), the (T, D, keep, keep) kept
-    covariance blocks and the set of singular ``(slice, step)`` pairs.
+    Returns the (K, D, n, m) gains of the K steps of the pass, the (T, D,
+    keep, keep) kept covariance blocks, each slice's stop step (``T`` if it
+    did not stop) and whether its innovation covariance was singular there.
     """
     n_designs, n = p.shape[:2]
     m = c.shape[0]
     eye = np.eye(n)
     cross = np.zeros(p.shape)  # cov(prior error, current noise sample)
     ad_t = ad.swapaxes(-1, -2)
+    gains = np.empty((n_steps, n_designs, n, m))
     covs = np.empty((n_steps, n_designs, kept, kept))
-    live, rows, singular = np.arange(n_designs), slice(None), set()
-    # Each live slice's freeze step (n_steps until it freezes) and the state
-    # it restarts from once frozen.
-    gains, gain, last = [], None, None
-    start = np.full(n_designs, n_steps)
-    saved = (p, cross)
+    stop = np.full(n_designs, n_steps)
+    singular = np.zeros(n_designs, dtype=bool)
     for k in range(n_steps):
-        frozen = start < n_steps
-        if frozen.all():
-            break
-        if frozen.any():
-            p, cross = (np.where(frozen[:, None, None], a, b)
-                        for a, b in zip(saved, (p, cross)))
         cp = c @ p
         s = cp @ c.T + r
-        prev, gain, stuck = gain, np.empty((len(live), n, m)), []
-        for i in range(len(live)):
+        gain = gains[k]
+        for i in range(n_designs):
             chol, info = dpotrf(s[i], lower=0, clean=0)
             if info == 0:
                 gain[i] = dpotrs(chol, cp[i], lower=0)[0].T
             else:
                 gain[i] = np.nan
-                stuck.append(i)
+                singular[i] |= stop[i] == n_steps
         if k:
-            settled = ~frozen & _still(gain, prev) & _still(p, last[0]) & \
+            settled = _still(gain, gains[k - 1]) & _still(p, last[0]) & \
                 _still(cross, last[1])
-            if settled.any():
-                start = np.where(settled, k, start)
-                saved = tuple(np.where(settled[:, None, None], a, b)
-                              for a, b in zip((p, cross), saved))
+            stop[settled & (stop == n_steps)] = k
         last = p, cross
         ikc = eye - gain @ c
         p = ikc @ p @ ikc.swapaxes(-1, -2) + gain @ r @ gain.swapaxes(-1, -2)
-        # A non-finite entry makes the sum of squares non-finite; finite
-        # squares whose sum overflows only send the step to the exact check.
-        fail = None
-        if stuck or not math.isfinite(np.vdot(p, p)):
-            fail = ~np.isfinite(p).all(axis=(-2, -1))
-            fail[stuck] = True
-            gain[fail] = np.nan
-            singular.update((d, k) for d in live[stuck].tolist())
-        gains.append(gain if len(live) == n_designs else
-                     np.zeros((n_designs, n, m)))
-        gains[-1][rows] = gain
-        covs[k, rows] = p[:, :kept, :kept]
-        if fail is not None and fail.any():
-            ok = ~fail
-            live = rows = live[ok]
-            start = start[ok]
-            if not live.size:
-                break
-            p, cross, ikc, gain = (a[ok] for a in (p, cross, ikc, gain))
-            saved, last = (tuple(a[ok] for a in t) for t in (saved, last))
-            ad, ad_t, q, ar = (a[ok] if a is not None and a.ndim == 3 else a
-                               for a in (ad, ad_t, q, ar))
+        covs[k] = p[:, :kept, :kept]
+        # A NaN gain makes the posterior NaN. A non-finite entry makes the
+        # sum of squares non-finite; finite squares whose sum overflows only
+        # send the step to the exact check.
+        if not math.isfinite(np.vdot(p, p)):
+            bad = ~np.isfinite(p).all(axis=(-2, -1))
+            stop[bad & (stop >= k)] = k
+            gain[bad] = np.nan
+            p[bad] = cross[bad] = ikc[bad] = 0.0
+        if (stop < n_steps).all():
+            break
         if ar is None:
             p = ad @ p @ ad_t + q
         else:
@@ -206,11 +185,9 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
             ad_psi = ad @ (ikc @ cross)
             p = ad @ p @ ad_t + q + ad_psi + ad_psi.swapaxes(-1, -2)
             cross = (ad_psi + q) @ ar.swapaxes(-1, -2)
-    freeze = np.full(n_designs, n_steps)
-    freeze[live] = start
-    if len(gains) < n_steps:  # every live slice froze, or none is left
-        covs[len(gains):, live] = covs[start, live]
-    return gains, freeze, covs, singular
+    steps = np.minimum(np.arange(n_steps)[:, None], stop)
+    slices = np.arange(n_designs)
+    return gains[steps[:k + 1], slices], covs[steps, slices], stop, singular
 
 
 def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
@@ -247,22 +224,21 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
     n_designs = n_records if stacked else 1
     design = list(range(n_records)) if stacked else [0] * n_records
     kept = n if keep is None else keep
-    gains, freeze, covs, singular = _schedule(
+    gains, covs, stop, singular = _schedule(
         ad, c, q, r, np.broadcast_to(p, (n_designs, n, n)), ar, n_steps, kept)
     x = np.zeros((n_records, n, 1)) if x0 is None else np.broadcast_to(
         np.asarray(x0, dtype=float)[..., None], (n_records, n, 1))
-    # w_k = Bd v_{k-1} + G_k (y_k - C Bd v_{k-1}), with v_{-1} = 0: the
-    # prediction's drive and the update, in one product for the steps of
-    # the schedule and one for the steps after it, which repeat its last
-    # gain. Record by record, so that no temporary is as large as w.
+    # w_k = Bd v_{k-1} + G_k (y_k - C Bd v_{k-1}), with v_{-1} = 0, record
+    # by record: one product up to its design's stop step and one after it,
+    # which repeats that step's gain, so that its rounding does not depend
+    # on the batch, and no temporary is as large as w.
     w = np.zeros((n_records, n_steps, n))
     for i, d in enumerate(design):
+        f = stop[d] + 1
         np.matmul(vs[i, :-1], bd.T, out=w[i, 1:])
         innovation = ys[i] - w[i] @ c.T
-        head = np.stack([g[d] for g in gains])
-        w[i, :len(head)] += np.matmul(
-            head, innovation[:len(head), :, None])[..., 0]
-        w[i, len(head):] += innovation[len(head):] @ gains[-1][d].T
+        w[i, :f] += np.matmul(gains[:f, d], innovation[:f, :, None])[..., 0]
+        w[i, f:] += innovation[f:] @ gains[-1, d].T
     eye, c_ad = np.eye(n), c @ ad
 
     def transition(k):
@@ -271,12 +247,13 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
         m = eye - gain @ c if k == 0 else ad - gain @ c_ad
         return m if stacked else m[0]
 
-    # A record's M is constant from its design's freeze step (>= 1) on.
+    # A record's M is constant from its design's freeze step (>= 1) on. A
+    # failed design's gains are NaN from then on: its records go unscanned.
     means, failed = _replay(
-        x, w, slice(kept), lambda i, k: NOT_INVERTIBLE if (
-            design[i], k) in singular else NON_FINITE, transition,
-        freeze[design])
-    steps = [None if f == n_steps else f for f in freeze.tolist()]
+        x, w, slice(kept), lambda i, k: NOT_INVERTIBLE if singular[
+            design[i]] and k == stop[design[i]] else NON_FINITE, transition,
+        np.where(np.isnan(gains[-1]).any(axis=(1, 2)), n_steps, stop)[design])
+    steps = [None if f == n_steps else f for f in stop.tolist()]
     return [failed[i] if i in failed else KalmanResult(
                 means[:, i], covs[:, d], steps[d])
             for i, d in enumerate(design)]

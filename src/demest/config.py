@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .gencoord import ORDER_CAP
+from .noise import MIN_FIT_SAMPLES
 
 SCHEMA_VERSION = 1
 
@@ -269,6 +270,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require(noise_variants is not None and len(noise_variants) >= 2,
                  "noise_variants",
                  "noise_characterization needs at least two variants")
+        # Its Gaussian fit takes the n_steps - 1 residuals of a record.
+        _require(run.n_steps > MIN_FIT_SAMPLES, "run.n_steps",
+                 f"noise_characterization needs more than {MIN_FIT_SAMPLES} "
+                 f"steps, for {MIN_FIT_SAMPLES} residuals to fit")
 
     known_top = {"schema_version", "kind", "output_dir", "seeds", "model",
                  "noise", "dem", "run", "sweep", "prior_sweep", "landscape",
@@ -276,12 +281,30 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for key in raw:
         _require(key in known_top, key, "unknown field")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         kind=kind, output_dir=output_dir, seeds=tuple(seeds), model=model,
         noise=noise, dem=dem, run=run, sweep=sweep, prior_sweep=prior_sweep,
         landscape=landscape, uio=uio_settings, noise_variants=noise_variants,
         schema_version=version,
     )
+    # Lists whose length the plant a run builds fixes; None picks a default.
+    # Imported here: the harness imports this module.
+    from .harness import build_model
+    plant = build_model(cfg)
+    n, r = plant.n, plant.r
+    for name, value, counts in [
+            ("noise.process_noise_std", noise.process_noise_std, [n]),
+            *((f"noise_variants[{i}].process_noise_std", v.process_noise_std,
+               [n]) for i, v in enumerate(noise_variants or ())),
+            ("noise.observer_process_precision",
+             noise.observer_process_precision, [1, n]),
+            ("run.input_frequencies", run.input_frequencies or None, [r]),
+            ("uio.poles", uio_settings and uio_settings.poles, [n])]:
+        size = len(value) if isinstance(value, tuple) else 1
+        _require(value is None or size in counts, name,
+                 f"must list {' or '.join(map(str, counts))} values "
+                 f"(states: {n}, input channels: {r})")
+    return cfg
 
 
 def serialize_config(cfg: ExperimentConfig) -> dict:

@@ -165,13 +165,6 @@ def free_energy(eps: np.ndarray, pi) -> float:
     return -0.5 * quad
 
 
-def free_energy_gradient(m: ObserverMatrices, x_full: np.ndarray,
-                         y_gen: np.ndarray, eta_gen: np.ndarray) -> np.ndarray:
-    """Analytic gradient of V with respect to X."""
-    eps = prediction_error(m, x_full, y_gen, eta_gen)
-    return -(error_jacobian(m).T @ (m.precision.matrix @ eps))
-
-
 def assemble_observer(model: LtiModel, cfg: DemConfig,
                       rate: float | None = None) -> ObserverMatrices:
     """Build the observer matrices for a plant/configuration pair.

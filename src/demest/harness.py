@@ -158,8 +158,6 @@ def injected_covariances(cfg: ExperimentConfig, model: LtiModel,
     """(process, measurement) covariance of the injected noise; None = none."""
     stds = np.asarray(variant.process_noise_std if variant
                       else cfg.noise.process_noise_std, dtype=float)
-    if stds.size != model.n:
-        raise ValueError("need one process-noise std per state")
     proc = None if np.all(stds == 0) else np.diag(stds ** 2)
     value = cfg.noise.measurement_noise_value
     if value == 0:
@@ -202,8 +200,6 @@ def input_signal(cfg: ExperimentConfig, seed: int, n_inputs: int) -> np.ndarray:
     """Smooth per-seed pseudo-PWM drive: offset sinusoids with seeded phases."""
     run = cfg.run
     freqs = run.input_frequencies or _DEFAULT_FREQS[:n_inputs]
-    if len(freqs) != n_inputs:
-        raise ValueError("need one input frequency per channel")
     rng = np.random.default_rng([seed, 3])
     phases = rng.uniform(0.0, 2.0 * np.pi, n_inputs)
     t = np.arange(run.n_steps) * run.dt

@@ -22,6 +22,8 @@ from .gencoord import ORDER_CAP
 
 # sigma at or below this is treated as "white" when choosing kernel support.
 WHITE_SIGMA = 1e-6
+# The fewest samples ``gaussian_fit`` fits.
+MIN_FIT_SAMPLES = 30
 
 
 def _check_spd(m: np.ndarray, name: str, semidefinite: bool = False) -> np.ndarray:
@@ -250,8 +252,9 @@ def gaussian_fit(series) -> GaussianFit:
     """Sample mean, unbiased std, and the Kolmogorov-Smirnov distance of the
     series against the fitted normal (a quantitative Gaussianity score)."""
     x = np.asarray(series, dtype=float).reshape(-1)
-    if x.size < 30:
-        raise ValueError("need at least 30 samples for a meaningful fit")
+    if x.size < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples for a "
+                         f"meaningful fit")
     mean = float(x.mean())
     std = float(x.std(ddof=1))
     if std == 0.0:

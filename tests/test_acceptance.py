@@ -17,13 +17,14 @@ from demest.benchmarks import (ArModel, kalman_filter, smikf,
                                state_augmentation_filter)
 from demest.config import load_config_file, parse_config, serialize_config
 from demest.dem import (assemble_observer, error_jacobian, free_energy,
-                        free_energy_gradient, prediction_error)
+                        prediction_error)
 from demest.gencoord import centered_offsets, embed_series
 from demest.harness import (_dem_config, build_model, observer_noise_spec,
                             run_experiment)
 from demest.noise import (autocorrelation, generate_colored_noise,
                           kernel_autocorrelation, temporal_precision)
 from demest.systems import ExperimentData, discretize, quadrotor_roll_model
+from test_dem import free_energy_gradient
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 OUT_DIR = CONFIG_DIR.parent / "out"

@@ -737,6 +737,23 @@ class TestStackedFilters:
                                                 covs[:, :2, :2]))
             assert None not in {res.freeze for res in (kf[i], sm[i], sa[i])}
 
+    def test_full_state_batch_equals_one_record_calls(self):
+        # m = 2: a gain product is a sum of two terms, whose rounding depends
+        # on how the steps' products are grouped. Per-record designs freeze
+        # at different steps, and each record keeps its own grouping.
+        model, datas, q, r = _roll_records([1, 2, 3], 200, full_state=True)
+        coeffs = [np.array([0.6, -0.4]), np.array([0.2, 0.5]),
+                  np.array([-0.7, 0.1])]
+        ars = [_ar_models(s) for s in (1, 2, 3)]
+        sm = smikf_batch(model, coeffs, datas, q, r)
+        sa = state_augmentation_filter_batch(model, ars, datas, q, r)
+        assert len({res.freeze for res in sm}) > 1
+        assert len({res.freeze for res in sa}) > 1
+        for i, data in enumerate(datas):
+            assert _same(sm[i], smikf(model, coeffs[i], data, q, r)), i
+            assert _same(sa[i], state_augmentation_filter(
+                model, ars[i], data, q, r)), i
+
     def test_singular_design_fails_only_its_record(self):
         # Per-record priors stack the covariance recursion; the middle
         # record's prior makes its innovation covariance negative at step 0.
@@ -989,6 +1006,40 @@ class TestFailureRule:
                                            *design[4:], keep=2)
             assert _same(batch[i], alone[i]), (i, batch[i], alone[i])
             assert _close(alone[i], reference), (i, alone[i], reference)
+
+    def test_failures_after_other_designs_froze(self):
+        # SMIKF designs of 300 steps: records 0 and 2 freeze at step 18.
+        # Record 1's unobservable second state grows tenfold a step, on zero
+        # data, until its covariance overflows at step 155, long after they
+        # froze; record 3's negative Q makes its innovation variance
+        # negative at step 1.
+        model, datas, q, r = _roll_records([1, 2, 3, 4], 300)
+        ad, bd = discretize(model, datas[0].dt)
+        datas[1] = ExperimentData(
+            dt=datas[1].dt, measurements=np.zeros_like(datas[1].measurements),
+            inputs=np.zeros_like(datas[1].inputs))
+        a = np.stack([ad, np.diag([1.0, 10.0]), ad, ad])
+        qq = np.stack([q, q, q, -10.0 * np.eye(2)])
+        ar = np.diag([0.5, 0.3])
+        ys = np.stack([d.measurements for d in datas])
+        vs = np.stack([d.inputs for d in datas])
+        with np.errstate(invalid="ignore", over="ignore"):
+            batch = _filter(a, bd, model.c, qq, r, ys, vs, ar=ar)
+            alone = [_filter(a[i], bd, model.c, qq[i], r, ys[i:i + 1],
+                             vs[i:i + 1], ar=ar)[0] for i in range(4)]
+        assert [batch[i].freeze for i in (0, 2)] == [18, 18]
+        assert [str(batch[i]) for i in (1, 3)] == [
+            "estimator diverged at step 155: non-finite filter state",
+            "estimator diverged at step 1: innovation covariance not "
+            "invertible"]
+        for i in range(4):
+            assert _same(batch[i], alone[i]), (i, batch[i], alone[i])
+            if i in (1, 3):
+                assert _close(batch[i], _reference_failure(
+                    a[i], bd, model.c, qq[i], r, datas[i], np.eye(2),
+                    ar=ar)), i
+            else:
+                assert batch[i].freeze == alone[i].freeze, i
 
     def test_singular_shared_design_fails_every_record(self):
         # A negative Q makes the shared design's predicted innovation

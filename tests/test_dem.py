@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from demest import dem
 from demest.dem import (DemConfig, assemble_observer, default_learning_rate,
                         error_jacobian, estimate_precision, free_energy,
-                        free_energy_gradient, free_energy_landscape,
-                        generalized_prior, prediction_error,
-                        run_observer, run_observer_batch)
+                        free_energy_landscape, generalized_prior,
+                        prediction_error, run_observer, run_observer_batch)
 from demest.errors import DivergenceError, ObserverDesignError
 from demest.gencoord import embed_series
 from demest.noise import NoiseSpec, generalized_precision
@@ -18,6 +17,12 @@ from demest.systems import (ExperimentData, LtiModel, quadrotor_roll_model,
                             simulate, zero_order_hold)
 
 DT = 0.0083
+
+
+def free_energy_gradient(m, x_full, y_gen, eta_gen):
+    """Reference: the analytic gradient of V with respect to X."""
+    eps = prediction_error(m, x_full, y_gen, eta_gen)
+    return -(error_jacobian(m).T @ (m.precision.matrix @ eps))
 
 
 def scalar_model():

@@ -115,6 +115,72 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="observer_process_precision"):
             parse_config(raw)
 
+    # Lists whose length the plant fixes (2 states; 4 inputs, or 1 with
+    # model.single_input) are checked at config time, not as a ValueError
+    # deep inside a run.
+    def test_process_noise_std_per_state(self):
+        raw = small_config()
+        raw["noise"]["process_noise_std"] = [0.1]
+        with pytest.raises(ConfigError, match="noise.process_noise_std"):
+            parse_config(raw)
+
+    def test_variant_process_noise_std_per_state(self):
+        raw = serialize_config(
+            load_config_file(CONFIG_DIR / "noise_characterization.json"))
+        raw["noise_variants"][1]["process_noise_std"] = [0.1]
+        with pytest.raises(ConfigError,
+                           match=r"noise_variants\[1\]\.process_noise_std"):
+            parse_config(raw)
+
+    def test_observer_process_precision_per_state(self):
+        raw = small_config()
+        for ok in ([1e6], [1e6, 2e6], 1e6):
+            raw["noise"]["observer_process_precision"] = ok
+            parse_config(raw)
+        raw["noise"]["observer_process_precision"] = [1, 2, 3]
+        with pytest.raises(ConfigError,
+                           match="noise.observer_process_precision"):
+            parse_config(raw)
+
+    def test_input_frequencies_per_channel(self):
+        raw = small_config()
+        raw["run"]["input_frequencies"] = [0.3, 0.45]
+        with pytest.raises(ConfigError, match="run.input_frequencies"):
+            parse_config(raw)
+        raw["model"] = {"single_input": True}
+        with pytest.raises(ConfigError, match="run.input_frequencies"):
+            parse_config(raw)
+        raw["run"]["input_frequencies"] = [0.3]
+        assert parse_config(raw).run.input_frequencies == (0.3,)
+
+    def test_noise_characterization_needs_a_fit_of_residuals(self):
+        raw = serialize_config(
+            load_config_file(CONFIG_DIR / "noise_characterization.json"))
+        raw["run"].update(n_steps=30, transient_skip_s=0.0)
+        with pytest.raises(ConfigError, match="run.n_steps"):
+            parse_config(raw)
+        raw["run"]["n_steps"] = 31
+        assert parse_config(raw).run.n_steps == 31
+
+    def test_uio_poles_per_state(self, tmp_path, capsys):
+        raw = small_config(kind="input_benchmark", uio={"poles": [-10.0]})
+        with pytest.raises(ConfigError, match="uio.poles"):
+            parse_config(raw)
+        # A config error, not a failed run.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == 1
+        assert "uio.poles" in capsys.readouterr().err
+
+    def test_validate_rejects_a_list_of_the_wrong_length(self, tmp_path,
+                                                         capsys):
+        raw = small_config()
+        raw["noise"]["process_noise_std"] = [0.1]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", str(path)]) == 1
+        assert "noise.process_noise_std" in capsys.readouterr().err
+
     def test_shipped_configs_round_trip(self):
         paths = sorted(CONFIG_DIR.glob("*.json"))
         assert len(paths) >= 8
