@@ -1,15 +1,28 @@
 """Experiment configuration: JSON schema, validation, and hashing.
 
-Configs are plain JSON with a fixed schema; every validation failure names
-the offending field so the CLI can report it directly.
+Configs are plain JSON. The frozen dataclasses below are the schema:
+``parse_config`` walks a config against their type hints, so an object
+becomes its dataclass and a list a tuple. ``bool`` takes only true/false,
+``int`` an integer, ``float`` a finite number (an int stays an int, so the
+config hash keeps the JSON form) and ``str`` a string; a null field counts
+as absent. Value rules (ranges, cross-field and kind-specific rules, the
+list lengths the plant fixes) follow the walk. Every failure is a
+ConfigError that names the offending field by its dotted path, so the CLI
+can report it directly.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import sys
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 from .gencoord import ORDER_CAP
@@ -50,7 +63,7 @@ class NoiseConfig:
     measurement_noise_value: float = 8.1e-9
     measurement_noise_is_precision: bool = False
     input_prior_precision: float = 1.0
-    observer_process_precision: tuple[float, ...] | None = None
+    observer_process_precision: tuple[float, ...] | float | None = None
     observer_measurement_precision: float | None = None
     observer_sigma: float | None = None
 
@@ -135,60 +148,90 @@ def _require(condition: bool, fieldname: str, message: str) -> None:
         raise ConfigError(f"{fieldname}: {message}")
 
 
-def _get(raw: dict, fieldname: str, default=None):
-    value = raw.get(fieldname, default)
-    return default if value is None else value
+# Once per class: under postponed annotations every call evaluates each hint.
+_type_hints = functools.cache(typing.get_type_hints)
+
+_LEAVES = {bool: "true or false", int: "an integer", float: "a finite number",
+           str: "a string"}
 
 
-def _parse_section(raw, fieldname: str, cls, defaults=None):
-    if raw is None:
-        return cls(**(defaults or {}))
-    _require(isinstance(raw, dict), fieldname, "must be an object")
-    known = {f for f in cls.__dataclass_fields__}
-    for key in raw:
-        _require(key in known, f"{fieldname}.{key}", "unknown field")
-    merged = dict(defaults or {})
-    merged.update(raw)
-    for key, value in list(merged.items()):
-        if isinstance(value, list):
-            merged[key] = tuple(value)
-    try:
-        return cls(**merged)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{fieldname}: {exc}") from None
+def _describe(hint) -> str:
+    if isinstance(hint, types.UnionType):
+        return " or ".join(_describe(a) for a in typing.get_args(hint)
+                           if a is not types.NoneType)
+    if hint in _LEAVES:
+        return _LEAVES[hint]
+    return "an object" if is_dataclass(hint) else "a list"
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the outer form of the type ``hint``."""
+    if hint is float:  # an int stays an int; finite also as a float
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if hint in _LEAVES:
+        return type(value) is hint
+    if is_dataclass(hint):
+        return isinstance(value, dict)
+    return typing.get_origin(hint) is tuple and isinstance(value, list)
+
+
+def _parse(value, hint, path: str):
+    """The JSON ``value`` at ``path`` checked against ``hint``, typed: an
+    object becomes its dataclass and a list a tuple. A null field counts as
+    absent."""
+    if isinstance(hint, types.UnionType):
+        hint = next((a for a in typing.get_args(hint) if _fits(value, a)),
+                    hint)
+    if not _fits(value, hint):
+        raise ConfigError(f"{path}: must be {_describe(hint)}")
+    if hint in _LEAVES:
+        return value
+    if not is_dataclass(hint):  # tuple[item, ...]
+        item = typing.get_args(hint)[0]
+        return tuple(_parse(v, item, f"{path}[{i}]")
+                     for i, v in enumerate(value))
+    prefix = f"{path}." if path else ""
+    schema = _type_hints(hint)
+    for key in value:
+        _require(key in schema, prefix + key, "unknown field")
+    given = {key: _parse(v, schema[key], prefix + key)
+             for key, v in value.items() if v is not None}
+    for f in fields(hint):
+        _require(f.name in given or f.default is not MISSING
+                 or f.default_factory is not MISSING, prefix + f.name,
+                 "required")
+    return hint(**given)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Parse and validate a config dict; raises ConfigError naming fields."""
     _require(isinstance(raw, dict), "config", "must be a JSON object")
-    version = _get(raw, "schema_version", SCHEMA_VERSION)
-    _require(version == SCHEMA_VERSION, "schema_version",
+    version = raw.get("schema_version")
+    _require(version in (None, SCHEMA_VERSION), "schema_version",
              f"unsupported version {version!r}; expected {SCHEMA_VERSION}")
-
-    kind = raw.get("kind")
-    _require(isinstance(kind, str) and kind in EXPERIMENT_KINDS, "kind",
+    cfg = _parse(raw, ExperimentConfig, "")
+    model, noise, dem, run = cfg.model, cfg.noise, cfg.dem, cfg.run
+    kind, sweep, prior_sweep = cfg.kind, cfg.sweep, cfg.prior_sweep
+    landscape, noise_variants = cfg.landscape, cfg.noise_variants
+    _require(kind in EXPERIMENT_KINDS, "kind",
              f"must be one of {', '.join(EXPERIMENT_KINDS)}")
+    _require(cfg.output_dir != "", "output_dir", "must be a non-empty string")
+    # Seeds start numpy generators, which take no negative seed.
+    _require(len(cfg.seeds) > 0 and min(cfg.seeds) >= 0, "seeds",
+             "must be a non-empty list of non-negative integers")
 
-    output_dir = raw.get("output_dir")
-    _require(isinstance(output_dir, str) and output_dir, "output_dir",
-             "must be a non-empty string")
-
-    seeds = raw.get("seeds")
-    _require(isinstance(seeds, list) and len(seeds) > 0, "seeds",
-             "must be a non-empty list of integers")
-    _require(all(isinstance(s, int) and not isinstance(s, bool) for s in seeds),
-             "seeds", "must be a non-empty list of integers")
-
-    model = _parse_section(raw.get("model"), "model", ModelConfig)
     _require(model.i_xx > 0, "model.i_xx", "must be positive")
     _require(model.c_b_phi > 0, "model.c_b_phi", "must be positive")
 
-    noise = _parse_section(raw.get("noise"), "noise", NoiseConfig)
     _require(noise.sigma > 0, "noise.sigma", "must be positive")
     _require(len(noise.process_noise_std) >= 1, "noise.process_noise_std",
              "must list one std per state")
     _require(all(s >= 0 for s in noise.process_noise_std),
              "noise.process_noise_std", "stds must be non-negative")
+    # A covariance with some stds zero is singular: no noise can be drawn.
+    _require(all(s > 0 for s in noise.process_noise_std)
+             or not any(noise.process_noise_std), "noise.process_noise_std",
+             "stds must be all zero or all positive")
     _require(noise.measurement_noise_value >= 0, "noise.measurement_noise_value",
              "must be non-negative")
     _require(noise.input_prior_precision >= 0, "noise.input_prior_precision",
@@ -201,15 +244,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require(noise.observer_measurement_precision is not None,
                  "noise.observer_measurement_precision",
                  "required when injected measurement noise is zero")
+    for name in ("observer_process_precision",
+                 "observer_measurement_precision", "observer_sigma"):
+        value = getattr(noise, name)
+        _require(value is None or np.all(np.asarray(value) > 0),
+                 f"noise.{name}", "must be positive")
 
-    dem = _parse_section(raw.get("dem"), "dem", DemSettings)
     _require(dem.p >= dem.d >= 0, "dem.p", "need p >= d >= 0")
     _require(dem.p <= ORDER_CAP, "dem.p",
              f"embedding order exceeds cap {ORDER_CAP}")
     if dem.learning_rate is not None:
         _require(dem.learning_rate > 0, "dem.learning_rate", "must be positive")
 
-    run = _parse_section(raw.get("run"), "run", RunSettings)
     _require(run.dt > 0, "run.dt", "must be positive")
     _require(run.n_steps > dem.p, "run.n_steps",
              "must exceed the embedding order")
@@ -217,33 +263,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
              "must be non-negative")
     _require(run.log_path is not None or run.skip_steps < run.n_steps,
              "run.transient_skip_s", "skips every step of the record")
-    _require(run.log_path is None or len(seeds) == 1, "seeds",
+    _require(run.log_path is None or len(cfg.seeds) == 1, "seeds",
              "a log-backed run (run.log_path) replays one record; "
              "list exactly one seed")
 
-    sweep = _parse_section(raw["sweep"], "sweep", SweepSettings) \
-        if raw.get("sweep") is not None else None
-    prior_sweep = _parse_section(raw["prior_sweep"], "prior_sweep",
-                                 PriorSweepSettings) \
-        if raw.get("prior_sweep") is not None else None
-    landscape = _parse_section(raw["landscape"], "landscape",
-                               LandscapeSettings) \
-        if raw.get("landscape") is not None else None
-    uio_settings = _parse_section(raw["uio"], "uio", UioSettings) \
-        if raw.get("uio") is not None else None
-
-    noise_variants = None
-    if raw.get("noise_variants") is not None:
-        variants_raw = raw["noise_variants"]
-        _require(isinstance(variants_raw, list) and variants_raw,
-                 "noise_variants", "must be a non-empty list")
-        variants = []
-        for i, entry in enumerate(variants_raw):
-            variant = _parse_section(entry, f"noise_variants[{i}]", NoiseVariant)
-            _require(variant.sigma > 0, f"noise_variants[{i}].sigma",
-                     "must be positive")
-            variants.append(variant)
-        noise_variants = tuple(variants)
+    _require(noise_variants != (), "noise_variants",
+             "must be a non-empty list")
+    for i, variant in enumerate(noise_variants or ()):
+        _require(variant.sigma > 0, f"noise_variants[{i}].sigma",
+                 "must be positive")
+        _require(all(s > 0 for s in variant.process_noise_std)
+                 or not any(variant.process_noise_std),
+                 f"noise_variants[{i}].process_noise_std",
+                 "stds must be all zero or all positive")
 
     # Kind-specific requirements.
     if kind == "sweep_p":
@@ -275,18 +307,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
                  f"noise_characterization needs more than {MIN_FIT_SAMPLES} "
                  f"steps, for {MIN_FIT_SAMPLES} residuals to fit")
 
-    known_top = {"schema_version", "kind", "output_dir", "seeds", "model",
-                 "noise", "dem", "run", "sweep", "prior_sweep", "landscape",
-                 "uio", "noise_variants"}
-    for key in raw:
-        _require(key in known_top, key, "unknown field")
-
-    cfg = ExperimentConfig(
-        kind=kind, output_dir=output_dir, seeds=tuple(seeds), model=model,
-        noise=noise, dem=dem, run=run, sweep=sweep, prior_sweep=prior_sweep,
-        landscape=landscape, uio=uio_settings, noise_variants=noise_variants,
-        schema_version=version,
-    )
     # Lists whose length the plant a run builds fixes; None picks a default.
     # Imported here: the harness imports this module.
     from .harness import build_model
@@ -299,7 +319,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             ("noise.observer_process_precision",
              noise.observer_process_precision, [1, n]),
             ("run.input_frequencies", run.input_frequencies or None, [r]),
-            ("uio.poles", uio_settings and uio_settings.poles, [n])]:
+            ("uio.poles", cfg.uio and cfg.uio.poles, [n])]:
         size = len(value) if isinstance(value, tuple) else 1
         _require(value is None or size in counts, name,
                  f"must list {' or '.join(map(str, counts))} values "
@@ -316,18 +336,18 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
             return [clean(v) for v in obj]
         return obj
 
-    raw = clean(asdict(cfg))
-    raw["seeds"] = list(cfg.seeds)
-    return raw
+    return clean(asdict(cfg))
 
 
 def load_config_file(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return parse_config(raw)

@@ -1,6 +1,10 @@
 import csv
+import dataclasses
 import json
+import math
 import platform
+import types
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -68,6 +72,10 @@ class TestConfigValidation:
         raw["dem"]["momentum"] = 0.9
         with pytest.raises(ConfigError, match="dem.momentum"):
             parse_config(raw)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seeds"):
+            parse_config(small_config(seeds=[1, -1]))
 
     def test_log_backed_config_takes_one_seed(self):
         raw = small_config()
@@ -142,6 +150,44 @@ class TestConfigValidation:
                            match="noise.observer_process_precision"):
             parse_config(raw)
 
+    # Values the observer or the noise generator would reject mid-run.
+    def test_observer_process_precision_positive(self):
+        raw = small_config()
+        for bad in ([-1.0, 1.0], 0.0):
+            raw["noise"]["observer_process_precision"] = bad
+            with pytest.raises(ConfigError,
+                               match="noise.observer_process_precision"):
+                parse_config(raw)
+
+    def test_observer_measurement_precision_positive(self):
+        raw = small_config()
+        raw["noise"]["observer_measurement_precision"] = 0.0
+        with pytest.raises(ConfigError,
+                           match="noise.observer_measurement_precision"):
+            parse_config(raw)
+
+    def test_observer_sigma_positive(self):
+        raw = small_config()
+        raw["noise"]["observer_sigma"] = -0.1
+        with pytest.raises(ConfigError, match="noise.observer_sigma"):
+            parse_config(raw)
+
+    def test_process_noise_std_all_zero_or_all_positive(self):
+        raw = small_config()
+        raw["noise"]["process_noise_std"] = [0.0, 7.3]
+        with pytest.raises(ConfigError, match="noise.process_noise_std"):
+            parse_config(raw)
+
+    def test_variant_process_noise_std_all_zero_or_all_positive(self):
+        raw = serialize_config(
+            load_config_file(CONFIG_DIR / "noise_characterization.json"))
+        raw["noise_variants"][1]["process_noise_std"] = [0.0, 7.3]
+        with pytest.raises(ConfigError,
+                           match=r"noise_variants\[1\]\.process_noise_std"):
+            parse_config(raw)
+        raw["noise_variants"][1]["process_noise_std"] = [0.0, 0.0]
+        parse_config(raw)
+
     def test_input_frequencies_per_channel(self):
         raw = small_config()
         raw["run"]["input_frequencies"] = [0.3, 0.45]
@@ -197,6 +243,165 @@ class TestConfigValidation:
         assert config_hash(a) == config_hash(b)
         c = parse_config(small_config(seeds=[4]))
         assert config_hash(a) != config_hash(c)
+
+
+# A config that holds every section, each with valid values, so that every
+# field of the schema has a path to put a wrong value at.
+def full_config() -> dict:
+    variant = {"label": "a", "sigma": 0.05, "process_noise_std": [0.1, 0.2]}
+    return small_config(
+        model={"i_xx": 3.4e-3, "c_b_phi": 1.274e-3,
+               "full_state_output": False, "single_input": False},
+        sweep={"p_values": [2]}, prior_sweep={"pv_grid": [1.0], "eta_v": 1.0},
+        landscape={"n_probe_times": 2, "n_perturbations": 3,
+                   "magnitude": 0.1, "slack": 1e-8},
+        uio={"poles": [-10.0, -12.5]},
+        noise_variants=[variant, dict(variant, label="b")])
+
+
+def schema_fields(cls=ExperimentConfig, path=()):
+    """(path, options) of every field, where options are its non-None types;
+    the fields of a section (also of a list of sections) follow it."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        options = [a for a in typing.get_args(hint) if a is not type(None)] \
+            if typing.get_origin(hint) is types.UnionType else [hint]
+        yield path + (f.name,), options
+        for option in options:
+            item = (typing.get_args(option) or (None,))[0]
+            if dataclasses.is_dataclass(option):
+                yield from schema_fields(option, path + (f.name,))
+            elif dataclasses.is_dataclass(item):
+                yield from schema_fields(item, path + (f.name, 0))
+
+
+def dotted(path) -> str:
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return text.lstrip(".")
+
+
+def edited(path, *value):
+    """full_config() with the field at ``path`` set to ``value``, or removed
+    when no value is given."""
+    raw = full_config()
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    if value:
+        target[path[-1]] = value[0]
+    else:
+        target.pop(path[-1], None)
+    return raw
+
+
+# A JSON value of each form, with the field types that take it.
+SAMPLES = [(True, {bool}), (2, {int, float}), (1.5, {float}), ("6", {str}),
+           ({}, {"object"}), ([], {"list"}), (math.nan, set()),
+           (math.inf, set()), (-math.inf, set())]
+
+
+def forms_taken(hint) -> set:
+    if typing.get_origin(hint) is tuple:
+        return {"list"}
+    return {"object"} if dataclasses.is_dataclass(hint) else {hint}
+
+
+def assert_rejected(path, value, named):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(edited(path, value))
+    assert str(exc.value).startswith(f"{named}: "), (value, str(exc.value))
+
+
+class TestConfigTypes:
+    """Every field of the schema takes only values of its type."""
+
+    def test_full_config_parses(self):
+        cfg = parse_config(full_config())
+        assert cfg.noise_variants[1].label == "b"
+        assert len(list(schema_fields())) == 48
+
+    @pytest.mark.parametrize("path,options", list(schema_fields()),
+                             ids=[dotted(p) for p, _ in schema_fields()])
+    def test_wrong_type_names_the_field(self, path, options):
+        taken = set().union(*map(forms_taken, options))
+        for value, forms in SAMPLES:
+            if not forms & taken:
+                assert_rejected(path, value, dotted(path))
+        for option in options:
+            if typing.get_origin(option) is tuple:
+                # A list of the wrong items names the first item.
+                item = forms_taken(typing.get_args(option)[0])
+                for value, forms in SAMPLES:
+                    if not forms & item:
+                        assert_rejected(path, [value], f"{dotted(path)}[0]")
+
+    @pytest.mark.parametrize("path", [p for p, _ in schema_fields()],
+                             ids=dotted)
+    def test_null_means_absent(self, path):
+        def outcome(raw):
+            try:
+                return parse_config(raw)
+            except ConfigError as exc:
+                return str(exc)
+
+        assert outcome(edited(path, None)) == outcome(edited(path))
+
+    def test_missing_required_field_named(self):
+        raw = full_config()
+        del raw["noise_variants"][1]["label"]
+        with pytest.raises(ConfigError, match=r"noise_variants\[1\]\.label"):
+            parse_config(raw)
+
+    # One field of the shipped windy config changed: each was an uncaught
+    # TypeError, was accepted, or failed only once the run started.
+    @pytest.mark.parametrize("section,key,value", [
+        ("noise", "process_noise_std", 0.1), ("dem", "p", "6"),
+        ("run", "dt", "0.01"), ("noise", "sigma", [1]),
+        ("dem", "learning_rate", "fast"), ("run", "n_steps", 1204.5),
+        ("model", "single_input", "yes"), ("model", "full_state_output", 1),
+        ("run", "transient_skip_s", True), ("run", "dt", math.inf),
+        ("dem", "learning_rate", math.inf), ("model", "i_xx", math.inf),
+        ("run", "dt", math.nan)])
+    def test_windy_field_of_the_wrong_type(self, section, key, value):
+        raw = json.loads((CONFIG_DIR / "benchmark_state_windy.json")
+                         .read_text())
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
+            parse_config(raw)
+
+    def test_null_order_and_inertia_take_their_defaults(self):
+        raw = json.loads((CONFIG_DIR / "benchmark_state_windy.json")
+                         .read_text())
+        raw["dem"]["p"] = None
+        raw["model"] = {"i_xx": None}
+        cfg = parse_config(raw)
+        assert cfg.dem.p == 6 and cfg.model.i_xx == 3.4e-3
+
+    def test_scalar_input_frequencies_rejected(self):
+        raw = serialize_config(
+            load_config_file(CONFIG_DIR / "input_benchmark_colored.json"))
+        raw["model"]["single_input"] = True
+        raw["run"]["input_frequencies"] = 0.7
+        with pytest.raises(ConfigError, match="^run.input_frequencies: "):
+            parse_config(raw)
+
+    def test_ints_keep_their_form(self):
+        raw = small_config(kind="prior_sweep",
+                           prior_sweep={"pv_grid": [1, 10.5]})
+        grid = parse_config(raw).prior_sweep.pv_grid
+        assert grid == (1, 10.5) and type(grid[0]) is int
+
+    def test_validate_rejects_infinity(self, tmp_path, capsys):
+        raw = small_config()
+        raw["run"]["dt"] = math.inf
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert "Infinity" in path.read_text()
+        assert cli_main(["validate", str(path)]) == 1
+        assert "run.dt: must be a finite number" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -798,6 +1003,17 @@ class TestCli:
 
     def test_missing_file_exits_one(self, capsys):
         assert cli_main(["run", "/nonexistent/cfg.json"]) == 1
+
+    def test_validate_non_utf8_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(json.dumps(small_config()).encode("utf-16"))
+        assert cli_main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}")
+
+    def test_validate_directory_exits_one(self, tmp_path, capsys):
+        assert cli_main(["validate", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {tmp_path}")
 
     def test_run_small_config(self, tmp_path, capsys):
         raw = small_config(kind="landscape", output_dir=str(tmp_path / "out"))
