@@ -13,7 +13,8 @@ driver ``systems._replay`` as its transitions, constant from each record's
 freeze step, and a drive built up front; the driver scans the constant
 stretches in chunks. Each filter and the UIO have a ``*_batch`` entry
 that replays a list of records as one stack, and a one-record entry that
-replays a batch of one and raises its ``DivergenceError``.
+calls it with a batch of one and raises its ``DivergenceError`` (the Kalman
+filter's, which takes a prior, calls the shared recursion itself).
 """
 
 from __future__ import annotations
@@ -335,42 +336,33 @@ def build_augmented_system(ad, bd, c, q, ar_models):
     return a_aug, b_aug, c_aug, q_aug, stationary
 
 
-def _augmented(model: LtiModel, ad, bd, q, ar_models, x0=None, p0=None):
-    """``(A, B, C, Q, x0, P0)`` of the filter on the AR-augmented system, or
-    on the plain system when every AR coefficient is zero: then the
+def _augmented(model: LtiModel, ad, bd, q, ar_models):
+    """``(A, B, C, Q, P0)`` of the filter on the AR-augmented system, or on
+    the plain system when every AR coefficient is zero: then the
     augmentation carries no information."""
-    p0 = np.eye(model.n) if p0 is None else np.asarray(p0, dtype=float)
     if all(np.all(m.coefficients == 0.0) for m in ar_models):
-        return ad, bd, model.c, q, x0, p0
+        return ad, bd, model.c, q, np.eye(model.n)
     a_aug, b_aug, c_aug, q_aug, noise_cov = build_augmented_system(
         ad, bd, model.c, q, ar_models)
-    x0_aug = np.zeros(a_aug.shape[0])
-    if x0 is not None:
-        x0_aug[:model.n] = np.asarray(x0, dtype=float)
-    return a_aug, b_aug, c_aug, q_aug, x0_aug, block_diag(p0, noise_cov)
+    return a_aug, b_aug, c_aug, q_aug, block_diag(np.eye(model.n), noise_cov)
 
 
 def state_augmentation_filter(model: LtiModel, ar_models, data: ExperimentData,
-                              q, r, x0=None, p0=None) -> KalmanResult:
-    """Kalman filter on the AR-augmented system; returns the plant-state block.
-
-    With all-zero AR coefficients the augmentation carries no information, so
-    the call reduces to the plain Kalman filter on the original system.
-    """
-    ad, bd = discretize(model, data.dt)
-    a, b, c, q, x0, p0 = _augmented(model, ad, bd, q, ar_models, x0, p0)
-    return _one(_filter(a, b, c, q, r, data.measurements[None],
-                        data.inputs[None], x0, p0, keep=model.n))
+                              q, r) -> KalmanResult:
+    """``state_augmentation_filter_batch`` of one record; raises its
+    ``DivergenceError``."""
+    return _one(state_augmentation_filter_batch(model, [ar_models], [data],
+                                                q, r))
 
 
 def state_augmentation_filter_batch(model: LtiModel, ar_models, datas,
                                     q, r) -> list:
-    """``state_augmentation_filter`` over records of one dt and length, with
-    one list of AR models per record. The designs of one size replay as one
-    stack: the plain design of the records whose AR coefficients are all
-    zero, as in the one-record call, and the augmented designs of the
-    others. Returns each record's ``KalmanResult``, or its
-    ``DivergenceError``.
+    """Kalman filter on the AR-augmented system, over records of one dt and
+    length, with one list of AR models per record; keeps the plant-state
+    block. A record whose AR coefficients are all zero replays the plain
+    Kalman filter on the original system, with its bits: the augmentation
+    carries no information. The designs of one size replay as one stack.
+    Returns each record's ``KalmanResult``, or its ``DivergenceError``.
     """
     ys, vs = _stack(datas, "measurements", "inputs", designs=ar_models)
     ad, bd = discretize(model, datas[0].dt)
@@ -379,7 +371,7 @@ def state_augmentation_filter_batch(model: LtiModel, ar_models, datas,
     for size in {d[0].shape[0] for d in designs}:
         idx = [i for i, d in enumerate(designs) if d[0].shape[0] == size]
         a, q_s, p0 = (np.stack([designs[i][j] for i in idx])
-                      for j in (0, 3, 5))
+                      for j in (0, 3, 4))
         # A view, not a copy of the records, when one stack holds them all.
         rows = idx if len(idx) < len(datas) else slice(None)
         out.update(zip(idx, _filter(
@@ -398,24 +390,17 @@ def _ar1_matrix(model: LtiModel, ar1_coefficients) -> np.ndarray:
 
 
 def smikf(model: LtiModel, ar1_coefficients, data: ExperimentData,
-          q, r, x0=None, p0=None) -> KalmanResult:
-    """Kalman recursion with the AR(1) process-noise cross term.
-
-    The prediction covariance carries the correlation between the posterior
-    error and the upcoming noise sample induced by first-order AR noise;
-    zero coefficients give the plain Kalman filter's bits.
-    """
-    ar = _ar1_matrix(model, ar1_coefficients)
-    ad, bd = discretize(model, data.dt)
-    return _one(_filter(ad, bd, model.c, q, r, data.measurements[None],
-                        data.inputs[None], x0, p0, ar=ar))
+          q, r) -> KalmanResult:
+    """``smikf_batch`` of one record; raises its ``DivergenceError``."""
+    return _one(smikf_batch(model, [ar1_coefficients], [data], q, r))
 
 
 def smikf_batch(model: LtiModel, ar1_coefficients, datas, q, r) -> list:
-    """``smikf`` over records of one dt and length, with one set of AR(1)
-    coefficients per record: one recursion over stacked per-record
-    covariances. Returns each record's ``KalmanResult``, or its
-    ``DivergenceError``.
+    """The Kalman recursion with the AR(1) process-noise cross term (the
+    ``ar`` of ``_filter``) over records of one dt and length, with one set
+    of AR(1) coefficients per record: one recursion over stacked per-record
+    covariances. Zero coefficients give the plain Kalman filter's bits.
+    Returns each record's ``KalmanResult``, or its ``DivergenceError``.
     """
     ys, vs = _stack(datas, "measurements", "inputs", designs=ar1_coefficients)
     ar = np.stack([_ar1_matrix(model, coeffs) for coeffs in ar1_coefficients])

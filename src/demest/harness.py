@@ -263,10 +263,8 @@ def _largest_order(cfg: ExperimentConfig) -> int:
     return max(orders)
 
 
-def get_record(cfg: ExperimentConfig, seed: int, model: LtiModel) -> Record:
-    """Synthetic or log-backed record."""
-    if cfg.run.log_path is None:
-        return synthesize_records(cfg, [seed], model)[0]
+def log_record(cfg: ExperimentConfig, model: LtiModel) -> Record:
+    """The record of a log-backed run, under its one seed."""
     log = load_flight_log(cfg.run.log_path,
                           normalize=cfg.run.normalize_log_inputs)
     # The estimators replay at the log's dt, while Q, the embedded
@@ -291,7 +289,7 @@ def get_record(cfg: ExperimentConfig, seed: int, model: LtiModel) -> Record:
                           input_scales=scales)
     full_state = ExperimentData(dt=log.dt, measurements=log.measurements,
                                 inputs=inputs, truth_states=log.truth_states)
-    return Record(seed, data,
+    return Record(cfg.seeds[0], data,
                   residual_process_noise(_plant_for(model, data), full_state))
 
 
@@ -333,12 +331,12 @@ def _aggregate(grid) -> dict:
 
 
 def _grid(cfg: ExperimentConfig):
-    """Report, plant and records (one per seed) of a grid family."""
+    """Report, plant and records (one per seed) of a run."""
     model = build_model(cfg)
     if cfg.run.log_path is None:
         records = synthesize_records(cfg, cfg.seeds, model)
     else:
-        records = [get_record(cfg, seed, model) for seed in cfg.seeds]
+        records = [log_record(cfg, model)]
     # A log-backed config has one seed, so one record sets the plant.
     return _new_report(cfg), _plant_for(model, records[0].data), records
 
@@ -542,11 +540,8 @@ def run_sweep_p(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_landscape(cfg: ExperimentConfig) -> ExperimentReport:
     """Probe the free-energy surface around the converged estimate."""
-    report = _new_report(cfg)
-    seed = cfg.seeds[0]
-    model = build_model(cfg)
-    data = get_record(cfg, seed, model).data
-    model = _plant_for(model, data)
+    report, model, (record,) = _grid(cfg)
+    data = record.data
     spec = observer_noise_spec(cfg, model)
     ls = cfg.landscape
     skip = cfg.run.skip_steps
@@ -562,7 +557,7 @@ def run_landscape(cfg: ExperimentConfig) -> ExperimentReport:
     y_gen_series = dem.embed_records([data], "measurements", dem_cfg.p,
                                      embeddings)[:, 0]
 
-    rng = np.random.default_rng([seed, 4])
+    rng = np.random.default_rng([record.seed, 4])
     directions = rng.standard_normal((ls.n_perturbations, matrices.total_dim))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     directions = directions / np.where(norms == 0, 1.0, norms)

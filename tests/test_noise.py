@@ -239,7 +239,7 @@ from demest.config import load_config_file
 cfg = load_config_file(%r)
 cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, n_steps=24080))
 model = harness.build_model(cfg)
-rec = harness.get_record(cfg, 1, model)
+rec = harness.synthesize_records(cfg, [1], model)[0]
 spec = harness.observer_noise_spec(cfg, model)
 m = dem.assemble_observer(model, harness._dem_config(cfg, spec, model))
 est, = dem.run_observer_batch(m, [rec.data], True, keep=slice(1, 2))
