@@ -110,11 +110,11 @@ def _still(new, old) -> np.ndarray:
     """Per slice of the (D, ·, ·) stacks: whether ``new`` moved from ``old``
     by at most ``CONVERGED_RTOL`` of its largest entry (False if either is
     not finite)."""
-    with np.errstate(invalid="ignore"):
-        return np.abs(new - old).max(axis=(-2, -1)) <= \
-            CONVERGED_RTOL * np.abs(new).max(axis=(-2, -1))
+    return np.abs(new - old).max(axis=(-2, -1)) <= \
+        CONVERGED_RTOL * np.abs(new).max(axis=(-2, -1))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     """Gain schedule of ``_filter``: the covariance recursion, which never
     reads the data, over the (D, n, n) stack ``p`` of design slices.
@@ -131,7 +131,9 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     one whose step fails restarts from zero, as a failed record does in
     ``systems._replay``. The pass ends once every slice has stopped; then
     each slice's gain and covariance after its stop step repeat that
-    step's, and every step after the pass repeats its last gains.
+    step's, and every step after the pass repeats its last gains. The pass
+    finds its failed steps itself, so numpy's overflow and invalid-value
+    warnings are off for the call.
 
     The innovation covariance is factored by LAPACK ``potrf``/``potrs``,
     the routines behind ``cho_factor``/``cho_solve``, without their
@@ -504,14 +506,16 @@ def uio_batch(model: LtiModel, datas, poles=None) -> list:
     # Step-major, so that step k of every record is one index.
     y = np.moveaxis(ys, 1, 0)[..., None]
     z = z[..., None]
-    xhat = z + design.h @ y
-    # The output derivative at step k is the increment to step k + 1; the
-    # last step keeps its predecessor's.
-    ydot = np.empty_like(y)
-    ydot[:-1] = (y[1:] - y[:-1]) / dt
-    ydot[-1] = ydot[-2]
-    zdot = design.f @ z + design.k @ y
-    vhat = b_pinv @ (zdot + design.h @ ydot - model.a @ xhat)
+    # A non-finite estimate is a failure found below, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xhat = z + design.h @ y
+        # The output derivative at step k is the increment to step k + 1;
+        # the last step keeps its predecessor's.
+        ydot = np.empty_like(y)
+        ydot[:-1] = (y[1:] - y[:-1]) / dt
+        ydot[-1] = ydot[-2]
+        zdot = design.f @ z + design.k @ y
+        vhat = b_pinv @ (zdot + design.h @ ydot - model.a @ xhat)
     bad = ~(np.isfinite(xhat).all(axis=(2, 3))
             & np.isfinite(vhat).all(axis=(2, 3)))
     for i in np.flatnonzero(bad.any(axis=0)).tolist():

@@ -294,6 +294,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                  "prior_sweep.pv_grid", "precisions must be positive")
     if kind == "landscape":
         _require(landscape is not None, "landscape", "required for landscape")
+        _require(len(cfg.seeds) == 1, "seeds",
+                 "a landscape run probes one record; list exactly one seed")
         _require(landscape.n_probe_times > 0, "landscape.n_probe_times",
                  "must be positive")
         _require(landscape.n_perturbations >= 0, "landscape.n_perturbations",

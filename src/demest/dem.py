@@ -105,7 +105,12 @@ class ObserverMatrices:
         inputs the state rows alone (the clamped inputs enter through
         ``Ad``'s input columns)."""
         if dt not in self._holds:
-            self._holds[dt] = zero_order_hold(self.drift, self.drive, dt)
+            hold = zero_order_hold(self.drift, self.drive, dt)
+            if not all(np.isfinite(h).all() for h in hold):
+                raise ObserverDesignError(
+                    f"zero-order hold at dt={dt:g} is not finite: learning "
+                    f"rate {self.rate:g} too large (dem.learning_rate)")
+            self._holds[dt] = hold
         ad, bd = self._holds[dt]
         n = self.state_dim if known_inputs else self.total_dim
         return ad[:n], bd[:n]
@@ -375,10 +380,14 @@ def replay_growth(m: ObserverMatrices, dt: float, n_steps: int,
     """Spectral radius of the transition ``run_observer_batch`` replays at
     ``dt`` (the state block's, with known inputs), and its growth, the
     radius to the power ``n_steps``: how far the replay can amplify a
-    state over a record of that length."""
+    state over a record of that length. A growth too large for a float is
+    None."""
     ad, _ = m.replayed(dt, known_inputs)
     radius = float(np.abs(np.linalg.eigvals(ad[:, :len(ad)])).max())
-    return {"spectral_radius": radius, "growth": radius ** n_steps}
+    with np.errstate(over="ignore"):
+        growth = float(np.float64(radius) ** n_steps)
+    return {"spectral_radius": radius,
+            "growth": growth if np.isfinite(growth) else None}
 
 
 def _free_energy_trace(m: ObserverMatrices, estimates: np.ndarray,

@@ -236,10 +236,9 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
     psi, phi, phi_end, psi_norm, phi_norm = _blocks(m, keep)
     drive = w[:, c0 * chunk:n_chunks * chunk].reshape(
         n_records, n_chunks - c0, chunk * n)
-    with np.errstate(invalid="ignore", over="ignore"):
-        wbound = np.asarray(psi_norm)[..., None] * np.maximum(
-            drive.max(axis=2), -drive.min(axis=2))
-        zero_in = _gemm(drive, psi, first - c0)
+    wbound = np.asarray(psi_norm)[..., None] * np.maximum(
+        drive.max(axis=2), -drive.min(axis=2))
+    zero_in = _gemm(drive, psi, first - c0)
     ends = zero_in[..., -n:, None]
     # A record's chunks before its first scanned one fail the check.
     wbound[first[:, None] > np.arange(c0, n_chunks)] = np.inf
@@ -257,9 +256,8 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
         out = np.matmul(phi_end, x)
         out += ends[:, c]
         if not (calm[c] and math.sqrt(np.vdot(x, x)) < limit):
-            with np.errstate(invalid="ignore", over="ignore"):
-                ok = wbound[:, c] + phi_norm * np.abs(x).max(axis=(1, 2)) \
-                    < SCAN_MARGIN
+            ok = wbound[:, c] + phi_norm * np.abs(x).max(axis=(1, 2)) \
+                < SCAN_MARGIN
             dead = np.array([i in failed for i in range(n_records)])
             out[~ok & dead] = 0.0
             ids = np.flatnonzero(~ok & ~dead)
@@ -285,6 +283,7 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
     return x
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _replay(x, w, keep, message, transition, starts=0) -> tuple:
     """The replay driver of every stacked estimator: the recurrence
     ``x_k = M_k x_{k-1} + w_k`` of S records' states, from the (S, n, 1)
@@ -311,7 +310,9 @@ def _replay(x, w, keep, message, transition, starts=0) -> tuple:
     fails at its first non-finite step ``k`` with ``DivergenceError(k,
     message(record, k))``, also inside a scanned chunk, which then replays
     step by step. Its state then restarts from zero, so the others run on
-    unchanged, and the replay stops once every record has failed.
+    unchanged, and the replay stops once every record has failed. It finds
+    and reports these steps itself, so numpy's overflow and invalid-value
+    warnings are off for the call.
 
     Returns the (T, S, ·) stored rows and the ``{record: DivergenceError}``
     map of the failed records.
@@ -587,6 +588,11 @@ def load_flight_log(path, normalize: bool = False) -> ExperimentData:
         truth = table[:, [index[c] for c in FLIGHT_LOG_TRUTH_COLUMNS]]
     scales = None
     if normalize:
+        flat = np.flatnonzero(inputs.max(axis=0) == inputs.min(axis=0))
+        if flat.size:
+            raise DataFormatError(
+                f"{path}: column 'pwm{flat[0] + 1}' is constant; normalized "
+                "inputs need a range")
         inputs, scales = normalize_inputs(inputs)
     return ExperimentData(
         dt=dt,

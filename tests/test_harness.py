@@ -5,6 +5,7 @@ import math
 import platform
 import types
 import typing
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,8 +19,8 @@ from demest.config import (ExperimentConfig, config_hash, load_config_file,
 from demest import benchmarks, dem, harness
 from demest.errors import ConfigError, DataFormatError, DivergenceError
 from demest.harness import run_experiment, write_report
-from demest.systems import (ExperimentData, quadrotor_roll_model,
-                            save_flight_log, simulate)
+from demest.systems import (ExperimentData, LtiModel, load_flight_log,
+                            quadrotor_roll_model, save_flight_log, simulate)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -42,6 +43,17 @@ def small_config(kind="benchmark_state", **overrides) -> dict:
         "run": {"dt": 0.0083, "n_steps": 400, "transient_skip_s": 0.5},
     }
     raw.update(overrides)
+    return raw
+
+
+def windy_at_rate(rate, output_dir) -> dict:
+    """The windy shoot-out, two 300-step records, at the observer learning
+    rate ``rate``."""
+    raw = serialize_config(
+        load_config_file(CONFIG_DIR / "benchmark_state_windy.json"))
+    raw.update(output_dir=str(output_dir), seeds=[1, 2])
+    raw["run"]["n_steps"] = 300
+    raw["dem"]["learning_rate"] = rate
     return raw
 
 
@@ -84,6 +96,16 @@ class TestConfigValidation:
             parse_config(raw)
         raw["seeds"] = [1]
         assert parse_config(raw).seeds == (1,)
+
+    def test_landscape_config_takes_one_seed(self):
+        # The landscape probes one record; further seeds would go unread.
+        raw = small_config(kind="landscape", landscape={
+            "n_probe_times": 2, "n_perturbations": 3, "magnitude": 0.1,
+            "slack": 1e-8})
+        with pytest.raises(ConfigError, match="seeds"):
+            parse_config(raw)
+        raw["seeds"] = [2]
+        assert parse_config(raw).seeds == (2,)
 
     def test_order_above_cap_rejected(self, tmp_path, capsys):
         # Caught at config time, not as a ValueError deep inside a run.
@@ -623,6 +645,22 @@ class TestLogBackedExperiment:
                            match=r"short\.csv: 5 rows; embedding order 6"):
             run_experiment(parse_config(raw))
 
+    def test_constant_pwm_column_is_a_data_error(self, tmp_path, capsys):
+        # Normalizing divides each PWM channel by its range.
+        cfg = self._log_config(tmp_path, 0.0083)
+        log_path = Path(cfg.run.log_path)
+        data = load_flight_log(log_path)
+        inputs = data.inputs.copy()
+        inputs[:, 0] = 1500.0
+        save_flight_log(log_path, replace(data, inputs=inputs))
+        raw = serialize_config(cfg)
+        raw["run"]["normalize_log_inputs"] = True
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {log_path}: column 'pwm1'")
+
     def test_normalized_inputs_rescale_the_plant(self, tmp_path):
         # One flight, logged once with raw PWM and normalize_log_inputs on,
         # once with the PWM centred beforehand and the flag off. B is
@@ -1034,6 +1072,37 @@ class TestCli:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert set(manifest["files"]) == {"surface.csv", "summary.csv"}
 
+    def _large_rate_config(self, tmp_path, rate):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(windy_at_rate(rate, tmp_path / "out")))
+        return path
+
+    def test_growth_past_the_float_range_is_null(self, tmp_path):
+        # The replayed transition's spectral radius is ~7.6e37, and its
+        # 300th power is no float: the manifest says null, and the replays
+        # report their own divergence.
+        path = self._large_rate_config(tmp_path, 1e15)
+        assert cli_main(["validate", str(path)]) == 0
+        assert cli_main(["run", str(path)]) == 0
+        text = (tmp_path / "out" / "manifest.json").read_text()
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        manifest = json.loads(text, parse_constant=reject)
+        assert manifest["observer_growth"]["dem"]["growth"] is None
+        assert [(d["seed"], d["estimator"], d["error"])
+                for d in manifest["diverged"]] == [
+            (seed, "dem", "estimator diverged at step 8: non-finite "
+             "estimate") for seed in (1, 2)]
+
+    def test_non_finite_observer_hold_exits_two(self, tmp_path, capsys):
+        path = self._large_rate_config(tmp_path, 1e300)
+        assert cli_main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: zero-order hold")
+        assert "dem.learning_rate" in err
+
     def test_uio_design_failure_exits_two(self, tmp_path, capsys):
         # C = [1, 0] makes rank(C B) < rank(B): the UIO cannot exist
         raw = small_config(kind="input_benchmark",
@@ -1043,6 +1112,56 @@ class TestCli:
         path.write_text(json.dumps(raw))
         assert cli_main(["run", str(path)]) == 2
         assert "existence" in capsys.readouterr().err
+
+
+def _diverging_observer_batch():
+    # The observer at learning rate 1e15 fails both records at step 8.
+    cfg = parse_config(windy_at_rate(1e15, "unused"))
+    _, model, records = harness._grid(cfg)
+    spec = harness.observer_noise_spec(cfg, model)
+    m = dem.assemble_observer(model, harness._dem_config(cfg, spec, model))
+    return dem.run_observer_batch(m, [rec.data for rec in records], True)
+
+
+def _flat_records(n=5, y=1.0):
+    return [ExperimentData(dt=1.0, measurements=np.full((n, 1), y),
+                           inputs=np.zeros((n, 1)))] * 2
+
+
+# exp(500) squared overflows the first predicted covariance.
+_HOT = LtiModel(a=[[500.0]], b=[[0.0]], c=[[1.0]])
+_EYE = np.eye(1)
+
+
+@pytest.mark.parametrize("replay", [
+    _diverging_observer_batch,
+    lambda: benchmarks.kalman_filter_batch(1e200 * _EYE, 0.0, _EYE, _EYE,
+                                           _EYE, _flat_records()),
+    lambda: benchmarks.state_augmentation_filter_batch(
+        _HOT, [[benchmarks.ArModel(1, [a], 1.0)] for a in (0.5, 0.3)],
+        _flat_records(), _EYE, _EYE),
+    lambda: benchmarks.smikf_batch(_HOT, [[0.5], [0.3]], _flat_records(),
+                                   _EYE, _EYE),
+    # An unstable observer pole overflows the observer state at step 2.
+    lambda: benchmarks.uio_batch(
+        LtiModel(a=[[0.0]], b=[[1.0]], c=[[1.0]]),
+        [replace(d, dt=0.01) for d in _flat_records(6)], poles=(46000.0,)),
+    # A measurement of 1e308 overflows the output derivative.
+    lambda: benchmarks.uio_batch(
+        LtiModel(a=[[0.0]], b=[[1.0]], c=[[1.0]]),
+        [replace(d, dt=0.01, measurements=np.r_[1.0, 1.0, 1.0, 1e308, 1.0,
+                                                1.0][:, None])
+         for d in _flat_records(6)])],
+    ids=["dem", "kalman", "state_augmentation", "smikf", "uio_state",
+         "uio_derivative"])
+def test_diverging_batches_report_without_numpy_warnings(replay):
+    # The replay engine finds non-finite states and reports them as
+    # DivergenceErrors; numpy's overflow warnings would only repeat that.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = replay()
+    assert len(results) == 2
+    assert all(isinstance(res, DivergenceError) for res in results)
 
 
 class TestDeterminism:
