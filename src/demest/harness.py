@@ -331,7 +331,8 @@ def _aggregate(grid) -> dict:
 
 
 def _grid(cfg: ExperimentConfig):
-    """Report, plant and records (one per seed) of a run."""
+    """Report, plant and records (one per seed) of a grid family or the
+    landscape."""
     model = build_model(cfg)
     if cfg.run.log_path is None:
         records = synthesize_records(cfg, cfg.seeds, model)

@@ -1123,8 +1123,8 @@ def _diverging_observer_batch():
     return dem.run_observer_batch(m, [rec.data for rec in records], True)
 
 
-def _flat_records(n=5, y=1.0):
-    return [ExperimentData(dt=1.0, measurements=np.full((n, 1), y),
+def _flat_records(n=5):
+    return [ExperimentData(dt=1.0, measurements=np.ones((n, 1)),
                            inputs=np.zeros((n, 1)))] * 2
 
 
