@@ -15,6 +15,11 @@ stretches in chunks. Each filter and the UIO have a ``*_batch`` entry
 that replays a list of records as one stack, and a one-record entry that
 calls it with a batch of one and raises its ``DivergenceError`` (the Kalman
 filter's, which takes a prior, calls the shared recursion itself).
+
+Only two paths here load scipy, on first use: the gain schedule of a filter
+with two or more outputs (LAPACK ``potrf``/``potrs``) and the UIO design
+(``place_poles``). The AR fit (Levinson's recursion), the stationary
+covariance (Smith's iteration) and the one-output gain are numpy and Python.
 """
 
 from __future__ import annotations
@@ -25,15 +30,22 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag, solve_discrete_lyapunov, solve_toeplitz
-# Unused here, but kept importable: profilers count calls at these names.
-from scipy.linalg import cho_factor, cho_solve  # noqa: F401
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DivergenceError, ObserverDesignError
-from .noise import NoiseSpec, sum_of_products
+from .noise import NoiseSpec, block_diag, sum_of_products
 from .systems import (ExperimentData, LtiModel, _one, _replay, _stack,
                       discretize, zero_order_hold)
+
+
+def __getattr__(name):
+    """``cho_factor`` and ``cho_solve``, imported from scipy on first use:
+    unused here, but perfbench's tracer wraps them by these names until it
+    traces the batch entries (ROADMAP item 4)."""
+    if name in ("cho_factor", "cho_solve"):
+        import scipy.linalg
+        return getattr(scipy.linalg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Hard cap on augmented filter size (n + n*order states).
 MAX_AUGMENTED_DIM = 128
@@ -72,6 +84,48 @@ class ArModel:
                           RuntimeWarning)
 
 
+def _levinson(acov: list, order: int) -> list:
+    """The Yule-Walker coefficients: the solution of the symmetric Toeplitz
+    system ``toeplitz(acov[:order]) @ a = acov[1:order + 1]``, by Levinson's
+    (1947) recursion in scipy's ``levinson`` operation order, on Python
+    floats, so that the bits are ``solve_toeplitz``'s."""
+    # scipy reads one array ``t`` of the row reversed, then the column:
+    # t[order - 1 + i] = t[order - 1 - i] = acov[i].
+    def t(i):
+        return acov[abs(i - order + 1)]
+
+    n, b = order, acov[1:order + 1]
+    x, g, h = [0.0] * n, [0.0] * n, [0.0] * n
+    x[0] = b[0] / t(n - 1)
+    if n == 1:
+        return x
+    g[0] = t(n - 2) / t(n - 1)
+    h[0] = t(n) / t(n - 1)
+    for m in range(1, n):
+        x_num, x_den = -b[m], -t(n - 1)
+        for j in range(m):
+            x_num = x_num + t(n + m - j - 1) * x[j]
+            x_den = x_den + t(n + m - j - 1) * g[m - j - 1]
+        x[m] = x_num / x_den
+        for j in range(m):
+            x[j] = x[j] - x[m] * g[m - j - 1]
+        if m == n - 1:
+            return x
+        g_num, h_num, g_den = -t(n - m - 2), -t(n + m), -t(n - 1)
+        for j in range(m):
+            g_num = g_num + t(n + j - m - 1) * g[j]
+            h_num = h_num + t(n + m - j - 1) * h[j]
+            g_den = g_den + t(n + j - m - 1) * h[m - j - 1]
+        g[m] = g_num / g_den
+        h[m] = h_num / x_den
+        c1, c2, k = g[m], h[m], m - 1
+        for j in range((m + 1) >> 1):
+            gj, gk, hj, hk = g[j], g[k], h[j], h[k]
+            g[j], g[k] = gj - c1 * hk, gk - c1 * hj
+            h[j], h[k] = hj - c2 * gk, hk - c2 * gj
+            k -= 1
+
+
 def fit_ar(series, order: int) -> ArModel:
     """Yule-Walker fit from biased sample autocovariances."""
     x = np.asarray(series, dtype=float).reshape(-1)
@@ -83,7 +137,7 @@ def fit_ar(series, order: int) -> ArModel:
                      for h in range(order + 1)])
     if acov[0] == 0.0:
         raise ValueError("series has zero variance")
-    coeffs = solve_toeplitz((acov[:order], acov[:order]), acov[1:order + 1])
+    coeffs = np.array(_levinson(acov.tolist(), order))
     innovation = float(acov[0] - coeffs @ acov[1:order + 1])
     return ArModel(order=order, coefficients=coeffs,
                    innovation_variance=max(innovation, 0.0))
@@ -114,7 +168,17 @@ def _still(new, old) -> np.ndarray:
         CONVERGED_RTOL * np.abs(new).max(axis=(-2, -1))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _scalar_gain(cp, s):
+    """The gains ``cp' / s`` of (D, 1, n) ``cp`` and (D, 1, 1) innovation
+    variances ``s`` of one output, in the bits of LAPACK ``potrf``/``potrs``:
+    the factor ``sqrt(s)``, and each of the two triangular solves a product
+    with its reciprocal. Returns the (D, n, 1) gains and which slices are
+    singular: ``s <= 0``, where ``potrf`` fails (it factors NaN and +inf)."""
+    inv = 1.0 / np.sqrt(s)
+    return (cp * inv * inv).swapaxes(-1, -2), (s <= 0.0)[:, 0, 0]
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     """Gain schedule of ``_filter``: the covariance recursion, which never
     reads the data, over the (D, n, n) stack ``p`` of design slices.
@@ -132,12 +196,14 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     ``systems._replay``. The pass ends once every slice has stopped; then
     each slice's gain and covariance after its stop step repeat that
     step's, and every step after the pass repeats its last gains. The pass
-    finds its failed steps itself, so numpy's overflow and invalid-value
-    warnings are off for the call.
+    finds its failed steps itself, so numpy's overflow, invalid-value and
+    division warnings are off for the call.
 
-    The innovation covariance is factored by LAPACK ``potrf``/``potrs``,
-    the routines behind ``cho_factor``/``cho_solve``, without their
-    wrappers' per-step checks.
+    With one output (m = 1) the gains of all slices are one stacked
+    ``_scalar_gain``, with LAPACK's bits. With two or more outputs, the
+    innovation covariance of each slice is factored by LAPACK
+    ``potrf``/``potrs``, the routines behind ``cho_factor``/``cho_solve``,
+    without their wrappers' per-step checks; that path imports scipy.
 
     Returns the (K, D, n, m) gains of the K steps of the pass, the (T, D,
     keep, keep) kept covariance blocks, each slice's stop step (``T`` if it
@@ -152,17 +218,27 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     covs = np.empty((n_steps, n_designs, kept, kept))
     stop = np.full(n_designs, n_steps)
     singular = np.zeros(n_designs, dtype=bool)
+    if m > 1:
+        # Imported here: scipy.linalg takes ~0.25 s to load, and only a
+        # filter with two or more outputs needs it.
+        from scipy.linalg.lapack import dpotrf, dpotrs
     for k in range(n_steps):
         cp = c @ p
         s = cp @ c.T + r
         gain = gains[k]
-        for i in range(n_designs):
-            chol, info = dpotrf(s[i], lower=0, clean=0)
-            if info == 0:
-                gain[i] = dpotrs(chol, cp[i], lower=0)[0].T
-            else:
-                gain[i] = np.nan
-                singular[i] |= stop[i] == n_steps
+        if m == 1:
+            scalar, bad = _scalar_gain(cp, s)
+            gain[:] = scalar
+            gain[bad] = np.nan
+            singular |= bad & (stop == n_steps)
+        else:
+            for i in range(n_designs):
+                chol, info = dpotrf(s[i], lower=0, clean=0)
+                if info == 0:
+                    gain[i] = dpotrs(chol, cp[i], lower=0)[0].T
+                else:
+                    gain[i] = np.nan
+                    singular[i] |= stop[i] == n_steps
         if k:
             settled = _still(gain, gains[k - 1]) & _still(p, last[0]) & \
                 _still(cross, last[1])
@@ -277,6 +353,33 @@ def kalman_filter_batch(ad, bd, c, q, r, datas) -> list:
     return _filter(ad, bd, c, q, r, *_stack(datas, "measurements", "inputs"))
 
 
+# Squarings after which Smith's iteration gives up: A^(2^64) of any float
+# matrix with spectral radius below 1 has decayed to zero.
+MAX_SQUARINGS = 64
+
+
+def stationary_covariance(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The solution X of the discrete Lyapunov equation ``X = A X A' + Q``:
+    the stationary covariance of ``x_k = A x_{k-1} + e_k`` with ``cov(e) =
+    Q``. Smith's (1968) squaring iteration ``X <- X + A X A'``, ``A <- A^2``
+    sums the series ``sum_j A^j Q A'^j`` in doubling blocks, by products
+    too small for BLAS to thread. It stops at the first pass that leaves X
+    unchanged bit for bit; a chain with spectral radius 1 or more has no
+    stationary covariance, and gives a ``ValueError`` when X is not finite
+    or has not settled within ``MAX_SQUARINGS`` squarings."""
+    x = np.asarray(q, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_SQUARINGS):
+            new = x + a @ x @ a.T
+            if not np.isfinite(new).all():
+                break
+            if np.array_equal(new, x):
+                return x
+            x, a = new, a @ a
+    raise ValueError("no stationary covariance: the AR chain is not "
+                     "stationary (spectral radius at least 1)")
+
+
 def _unit_innovation_variance(coeffs: np.ndarray) -> float:
     """Stationary variance of an AR chain driven by unit-variance innovations."""
     order = coeffs.size
@@ -286,7 +389,7 @@ def _unit_innovation_variance(coeffs: np.ndarray) -> float:
         comp[1:, :-1] = np.eye(order - 1)
     qmat = np.zeros((order, order))
     qmat[0, 0] = 1.0
-    return float(solve_discrete_lyapunov(comp, qmat)[0, 0])
+    return float(stationary_covariance(comp, qmat)[0, 0])
 
 
 def build_augmented_system(ad, bd, c, q, ar_models):
@@ -334,7 +437,7 @@ def build_augmented_system(ad, bd, c, q, ar_models):
 
     noise_tr = a_aug[n:, n:]
     noise_q = q_aug[n:, n:]
-    stationary = solve_discrete_lyapunov(noise_tr, noise_q)
+    stationary = stationary_covariance(noise_tr, noise_q)
     return a_aug, b_aug, c_aug, q_aug, stationary
 
 

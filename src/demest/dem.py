@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import ObserverDesignError
 from .gencoord import embed_series, lift_matrix, shift_matrix
-from .noise import GeneralizedPrecision, NoiseSpec, generalized_precision
+from .noise import (GeneralizedPrecision, NoiseSpec, block_diag,
+                    generalized_precision)
 from .systems import (ExperimentData, LtiModel, _one, _replay, _stack,
                       is_observable, zero_order_hold)
 

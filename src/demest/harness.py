@@ -11,6 +11,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+# numpy loads these lazily; load them with the import, not inside the run:
+import numpy.ma  # noqa: F401  (np.median, np.percentile and np.unique)
+import numpy.random  # noqa: F401
 
 from . import benchmarks, dem
 from .config import ExperimentConfig, NoiseVariant, config_hash
@@ -20,7 +23,7 @@ from .noise import (NoiseSpec, autocorrelation, gaussian_fit,
                     gaussian_kernel_density, generate_colored_noise,
                     kernel_autocorrelation)
 from .systems import (DT_JITTER, ExperimentData, LtiModel, _one, discretize,
-                      load_flight_log, quadrotor_roll_model,
+                      load_flight_log, normalized_pwm, quadrotor_roll_model,
                       rescale_input_matrix, residual_process_noise, simulate)
 
 # The state-augmentation benchmark mirrors the observer's default embedding
@@ -91,10 +94,15 @@ def _formatted(column):
 
 def _environment() -> dict:
     """The numeric stack whose rounding the CSV bytes depend on: numpy's
-    BLAS runs the matrix products, scipy's LAPACK the Cholesky solves."""
+    BLAS runs the products and the small solves. scipy's version and BLAS
+    are listed only when the run loaded scipy (a filter with two or more
+    outputs, the UIO design or the Gaussian fit of the noise study), whose
+    LAPACK then ran those steps. ``OPENBLAS_NUM_THREADS`` and
+    ``OPENBLAS_CORETYPE`` choose OpenBLAS's kernels and thread split, which
+    also decide bits: their values in the environment, null when unset."""
+    import os
     import platform
-
-    import scipy
+    import sys
 
     def blas(show_config) -> str:
         try:
@@ -103,9 +111,14 @@ def _environment() -> dict:
             return "unknown"
         return f"{info.get('name')} {info.get('version')}"
 
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "numpy_blas": blas(np.show_config),
-            "scipy_blas": blas(scipy.show_config)}
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "numpy_blas": blas(np.show_config),
+           **{name: os.environ.get(name) for name in (
+               "OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}}
+    scipy = sys.modules.get("scipy")
+    if scipy is not None:
+        env.update(scipy=scipy.__version__, scipy_blas=blas(scipy.show_config))
+    return env
 
 
 def write_report(report: ExperimentReport) -> None:
@@ -265,8 +278,7 @@ def _largest_order(cfg: ExperimentConfig) -> int:
 
 def log_record(cfg: ExperimentConfig, model: LtiModel) -> Record:
     """The record of a log-backed run, under its one seed."""
-    log = load_flight_log(cfg.run.log_path,
-                          normalize=cfg.run.normalize_log_inputs)
+    log = load_flight_log(cfg.run.log_path)
     # The estimators replay at the log's dt, while Q, the embedded
     # reference and the transient skip are set from run.dt.
     if abs(log.dt - cfg.run.dt) > DT_JITTER * cfg.run.dt:
@@ -282,8 +294,10 @@ def log_record(cfg: ExperimentConfig, model: LtiModel) -> Record:
         raise DataFormatError(
             f"{cfg.run.log_path}: run.transient_skip_s="
             f"{cfg.run.transient_skip_s:g} skips all {log.n_steps} steps")
-    inputs = log.inputs[:, :model.r]
-    scales = None if log.input_scales is None else log.input_scales[:model.r]
+    # Only the plant's channels are normalized: an unused one may be flat.
+    inputs, scales = log.inputs[:, :model.r], None
+    if cfg.run.normalize_log_inputs:
+        inputs, scales = normalized_pwm(cfg.run.log_path, inputs)
     data = ExperimentData(dt=log.dt, measurements=log.measurements[:, :model.m],
                           inputs=inputs, truth_states=log.truth_states,
                           input_scales=scales)

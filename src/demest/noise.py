@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg
+import numpy.random  # noqa: F401  loaded lazily; load it with the import
 
 # The embedding's cap also bounds the noise order: double factorials and the
 # derivative covariance blow up combinatorially beyond it.
@@ -92,8 +92,8 @@ class GeneralizedPrecision:
     matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        full = linalg.block_diag(self.output_block, self.input_block,
-                                 self.state_block)
+        full = block_diag(self.output_block, self.input_block,
+                          self.state_block)
         full.flags.writeable = False
         object.__setattr__(self, "matrix", full)
 
@@ -218,6 +218,17 @@ def generalized_precision(spec: NoiseSpec, p: int, d: int) -> GeneralizedPrecisi
         input_block=np.kron(s_d, spec.input_prior_precision),
         state_block=np.kron(s_p, spec.proc_precision),
     )
+
+
+def block_diag(*blocks) -> np.ndarray:
+    """The 2-D float ``blocks`` along the diagonal of one zero matrix."""
+    rows, cols = zip(*(np.shape(b) for b in blocks))
+    out = np.zeros((sum(rows), sum(cols)))
+    i = j = 0
+    for block, n_rows, n_cols in zip(blocks, rows, cols):
+        out[i:i + n_rows, j:j + n_cols] = block
+        i, j = i + n_rows, j + n_cols
+    return out
 
 
 def sum_of_products(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,11 +1,14 @@
 from dataclasses import replace
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demest import dem
+from demest import dem, harness
+from demest.config import load_config_file
 from demest.dem import (DemConfig, assemble_observer, default_learning_rate,
                         error_jacobian, estimate_precision, free_energy,
                         free_energy_landscape, generalized_prior,
@@ -13,8 +16,8 @@ from demest.dem import (DemConfig, assemble_observer, default_learning_rate,
 from demest.errors import DivergenceError, ObserverDesignError
 from demest.gencoord import embed_series
 from demest.noise import NoiseSpec, generalized_precision
-from demest.systems import (ExperimentData, LtiModel, quadrotor_roll_model,
-                            simulate, zero_order_hold)
+from demest.systems import (ExperimentData, LtiModel, expm,
+                            quadrotor_roll_model, simulate, zero_order_hold)
 
 DT = 0.0083
 
@@ -647,3 +650,40 @@ class TestDemConfig:
         assert rate * informative[0] >= 0.5 * (1.0 - 1e-9)
         drift_eigs = np.linalg.eigvals(m.shift - rate * m.curvature)
         assert drift_eigs.real.max() <= 1e-9 * max(1.0, rate * curv_eigs[-1])
+
+
+class TestMatrixExponential:
+    @pytest.mark.parametrize("config, pv, bound", [
+        ("benchmark_state_windy", None, 2e-12),
+        ("prior_sweep", 0.01, 2e-12),
+        ("prior_sweep", 1.0, 2e-12),
+        ("prior_sweep", 1e6, 2e-12),
+        # The defaulted learning rate gives a 1-norm of 8.4e5, 46 times the
+        # windy block's, and 18 squarings; scipy's expm is off by 2.3e-11.
+        ("landscape", None, 5e-11)])
+    def test_shipped_holds_match_40_digits(self, config, pv, bound):
+        # The zero-order hold of a shipped observer, the exponential of the
+        # block [[F, G], [0, 0]] = [[drift, drive], [0, 0]] * dt: within
+        # ``bound`` of the largest entry of the 40-digit [[e^F, F^-1 (e^F -
+        # I) G], [0, I]] (F is invertible; the same floats as mpmath's
+        # exponential of the whole block, in a quarter of the time).
+        cfg = load_config_file(
+            Path(__file__).resolve().parent.parent / "configs"
+            / f"{config}.json")
+        model = harness.build_model(cfg)
+        spec = harness.observer_noise_spec(cfg, model, pv)
+        m = assemble_observer(model, harness._dem_config(cfg, spec, model))
+        n = m.total_dim
+        f, g = m.drift * cfg.run.dt, m.drive * cfg.run.dt
+        exact = np.eye(n + g.shape[1])
+        with mpmath.workdps(40):
+            f_mp = mpmath.matrix(f.tolist())
+            e_mp = mpmath.expm(f_mp)
+            exact[:n, :n] = np.array(e_mp.tolist(), dtype=float)
+            exact[:n, n:] = np.array((mpmath.inverse(f_mp) * (
+                (e_mp - mpmath.eye(n)) * mpmath.matrix(g.tolist()))).tolist(),
+                dtype=float)
+        block = np.zeros_like(exact)
+        block[:n, :n], block[:n, n:] = f, g
+        assert np.abs(expm(block) - exact).max() <= \
+            bound * np.abs(exact).max()

@@ -2,7 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 import types
 import typing
 import warnings
@@ -661,6 +664,34 @@ class TestLogBackedExperiment:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {log_path}: column 'pwm1'")
 
+    @pytest.mark.parametrize("flat, refused", [(0, True), (1, False)])
+    def test_single_input_normalizes_only_its_channel(self, tmp_path, capsys,
+                                                      flat, refused):
+        # A single-input plant replays pwm1 alone: a constant pwm1 is a data
+        # error, a constant pwm2 is not read, and leaves every table as it
+        # is with the pwm2 the log had.
+        cfg = self._log_config(tmp_path, 0.0083)
+        raw = serialize_config(cfg)
+        raw["run"]["normalize_log_inputs"] = True
+        raw["model"]["single_input"] = True
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == 0
+        before = (tmp_path / "out" / "per_seed_sse.csv").read_bytes()
+        log_path = Path(cfg.run.log_path)
+        data = load_flight_log(log_path)
+        inputs = data.inputs.copy()
+        inputs[:, flat] = 1500.0
+        save_flight_log(log_path, replace(data, inputs=inputs))
+        capsys.readouterr()
+        assert cli_main(["run", str(path)]) == (1 if refused else 0)
+        if refused:
+            assert capsys.readouterr().err.startswith(
+                f"config error: {log_path}: column 'pwm1' is constant")
+        else:
+            assert (tmp_path / "out" / "per_seed_sse.csv").read_bytes() == \
+                before
+
     def test_normalized_inputs_rescale_the_plant(self, tmp_path):
         # One flight, logged once with raw PWM and normalize_log_inputs on,
         # once with the PWM centred beforehand and the flag off. B is
@@ -1008,6 +1039,35 @@ class TestSynthesis:
         run_experiment(parse_config(raw), write=False)
         r = harness.build_model(cfg).r
         assert calls == [(3, 300, r)] * len(cfg.noise_variants)
+
+
+def test_state_runs_load_no_scipy(tmp_path):
+    # Importing scipy.linalg was most of every run's start-up time; a state
+    # shoot-out needs none of it. The manifest then lists no scipy, and the
+    # OpenBLAS settings as the environment gives them.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(windy_at_rate(1.0, tmp_path / "out")))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(CONFIG_DIR.parent / "src"), env.get("PYTHONPATH", "")]))
+    code = "\n".join([
+        "import sys",
+        "def scipy(): return sorted(m for m in sys.modules",
+        "                           if m.partition('.')[0] == 'scipy')",
+        "import demest.cli",
+        "print(scipy())",
+        f"assert demest.cli.main(['run', {str(path)!r}]) == 0",
+        "print(scipy())"])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    environment = json.loads(
+        (tmp_path / "out" / "manifest.json").read_text())["environment"]
+    assert "scipy" not in environment and "scipy_blas" not in environment
+    assert environment["OPENBLAS_NUM_THREADS"] == "1"
+    assert environment["OPENBLAS_CORETYPE"] is None
 
 
 class TestCli:
