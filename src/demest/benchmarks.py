@@ -358,6 +358,10 @@ def kalman_filter_batch(ad, bd, c, q, r, datas) -> list:
 MAX_SQUARINGS = 64
 
 
+class NotStationaryError(ValueError):
+    """A chain with spectral radius 1 or more: no stationary covariance."""
+
+
 def stationary_covariance(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The solution X of the discrete Lyapunov equation ``X = A X A' + Q``:
     the stationary covariance of ``x_k = A x_{k-1} + e_k`` with ``cov(e) =
@@ -365,8 +369,9 @@ def stationary_covariance(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     sums the series ``sum_j A^j Q A'^j`` in doubling blocks, by products
     too small for BLAS to thread. It stops at the first pass that leaves X
     unchanged bit for bit; a chain with spectral radius 1 or more has no
-    stationary covariance, and gives a ``ValueError`` when X is not finite
-    or has not settled within ``MAX_SQUARINGS`` squarings."""
+    stationary covariance, and gives a ``NotStationaryError`` (a
+    ``ValueError``) when X is not finite or has not settled within
+    ``MAX_SQUARINGS`` squarings."""
     x = np.asarray(q, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_SQUARINGS):
@@ -376,8 +381,8 @@ def stationary_covariance(a: np.ndarray, q: np.ndarray) -> np.ndarray:
             if np.array_equal(new, x):
                 return x
             x, a = new, a @ a
-    raise ValueError("no stationary covariance: the AR chain is not "
-                     "stationary (spectral radius at least 1)")
+    raise NotStationaryError("no stationary covariance: the AR chain is "
+                             "not stationary (spectral radius at least 1)")
 
 
 def _unit_innovation_variance(coeffs: np.ndarray) -> float:
@@ -467,14 +472,19 @@ def state_augmentation_filter_batch(model: LtiModel, ar_models, datas,
     block. A record whose AR coefficients are all zero replays the plain
     Kalman filter on the original system, with its bits: the augmentation
     carries no information. The designs of one size replay as one stack.
-    Returns each record's ``KalmanResult``, or its ``DivergenceError``.
+    Returns each record's ``KalmanResult``, or its ``DivergenceError``; a
+    record whose AR chain is not stationary fails at step 0.
     """
     ys, vs = _stack(datas, "measurements", "inputs", designs=ar_models)
     ad, bd = discretize(model, datas[0].dt)
-    designs = [_augmented(model, ad, bd, q, ars) for ars in ar_models]
-    out = {}
-    for size in {d[0].shape[0] for d in designs}:
-        idx = [i for i, d in enumerate(designs) if d[0].shape[0] == size]
+    designs, out = {}, {}
+    for i, ars in enumerate(ar_models):
+        try:
+            designs[i] = _augmented(model, ad, bd, q, ars)
+        except NotStationaryError as exc:
+            out[i] = DivergenceError(0, str(exc))
+    for size in {d[0].shape[0] for d in designs.values()}:
+        idx = [i for i, d in designs.items() if d[0].shape[0] == size]
         a, q_s, p0 = (np.stack([designs[i][j] for i in idx])
                       for j in (0, 3, 4))
         # A view, not a copy of the records, when one stack holds them all.

@@ -11,9 +11,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-# numpy loads these lazily; load them with the import, not inside the run:
-import numpy.ma  # noqa: F401  (np.median, np.percentile and np.unique)
-import numpy.random  # noqa: F401
 
 from . import benchmarks, dem
 from .config import ExperimentConfig, NoiseVariant, config_hash

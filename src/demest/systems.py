@@ -619,7 +619,7 @@ def normalized_pwm(path, pwm) -> tuple[np.ndarray, np.ndarray]:
     return normalize_inputs(pwm)
 
 
-def load_flight_log(path, normalize: bool = False) -> ExperimentData:
+def load_flight_log(path) -> ExperimentData:
     """Parse a flight-log CSV, validating schema, monotonicity, and jitter."""
     path = Path(path)
     with open(path, newline="") as fh:
@@ -659,13 +659,9 @@ def load_flight_log(path, normalize: bool = False) -> ExperimentData:
     truth = None
     if has_truth:
         truth = table[:, [index[c] for c in FLIGHT_LOG_TRUTH_COLUMNS]]
-    scales = None
-    if normalize:
-        inputs, scales = normalized_pwm(path, inputs)
     return ExperimentData(
         dt=dt,
         measurements=measurements,
         inputs=inputs,
         truth_states=truth,
-        input_scales=scales,
     )

@@ -261,16 +261,18 @@ class TestScipyStandIns:
     @pytest.mark.parametrize("coefficients", [[1.0], [1.01], [0.5, 0.5],
                                               [-1.2, 0.1]])
     def test_non_stationary_chain_is_a_value_error(self, coefficients):
-        # Spectral radius 1 or more: no stationary covariance exists.
+        # Spectral radius 1 or more: no stationary covariance exists, and
+        # the filter on that chain fails at step 0.
         with pytest.raises(ValueError, match="not stationary"):
             stationary_covariance(_companion(coefficients),
                                   np.eye(len(coefficients)))
         with pytest.warns(RuntimeWarning, match="stationarity"):
             ars = [ArModel(len(coefficients), coefficients, 1.0)]
         data, _ = random_walk_setup(3, n=50)
-        with pytest.raises(ValueError, match="not stationary"):
+        with pytest.raises(DivergenceError, match="not stationary") as exc:
             state_augmentation_filter(SCALAR_MODEL, ars, data,
                                       np.eye(1), np.eye(1))
+        assert exc.value.step == 0
 
 
 class TestStateAugmentation:

@@ -560,6 +560,36 @@ class TestBenchmarkStateExperiment:
         k = agg["estimator"].index("kalman")
         assert (agg["n_runs"][k], agg["n_diverged"][k]) == (2, 1)
 
+    def test_non_stationary_ar_fit_leaves_one_empty_cell(self, report,
+                                                         monkeypatch):
+        # Seed 2's AR models have a unit root: it has no stationary noise
+        # covariance, so its state-augmentation cell is empty and the run,
+        # every other record included, carries on with its bits.
+        sa_batch = benchmarks.state_augmentation_filter_batch
+
+        def unit_root(model, ar_models, datas, q, r):
+            with pytest.warns(RuntimeWarning, match="stationarity"):
+                ars = [benchmarks.ArModel(1, [1.0], 1.0)] * model.n
+            return sa_batch(model, [ar_models[0], ars, *ar_models[2:]],
+                            datas, q, r)
+
+        monkeypatch.setattr(benchmarks, "state_augmentation_filter_batch",
+                            unit_root)
+        result = run_experiment(parse_config(small_config(
+            output_dir="unused")), write=False)
+        [entry] = result.diverged
+        assert (entry["seed"], entry["estimator"]) == (2, "state_augmentation")
+        assert entry["error"].startswith(
+            "estimator diverged at step 0: no stationary covariance")
+        clean, table = report.tables["per_seed_sse"], \
+            result.tables["per_seed_sse"]
+        hit = [key == (2, "state_augmentation")
+               for key in zip(table["seed"], table["estimator"])]
+        assert table["sse_phidot_truth"][hit.index(True)] is None
+        for name, column in table.items():
+            assert [c for c, h in zip(column, hit, strict=True) if not h] == \
+                [c for c, h in zip(clean[name], hit, strict=True) if not h]
+
 
     def test_one_diverging_observer_record_leaves_one_empty_cell(self):
         # Seed 2 gets an inf measurement: only its observer cell is empty,

@@ -9,9 +9,10 @@ from demest import systems
 from demest.errors import DataFormatError, DivergenceError
 from demest.systems import (ExperimentData, LtiModel, discretize,
                             is_observable, load_flight_log, normalize_inputs,
-                            observability_matrix, quadrotor_roll_model,
-                            rescale_input_matrix, residual_process_noise,
-                            save_flight_log, simulate)
+                            normalized_pwm, observability_matrix,
+                            quadrotor_roll_model, rescale_input_matrix,
+                            residual_process_noise, save_flight_log,
+                            simulate)
 
 I_XX = 3.4e-3
 C_B_PHI = 1.274e-3
@@ -645,9 +646,9 @@ class TestFlightLogIo:
         )
         path = tmp_path / "log.csv"
         save_flight_log(path, data)
-        loaded = load_flight_log(path, normalize=True)
-        assert loaded.input_scales is not None
-        np.testing.assert_allclose(loaded.inputs.mean(axis=0), np.zeros(4),
+        inputs, scales = normalized_pwm(path, load_flight_log(path).inputs)
+        assert scales is not None
+        np.testing.assert_allclose(inputs.mean(axis=0), np.zeros(4),
                                    atol=1e-12)
-        spans = loaded.inputs.max(axis=0) - loaded.inputs.min(axis=0)
+        spans = inputs.max(axis=0) - inputs.min(axis=0)
         np.testing.assert_allclose(spans, np.ones(4), atol=1e-12)
