@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .benchmarks import (ArModel, KalmanResult, UioResult, fit_ar,
                          kalman_filter, smikf, sse, state_augmentation_filter,
-                         uio)
+                         uio_batch)
 from .dem import (DemConfig, ObserverMatrices, ObserverRun,
                   assemble_observer, estimate_precision, free_energy,
                   free_energy_landscape, prediction_error, run_observer)
@@ -26,7 +26,7 @@ from .systems import (ExperimentData, LtiModel, discretize, load_flight_log,
 __all__ = [
     "__version__",
     "ArModel", "KalmanResult", "UioResult", "fit_ar", "kalman_filter",
-    "smikf", "sse", "state_augmentation_filter", "uio",
+    "smikf", "sse", "state_augmentation_filter", "uio_batch",
     "DemConfig", "ObserverMatrices", "ObserverRun",
     "assemble_observer", "estimate_precision", "free_energy",
     "free_energy_landscape", "prediction_error", "run_observer",

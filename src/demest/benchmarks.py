@@ -12,14 +12,14 @@ a linear recurrence ``x_k = M_k x_{k-1} + w_k``, handed to the replay
 driver ``systems._replay`` as its transitions, constant from each record's
 freeze step, and a drive built up front; the driver scans the constant
 stretches in chunks. Each filter and the UIO have a ``*_batch`` entry
-that replays a list of records as one stack, and a one-record entry that
-calls it with a batch of one and raises its ``DivergenceError`` (the Kalman
-filter's, which takes a prior, calls the shared recursion itself).
+that replays a list of records as one stack; each filter also has a
+one-record entry that calls it with a batch of one and raises its
+``DivergenceError``.
 
-Only two paths here load scipy, on first use: the gain schedule of a filter
-with two or more outputs (LAPACK ``potrf``/``potrs``) and the UIO design
-(``place_poles``). The AR fit (Levinson's recursion), the stationary
-covariance (Smith's iteration) and the one-output gain are numpy and Python.
+Only one path here loads scipy, on first use: the gain schedule of a filter
+with two or more outputs (LAPACK ``potrf``/``potrs``). The AR fit
+(Levinson's recursion), the stationary covariance (Smith's iteration), the
+one-output gain and the UIO gain (closed form) are numpy and Python.
 """
 
 from __future__ import annotations
@@ -269,11 +269,11 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     return gains[steps[:k + 1], slices], covs[steps, slices], stop, singular
 
 
-def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
-            keep=None) -> list:
+def _filter(ad, bd, c, q, r, ys, vs, p0=None, ar=None, keep=None) -> list:
     """Predict/update recursion shared by the Kalman-family filters.
 
-    ``ys`` (S, T, m) and ``vs`` (S, T, r) are a stack of S records. ``ad``,
+    ``ys`` (S, T, m) and ``vs`` (S, T, r) are a stack of S records, each
+    filtered from the prior mean 0 and covariance ``p0`` (I if None). ``ad``,
     ``q``, ``p0`` and ``ar`` are either (n, n), shared by every record, or
     (S, n, n), one per record; ``bd``, ``c`` and ``r`` are shared. The
     covariance recursion runs in ``_schedule``, once for a shared design and
@@ -305,8 +305,6 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
     kept = n if keep is None else keep
     gains, covs, stop, singular = _schedule(
         ad, c, q, r, np.broadcast_to(p, (n_designs, n, n)), ar, n_steps, kept)
-    x = np.zeros((n_records, n, 1)) if x0 is None else np.broadcast_to(
-        np.asarray(x0, dtype=float)[..., None], (n_records, n, 1))
     # w_k = Bd v_{k-1} + G_k (y_k - C Bd v_{k-1}), with v_{-1} = 0, record
     # by record: one product up to its design's stop step and one after it,
     # which repeats that step's gain, so that its rounding does not depend
@@ -321,7 +319,8 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
     eye, c_ad = np.eye(n), c @ ad
 
     def transition(k):
-        """M_k = (I - G_k C) Ad; step 0 updates x0 without a prediction."""
+        """M_k = (I - G_k C) Ad; step 0 updates the zero prior mean
+        without a prediction."""
         gain = gains[min(k, len(gains) - 1)]
         m = eye - gain @ c if k == 0 else ad - gain @ c_ad
         return m if stacked else m[0]
@@ -329,7 +328,8 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
     # A record's M is constant from its design's freeze step (>= 1) on. A
     # failed design's gains are NaN from then on: its records go unscanned.
     means, failed = _replay(
-        x, w, slice(kept), lambda i, k: NOT_INVERTIBLE if singular[
+        np.zeros((n_records, n, 1)), w, slice(kept),
+        lambda i, k: NOT_INVERTIBLE if singular[
             design[i]] and k == stop[design[i]] else NON_FINITE, transition,
         np.where(np.isnan(gains[-1]).any(axis=(1, 2)), n_steps, stop)[design])
     steps = [None if f == n_steps else f for f in stop.tolist()]
@@ -338,11 +338,11 @@ def _filter(ad, bd, c, q, r, ys, vs, x0=None, p0=None, ar=None,
             for i, d in enumerate(design)]
 
 
-def kalman_filter(ad, bd, c, q, r, data: ExperimentData,
-                  x0=None, p0=None) -> KalmanResult:
-    """Standard discrete predict/update recursion (Joseph-form update)."""
+def kalman_filter(ad, bd, c, q, r, data: ExperimentData) -> KalmanResult:
+    """Standard discrete predict/update recursion (Joseph-form update), from
+    the prior mean 0 and covariance I."""
     return _one(_filter(ad, bd, c, q, r, data.measurements[None],
-                        data.inputs[None], x0, p0))
+                        data.inputs[None]))
 
 
 def kalman_filter_batch(ad, bd, c, q, r, datas) -> list:
@@ -553,14 +553,19 @@ def design_uio(model: LtiModel, poles=None) -> UioDesign:
     """Design the classical UIO decoupling the unknown input.
 
     Existence requires rank(C B) == rank(B); H solves the decoupling via the
-    pseudoinverse and the remaining dynamics are stabilized by pole
-    placement.
+    pseudoinverse. The gain ``K1 = (T A - diag(poles)) C^-1`` places the
+    poles of ``F = T A - K1 C``; it needs a square, invertible C (a
+    full-state output), where it is the one answer of Kautsky, Nichols &
+    Van Dooren (1985), with the poles in that method's ascending order.
     """
     b, c = model.b, model.c
     cb = c @ b
     if np.linalg.matrix_rank(cb) != np.linalg.matrix_rank(b):
         raise ObserverDesignError(
             "UIO existence condition failed: rank(C B) != rank(B)")
+    if c.shape != (model.n, model.n) or np.linalg.matrix_rank(c) < model.n:
+        raise ObserverDesignError(
+            "UIO gain needs a square, invertible C (a full-state output)")
     h = b @ np.linalg.pinv(cb)
     t = np.eye(model.n) - h @ c
     ta = t @ model.a
@@ -569,10 +574,7 @@ def design_uio(model: LtiModel, poles=None) -> UioDesign:
     poles = tuple(float(pole) for pole in poles)
     if len(poles) != model.n:
         raise ObserverDesignError("need one observer pole per state")
-    # Imported here: scipy.signal loads scipy.stats, ~1 s no other path needs.
-    from scipy.signal import place_poles
-    placed = place_poles(ta.T, c.T, poles)
-    k1 = placed.gain_matrix.T
+    k1 = (ta - np.diag(np.sort(poles))) @ np.linalg.inv(c)
     f = ta - k1 @ c
     k = k1 + f @ h
     return UioDesign(f=f, k=k, h=h, t=t, poles=poles)
@@ -638,11 +640,6 @@ def uio_batch(model: LtiModel, datas, poles=None) -> list:
     return [failed[i] if i in failed else UioResult(
                 xhat[:, i, :, 0], vhat[:, i, :, 0], design)
             for i in range(len(datas))]
-
-
-def uio(model: LtiModel, data: ExperimentData, poles=None) -> UioResult:
-    """``uio_batch`` of one record; raises its ``DivergenceError``."""
-    return _one(uio_batch(model, [data], poles=poles))
 
 
 def sse(estimate, reference, skip: int = 0) -> float:

@@ -235,14 +235,18 @@ def assemble_observer(model: LtiModel, cfg: DemConfig,
     return matrices
 
 
-def default_learning_rate(curvature: np.ndarray, shift_full: np.ndarray,
-                          target_rate: float = 0.5,
-                          rank_cutoff: float = 1e-9) -> float:
-    """Rate at which the slowest informative direction decays at target_rate.
+# The default learning rate makes the slowest informative direction decay
+# at TARGET_RATE, 5 / (10 s): several convergence times within a standard
+# experiment horizon. A direction is informative where its curvature is
+# above RANK_CUTOFF times the largest.
+TARGET_RATE = 0.5
+RANK_CUTOFF = 1e-9
 
-    target_rate defaults to 5 / (10 s), i.e. several convergence times within
-    a standard experiment horizon. Directions whose curvature falls below
-    rank_cutoff relative to the largest carry essentially no information;
+
+def default_learning_rate(curvature: np.ndarray,
+                          shift_full: np.ndarray) -> float:
+    """Rate at which the slowest informative direction decays at
+    ``TARGET_RATE``. The other directions carry essentially no information;
     chasing them would demand rates so large that the discrete step loses
     accuracy, so they are excluded and only checked for stability.
     """
@@ -250,8 +254,8 @@ def default_learning_rate(curvature: np.ndarray, shift_full: np.ndarray,
     lam_max = float(eigs[-1])
     if lam_max <= 0:
         raise ObserverDesignError("curvature is not positive semidefinite")
-    informative = eigs[eigs > rank_cutoff * lam_max]
-    k = target_rate / float(informative[0])
+    informative = eigs[eigs > RANK_CUTOFF * lam_max]
+    k = TARGET_RATE / float(informative[0])
     for _ in range(60):
         drift_eigs = np.linalg.eigvals(shift_full - k * curvature)
         if drift_eigs.real.max() <= 1e-9 * max(1.0, k * lam_max):

@@ -93,10 +93,10 @@ def _environment() -> dict:
     """The numeric stack whose rounding the CSV bytes depend on: numpy's
     BLAS runs the products and the small solves. scipy's version and BLAS
     are listed only when the run loaded scipy (a filter with two or more
-    outputs, the UIO design or the Gaussian fit of the noise study), whose
-    LAPACK then ran those steps. ``OPENBLAS_NUM_THREADS`` and
-    ``OPENBLAS_CORETYPE`` choose OpenBLAS's kernels and thread split, which
-    also decide bits: their values in the environment, null when unset."""
+    outputs or the Gaussian fit of the noise study), whose LAPACK then ran
+    those steps. ``OPENBLAS_NUM_THREADS`` and ``OPENBLAS_CORETYPE`` choose
+    OpenBLAS's kernels and thread split, which also decide bits: their
+    values in the environment, null when unset."""
     import os
     import platform
     import sys
@@ -178,10 +178,10 @@ def injected_covariances(cfg: ExperimentConfig, model: LtiModel,
     return proc, meas
 
 
-def observer_noise_spec(cfg: ExperimentConfig, model: LtiModel,
-                        input_prior_precision: float | None = None,
-                        variant: NoiseVariant | None = None) -> NoiseSpec:
-    proc_cov, meas_cov = injected_covariances(cfg, model, variant)
+def observer_noise_spec(
+        cfg: ExperimentConfig, model: LtiModel,
+        input_prior_precision: float | None = None) -> NoiseSpec:
+    proc_cov, meas_cov = injected_covariances(cfg, model)
     if cfg.noise.observer_process_precision is not None:
         values = np.asarray(cfg.noise.observer_process_precision, dtype=float)
         proc_prec = np.diag(np.broadcast_to(values, (model.n,)).copy())
@@ -193,10 +193,8 @@ def observer_noise_spec(cfg: ExperimentConfig, model: LtiModel,
         meas_prec = np.linalg.inv(meas_cov)
     pv = cfg.noise.input_prior_precision if input_prior_precision is None \
         else input_prior_precision
-    sigma = cfg.noise.observer_sigma or (variant.sigma if variant
-                                         else cfg.noise.sigma)
     return NoiseSpec(
-        sigma=sigma,
+        sigma=cfg.noise.observer_sigma or cfg.noise.sigma,
         proc_precision=proc_prec,
         meas_precision=meas_prec,
         input_prior_precision=pv * np.eye(model.r),
@@ -248,10 +246,9 @@ def synthesize_records(cfg: ExperimentConfig, seeds, model: LtiModel,
     return [Record(*rec) for rec in zip(seeds, datas, w)]
 
 
-def synthesize_record(cfg: ExperimentConfig, seed: int, model: LtiModel,
-                      variant: NoiseVariant | None = None):
+def synthesize_record(cfg: ExperimentConfig, seed: int, model: LtiModel):
     """Simulate one record; returns (data, injected process-noise series)."""
-    _, data, w = synthesize_records(cfg, [seed], model, variant)[0]
+    _, data, w = synthesize_records(cfg, [seed], model)[0]
     return data, w
 
 
@@ -305,13 +302,12 @@ def log_record(cfg: ExperimentConfig, model: LtiModel) -> Record:
 
 
 def _dem_config(cfg: ExperimentConfig, spec: NoiseSpec, model: LtiModel,
-                p: int | None = None, d: int | None = None,
+                p: int | None = None,
                 eta_v: float | None = None) -> dem.DemConfig:
     p = cfg.dem.p if p is None else p
-    d = cfg.dem.d if d is None else d
     eta = cfg.dem.eta_v if eta_v is None else eta_v
     return dem.DemConfig(
-        p=p, d=min(d, p), noise=spec,
+        p=p, d=min(cfg.dem.d, p), noise=spec,
         eta_v=np.full(model.r, eta),
         learning_rate=cfg.dem.learning_rate,
     )

@@ -461,14 +461,14 @@ def discretize(model: LtiModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simulate(model: LtiModel, dt: float, n_steps: int, inputs,
-             proc_noise, meas_noise, x0=None):
+             proc_noise, meas_noise):
     """Propagate the plant under injected noise and return full ground truth.
 
     Series of shape (T, ·) give one record and return its ExperimentData.
     Stacks of shape (S, T, ·) give S records, stepped together through one
     recurrence from one discretization, and return a list of S
     ExperimentData, each with the bits of its own one-record call. Every
-    record starts from ``x0`` (zeros by default).
+    record starts from the zero state.
 
     The process noise series is a continuous-time density sampled at the
     steps; it enters the recurrence scaled by dt so its precision keeps
@@ -495,18 +495,13 @@ def simulate(model: LtiModel, dt: float, n_steps: int, inputs,
         raise ValueError("process-noise dimension mismatch")
     if meas_noise.shape[2] != model.m:
         raise ValueError("measurement-noise dimension mismatch")
-    x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
-    if x0.shape != (model.n,):
-        raise ValueError(f"x0 must hold the plant's {model.n} states, got "
-                         f"shape {x0.shape}")
 
     ad, bd = discretize(model, dt)
     # Each step's drive and noise, hoisted: the same products and sums, in
     # the same order, as written inside the loop.
     drive = np.matmul(bd, inputs[:, :n_steps - 1, :, None])[..., 0]
     noise = proc_noise[:, :n_steps - 1] * dt
-    states = np.empty((inputs.shape[0], n_steps, model.n))
-    states[:, 0] = x0
+    states = np.zeros((inputs.shape[0], n_steps, model.n))
     for k in range(n_steps - 1):
         # One product per record, as ``ad @ x`` makes for a lone record.
         states[:, k + 1] = (ad @ states[:, k, :, None])[..., 0] \

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import (block_diag, cho_factor, cho_solve,
                           solve_discrete_lyapunov, solve_toeplitz)
 from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.signal import place_poles
 
 from demest import noise
 from demest.benchmarks import (ArModel, KalmanResult, _filter, _levinson,
@@ -20,10 +21,10 @@ from demest.benchmarks import (ArModel, KalmanResult, _filter, _levinson,
                                kalman_filter_batch, smikf, smikf_batch, sse,
                                state_augmentation_filter,
                                state_augmentation_filter_batch,
-                               stationary_covariance, uio, uio_batch)
+                               stationary_covariance, uio_batch)
 from demest.errors import DivergenceError, ObserverDesignError
 from demest.noise import NoiseSpec, generate_colored_noise
-from demest.systems import (ExperimentData, LtiModel, discretize,
+from demest.systems import (ExperimentData, LtiModel, _one, discretize,
                             quadrotor_roll_model, simulate, zero_order_hold)
 
 
@@ -80,24 +81,27 @@ class TestKalmanFilter:
         data = ExperimentData(dt=1.0,
                               measurements=np.full((n, 1), c_value),
                               inputs=np.zeros((n, 1)))
-        result = kalman_filter(np.eye(1), np.zeros((1, 1)), np.eye(1),
-                               np.zeros((1, 1)), np.eye(1), data,
-                               x0=np.zeros(1), p0=np.eye(1) * 1e12)
+        result, = _filter(np.eye(1), np.zeros((1, 1)), np.eye(1),
+                          np.zeros((1, 1)), np.eye(1), data.measurements[None],
+                          data.inputs[None], p0=np.eye(1) * 1e12)
         assert result.means[-1, 0] == pytest.approx(c_value, rel=1e-9)
         # with an uninformative prior the covariance decays like 1/k
         assert result.covariances[-1, 0, 0] == pytest.approx(1.0 / n,
                                                              rel=1e-2)
 
     def test_zero_gain_with_zero_prior_covariance(self):
+        # P0 = 0 and Q = 0 keep the gain at zero, so the measurements are
+        # ignored and the means follow x_k = 1.1 x_{k-1} + 0.3 from x_0 = 0:
+        # x_k = 3 (1.1^k - 1).
         n = 50
         rng = np.random.default_rng(0)
         data = ExperimentData(dt=1.0,
                               measurements=rng.standard_normal((n, 1)),
-                              inputs=np.zeros((n, 1)))
-        result = kalman_filter(np.eye(1) * 1.1, np.zeros((1, 1)), np.eye(1),
-                               np.zeros((1, 1)), np.eye(1), data,
-                               x0=np.array([3.0]), p0=np.zeros((1, 1)))
-        expected = 3.0 * 1.1 ** np.arange(n)
+                              inputs=np.ones((n, 1)))
+        result, = _filter(np.eye(1) * 1.1, np.full((1, 1), 0.3), np.eye(1),
+                          np.zeros((1, 1)), np.eye(1), data.measurements[None],
+                          data.inputs[None], p0=np.zeros((1, 1)))
+        expected = 3.0 * (1.1 ** np.arange(n) - 1.0)
         np.testing.assert_allclose(result.means[:, 0], expected, rtol=1e-12)
 
 
@@ -413,7 +417,7 @@ class TestUio:
         t = np.arange(n) * dt
         v = (0.15 * np.sin(2 * np.pi * 0.2 * t + 0.4))[:, None]
         data = simulate(model, dt, n, v, np.zeros((n, 2)), np.zeros((n, 2)))
-        result = uio(model, data)
+        result = _one(uio_batch(model, [data]))
         skip = int(round(0.5 / dt))
         assert sse(result.inputs[:, 0], v[:, 0], skip=skip) < 1e-3
         assert sse(result.states[:, 1], data.truth_states[:, 1],
@@ -424,7 +428,7 @@ class TestUio:
         dt, n = 0.0083, 1204
         v = np.full((n, 1), 0.3)
         data = simulate(model, dt, n, v, np.zeros((n, 2)), np.zeros((n, 2)))
-        result = uio(model, data)
+        result = _one(uio_batch(model, [data]))
         np.testing.assert_allclose(result.inputs[-100:, 0], 0.3, atol=1e-6)
 
     def test_rank_deficient_b_warns(self):
@@ -433,7 +437,29 @@ class TestUio:
         data = simulate(model, dt, n, np.zeros((n, 4)), np.zeros((n, 2)),
                         np.zeros((n, 2)))
         with pytest.warns(RuntimeWarning, match="rank"):
-            uio(model, data)
+            _one(uio_batch(model, [data]))
+
+    @pytest.mark.parametrize("poles", [None, (-20.0, -30.0), (-30.0, -20.0)])
+    @pytest.mark.parametrize("n_inputs", [1, 4])
+    def test_gain_is_place_poles_on_full_state_plants(self, n_inputs, poles):
+        base = quadrotor_roll_model(3.4e-3, 1.274e-3, full_state_output=True)
+        model = LtiModel(a=base.a, b=base.b[:, :n_inputs], c=base.c)
+        _assert_place_poles_design(model, poles)
+
+    @pytest.mark.parametrize("poles", [None, (-7.0,), (46000.0,)])
+    def test_gain_is_place_poles_on_the_scalar_plant(self, poles):
+        _assert_place_poles_design(LtiModel(a=[[0.0]], b=[[1.0]], c=[[1.0]]),
+                                   poles)
+
+    def test_non_square_output_matrix_rejected(self):
+        # rank(C B) == rank(B) holds, but one output cannot place two poles.
+        roll = self._single_input_model()
+        for model in (LtiModel(a=roll.a, b=roll.b, c=[[0.0, 1.0]]),
+                      LtiModel(a=[[0.0, 1.0], [-2.0, -3.0]], b=[[1.0], [1.0]],
+                               c=[[1.0, 1.0]])):
+            with pytest.raises(ObserverDesignError,
+                               match="square, invertible C"):
+                design_uio(model)
 
     def test_default_poles_negative_distinct(self):
         model = self._single_input_model()
@@ -441,6 +467,18 @@ class TestUio:
         assert len(poles) == 2
         assert all(p < 0 for p in poles)
         assert len(set(poles)) == 2
+
+
+def _assert_place_poles_design(model, poles):
+    """``design_uio``'s F and K have the bits of the design whose gain is
+    ``scipy.signal.place_poles``' (Kautsky, Nichols & Van Dooren, 1985)."""
+    design = design_uio(model, poles=poles)
+    c, h = model.c, design.h
+    ta = design.t @ model.a
+    k1 = place_poles(ta.T, c.T, design.poles).gain_matrix.T
+    f = ta - k1 @ c
+    assert np.array_equal(design.f, f)
+    assert np.array_equal(design.k, k1 + f @ h)
 
 
 # The replays step x_k = M_k x_{k-1} + w_k, with M_k and w_k formed up
@@ -521,8 +559,8 @@ def _uio_records(seeds, n, n_inputs=1):
 
 class TestUioBatch:
     """``uio_batch`` replays a stack of records with, for every record, the
-    bits of ``uio`` and of the per-step loop ``reference_uio``, or their
-    divergence step and message."""
+    bits of a batch of one and of the per-step loop ``reference_uio``, or
+    their divergence step and message."""
 
     @pytest.mark.filterwarnings("ignore:B is column-rank deficient")
     @pytest.mark.parametrize("n_inputs", [1, 4])
@@ -533,7 +571,7 @@ class TestUioBatch:
         batch = uio_batch(model, datas)
         assert len(batch) == n_records
         for data, res in zip(datas, batch):
-            solo = uio(model, data)
+            solo = _one(uio_batch(model, [data]))
             states, inputs = reference_uio(model, data)
             assert np.array_equal(res.states, solo.states)
             assert np.array_equal(res.inputs, solo.inputs)
@@ -548,7 +586,7 @@ class TestUioBatch:
         with np.errstate(invalid="ignore", over="ignore"):
             batch = uio_batch(model, datas)
             with pytest.raises(DivergenceError) as solo:
-                uio(model, datas[1])
+                _one(uio_batch(model, [datas[1]]))
             with pytest.raises(DivergenceError) as reference:
                 reference_uio(model, datas[1])
         # Sample 40 first enters the output derivative at step 39.
@@ -558,7 +596,7 @@ class TestUioBatch:
                 39, "estimator diverged at step 39: non-finite observer "
                 "state")
         for i in (0, 2, 3):
-            alone = uio(model, datas[i])
+            alone = _one(uio_batch(model, [datas[i]]))
             assert np.array_equal(batch[i].states, alone.states)
             assert np.array_equal(batch[i].inputs, alone.inputs)
 
@@ -725,10 +763,10 @@ class TestFilterDivergence:
         assert info.value.step == 1
 
     def test_not_positive_definite_innovation(self):
-        eye = np.eye(1)
+        eye, data = np.eye(1), self._data()
         with pytest.raises(DivergenceError, match="not invertible") as info:
-            kalman_filter(eye, 0.0, eye, 0.0 * eye, 0.0 * eye, self._data(),
-                          p0=-eye)
+            _one(_filter(eye, 0.0, eye, 0.0 * eye, 0.0 * eye,
+                         data.measurements[None], data.inputs[None], p0=-eye))
         assert info.value.step == 0
 
 
@@ -904,8 +942,8 @@ class TestStackedFilters:
             np.stack([d.inputs for d in datas]), p0=p0)
         failed = {i: o for i, o in enumerate(out)
                   if isinstance(o, DivergenceError)}
-        solo = [_solo(kalman_filter, ad, bd, model.c, q, r, d, None, p)
-                for d, p in zip(datas, p0)]
+        solo = [_filter(ad, bd, model.c, q, r, d.measurements[None],
+                        d.inputs[None], p0=p)[0] for d, p in zip(datas, p0)]
         assert list(failed) == [1]
         assert isinstance(solo[1], DivergenceError)
         assert (failed[1].step, str(failed[1])) == (solo[1].step, str(solo[1]))

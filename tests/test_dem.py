@@ -641,7 +641,7 @@ class TestDemConfig:
     def test_default_learning_rate_stabilizes(self):
         model, cfg = roll_setup()
         m = assemble_observer(model, cfg)
-        rate = default_learning_rate(m.curvature, m.shift, target_rate=0.5)
+        rate = default_learning_rate(m.curvature, m.shift)
         assert rate > 0
         # drift must be stable and the informative directions must decay at
         # least at the target rate

@@ -1071,12 +1071,13 @@ class TestSynthesis:
         assert calls == [(3, 300, r)] * len(cfg.noise_variants)
 
 
-def test_state_runs_load_no_scipy(tmp_path):
-    # Importing scipy.linalg was most of every run's start-up time; a state
-    # shoot-out needs none of it. The manifest then lists no scipy, and the
-    # OpenBLAS settings as the environment gives them.
+def _assert_run_loads_no_scipy(raw, tmp_path):
+    """``demest run`` of the config ``raw`` in a fresh process: neither
+    ``import demest.cli`` nor the run loads a scipy module, and the manifest
+    then lists no scipy, and the OpenBLAS settings as the environment gives
+    them."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(windy_at_rate(1.0, tmp_path / "out")))
+    path.write_text(json.dumps(raw))
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         [str(CONFIG_DIR.parent / "src"), env.get("PYTHONPATH", "")]))
@@ -1093,11 +1094,28 @@ def test_state_runs_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("[]", "[]")
-    environment = json.loads(
-        (tmp_path / "out" / "manifest.json").read_text())["environment"]
+    environment = json.loads((Path(raw["output_dir"]) / "manifest.json")
+                             .read_text())["environment"]
     assert "scipy" not in environment and "scipy_blas" not in environment
     assert environment["OPENBLAS_NUM_THREADS"] == "1"
     assert environment["OPENBLAS_CORETYPE"] is None
+
+
+def test_state_runs_load_no_scipy(tmp_path):
+    # Importing scipy.linalg was most of every run's start-up time; a state
+    # shoot-out needs none of it.
+    _assert_run_loads_no_scipy(windy_at_rate(1.0, tmp_path / "out"),
+                               tmp_path)
+
+
+def test_input_runs_load_no_scipy(tmp_path):
+    # The UIO's gain is closed-form: the input benchmark loads no
+    # scipy.signal (about 1 s of a run) either.
+    raw = serialize_config(
+        load_config_file(CONFIG_DIR / "input_benchmark_colored.json"))
+    raw.update(output_dir=str(tmp_path / "out"), seeds=[1, 2, 3])
+    raw["run"]["n_steps"] = 300
+    _assert_run_loads_no_scipy(raw, tmp_path)
 
 
 class TestCli:

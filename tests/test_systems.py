@@ -408,41 +408,33 @@ class TestSimulate:
            full_state=st.booleans(), n_records=st.integers(1, 5))
     def test_stack_equals_each_record_alone(self, seed, n, full_state,
                                             n_records, n_steps):
-        # A random stable plant with m = n or m < n, from a nonzero x0.
+        # A random stable plant with m = n or m < n.
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n))
         a -= (np.abs(np.linalg.eigvals(a).real).max() + 0.5) * np.eye(n)
         m = n if full_state or n == 1 else int(rng.integers(1, n))
         model = LtiModel(a=a, b=rng.standard_normal((n, 2)),
                          c=rng.standard_normal((m, n)))
-        x0 = rng.standard_normal(n)
         dt, length = 0.0083, n_steps + 2
         v = rng.standard_normal((n_records, length, 2))
         w = rng.standard_normal((n_records, length, n))
         z = rng.standard_normal((n_records, length, m))
-        stacked = simulate(model, dt, n_steps, v, w, z, x0=x0)
+        stacked = simulate(model, dt, n_steps, v, w, z)
         assert len(stacked) == n_records
         for i, data in enumerate(stacked):
-            alone = simulate(model, dt, n_steps, v[i], w[i], z[i], x0=x0)
+            alone = simulate(model, dt, n_steps, v[i], w[i], z[i])
             for name in ("measurements", "inputs", "truth_states",
                          "truth_inputs"):
                 assert np.array_equal(getattr(data, name),
                                       getattr(alone, name)), name
             assert data.truth_states.shape == (n_steps, n)
-            assert np.array_equal(data.truth_states[0], x0)
+            assert not data.truth_states[0].any()
 
     def test_zero_steps_rejected(self):
         model = self._model()
         with pytest.raises(ValueError, match="n_steps must be at least 1"):
             simulate(model, 0.01, 0, np.zeros((10, 1)), np.zeros((10, 2)),
                      np.zeros((10, 1)))
-
-    @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(1), np.zeros((2, 2))])
-    def test_initial_state_of_the_wrong_shape_rejected(self, x0):
-        model = self._model()
-        with pytest.raises(ValueError, match="x0 must hold the plant's 2"):
-            simulate(model, 0.01, 10, np.zeros((10, 1)), np.zeros((10, 2)),
-                     np.zeros((10, 1)), x0=x0)
 
     def test_stacks_of_unequal_record_counts_rejected(self):
         model = self._model()
