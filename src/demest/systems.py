@@ -124,14 +124,17 @@ def _one(outcomes: list):
 
 # Steps per chunk of the scan in ``_replay``. Shorter chunks lengthen the
 # carry loop, longer ones grow the block matrix quadratically. Median replay
-# times in ms (OpenBLAS on 1 thread, 2.0 GHz Xeon) for chunks of
-# 6/12/18/24/36 steps: 60/37/32/29/26 on the 24,080-step flight log,
-# 47/40/43/51/68 on the windy shoot-out and 36/29/37/36/49 on the prior
-# sweep (20 records of 1204 steps each).
+# times in ms per run (OpenBLAS on 1 thread, 2.1 GHz Xeon, two sets of 15)
+# for chunks of 6/12/18/24/36 steps: 15/14/13/15/21 on the 24,080-step
+# flight log, 49/21/20/29/44 on the windy shoot-out and 36/27/35/36/41 on
+# the prior sweep (20 records of 1204 steps; two levels at 6 steps).
 SCAN_CHUNK = 12
 
 # A chunk whose bound on its states reaches this replays step by step.
 SCAN_MARGIN = 1e300
+
+# OpenBLAS forms a GEMM of at most this many multiply-adds on one thread.
+SERIAL_GEMM = 4 * 65536
 
 
 def _steps(x, w, steps, keep, rows, failed, message, ids=slice(None),
@@ -196,28 +199,32 @@ def _blocks(m, keep):
     return psi, phi, row[..., 0, :, :], psi_norm, phi_norm
 
 
-def _gemm(a, b, first):
+def _gemm(a, b, first, serial=False):
     """``a @ b`` of the (S, C, ·) chunk rows ``a``: one stacked product for
     a shared ``b``, else record i's own product from its chunk ``first[i]``
     on (and zeros before), so that every product's shape, and with it the
-    BLAS kernel and its rounding, depends on its own record alone."""
-    if b.ndim == 2:
-        return np.matmul(a, b)
-    out = np.zeros(a.shape[:2] + b.shape[-1:])
-    for i, f in enumerate(first.tolist()):
-        out[i, f:] = a[i, f:] @ b[i]
+    BLAS kernel and its rounding, depends on its own record alone; with
+    ``serial``, in blocks of rows that OpenBLAS forms on one thread."""
+    shared, out = b.ndim == 2, np.zeros(a.shape[:2] + b.shape[-1:])
+    step = max(1, SERIAL_GEMM // b.shape[-2] // b.shape[-1]) if serial \
+        else a.shape[1]
+    for i, f in [(slice(None), 0)] if shared else enumerate(first.tolist()):
+        for j in range(f, a.shape[1], step):
+            np.matmul(a[i, j:j + step], b if shared else b[i],
+                      out=out[i, j:j + step])
     return out
 
 
-def _scan(x, w, transition, first, keep, rows, failed, message):
+def _scan(x, w, transition, first, keep, rows, failed, message, serial):
     """Replay the whole chunks of ``_replay`` from chunk ``first.min()`` on;
     record i is scanned from its chunk ``first[i]``, and steps through the
     chunks before. Returns the state after the last chunk replayed.
 
     One stacked GEMM gives every chunk's kept states from a zero entering
-    state, and its end state. A loop over the chunks carries each chunk's
-    end state into the next, and a second GEMM adds each chunk's entering
-    state to its kept states.
+    state, and its end state. Over ``SCAN_CHUNK**2`` chunks or more,
+    ``_replay`` scans the states between chunks, ``e_c = phi_end e_{c-1} +
+    ends_c``, with serial GEMMs; else a loop carries each into the next. A
+    second GEMM adds each chunk's entering state to its kept states.
 
     A record's chunk is accepted when its bound ``psi_norm·max|w| +
     phi_norm·max|x_in|`` on every state of every step, kept or not, stays
@@ -225,20 +232,22 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
     non-finite drive or entering state fails the check, as NaN compares
     false. Otherwise the record replays the chunk through ``_steps``, which
     gives its exact ``DivergenceError``, unless it has failed before: then
-    its state only restarts from zero.
+    its state only restarts from zero. A record takes the scanned ``e_c`` up
+    to its first chunk of chunks that holds a failing chunk or a non-finite
+    ``e_c``; the loop carries it from there.
     """
     n_records, n_steps, n = w.shape
     chunk = SCAN_CHUNK
     c0, n_chunks = int(first.min()), n_steps // chunk
     # A record's M is constant from its first scanned chunk on, so the
-    # transition at the last of those chunks is every scanned record's M.
-    m = transition(int(first[first < n_chunks].max()) * chunk)
+    # transition at the last of those chunks is every record's M.
+    m = transition(int(first.max()) * chunk)
     psi, phi, phi_end, psi_norm, phi_norm = _blocks(m, keep)
     drive = w[:, c0 * chunk:n_chunks * chunk].reshape(
         n_records, n_chunks - c0, chunk * n)
     wbound = np.asarray(psi_norm)[..., None] * np.maximum(
         drive.max(axis=2), -drive.min(axis=2))
-    zero_in = _gemm(drive, psi, first - c0)
+    zero_in = _gemm(drive, psi, first - c0, serial)
     ends = zero_in[..., -n:, None]
     # A record's chunks before its first scanned one fail the check.
     wbound[first[:, None] > np.arange(c0, n_chunks)] = np.inf
@@ -249,9 +258,19 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
     calm = (wbound < SCAN_MARGIN / 2).all(axis=0).tolist()
     phi_max = float(np.max(phi_norm))
     limit = SCAN_MARGIN / 2 / phi_max if phi_max else math.inf
-    entering = np.zeros((n_records, n_chunks - c0, n))
-    patches = []
-    for c in range(n_chunks - c0):
+    entering = np.zeros((n_records, n_chunks - c0 + 1, n))
+    held = np.zeros(n_records, dtype=int)  # chunks entered from a scanned e_c
+    if n_chunks - c0 >= chunk ** 2:  # then first == c0 (_replay splits)
+        entering[:, 0], entering[:, 1:] = x[..., 0], _replay(
+            x, ends[..., 0], slice(None), lambda i, k: "", lambda k: phi_end,
+            serial=True)[0].swapaxes(0, 1)
+        ok = wbound + np.asarray(phi_norm)[..., None] * np.abs(
+            entering[:, :-1]).max(axis=2) < SCAN_MARGIN
+        ok[:, -1] &= np.isfinite(entering[:, -1]).all(axis=1)
+        held = np.append(ok, ok[:, :1] & False, 1).argmin(1) // chunk * chunk
+        x = entering[:, held.min(), :, None]
+    patches, top, c = [], int(held.max()), int(held.min()) - 1
+    for c in range(c + 1, n_chunks - c0):
         entering[:, c] = x[..., 0]
         out = np.matmul(phi_end, x)
         out += ends[:, c]
@@ -269,12 +288,14 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
                 out[ids] = _steps(x[ids], w, steps, keep, patch, failed,
                                   message, ids, start)
                 patches.append((start, ids, patch))
+        if c < top:
+            out[c < held] = entering[c < held, c + 1, :, None]
         x = out
         if len(failed) == n_records:
             break
     done = c + 1
     kept = zero_in[..., :-n]
-    kept += _gemm(entering, phi, first - c0)
+    kept += _gemm(entering[:, :-1], phi, first - c0, serial)
     start, stop = c0 * chunk, (c0 + done) * chunk
     rows[start:stop] = kept[:, :done].reshape(
         n_records, stop - start, -1).swapaxes(0, 1)
@@ -284,7 +305,8 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _replay(x, w, keep, message, transition, starts=0) -> tuple:
+def _replay(x, w, keep, message, transition, starts=0,
+            serial=False) -> tuple:
     """The replay driver of every stacked estimator: the recurrence
     ``x_k = M_k x_{k-1} + w_k`` of S records' states, from the (S, n, 1)
     stack ``x`` before step 0, over the (S, T, n) drive ``w``, storing
@@ -299,10 +321,12 @@ def _replay(x, w, keep, message, transition, starts=0) -> tuple:
     From its first chunk that starts at or after its ``start``, every chunk
     of a record gets the same operators, from powers of its M; if it has at
     least two such chunks, ``_scan`` replays them, and the rest of its steps
-    go one by one. Every product is a stacked ``np.matmul`` whose slices are
-    one record's BLAS call, and which steps of a record are scanned depends
-    on that record alone, so a record gets the same bits alone or in any
-    batch.
+    go one by one. Records that are never scanned replay apart, and so does
+    each first chunk of a batch with a record of ``SCAN_CHUNK**2`` chunks.
+    Every product is a stacked ``np.matmul`` whose slices are one record's
+    BLAS calls (``serial``: see ``_gemm``), and which steps of a record are
+    scanned, and how, depends on that record alone, so a record gets the
+    same bits alone or in any batch.
 
     A step checks the whole stack with one ``np.vdot``: a non-finite entry
     makes the sum of squares non-finite, and finite squares whose sum
@@ -323,11 +347,22 @@ def _replay(x, w, keep, message, transition, starts=0) -> tuple:
     first = np.where(n_chunks - first < 2, n_chunks, first)
     rows = np.zeros((n_steps,) + x[:, keep, 0].shape)
     failed = {}
+    key = first if (n_chunks - first >= SCAN_CHUNK ** 2).any() \
+        else first == n_chunks
+    if (key != key[0]).any():
+        for group in np.unique(key):
+            ids = np.flatnonzero(key == group)
+            rows[:, ids], part = _replay(
+                x[ids], w[ids], keep, lambda i, k: message(int(ids[i]), k),
+                lambda k: m if (m := transition(k)).ndim == 2 else m[ids],
+                np.broadcast_to(starts, n_records)[ids])
+            failed.update((int(ids[i]), e) for i, e in part.items())
+        return rows, failed
     stop = int(first.min()) * SCAN_CHUNK
     x = _steps(x, w, ((k, transition(k)) for k in range(stop)), keep, rows,
                failed, message)
     if stop < n_chunks * SCAN_CHUNK and len(failed) < n_records:
-        x = _scan(x, w, transition, first, keep, rows, failed, message)
+        x = _scan(x, w, transition, first, keep, rows, failed, message, serial)
         stop = n_chunks * SCAN_CHUNK
     if len(failed) < n_records:
         _steps(x, w, ((k, transition(k)) for k in range(stop, n_steps)),

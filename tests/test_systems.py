@@ -83,13 +83,15 @@ def _random_transition(rng, n, radius):
 class _Recurrence:
     """A random recurrence in ``_replay``'s terms: ``prefix`` steps of their
     own transitions, then one constant transition; the transitions are
-    shared, or one per record."""
+    shared, or one per record, and then ``prefix`` may be one per record
+    too."""
 
     def __init__(self, seed, n_records, n, prefix, per_record):
         rng = np.random.default_rng(seed)
         lead = (n_records,) if per_record else ()
-        radii = rng.uniform(0.5, 1.00003, prefix + 1)
-        radii[rng.integers(prefix + 1)] = 1.00003  # one marginal
+        top = int(np.max(prefix))
+        radii = rng.uniform(0.5, 1.00003, top + 1)
+        radii[rng.integers(top + 1)] = 1.00003  # one marginal
         self.ms = np.stack([np.stack([
             _random_transition(rng, n, rho) for _ in range(
                 n_records if per_record else 1)]).reshape(lead + (n, n))
@@ -97,13 +99,16 @@ class _Recurrence:
         self.prefix = prefix
 
     def transition(self, k):
-        return self.ms[min(k, self.prefix)]
+        if np.ndim(self.prefix) == 0:
+            return self.ms[min(k, self.prefix)]
+        return self.ms[np.minimum(k, self.prefix), np.arange(self.ms.shape[1])]
 
     def one(self, i):
         """Record i's recurrence alone, as a batch of one."""
         one = object.__new__(_Recurrence)
         one.ms = self.ms[:, i:i + 1] if self.ms.ndim == 4 else self.ms
-        one.prefix = self.prefix
+        one.prefix = self.prefix if np.ndim(self.prefix) == 0 else \
+            self.prefix[i:i + 1]
         return one
 
     def replay(self, x, w, keep, scan=True):
@@ -199,6 +204,107 @@ class TestScan:
                 assert one[0].step == failed[i].step
             else:
                 assert not one and np.array_equal(alone[:, 0], rows[:, i])
+
+    # Records of more than SCAN_CHUNK**3 steps: at least SCAN_CHUNK**2
+    # chunks after any start up to 40, so their chunk ends are scanned too.
+    LONG = systems.SCAN_CHUNK ** 3 + 4 * systems.SCAN_CHUNK
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_records=st.sampled_from([1, 3]),
+           n=st.integers(1, 4), per_record=st.booleans(),
+           all_kept=st.booleans(), extra=st.integers(0, 400), draw=st.data())
+    def test_long_records_match_the_reference_and_one_record_batches(
+            self, seed, n_records, n, per_record, all_kept, extra, draw):
+        # Per-record transitions get a start each, on several chunk grids.
+        prefix = draw.draw(st.lists(st.integers(0, 40), min_size=n_records,
+                                    max_size=n_records).map(np.array)
+                           if per_record else st.integers(0, 40))
+        rec = _Recurrence(seed, n_records, n, prefix, per_record)
+        rng = np.random.default_rng([seed, 4])
+        x = rng.standard_normal((n_records, n, 1))
+        w = rng.standard_normal((n_records, self.LONG + extra, n))
+        keep = slice(None) if all_kept else slice(n // 2, n)
+        rows, failed = rec.replay(x, w, keep)
+        reference, size = rec.reference(x, w, keep)
+        assert not failed
+        # The bound of test_rows_match_the_reference_and_one_record_batches.
+        bound = 8.0 * np.finfo(float).eps * size
+        assert np.all(abs(rows - reference) <= bound)
+        for i in range(n_records):
+            alone, _ = rec.one(i).replay(x[i:i + 1], w[i:i + 1], keep)
+            assert np.array_equal(alone[:, 0], rows[:, i])
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_records=st.sampled_from([1, 3]),
+           n=st.integers(1, 3), per_record=st.booleans(),
+           value=st.sampled_from([np.inf, -np.inf, np.nan, 1e308]),
+           draw=st.data())
+    def test_divergence_in_a_long_record_matches_the_step_by_step_path(
+            self, seed, n_records, n, per_record, value, draw):
+        # Most steps of a long record lie in a chunk of chunks, so most bad
+        # samples do; the record then steps from that chunk of chunks on.
+        prefix = draw.draw(st.integers(0, 40))
+        rec = _Recurrence(seed, n_records, n, prefix, per_record)
+        rng = np.random.default_rng([seed, 5])
+        x = np.zeros((n_records, n, 1))
+        w = rng.standard_normal((n_records, self.LONG, n))
+        for _ in range(draw.draw(st.integers(1, 3))):
+            i = draw.draw(st.integers(0, n_records - 1))
+            k = draw.draw(st.integers(0, self.LONG - 1))
+            w[i, k, draw.draw(st.integers(0, n - 1))] = value
+        keep = slice(0, 1)
+        rows, failed = rec.replay(x, w, keep)
+        steps, expected = rec.replay(x, w, keep, scan=False)
+        assert {i: (e.step, str(e)) for i, e in failed.items()} == {
+            i: (e.step, str(e)) for i, e in expected.items()}
+        for i in range(n_records):
+            alone, one = rec.one(i).replay(x[i:i + 1], w[i:i + 1], keep)
+            if i in failed:
+                assert one[0].step == failed[i].step
+            else:
+                assert not one and np.array_equal(alone[:, 0], rows[:, i])
+
+    def test_chunk_ends_are_scanned_on_long_records_only(self, monkeypatch):
+        # A structural check: each level of the scan builds its operators
+        # once. 24,080 steps are 2006 chunks, 167 chunks of chunks and 13
+        # of those: three levels. 1204 steps are 100 chunks: one level.
+        levels = []
+        blocks = systems._blocks
+        monkeypatch.setattr(systems, "_blocks", lambda m, keep: (
+            levels.append(m.shape), blocks(m, keep))[1])
+        m = 0.999 * np.array([[np.cos(0.1), -np.sin(0.1)],
+                              [np.sin(0.1), np.cos(0.1)]])
+        for n_steps, n_levels in ((24080, 3), (1204, 1)):
+            levels.clear()
+            w = np.random.default_rng(13).standard_normal((1, n_steps, 2))
+            rows, failed = systems._replay(np.zeros((1, 2, 1)), w,
+                                           slice(0, 1), str, lambda k: m)
+            assert not failed and len(levels) == n_levels
+
+    def test_a_record_never_scanned_steps_apart(self, monkeypatch):
+        # A record with start T (every record of a failed filter design)
+        # steps through its record in one call, not one per chunk, and
+        # leaves the others' scan alone.
+        calls = []
+        steps = systems._steps
+        monkeypatch.setattr(systems, "_steps", lambda *args, **kw: (
+            calls.append(args[1].shape), steps(*args, **kw))[1])
+        rng = np.random.default_rng(14)
+        m = _random_transition(rng, 2, 0.99)
+        for n_steps in (600, 1200):
+            calls.clear()
+            w = rng.standard_normal((4, n_steps, 2))
+            starts = np.array([0, 0, 0, n_steps])
+            rows, failed = systems._replay(np.zeros((4, 2, 1)), w,
+                                           slice(0, 1), str, lambda k: m,
+                                           starts)
+            # A prefix and a tail call for each of the two groups.
+            assert not failed and len(calls) == 4
+            for i in range(4):
+                alone, _ = systems._replay(np.zeros((1, 2, 1)), w[i:i + 1],
+                                           slice(0, 1), str, lambda k: m,
+                                           starts[i:i + 1])
+                assert np.array_equal(alone[:, 0], rows[:, i])
 
     def test_records_of_other_starts_share_one_stack(self):
         # Constant from steps 0, 13, 40 and never: first scanned chunks 0,
