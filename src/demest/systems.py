@@ -199,15 +199,15 @@ def _blocks(m, keep):
     return psi, phi, row[..., 0, :, :], psi_norm, phi_norm
 
 
-def _gemm(a, b, first, serial=False):
+def _gemm(a, b, first):
     """``a @ b`` of the (S, C, ·) chunk rows ``a``: one stacked product for
     a shared ``b``, else record i's own product from its chunk ``first[i]``
     on (and zeros before), so that every product's shape, and with it the
-    BLAS kernel and its rounding, depends on its own record alone; with
-    ``serial``, in blocks of rows that OpenBLAS forms on one thread."""
+    BLAS kernel and its rounding, depends on its own record alone; in row
+    blocks of at most ``SERIAL_GEMM`` multiply-adds, which OpenBLAS forms
+    on one thread."""
     shared, out = b.ndim == 2, np.zeros(a.shape[:2] + b.shape[-1:])
-    step = max(1, SERIAL_GEMM // b.shape[-2] // b.shape[-1]) if serial \
-        else a.shape[1]
+    step = max(1, SERIAL_GEMM // max(1, b.shape[-2] * b.shape[-1]))
     for i, f in [(slice(None), 0)] if shared else enumerate(first.tolist()):
         for j in range(f, a.shape[1], step):
             np.matmul(a[i, j:j + step], b if shared else b[i],
@@ -215,7 +215,7 @@ def _gemm(a, b, first, serial=False):
     return out
 
 
-def _scan(x, w, transition, first, keep, rows, failed, message, serial):
+def _scan(x, w, transition, first, keep, rows, failed, message):
     """Replay the whole chunks of ``_replay`` from chunk ``first.min()`` on;
     record i is scanned from its chunk ``first[i]``, and steps through the
     chunks before. Returns the state after the last chunk replayed.
@@ -223,8 +223,8 @@ def _scan(x, w, transition, first, keep, rows, failed, message, serial):
     One stacked GEMM gives every chunk's kept states from a zero entering
     state, and its end state. Over ``SCAN_CHUNK**2`` chunks or more,
     ``_replay`` scans the states between chunks, ``e_c = phi_end e_{c-1} +
-    ends_c``, with serial GEMMs; else a loop carries each into the next. A
-    second GEMM adds each chunk's entering state to its kept states.
+    ends_c``; else a loop carries each into the next. A second GEMM adds
+    each chunk's entering state to its kept states.
 
     A record's chunk is accepted when its bound ``psi_norm·max|w| +
     phi_norm·max|x_in|`` on every state of every step, kept or not, stays
@@ -247,7 +247,7 @@ def _scan(x, w, transition, first, keep, rows, failed, message, serial):
         n_records, n_chunks - c0, chunk * n)
     wbound = np.asarray(psi_norm)[..., None] * np.maximum(
         drive.max(axis=2), -drive.min(axis=2))
-    zero_in = _gemm(drive, psi, first - c0, serial)
+    zero_in = _gemm(drive, psi, first - c0)
     ends = zero_in[..., -n:, None]
     # A record's chunks before its first scanned one fail the check.
     wbound[first[:, None] > np.arange(c0, n_chunks)] = np.inf
@@ -262,8 +262,8 @@ def _scan(x, w, transition, first, keep, rows, failed, message, serial):
     held = np.zeros(n_records, dtype=int)  # chunks entered from a scanned e_c
     if n_chunks - c0 >= chunk ** 2:  # then first == c0 (_replay splits)
         entering[:, 0], entering[:, 1:] = x[..., 0], _replay(
-            x, ends[..., 0], slice(None), lambda i, k: "", lambda k: phi_end,
-            serial=True)[0].swapaxes(0, 1)
+            x, ends[..., 0], slice(None), lambda i, k: "",
+            lambda k: phi_end)[0].swapaxes(0, 1)
         ok = wbound + np.asarray(phi_norm)[..., None] * np.abs(
             entering[:, :-1]).max(axis=2) < SCAN_MARGIN
         ok[:, -1] &= np.isfinite(entering[:, -1]).all(axis=1)
@@ -295,7 +295,7 @@ def _scan(x, w, transition, first, keep, rows, failed, message, serial):
             break
     done = c + 1
     kept = zero_in[..., :-n]
-    kept += _gemm(entering[:, :-1], phi, first - c0, serial)
+    kept += _gemm(entering[:, :-1], phi, first - c0)
     start, stop = c0 * chunk, (c0 + done) * chunk
     rows[start:stop] = kept[:, :done].reshape(
         n_records, stop - start, -1).swapaxes(0, 1)
@@ -305,8 +305,7 @@ def _scan(x, w, transition, first, keep, rows, failed, message, serial):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _replay(x, w, keep, message, transition, starts=0,
-            serial=False) -> tuple:
+def _replay(x, w, keep, message, transition, starts=0) -> tuple:
     """The replay driver of every stacked estimator: the recurrence
     ``x_k = M_k x_{k-1} + w_k`` of S records' states, from the (S, n, 1)
     stack ``x`` before step 0, over the (S, T, n) drive ``w``, storing
@@ -324,9 +323,9 @@ def _replay(x, w, keep, message, transition, starts=0,
     go one by one. Records that are never scanned replay apart, and so does
     each first chunk of a batch with a record of ``SCAN_CHUNK**2`` chunks.
     Every product is a stacked ``np.matmul`` whose slices are one record's
-    BLAS calls (``serial``: see ``_gemm``), and which steps of a record are
-    scanned, and how, depends on that record alone, so a record gets the
-    same bits alone or in any batch.
+    BLAS calls, in one-thread row blocks in the scan (see ``_gemm``), and
+    which steps of a record are scanned, and how, depends on that record
+    alone, so a record gets the same bits alone or in any batch.
 
     A step checks the whole stack with one ``np.vdot``: a non-finite entry
     makes the sum of squares non-finite, and finite squares whose sum
@@ -362,7 +361,7 @@ def _replay(x, w, keep, message, transition, starts=0,
     x = _steps(x, w, ((k, transition(k)) for k in range(stop)), keep, rows,
                failed, message)
     if stop < n_chunks * SCAN_CHUNK and len(failed) < n_records:
-        x = _scan(x, w, transition, first, keep, rows, failed, message, serial)
+        x = _scan(x, w, transition, first, keep, rows, failed, message)
         stop = n_chunks * SCAN_CHUNK
     if len(failed) < n_records:
         _steps(x, w, ((k, transition(k)) for k in range(stop, n_steps)),

@@ -16,7 +16,7 @@ from demest.dem import (DemConfig, assemble_observer, default_learning_rate,
 from demest.errors import DivergenceError, ObserverDesignError
 from demest.gencoord import embed_series
 from demest.noise import NoiseSpec, generalized_precision
-from demest.systems import (ExperimentData, LtiModel, expm,
+from demest.systems import (SCAN_CHUNK, ExperimentData, LtiModel, expm,
                             quadrotor_roll_model, simulate, zero_order_hold)
 
 DT = 0.0083
@@ -469,6 +469,16 @@ class TestRunObserverBatch:
             solo = _solo(m, data, known_inputs)
             assert _move(kept, solo if keep is None else solo[:, keep]) \
                 <= ESTIMATE_RTOL
+
+    def test_only_input_columns_kept(self):
+        # With known inputs no replayed column is kept: the scan forms
+        # products of width 0, and the kept column is the embedded input.
+        model, cfg = roll_setup(p=2, d=1)
+        m = assemble_observer(model, cfg)
+        data, = roll_records([3], 3 * SCAN_CHUNK)
+        kept, = run_observer_batch(m, [data], True, keep=[m.state_dim])
+        assert np.array_equal(
+            kept[:, 0], embed_series(data.inputs, data.dt, m.d)[:, 0])
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308])
     @pytest.mark.parametrize("known_inputs", [True, False])

@@ -229,25 +229,31 @@ def test_table_reductions_do_not_depend_on_blas_threads():
 
 
 # Prints the bits of the DEM observer's and SA-AR6's scans of one record of
-# the flight log's length (24,080 steps) from the shipped windy config: GEMMs
-# with an inner dimension of a chunk times the state dimension.
+# the flight log's length (24,080 steps) from the shipped windy config, and
+# of that config's own 20-record, 1204-step stack: GEMMs with an inner
+# dimension of a chunk times the state dimension.
 _SCANS = """
 import dataclasses, hashlib
 import numpy as np
 from demest import benchmarks, dem, harness
 from demest.config import load_config_file
+def replay(cfg, seeds):
+    model = harness.build_model(cfg)
+    recs = harness.synthesize_records(cfg, seeds, model)
+    datas = [rec.data for rec in recs]
+    spec = harness.observer_noise_spec(cfg, model)
+    m = dem.assemble_observer(model, harness._dem_config(cfg, spec, model))
+    est = dem.run_observer_batch(m, datas, True, keep=slice(1, 2))
+    q, r = benchmarks.default_noise_matrices(spec, cfg.run.dt)
+    ars = [[benchmarks.fit_ar(rec.w_fit[:, i], 6) for i in range(model.n)]
+           for rec in recs]
+    sa = benchmarks.state_augmentation_filter_batch(model, ars, datas, q, r)
+    bits = b"".join(a.tobytes() for a in est + [res.means for res in sa])
+    return sa[0].freeze, hashlib.sha256(bits).hexdigest()
 cfg = load_config_file(%r)
-cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, n_steps=24080))
-model = harness.build_model(cfg)
-rec = harness.synthesize_records(cfg, [1], model)[0]
-spec = harness.observer_noise_spec(cfg, model)
-m = dem.assemble_observer(model, harness._dem_config(cfg, spec, model))
-est, = dem.run_observer_batch(m, [rec.data], True, keep=slice(1, 2))
-q, r = benchmarks.default_noise_matrices(spec, cfg.run.dt)
-ars = [benchmarks.fit_ar(rec.w_fit[:, i], 6) for i in range(model.n)]
-sa, = benchmarks.state_augmentation_filter_batch(model, [ars], [rec.data],
-                                                 q, r)
-print(sa.freeze, hashlib.sha256(est.tobytes() + sa.means.tobytes()).hexdigest())
+run = dataclasses.replace(cfg.run, n_steps=24080)
+freeze, long = replay(dataclasses.replace(cfg, run=run), [1])
+print(freeze, long, replay(cfg, cfg.seeds)[1])
 """
 
 
@@ -255,10 +261,37 @@ def test_scans_do_not_depend_on_blas_threads():
     config = Path(__file__).resolve().parent.parent / "configs" / \
         "benchmark_state_windy.json"
     outputs = _outputs_by_blas_threads(_SCANS % str(config))
-    # SA-AR6 freezes its gain early in the record, so both replays scan
-    # almost all their steps.
+    # SA-AR6 freezes its gain early in the long record, so both replays
+    # scan almost all their steps.
     assert int(outputs[0].split()[0]) < 1000
     assert outputs[0] == outputs[1]
+
+
+# The golden gate and both thread tests, in a fresh process that runs one
+# of the other x86 kernels of a DYNAMIC_ARCH OpenBLAS: on an AVX2 host
+# without AVX-512 (Haswell) or on the baseline one (Prescott) the tables
+# must not move beyond the gate, nor depend on the thread count.
+_KERNEL_CHECKS = (
+    "tests/test_acceptance.py::test_criterion_10_determinism",
+    "tests/test_noise.py::test_table_reductions_do_not_depend_on_blas_threads",
+    "tests/test_noise.py::test_scans_do_not_depend_on_blas_threads")
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_tables_and_scans_hold_under_other_blas_kernels(kernel, tmp_path):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
+                    "OPENBLAS_CORETYPE cannot select another kernel here")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+               PYTHONPATH=os.pathsep.join(
+                   [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"--basetemp={tmp_path}", *_KERNEL_CHECKS],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
 
 
 class TestGaussianFit:

@@ -281,6 +281,39 @@ class TestScan:
                                            slice(0, 1), str, lambda k: m)
             assert not failed and len(levels) == n_levels
 
+    def test_every_scan_product_runs_on_one_blas_thread(self, monkeypatch):
+        # A structural check, on any host: every slice of every product
+        # _gemm forms, at every level, has at most SERIAL_GEMM multiply-adds,
+        # which OpenBLAS forms on one thread, so its bits do not depend on
+        # the thread count. A shared b: a 20-record, 1204-step stack; a
+        # per-record b: a 24,080-step record of three levels.
+        sizes, shared = [], set()
+        matmul, gemm = np.matmul, systems._gemm
+
+        def counted(a, b, **kw):
+            sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return matmul(a, b, **kw)
+
+        def wrapped(a, b, *args):
+            shared.add(b.ndim == 2)
+            with monkeypatch.context() as inner:
+                inner.setattr(np, "matmul", counted)
+                return gemm(a, b, *args)
+
+        monkeypatch.setattr(systems, "_gemm", wrapped)
+        rng = np.random.default_rng(15)
+        for n_records, n_steps, m in (
+                (20, 1204, _random_transition(rng, 6, 0.99)),
+                (1, 24080, _random_transition(rng, 4, 0.99)[None])):
+            shared.clear()
+            sizes.clear()
+            w = rng.standard_normal((n_records, n_steps, m.shape[-1]))
+            rows, failed = systems._replay(
+                np.zeros((n_records, m.shape[-1], 1)), w, slice(None), str,
+                lambda k: m)
+            assert not failed and shared == {m.ndim == 2}
+            assert sizes and max(sizes) <= systems.SERIAL_GEMM
+
     def test_a_record_never_scanned_steps_apart(self, monkeypatch):
         # A record with start T (every record of a failed filter design)
         # steps through its record in one call, not one per chunk, and
