@@ -123,10 +123,10 @@ def _one(outcomes: list):
 
 
 # Steps per chunk of the scan in ``_replay``. Shorter chunks lengthen the
-# carry loop, longer ones grow the block matrix quadratically. Median replay
-# times in ms per run (OpenBLAS on 1 thread, 2.1 GHz Xeon, two sets of 15)
-# for chunks of 6/12/18/24/36 steps: 15/14/13/15/21 on the 24,080-step
-# flight log, 49/21/20/29/44 on the windy shoot-out and 36/27/35/36/41 on
+# stepped chunk ends, longer ones grow the block matrix quadratically. Median
+# replay times in ms per run (OpenBLAS on 1 thread, 2.1 GHz Xeon, two sets of
+# 15) for chunks of 6/12/18/24/36 steps: 12/12/12/14/20 on the 24,080-step
+# flight log, 43/14/17/21/35 on the windy shoot-out and 29/25/28/30/42 on
 # the prior sweep (20 records of 1204 steps; two levels at 6 steps).
 SCAN_CHUNK = 12
 
@@ -137,11 +137,10 @@ SCAN_MARGIN = 1e300
 SERIAL_GEMM = 4 * 65536
 
 
-def _steps(x, w, steps, keep, rows, failed, message, ids=slice(None),
-           first=0):
+def _steps(x, w, steps, keep, rows, failed, message, ids=slice(None)):
     """Step the records ``ids`` of a replay, whose states are the stack
     ``x``, through ``x = M_k x + w_k`` for each ``(k, M_k)`` of ``steps``,
-    storing ``x[:, keep, 0]`` in ``rows[k - first]``. A record fails at its
+    storing ``x[:, keep, 0]`` in ``rows[k, ids]``. A record fails at its
     first non-finite step; its state restarts from zero, and the loop stops
     once all of these records have failed. Returns the last state."""
     labels = np.arange(w.shape[0])[ids]
@@ -155,8 +154,24 @@ def _steps(x, w, steps, keep, rows, failed, message, ids=slice(None),
             if all(i in failed for i in labels.tolist()):
                 break
             x[bad] = 0.0
-        rows[k - first] = x[:, keep, 0]
+        rows[k, ids] = x[:, keep, 0]
     return x
+
+
+def _segments(x, w, lo, hi, transition, keep, rows, failed, message):
+    """Step record i of the stack ``x`` in place through ``_steps``, from
+    step ``lo[i]`` to step ``hi[i]`` (one of them may be a scalar): in
+    disjoint segments between consecutive distinct bounds, each of the
+    records whose span covers it, so ``transition(k)`` is formed once; none
+    once every record of ``x`` has failed."""
+    edges = np.unique(np.append(lo, hi)).tolist()
+    for a, b in zip(edges, edges[1:]):
+        ids = np.flatnonzero((lo <= a) & (hi >= b))
+        if ids.size and len(failed) < len(x):
+            ids = ids if ids.size < len(x) else slice(None)
+            x[ids] = _steps(x[ids], w, (
+                (k, m if (m := transition(k)).ndim == 2 else m[ids])
+                for k in range(a, b)), keep, rows, failed, message, ids)
 
 
 def _blocks(m, keep):
@@ -174,14 +189,15 @@ def _blocks(m, keep):
     - ``phi`` (n, L·k): the entering state's part of the kept states;
     - ``phi_end`` (n, n): ``Phi`` of the chunk's last step;
     - ``psi_norm`` and ``phi_norm``: the largest absolute row sums, over
-      every step and state, of the ``Psi_j·`` block rows and of ``Phi_j``.
+      every step and state, of the ``Psi_j·`` block rows and of ``Phi_j``,
+      with a trailing axis of one.
     """
     lead, n, chunk = m.shape[:-2], m.shape[-1], SCAN_CHUNK
     idx = np.arange(n)[keep]
     k = len(idx)
     psi = np.zeros(lead + (chunk * n, chunk * k + n))
     phi = np.empty(lead + (n, chunk * k))
-    psi_norm = phi_norm = np.zeros(lead)
+    psi_norm = phi_norm = np.zeros(lead + (1,))
     row = np.broadcast_to(np.eye(n), lead + (1, n, n))  # [Phi_{-1}]
     for j in range(chunk):
         # [Phi_j, Psi_j0, ..., Psi_jj]
@@ -191,9 +207,9 @@ def _blocks(m, keep):
         psi[..., :(j + 1) * n, j * k:(j + 1) * k] = row[
             ..., 1:, idx, :].swapaxes(-1, -2).reshape(lead + ((j + 1) * n, k))
         sums = np.abs(row).sum(axis=-1)
-        phi_norm = np.maximum(phi_norm, sums[..., 0, :].max(axis=-1))
-        psi_norm = np.maximum(psi_norm,
-                              sums[..., 1:, :].sum(axis=-2).max(axis=-1))
+        phi_norm = np.maximum(phi_norm, sums[..., :1, :].max(axis=-1))
+        psi_norm = np.maximum(psi_norm, sums[..., 1:, :].sum(
+            axis=-2, keepdims=True).max(axis=-1))
     psi[..., chunk * k:] = row[..., 1:, :, :].swapaxes(-1, -2).reshape(
         lead + (chunk * n, n))
     return psi, phi, row[..., 0, :, :], psi_norm, phi_norm
@@ -216,92 +232,64 @@ def _gemm(a, b, first):
 
 
 def _scan(x, w, transition, first, keep, rows, failed, message):
-    """Replay the whole chunks of ``_replay`` from chunk ``first.min()`` on;
-    record i is scanned from its chunk ``first[i]``, and steps through the
-    chunks before. Returns the state after the last chunk replayed.
+    """Replay the whole chunks of ``_replay`` from chunk ``first.min()`` on,
+    record i from its chunk ``first[i]``, which it enters with the state
+    ``x[i]``. Returns each record's state and step from which it goes one
+    by one: the end of the chunks, or the start of its first failing chunk.
 
     One stacked GEMM gives every chunk's kept states from a zero entering
-    state, and its end state. Over ``SCAN_CHUNK**2`` chunks or more,
-    ``_replay`` scans the states between chunks, ``e_c = phi_end e_{c-1} +
-    ends_c``; else a loop carries each into the next. A second GEMM adds
-    each chunk's entering state to its kept states.
+    state, and its end state ``ends_c``. The states between chunks, ``e_c =
+    phi_end e_{c-1} + ends_c``, are one nested ``_replay``: scanned over
+    ``SCAN_CHUNK**2`` chunks or more, else stepped. A record scanned from a
+    later chunk enters it as the end of the chunk before its first. A
+    second GEMM adds each chunk's entering state to its kept states.
 
     A record's chunk is accepted when its bound ``psi_norm·max|w| +
     phi_norm·max|x_in|`` on every state of every step, kept or not, stays
     below ``SCAN_MARGIN``, so that no state or partial sum can overflow; a
     non-finite drive or entering state fails the check, as NaN compares
-    false. Otherwise the record replays the chunk through ``_steps``, which
-    gives its exact ``DivergenceError``, unless it has failed before: then
-    its state only restarts from zero. A record takes the scanned ``e_c`` up
-    to its first chunk of chunks that holds a failing chunk or a non-finite
-    ``e_c``; the loop carries it from there.
+    false. From its first failing chunk, a record that has not failed goes
+    one by one, which gives its exact ``DivergenceError``.
     """
     n_records, n_steps, n = w.shape
     chunk = SCAN_CHUNK
     c0, n_chunks = int(first.min()), n_steps // chunk
     # A record's M is constant from its first scanned chunk on, so the
     # transition at the last of those chunks is every record's M.
-    m = transition(int(first.max()) * chunk)
-    psi, phi, phi_end, psi_norm, phi_norm = _blocks(m, keep)
+    psi, phi, phi_end, psi_norm, phi_norm = _blocks(
+        transition(int(first.max()) * chunk), keep)
     drive = w[:, c0 * chunk:n_chunks * chunk].reshape(
         n_records, n_chunks - c0, chunk * n)
-    wbound = np.asarray(psi_norm)[..., None] * np.maximum(
-        drive.max(axis=2), -drive.min(axis=2))
     zero_in = _gemm(drive, psi, first - c0)
-    ends = zero_in[..., -n:, None]
-    # A record's chunks before its first scanned one fail the check.
-    wbound[first[:, None] > np.arange(c0, n_chunks)] = np.inf
-    # Most chunks pass on one sum of squares: when every record's drive
-    # term is below half the margin and |x| <= sqrt(x'x) is below half the
-    # margin over the largest phi_norm, every record's bound holds. A zero
-    # phi_norm (M = 0) puts no bound on the entering state.
-    calm = (wbound < SCAN_MARGIN / 2).all(axis=0).tolist()
-    phi_max = float(np.max(phi_norm))
-    limit = SCAN_MARGIN / 2 / phi_max if phi_max else math.inf
+    before = first[:, None] > np.arange(c0, n_chunks)
+    late = first > c0
+    zero_in[before, -n:] = 0.0
+    zero_in[late, first[late] - c0 - 1, -n:] = x[late, :, 0]
     entering = np.zeros((n_records, n_chunks - c0 + 1, n))
-    held = np.zeros(n_records, dtype=int)  # chunks entered from a scanned e_c
-    if n_chunks - c0 >= chunk ** 2:  # then first == c0 (_replay splits)
-        entering[:, 0], entering[:, 1:] = x[..., 0], _replay(
-            x, ends[..., 0], slice(None), lambda i, k: "",
-            lambda k: phi_end)[0].swapaxes(0, 1)
-        ok = wbound + np.asarray(phi_norm)[..., None] * np.abs(
-            entering[:, :-1]).max(axis=2) < SCAN_MARGIN
-        ok[:, -1] &= np.isfinite(entering[:, -1]).all(axis=1)
-        held = np.append(ok, ok[:, :1] & False, 1).argmin(1) // chunk * chunk
-        x = entering[:, held.min(), :, None]
-    patches, top, c = [], int(held.max()), int(held.min()) - 1
-    for c in range(c + 1, n_chunks - c0):
-        entering[:, c] = x[..., 0]
-        out = np.matmul(phi_end, x)
-        out += ends[:, c]
-        if not (calm[c] and math.sqrt(np.vdot(x, x)) < limit):
-            ok = wbound[:, c] + phi_norm * np.abs(x).max(axis=(1, 2)) \
-                < SCAN_MARGIN
-            dead = np.array([i in failed for i in range(n_records)])
-            out[~ok & dead] = 0.0
-            ids = np.flatnonzero(~ok & ~dead)
-            if ids.size:
-                start = (c0 + c) * chunk
-                steps = [(k, m if m.ndim == 2 else m[ids]) for k, m in (
-                    (k, transition(k)) for k in range(start, start + chunk))]
-                patch = np.zeros((chunk, len(ids)) + rows.shape[2:])
-                out[ids] = _steps(x[ids], w, steps, keep, patch, failed,
-                                  message, ids, start)
-                patches.append((start, ids, patch))
-        if c < top:
-            out[c < held] = entering[c < held, c + 1, :, None]
-        x = out
-        if len(failed) == n_records:
-            break
-    done = c + 1
-    kept = zero_in[..., :-n]
-    kept += _gemm(entering[:, :-1], phi, first - c0)
-    start, stop = c0 * chunk, (c0 + done) * chunk
-    rows[start:stop] = kept[:, :done].reshape(
-        n_records, stop - start, -1).swapaxes(0, 1)
-    for start, ids, patch in patches:
-        rows[start:start + chunk, ids] = patch
-    return x
+    entering[:, 1:] = _replay(
+        np.where(late[:, None, None], 0.0, x), zero_in[..., -n:],
+        slice(None), lambda i, k: "", lambda k: phi_end,
+        0 if n_chunks - c0 >= chunk ** 2 else n_chunks - c0)[0].swapaxes(0, 1)
+    # Exact: a late record's e_c adds phi_end @ 0, NaN where it overflowed.
+    entering[np.arange(n_records), first - c0] = x[..., 0]
+    # The 2-norms, from two batched dots, bound the max-norms (to rounding:
+    # half the margin); the max-norms decide unless they clear every chunk.
+    size = [np.sqrt(np.vecdot(a, a)) for a in (drive, entering[:, :-1])]
+    ok = psi_norm * size[0] + phi_norm * size[1] < SCAN_MARGIN / 2
+    if not ok.all():
+        size = [np.abs(a).max(axis=2) for a in (drive, entering[:, :-1])]
+        ok = psi_norm * size[0] + phi_norm * size[1] < SCAN_MARGIN
+    ok |= before
+    fail = np.where(ok.all(axis=1), n_chunks, c0 + ok.argmin(axis=1))
+    # Chunk by chunk: each record's rows from its first chunk on, one copy.
+    kept = zero_in[..., :-n].reshape(n_records, n_chunks - c0, chunk, -1)
+    kept += _gemm(entering[:, :-1], phi, first - c0).reshape(kept.shape)
+    grid = rows[:n_chunks * chunk].reshape(n_chunks, chunk, n_records, -1)
+    for f in np.unique(first).tolist():
+        ids = first == f if late.any() else slice(None)
+        grid[f:, :, ids] = kept[ids, f - c0:].transpose(1, 2, 0, 3)
+    fail[list(failed)] = n_chunks  # a failed record's rows are not used
+    return entering[np.arange(n_records), fail - c0, :, None], fail * chunk
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -331,11 +319,11 @@ def _replay(x, w, keep, message, transition, starts=0) -> tuple:
     makes the sum of squares non-finite, and finite squares whose sum
     overflows only send the step to the exact per-record check. A record
     fails at its first non-finite step ``k`` with ``DivergenceError(k,
-    message(record, k))``, also inside a scanned chunk, which then replays
-    step by step. Its state then restarts from zero, so the others run on
-    unchanged, and the replay stops once every record has failed. It finds
-    and reports these steps itself, so numpy's overflow and invalid-value
-    warnings are off for the call.
+    message(record, k))``, also inside a scanned chunk: from the first chunk
+    that fails its bound, it steps. Its state then restarts from zero, so
+    the others run on unchanged, and the replay stops once every record has
+    failed. It finds and reports these steps itself, so numpy's overflow
+    and invalid-value warnings are off for the call.
 
     Returns the (T, S, ·) stored rows and the ``{record: DivergenceError}``
     map of the failed records.
@@ -357,15 +345,12 @@ def _replay(x, w, keep, message, transition, starts=0) -> tuple:
                 np.broadcast_to(starts, n_records)[ids])
             failed.update((int(ids[i]), e) for i, e in part.items())
         return rows, failed
-    stop = int(first.min()) * SCAN_CHUNK
-    x = _steps(x, w, ((k, transition(k)) for k in range(stop)), keep, rows,
-               failed, message)
-    if stop < n_chunks * SCAN_CHUNK and len(failed) < n_records:
-        x = _scan(x, w, transition, first, keep, rows, failed, message)
-        stop = n_chunks * SCAN_CHUNK
-    if len(failed) < n_records:
-        _steps(x, w, ((k, transition(k)) for k in range(stop, n_steps)),
-               keep, rows, failed, message)
+    x, start = x.copy(), np.full(n_records, n_chunks * SCAN_CHUNK)
+    _segments(x, w, 0, first * SCAN_CHUNK, transition, keep, rows, failed,
+              message)
+    if first.min() < n_chunks and len(failed) < n_records:
+        x, start = _scan(x, w, transition, first, keep, rows, failed, message)
+    _segments(x, w, start, n_steps, transition, keep, rows, failed, message)
     return rows, failed
 
 

@@ -177,13 +177,19 @@ class TestScan:
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_records=st.sampled_from([1, 3]),
-           n=st.integers(1, 4), prefix=st.integers(0, 40),
-           per_record=st.booleans(),
-           value=st.sampled_from([np.inf, -np.inf, np.nan, 1e308]),
+           n=st.integers(1, 4), per_record=st.booleans(),
+           value=st.sampled_from([np.inf, -np.inf, np.nan, 1e308, 1e299]),
            draw=st.data())
     def test_divergence_matches_the_step_by_step_path(
-            self, seed, n_records, n, prefix, per_record, value, draw):
-        n_steps = prefix + 5 * systems.SCAN_CHUNK
+            self, seed, n_records, n, per_record, value, draw):
+        # Per-record transitions get a start each, so records that step to
+        # their first chunk share the stack with records scanned from theirs.
+        # A finite 1e299 puts a chunk's bound over SCAN_MARGIN without a
+        # divergence: the record steps to its end and keeps its bits alone.
+        prefix = draw.draw(st.lists(st.integers(0, 40), min_size=n_records,
+                                    max_size=n_records).map(np.array)
+                           if per_record else st.integers(0, 40))
+        n_steps = int(np.max(prefix)) + 5 * systems.SCAN_CHUNK
         rec = _Recurrence(seed, n_records, n, prefix, per_record)
         rng = np.random.default_rng([seed, 2])
         x = np.zeros((n_records, n, 1))
@@ -237,7 +243,7 @@ class TestScan:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_records=st.sampled_from([1, 3]),
            n=st.integers(1, 3), per_record=st.booleans(),
-           value=st.sampled_from([np.inf, -np.inf, np.nan, 1e308]),
+           value=st.sampled_from([np.inf, -np.inf, np.nan, 1e308, 1e299]),
            draw=st.data())
     def test_divergence_in_a_long_record_matches_the_step_by_step_path(
             self, seed, n_records, n, per_record, value, draw):
@@ -266,20 +272,39 @@ class TestScan:
 
     def test_chunk_ends_are_scanned_on_long_records_only(self, monkeypatch):
         # A structural check: each level of the scan builds its operators
-        # once. 24,080 steps are 2006 chunks, 167 chunks of chunks and 13
-        # of those: three levels. 1204 steps are 100 chunks: one level.
-        levels = []
-        blocks = systems._blocks
+        # once, and hands its chunk ends to one nested _replay, which scans
+        # or steps them. 24,080 steps are 2006 chunks, 167 chunks of chunks
+        # and 13 of those: three levels. 1204 steps are 100 chunks: one.
+        levels, nested, active = [], [], []
+        blocks, scan, replay = systems._blocks, systems._scan, systems._replay
+
+        def scanned(*args):
+            active.append(len(nested))
+            nested.append(0)
+            try:
+                return scan(*args)
+            finally:
+                active.pop()
+
+        def replayed(*args):
+            if active:
+                nested[active[-1]] += 1
+            return replay(*args)
+
         monkeypatch.setattr(systems, "_blocks", lambda m, keep: (
             levels.append(m.shape), blocks(m, keep))[1])
+        monkeypatch.setattr(systems, "_scan", scanned)
+        monkeypatch.setattr(systems, "_replay", replayed)
         m = 0.999 * np.array([[np.cos(0.1), -np.sin(0.1)],
                               [np.sin(0.1), np.cos(0.1)]])
         for n_steps, n_levels in ((24080, 3), (1204, 1)):
             levels.clear()
+            nested.clear()
             w = np.random.default_rng(13).standard_normal((1, n_steps, 2))
-            rows, failed = systems._replay(np.zeros((1, 2, 1)), w,
-                                           slice(0, 1), str, lambda k: m)
+            rows, failed = replay(np.zeros((1, 2, 1)), w, slice(0, 1), str,
+                                  lambda k: m)
             assert not failed and len(levels) == n_levels
+            assert nested == [1] * n_levels
 
     def test_every_scan_product_runs_on_one_blas_thread(self, monkeypatch):
         # A structural check, on any host: every slice of every product
@@ -331,8 +356,11 @@ class TestScan:
             rows, failed = systems._replay(np.zeros((4, 2, 1)), w,
                                            slice(0, 1), str, lambda k: m,
                                            starts)
-            # A prefix and a tail call for each of the two groups.
-            assert not failed and len(calls) == 4
+            # One call for the unscanned record, from step 0 to T. The
+            # scanned group has no prefix and, T being whole chunks, no
+            # tail; the nested _replay steps its chunk ends in two calls,
+            # up to its last whole chunk of chunk ends and after it.
+            assert not failed and len(calls) == 3
             for i in range(4):
                 alone, _ = systems._replay(np.zeros((1, 2, 1)), w[i:i + 1],
                                            slice(0, 1), str, lambda k: m,
