@@ -75,18 +75,22 @@ def _fmt(value) -> str:
 
 
 def _formatted(column):
-    """A column's CSV cells, formatted lazily by one formatter chosen by its
-    dtype: ``repr`` of each float, the digits of each int (0 or 1 for a
-    bool). A list of values of one type is formatted as their array; one
+    """A column's CSV cells, by one formatter chosen by its dtype: ``repr``
+    of each float, the digits of each int (0 or 1 for a bool). Each
+    distinct value is formatted once, keyed on its bits, so ``-0.0`` and
+    ``0.0`` keep their own cells and a NaN shares one only with the same
+    NaN bits. A list of values of one type is formatted as their array; one
     that holds None or mixes ints and floats keeps ``_fmt``'s rules."""
     if not isinstance(column, np.ndarray) and len(set(map(type, column))) == 1:
         column = np.asarray(column)
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return map(repr, column.tolist())
-        if column.dtype.kind in "biu":
-            return map(str, map(int, column.tolist()))
-    return map(_fmt, column)
+    if not isinstance(column, np.ndarray) or column.dtype.kind not in "fbiu":
+        return map(_fmt, column)
+    bits, where = np.unique(column.view(f"u{column.itemsize}"),
+                            return_inverse=True)
+    values = bits.view(column.dtype).tolist()
+    cells = map(repr, values) if column.dtype.kind == "f" else \
+        map(str, map(int, values))
+    return np.array(list(cells), dtype=object)[where].tolist()
 
 
 def _environment() -> dict:
@@ -127,12 +131,14 @@ def write_report(report: ExperimentReport) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, table in report.tables.items():
         n_rows = len(next(iter(table.values())))
-        columns = [repeat(report.config_hash, n_rows),
+        # Each line break leads its row's config_hash cell, so one join
+        # forms a row.
+        columns = [repeat("\n" + report.config_hash, n_rows),
                    *map(_formatted, table.values())]
         with open(outdir / f"{name}.csv", "w", newline="") as fh:
-            fh.write(",".join(["config_hash", *table]) + "\n")
-            fh.writelines(",".join(row) + "\n"
-                          for row in zip(*columns, strict=True))
+            fh.write(",".join(["config_hash", *table]))
+            fh.writelines(map(",".join, zip(*columns, strict=True)))
+            fh.write("\n")
     manifest = {
         "schema_version": 1,
         "kind": report.kind,

@@ -178,9 +178,9 @@ def _blocks(m, keep):
     """The chunk operators of ``SCAN_CHUNK`` steps of the transition ``m``.
 
     Step j's state is ``Phi_j x_in + sum_{i <= j} Psi_ji w_i``, where
-    ``Psi_jj = I``, ``Psi_ji = M Psi_{j-1,i}``, ``Phi_j = M Phi_{j-1}`` and
-    ``Phi_{-1} = I``: block row j is block row j - 1 times ``M``, in one
-    stacked product. Returns, each with ``m``'s leading (record) axis if
+    ``Psi_ji = M^(j-i)`` and ``Phi_j = M^(j+1)``: every block is one of the
+    powers ``P_t = M P_{t-1}`` from ``P_0 = I``, one stacked product each,
+    placed by indexing. Returns, each with ``m``'s leading (record) axis if
     any:
 
     - ``psi`` (L·n, L·k + n): the chunk's drive, as one row, times ``psi``
@@ -195,24 +195,26 @@ def _blocks(m, keep):
     lead, n, chunk = m.shape[:-2], m.shape[-1], SCAN_CHUNK
     idx = np.arange(n)[keep]
     k = len(idx)
+    power = np.empty(lead + (chunk + 1, n, n))
+    power[..., 0, :, :] = np.eye(n)
+    for t in range(chunk):
+        np.matmul(m, power[..., t, :, :], out=power[..., t + 1, :, :])
+    kept = power[..., idx, :].swapaxes(-1, -2)
+    sums = np.abs(power).sum(axis=-1)
     psi = np.zeros(lead + (chunk * n, chunk * k + n))
     phi = np.empty(lead + (n, chunk * k))
-    psi_norm = phi_norm = np.zeros(lead + (1,))
-    row = np.broadcast_to(np.eye(n), lead + (1, n, n))  # [Phi_{-1}]
+    psi_norm = np.zeros(lead + (1,))
     for j in range(chunk):
-        # [Phi_j, Psi_j0, ..., Psi_jj]
-        row = np.concatenate([np.matmul(m[..., None, :, :], row),
-                              row[..., -1:, :, :]], -3)
-        phi[..., j * k:(j + 1) * k] = row[..., 0, idx, :].swapaxes(-1, -2)
-        psi[..., :(j + 1) * n, j * k:(j + 1) * k] = row[
-            ..., 1:, idx, :].swapaxes(-1, -2).reshape(lead + ((j + 1) * n, k))
-        sums = np.abs(row).sum(axis=-1)
-        phi_norm = np.maximum(phi_norm, sums[..., :1, :].max(axis=-1))
-        psi_norm = np.maximum(psi_norm, sums[..., 1:, :].sum(
+        # Block column j: [Psi_j0, ..., Psi_jj] = [P_j, ..., P_0].
+        psi[..., :(j + 1) * n, j * k:(j + 1) * k] = kept[
+            ..., j::-1, :, :].reshape(lead + ((j + 1) * n, k))
+        phi[..., j * k:(j + 1) * k] = kept[..., j + 1, :, :]
+        psi_norm = np.maximum(psi_norm, sums[..., j::-1, :].sum(
             axis=-2, keepdims=True).max(axis=-1))
-    psi[..., chunk * k:] = row[..., 1:, :, :].swapaxes(-1, -2).reshape(
-        lead + (chunk * n, n))
-    return psi, phi, row[..., 0, :, :], psi_norm, phi_norm
+    psi[..., chunk * k:] = power[..., chunk - 1::-1, :, :].swapaxes(
+        -1, -2).reshape(lead + (chunk * n, n))
+    phi_norm = sums[..., 1:, :].max(axis=-1).max(axis=-1, keepdims=True)
+    return psi, phi, power[..., chunk, :, :], psi_norm, phi_norm
 
 
 def _gemm(a, b, first):

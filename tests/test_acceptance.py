@@ -8,10 +8,8 @@ import math
 import time
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
 
 from demest.benchmarks import (ArModel, kalman_filter, smikf,
                                state_augmentation_filter)
@@ -58,6 +56,8 @@ def _run_into(cfg, outdir, **overrides):
 
 
 def test_criterion_01_temporal_precision_golden():
+    import mpmath
+
     start = time.perf_counter()
     for sigma in (0.006, 0.05, 0.5):
         with mpmath.workdps(50):
@@ -170,6 +170,8 @@ def test_criterion_05_colored_noise_benchmark_ordering(tmp_path):
 
 
 def test_criterion_06_embedding_order_trend(tmp_path):
+    from scipy.stats import spearmanr
+
     start = time.perf_counter()
     report = _run_into(_load("sweep_p"), tmp_path)
     summary = report.tables["sweep_summary"]
@@ -204,6 +206,8 @@ def test_criterion_07_input_estimation_parity(tmp_path):
 
 
 def test_criterion_08_accuracy_complexity_sweep(tmp_path):
+    from scipy.stats import spearmanr
+
     start = time.perf_counter()
     cfg = _load("prior_sweep")
     assert len(cfg.prior_sweep.pv_grid) == 9

@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from demest.cli import main as cli_main
 from demest.config import (ExperimentConfig, config_hash, load_config_file,
@@ -958,6 +960,39 @@ class TestWriteReport:
             "config_hash,pv,diverged,sse,step,passed,time_s,estimator\n"
             "0123abcd,1,0,0.25,0,1,0.0,dem\n"
             "0123abcd,10.5,1,,1,0,0.5,uio\n")
+
+    # Each distinct value of a column is formatted once: values that compare
+    # equal but print apart (-0.0 and 0.0), NaN, which equals nothing, and
+    # subnormals, each repeated.
+    SPECIAL = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310, 0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.sampled_from(SPECIAL) | st.floats(),
+        st.sampled_from(SPECIAL) | st.floats(width=32),
+        st.sampled_from([0, -1, 2 ** 63 - 1]) | st.integers(-2 ** 63,
+                                                           2 ** 63 - 1),
+        st.booleans()), max_size=30))
+    @example(rows=[(0.0, -0.0, 0, True), (-0.0, 0.0, 0, False),
+                   (0.0, -0.0, 1, True)])
+    @example(rows=[])
+    def test_each_cell_is_its_value_formatted(self, rows, tmp_path_factory):
+        f64, f32, ints, flags = zip(*rows) if rows else ([],) * 4
+        table = {"f64": np.array(f64, dtype=np.float64),
+                 "f32": np.array(f32, dtype=np.float32),
+                 "listed": list(f64),
+                 "ints": np.array(ints, dtype=np.int64),
+                 "flags": np.array(flags, dtype=bool)}
+        report = harness.ExperimentReport(
+            kind="prior_sweep", config_hash="0123abcd",
+            output_dir=tmp_path_factory.mktemp("cells"))
+        report.add("table", table, "")
+        write_report(report)
+        lines = [",".join(["config_hash", *table])] + [
+            ",".join(["0123abcd", *map(harness._fmt, row)])
+            for row in zip(*table.values())]
+        assert (report.output_dir / "table.csv").read_text() == \
+            "\n".join(lines) + "\n"
 
     def test_prior_sweep_precisions_keep_their_type(self, tmp_path,
                                                    monkeypatch):

@@ -65,9 +65,10 @@ class TestReplayDriver:
         assert not rows[3:].any()
 
 
-def _random_transition(rng, n, radius):
+def _random_transition(rng, n, radius, of_abs=False):
     """A non-normal n x n matrix of spectral radius ``radius``: scaled 2 x 2
-    rotations (and a real eigenvalue for odd n) in a random basis."""
+    rotations (and a real eigenvalue for odd n) in a random basis. With
+    ``of_abs``, the matrix of its absolute values has that radius instead."""
     blocks = np.zeros((n, n))
     for i in range(0, n - 1, 2):
         angle = rng.uniform(0.0, np.pi)
@@ -77,23 +78,26 @@ def _random_transition(rng, n, radius):
         blocks[-1, -1] = rng.uniform(-1.0, 1.0)
     blocks *= radius / np.abs(np.linalg.eigvals(blocks)).max()
     basis = np.eye(n) + 0.3 * rng.standard_normal((n, n))
-    return basis @ blocks @ np.linalg.inv(basis)
+    m = basis @ blocks @ np.linalg.inv(basis)
+    return m * radius / np.abs(np.linalg.eigvals(abs(m))).max() if of_abs \
+        else m
 
 
 class _Recurrence:
     """A random recurrence in ``_replay``'s terms: ``prefix`` steps of their
     own transitions, then one constant transition; the transitions are
     shared, or one per record, and then ``prefix`` may be one per record
-    too."""
+    too. With ``of_abs``, the radii bound the transitions' absolute values,
+    so the reference's size recurrence stays finite on long records."""
 
-    def __init__(self, seed, n_records, n, prefix, per_record):
+    def __init__(self, seed, n_records, n, prefix, per_record, of_abs=False):
         rng = np.random.default_rng(seed)
         lead = (n_records,) if per_record else ()
         top = int(np.max(prefix))
         radii = rng.uniform(0.5, 1.00003, top + 1)
         radii[rng.integers(top + 1)] = 1.00003  # one marginal
         self.ms = np.stack([np.stack([
-            _random_transition(rng, n, rho) for _ in range(
+            _random_transition(rng, n, rho, of_abs) for _ in range(
                 n_records if per_record else 1)]).reshape(lead + (n, n))
             for rho in radii])
         self.prefix = prefix
@@ -225,7 +229,7 @@ class TestScan:
         prefix = draw.draw(st.lists(st.integers(0, 40), min_size=n_records,
                                     max_size=n_records).map(np.array)
                            if per_record else st.integers(0, 40))
-        rec = _Recurrence(seed, n_records, n, prefix, per_record)
+        rec = _Recurrence(seed, n_records, n, prefix, per_record, of_abs=True)
         rng = np.random.default_rng([seed, 4])
         x = rng.standard_normal((n_records, n, 1))
         w = rng.standard_normal((n_records, self.LONG + extra, n))
@@ -233,8 +237,10 @@ class TestScan:
         rows, failed = rec.replay(x, w, keep)
         reference, size = rec.reference(x, w, keep)
         assert not failed
-        # The bound of test_rows_match_the_reference_and_one_record_batches.
+        # The bound of test_rows_match_the_reference_and_one_record_batches,
+        # finite on every draw.
         bound = 8.0 * np.finfo(float).eps * size
+        assert np.isfinite(bound).all()
         assert np.all(abs(rows - reference) <= bound)
         for i in range(n_records):
             alone, _ = rec.one(i).replay(x[i:i + 1], w[i:i + 1], keep)
