@@ -309,9 +309,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
                  f"noise_characterization needs more than {MIN_FIT_SAMPLES} "
                  f"steps, for {MIN_FIT_SAMPLES} residuals to fit")
 
-    # Lists whose length the plant a run builds fixes; None picks a default.
     # Imported here: the harness imports this module.
-    from .harness import build_model
+    from .harness import SA_AR_ORDER, _largest_order, build_model
+    if run.log_path is None:
+        # A synthetic record has n_steps samples: one more than the largest
+        # embedding window, and for the shoot-out more than twice the AR
+        # order that state augmentation fits to its process noise.
+        needed = _largest_order(cfg) + 1
+        if kind == "benchmark_state":
+            needed = max(needed, 2 * SA_AR_ORDER + 1)
+        _require(run.n_steps >= needed, "run.n_steps",
+                 f"a {kind} run needs at least {needed} steps")
+
+    # Lists whose length the plant a run builds fixes; None picks a default.
     plant = build_model(cfg)
     n, r = plant.n, plant.r
     for name, value, counts in [

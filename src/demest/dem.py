@@ -385,13 +385,15 @@ def replay_growth(m: ObserverMatrices, dt: float, n_steps: int,
     ``dt`` (the state block's, with known inputs), and its growth, the
     radius to the power ``n_steps``: how far the replay can amplify a
     state over a record of that length. A growth too large for a float is
-    None."""
+    None. With them, the learning rate the design replays with, configured
+    or defaulted."""
     ad, _ = m.replayed(dt, known_inputs)
     radius = float(np.abs(np.linalg.eigvals(ad[:, :len(ad)])).max())
     with np.errstate(over="ignore"):
         growth = float(np.float64(radius) ** n_steps)
     return {"spectral_radius": radius,
-            "growth": growth if np.isfinite(growth) else None}
+            "growth": growth if np.isfinite(growth) else None,
+            "learning_rate": m.rate}
 
 
 def _free_energy_trace(m: ObserverMatrices, estimates: np.ndarray,

@@ -290,6 +290,12 @@ def log_record(cfg: ExperimentConfig, model: LtiModel) -> Record:
         raise DataFormatError(
             f"{cfg.run.log_path}: {log.n_steps} rows; embedding order "
             f"{order} needs at least {order + 1}")
+    # The AR fits take the log's n_steps - 1 process-noise residuals.
+    if cfg.kind == "benchmark_state" and log.n_steps - 1 <= 2 * SA_AR_ORDER:
+        raise DataFormatError(
+            f"{cfg.run.log_path}: {log.n_steps} rows give {log.n_steps - 1} "
+            f"process-noise residuals; the AR({SA_AR_ORDER}) fit of "
+            f"state augmentation needs more than {2 * SA_AR_ORDER}")
     if cfg.run.skip_steps >= log.n_steps:
         raise DataFormatError(
             f"{cfg.run.log_path}: run.transient_skip_s="

@@ -218,15 +218,17 @@ def _blocks(m, keep):
 
 
 def _gemm(a, b, first):
-    """``a @ b`` of the (S, C, ·) chunk rows ``a``: one stacked product for
-    a shared ``b``, else record i's own product from its chunk ``first[i]``
-    on (and zeros before), so that every product's shape, and with it the
-    BLAS kernel and its rounding, depends on its own record alone; in row
-    blocks of at most ``SERIAL_GEMM`` multiply-adds, which OpenBLAS forms
-    on one thread."""
+    """``a @ b`` of the (S, C, ·) chunk rows ``a``, record i's from its
+    chunk ``first[i]`` on (zeros before): one stacked product for a shared
+    ``b``, from the batch's shared start ``first.min()``, else record i's
+    own product, so that every product's shape, and with it the BLAS kernel
+    and its rounding, depends on its own record alone; in row blocks of at
+    most ``SERIAL_GEMM`` multiply-adds, which OpenBLAS forms on one
+    thread."""
     shared, out = b.ndim == 2, np.zeros(a.shape[:2] + b.shape[-1:])
     step = max(1, SERIAL_GEMM // max(1, b.shape[-2] * b.shape[-1]))
-    for i, f in [(slice(None), 0)] if shared else enumerate(first.tolist()):
+    for i, f in [(slice(None), int(first.min()))] if shared \
+            else enumerate(first.tolist()):
         for j in range(f, a.shape[1], step):
             np.matmul(a[i, j:j + step], b if shared else b[i],
                       out=out[i, j:j + step])
@@ -234,64 +236,69 @@ def _gemm(a, b, first):
 
 
 def _scan(x, w, transition, first, keep, rows, failed, message):
-    """Replay the whole chunks of ``_replay`` from chunk ``first.min()`` on,
-    record i from its chunk ``first[i]``, which it enters with the state
-    ``x[i]``. Returns each record's state and step from which it goes one
-    by one: the end of the chunks, or the start of its first failing chunk.
+    """Replay the whole chunks of ``_replay``, record i from its chunk
+    ``first[i]``, which it enters with the state ``x[i]``; a record with a
+    first chunk of ``n_chunks`` is not scanned. Returns each record's state
+    and step from which it goes one by one: the end of the chunks, or the
+    start of its first failing chunk.
 
-    One stacked GEMM gives every chunk's kept states from a zero entering
-    state, and its end state ``ends_c``. The states between chunks, ``e_c =
-    phi_end e_{c-1} + ends_c``, are one nested ``_replay``: scanned over
-    ``SCAN_CHUNK**2`` chunks or more, else stepped. A record scanned from a
-    later chunk enters it as the end of the chunk before its first. A
-    second GEMM adds each chunk's entering state to its kept states.
+    Every level of the scan lays its chunks on one grid from step 0, so a
+    record's chunks, and the chunks of its chunk ends, depend on its own
+    start alone. One stacked GEMM gives every chunk's kept states from a
+    zero entering state, and its end state ``ends_c``. The states between
+    chunks, ``e_c = phi_end e_{c-1} + ends_c``, are one nested ``_replay``
+    of every record's chunk ends from chunk 0: scanned over
+    ``SCAN_CHUNK**2`` chunks or more, else stepped. A record with a later
+    first chunk is late: its ends before that chunk are zero, and it enters
+    the recurrence as the end of the chunk before its first. A second GEMM
+    adds each chunk's entering state to its kept states.
 
     A record's chunk is accepted when its bound ``psi_norm·max|w| +
     phi_norm·max|x_in|`` on every state of every step, kept or not, stays
     below ``SCAN_MARGIN``, so that no state or partial sum can overflow; a
     non-finite drive or entering state fails the check, as NaN compares
-    false. From its first failing chunk, a record that has not failed goes
-    one by one, which gives its exact ``DivergenceError``.
+    false. The chunks before a record's first are not checked. From its
+    first failing chunk, a record that has not failed goes one by one,
+    which gives its exact ``DivergenceError``.
     """
     n_records, n_steps, n = w.shape
     chunk = SCAN_CHUNK
-    c0, n_chunks = int(first.min()), n_steps // chunk
-    # A record's M is constant from its first scanned chunk on, so the
-    # transition at the last of those chunks is every record's M.
+    n_chunks = n_steps // chunk
+    # A scanned record's M is constant from its first chunk on, so the
+    # transition of the last step is every scanned record's M.
     psi, phi, phi_end, psi_norm, phi_norm = _blocks(
-        transition(int(first.max()) * chunk), keep)
-    drive = w[:, c0 * chunk:n_chunks * chunk].reshape(
-        n_records, n_chunks - c0, chunk * n)
-    zero_in = _gemm(drive, psi, first - c0)
-    before = first[:, None] > np.arange(c0, n_chunks)
-    late = first > c0
+        transition(n_steps - 1), keep)
+    drive = w[:, :n_chunks * chunk].reshape(n_records, n_chunks, chunk * n)
+    zero_in = _gemm(drive, psi, first)
+    before = first[:, None] > np.arange(n_chunks)
+    late = first > 0
     zero_in[before, -n:] = 0.0
-    zero_in[late, first[late] - c0 - 1, -n:] = x[late, :, 0]
-    entering = np.zeros((n_records, n_chunks - c0 + 1, n))
+    zero_in[late, first[late] - 1, -n:] = x[late, :, 0]
+    entering = np.zeros((n_records, n_chunks + 1, n))
     entering[:, 1:] = _replay(
         np.where(late[:, None, None], 0.0, x), zero_in[..., -n:],
         slice(None), lambda i, k: "", lambda k: phi_end,
-        0 if n_chunks - c0 >= chunk ** 2 else n_chunks - c0)[0].swapaxes(0, 1)
+        0 if n_chunks >= chunk ** 2 else n_chunks)[0].swapaxes(0, 1)
     # Exact: a late record's e_c adds phi_end @ 0, NaN where it overflowed.
-    entering[np.arange(n_records), first - c0] = x[..., 0]
+    entering[np.arange(n_records), first] = x[..., 0]
     # The 2-norms, from two batched dots, bound the max-norms (to rounding:
     # half the margin); the max-norms decide unless they clear every chunk.
     size = [np.sqrt(np.vecdot(a, a)) for a in (drive, entering[:, :-1])]
-    ok = psi_norm * size[0] + phi_norm * size[1] < SCAN_MARGIN / 2
+    ok = (psi_norm * size[0] + phi_norm * size[1] < SCAN_MARGIN / 2) | before
     if not ok.all():
         size = [np.abs(a).max(axis=2) for a in (drive, entering[:, :-1])]
-        ok = psi_norm * size[0] + phi_norm * size[1] < SCAN_MARGIN
-    ok |= before
-    fail = np.where(ok.all(axis=1), n_chunks, c0 + ok.argmin(axis=1))
+        ok = (psi_norm * size[0] + phi_norm * size[1] < SCAN_MARGIN) | before
+    fail = np.where(ok.all(axis=1), n_chunks, ok.argmin(axis=1))
     # Chunk by chunk: each record's rows from its first chunk on, one copy.
-    kept = zero_in[..., :-n].reshape(n_records, n_chunks - c0, chunk, -1)
-    kept += _gemm(entering[:, :-1], phi, first - c0).reshape(kept.shape)
+    kept = zero_in[..., :-n].reshape(n_records, n_chunks, chunk, -1)
+    kept += _gemm(entering[:, :-1], phi, first).reshape(kept.shape)
     grid = rows[:n_chunks * chunk].reshape(n_chunks, chunk, n_records, -1)
-    for f in np.unique(first).tolist():
-        ids = first == f if late.any() else slice(None)
-        grid[f:, :, ids] = kept[ids, f - c0:].transpose(1, 2, 0, 3)
+    firsts = np.unique(first).tolist()
+    for f in firsts:
+        ids = first == f if len(firsts) > 1 else slice(None)
+        grid[f:, :, ids] = kept[ids, f:].transpose(1, 2, 0, 3)
     fail[list(failed)] = n_chunks  # a failed record's rows are not used
-    return entering[np.arange(n_records), fail - c0, :, None], fail * chunk
+    return entering[np.arange(n_records), fail, :, None], fail * chunk
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -306,16 +313,18 @@ def _replay(x, w, keep, message, transition, starts=0) -> tuple:
     ``starts[i]`` on; a scalar holds for every record, and a start of ``T``
     or more scans none of its steps.
 
-    The steps fall into chunks of ``SCAN_CHUNK`` on a grid from step 0.
-    From its first chunk that starts at or after its ``start``, every chunk
-    of a record gets the same operators, from powers of its M; if it has at
-    least two such chunks, ``_scan`` replays them, and the rest of its steps
-    go one by one. Records that are never scanned replay apart, and so does
-    each first chunk of a batch with a record of ``SCAN_CHUNK**2`` chunks.
-    Every product is a stacked ``np.matmul`` whose slices are one record's
-    BLAS calls, in one-thread row blocks in the scan (see ``_gemm``), and
-    which steps of a record are scanned, and how, depends on that record
-    alone, so a record gets the same bits alone or in any batch.
+    The steps fall into chunks of ``SCAN_CHUNK`` on a grid from step 0, and
+    so do the chunk ends at every level of the scan. From its first chunk
+    that starts at or after its ``start``, every chunk of a record gets the
+    same operators, from powers of its M; if it has at least two such
+    chunks, ``_scan`` replays them, and the rest of its steps go one by
+    one. Any mix of starts replays as one stack: the steps up to each
+    record's first chunk, one scan, then the steps after it. Every product
+    is a stacked ``np.matmul`` whose slices are one record's BLAS calls, in
+    one-thread row blocks in the scan (see ``_gemm``; a shared transition
+    comes with one start for the stack), and which steps of a record are
+    scanned, and how, depends on that record's start alone, so a record
+    gets the same bits alone or in any batch.
 
     A step checks the whole stack with one ``np.vdot``: a non-finite entry
     makes the sum of squares non-finite, and finite squares whose sum
@@ -336,17 +345,6 @@ def _replay(x, w, keep, message, transition, starts=0) -> tuple:
     first = np.where(n_chunks - first < 2, n_chunks, first)
     rows = np.zeros((n_steps,) + x[:, keep, 0].shape)
     failed = {}
-    key = first if (n_chunks - first >= SCAN_CHUNK ** 2).any() \
-        else first == n_chunks
-    if (key != key[0]).any():
-        for group in np.unique(key):
-            ids = np.flatnonzero(key == group)
-            rows[:, ids], part = _replay(
-                x[ids], w[ids], keep, lambda i, k: message(int(ids[i]), k),
-                lambda k: m if (m := transition(k)).ndim == 2 else m[ids],
-                np.broadcast_to(starts, n_records)[ids])
-            failed.update((int(ids[i]), e) for i, e in part.items())
-        return rows, failed
     x, start = x.copy(), np.full(n_records, n_chunks * SCAN_CHUNK)
     _segments(x, w, 0, first * SCAN_CHUNK, transition, keep, rows, failed,
               message)

@@ -131,6 +131,27 @@ class TestConfigValidation:
         raw["run"]["n_steps"] = 7
         assert parse_config(raw).sweep.p_values == (2, 6)
 
+    @pytest.mark.parametrize("kind, extra, shortest", [
+        ("benchmark_state", {}, 13),
+        ("sweep_p", {"sweep": {"p_values": [0, 1]}}, 3)])
+    def test_record_too_short_for_its_run_rejected(self, tmp_path, capsys,
+                                                   kind, extra, shortest):
+        # Caught by validate, not as a ValueError inside the run: state
+        # augmentation fits an AR(6) model to more than 12 process-noise
+        # samples, and the order-2 rate reference embeds 3.
+        raw = small_config(kind=kind, output_dir=str(tmp_path), **extra)
+        raw["dem"].update(p=1, d=1)
+        raw["run"].update(n_steps=shortest - 1, transient_skip_s=0.0)
+        with pytest.raises(ConfigError, match="run.n_steps"):
+            parse_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", str(path)]) == 1
+        assert "run.n_steps" in capsys.readouterr().err
+        raw["run"]["n_steps"] = shortest
+        report = run_experiment(parse_config(raw), write=False)
+        assert not report.diverged
+
     def test_skip_past_the_record_rejected(self):
         # 0.83 s of 100 steps at 0.0083 s: no step would be scored.
         raw = small_config()
@@ -528,6 +549,33 @@ class TestBenchmarkStateExperiment:
             radius ** raw["run"]["n_steps"], rel=1e-12)
         assert radius ** 24080 == pytest.approx(1.67, abs=0.005)
 
+    @pytest.mark.parametrize("kind", ["benchmark_state", "prior_sweep"])
+    def test_manifest_records_each_designs_learning_rate(self, tmp_path,
+                                                         kind):
+        # Defaulted rates, one per design: each observer axis point's growth
+        # entry names the rate its design replayed with.
+        raw = small_config(kind=kind, output_dir=str(tmp_path), seeds=[1])
+        raw["dem"]["learning_rate"] = None
+        raw["run"]["n_steps"] = 100
+        raw["prior_sweep"] = {"pv_grid": [1.0, 1e4], "eta_v": 1.0} \
+            if kind == "prior_sweep" else None
+        cfg = parse_config(raw)
+        run_experiment(cfg)
+        growth = json.loads(
+            (tmp_path / "manifest.json").read_text())["observer_growth"]
+        model = harness.build_model(cfg)
+        designs = {f"pv{pv:g}": harness._dem_config(
+            cfg, harness.observer_noise_spec(
+                cfg, model, input_prior_precision=pv), model, eta_v=1.0)
+            for pv in (1.0, 1e4)} if kind == "prior_sweep" else {
+            "dem": harness._dem_config(
+                cfg, harness.observer_noise_spec(cfg, model), model)}
+        rates = {label: dem.assemble_observer(model, design).rate
+                 for label, design in designs.items()}
+        assert {label: entry["learning_rate"]
+                for label, entry in growth.items()} == rates
+        assert len(set(rates.values())) == len(rates)
+
     def test_one_diverging_record_leaves_one_empty_cell(self, report,
                                                         monkeypatch):
         # Seed 2 gets an inf measurement inside the Kalman batch only: its
@@ -679,6 +727,31 @@ class TestLogBackedExperiment:
         with pytest.raises(DataFormatError,
                            match=r"short\.csv: 5 rows; embedding order 6"):
             run_experiment(parse_config(raw))
+
+    @pytest.mark.parametrize("n_rows", [13, 14])
+    def test_log_too_short_for_the_ar_fit_rejected(self, tmp_path, n_rows):
+        # A log of n rows gives n - 1 process-noise residuals, and state
+        # augmentation's AR(6) fit needs more than 12 of them.
+        model = quadrotor_roll_model(3.4e-3, 1.274e-3, full_state_output=True)
+        rng = np.random.default_rng(4)
+        flight = simulate(model, 0.0083, n_rows,
+                          0.1 * rng.standard_normal((n_rows, 4)),
+                          rng.standard_normal((n_rows, 2)),
+                          1e-3 * rng.standard_normal((n_rows, 2)))
+        log_path = tmp_path / "short.csv"
+        save_flight_log(log_path, flight)
+        raw = serialize_config(
+            load_config_file(CONFIG_DIR / "benchmark_state_windy.json"))
+        raw.update(output_dir=str(tmp_path / "out"), seeds=[1])
+        raw["run"].update(log_path=str(log_path), transient_skip_s=0.0)
+        cfg = parse_config(raw)
+        if n_rows == 13:
+            with pytest.raises(DataFormatError, match=(
+                    r"short\.csv: 13 rows give 12 process-noise residuals; "
+                    r"the AR\(6\) fit")):
+                run_experiment(cfg, write=False)
+        else:
+            assert run_experiment(cfg, write=False).tables["per_seed_sse"]
 
     def test_constant_pwm_column_is_a_data_error(self, tmp_path, capsys):
         # Normalizing divides each PWM channel by its range.

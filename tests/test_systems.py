@@ -88,9 +88,12 @@ class _Recurrence:
     own transitions, then one constant transition; the transitions are
     shared, or one per record, and then ``prefix`` may be one per record
     too. With ``of_abs``, the radii bound the transitions' absolute values,
-    so the reference's size recurrence stays finite on long records."""
+    so the reference's size recurrence stays finite on long records.
+    ``_replay`` is told the transitions are constant from ``start``: the
+    prefix, or a later step (T or more: the record is never scanned)."""
 
-    def __init__(self, seed, n_records, n, prefix, per_record, of_abs=False):
+    def __init__(self, seed, n_records, n, prefix, per_record, of_abs=False,
+                 start=None):
         rng = np.random.default_rng(seed)
         lead = (n_records,) if per_record else ()
         top = int(np.max(prefix))
@@ -101,6 +104,7 @@ class _Recurrence:
                 n_records if per_record else 1)]).reshape(lead + (n, n))
             for rho in radii])
         self.prefix = prefix
+        self.start = prefix if start is None else start
 
     def transition(self, k):
         if np.ndim(self.prefix) == 0:
@@ -111,8 +115,8 @@ class _Recurrence:
         """Record i's recurrence alone, as a batch of one."""
         one = object.__new__(_Recurrence)
         one.ms = self.ms[:, i:i + 1] if self.ms.ndim == 4 else self.ms
-        one.prefix = self.prefix if np.ndim(self.prefix) == 0 else \
-            self.prefix[i:i + 1]
+        one.prefix, one.start = (a if np.ndim(a) == 0 else a[i:i + 1]
+                                 for a in (self.prefix, self.start))
         return one
 
     def replay(self, x, w, keep, scan=True):
@@ -121,7 +125,7 @@ class _Recurrence:
         with np.errstate(invalid="ignore", over="ignore"):
             return systems._replay(
                 x, w, keep, lambda i, k: f"record {i} at {k}",
-                self.transition, self.prefix if scan else w.shape[1])
+                self.transition, self.start if scan else w.shape[1])
 
     def reference(self, x, w, keep):
         """The recurrence stepped in ``np.longdouble``, and the same
@@ -151,6 +155,16 @@ class TestScan:
         rest = draw.draw(st.integers(1, chunk - 1))
         return max(prefix + draw.draw(st.sampled_from(
             [chunks * chunk, chunks * chunk + rest, rest])), 1)
+
+    @staticmethod
+    def _start(draw, prefix, n_steps):
+        """The prefix, or for one per record, maybe with one record's start
+        moved to ``n_steps``: that record shares the stack unscanned."""
+        if np.ndim(prefix) == 0 or not draw.draw(st.booleans()):
+            return prefix
+        start = prefix.copy()
+        start[draw.draw(st.integers(0, len(prefix) - 1))] = n_steps
+        return start
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_records=st.sampled_from([1, 3]),
@@ -187,14 +201,16 @@ class TestScan:
     def test_divergence_matches_the_step_by_step_path(
             self, seed, n_records, n, per_record, value, draw):
         # Per-record transitions get a start each, so records that step to
-        # their first chunk share the stack with records scanned from theirs.
-        # A finite 1e299 puts a chunk's bound over SCAN_MARGIN without a
-        # divergence: the record steps to its end and keeps its bits alone.
+        # their first chunk share the stack with records scanned from theirs,
+        # and maybe with one never scanned. A finite 1e299 puts a chunk's
+        # bound over SCAN_MARGIN without a divergence: the record steps to
+        # its end and keeps its bits alone.
         prefix = draw.draw(st.lists(st.integers(0, 40), min_size=n_records,
                                     max_size=n_records).map(np.array)
                            if per_record else st.integers(0, 40))
         n_steps = int(np.max(prefix)) + 5 * systems.SCAN_CHUNK
-        rec = _Recurrence(seed, n_records, n, prefix, per_record)
+        rec = _Recurrence(seed, n_records, n, prefix, per_record,
+                          start=self._start(draw, prefix, n_steps))
         rng = np.random.default_rng([seed, 2])
         x = np.zeros((n_records, n, 1))
         w = rng.standard_normal((n_records, n_steps, n))
@@ -225,14 +241,17 @@ class TestScan:
            all_kept=st.booleans(), extra=st.integers(0, 400), draw=st.data())
     def test_long_records_match_the_reference_and_one_record_batches(
             self, seed, n_records, n, per_record, all_kept, extra, draw):
-        # Per-record transitions get a start each, on several chunk grids.
+        # Per-record transitions get a start each, on several first chunks,
+        # and maybe one record is never scanned.
         prefix = draw.draw(st.lists(st.integers(0, 40), min_size=n_records,
                                     max_size=n_records).map(np.array)
                            if per_record else st.integers(0, 40))
-        rec = _Recurrence(seed, n_records, n, prefix, per_record, of_abs=True)
+        n_steps = self.LONG + extra
+        rec = _Recurrence(seed, n_records, n, prefix, per_record, of_abs=True,
+                          start=self._start(draw, prefix, n_steps))
         rng = np.random.default_rng([seed, 4])
         x = rng.standard_normal((n_records, n, 1))
-        w = rng.standard_normal((n_records, self.LONG + extra, n))
+        w = rng.standard_normal((n_records, n_steps, n))
         keep = slice(None) if all_kept else slice(n // 2, n)
         rows, failed = rec.replay(x, w, keep)
         reference, size = rec.reference(x, w, keep)
@@ -281,6 +300,9 @@ class TestScan:
         # once, and hands its chunk ends to one nested _replay, which scans
         # or steps them. 24,080 steps are 2006 chunks, 167 chunks of chunks
         # and 13 of those: three levels. 1204 steps are 100 chunks: one.
+        # Three records of their own transitions and of starts on chunks 2
+        # and 9 and at T (never scanned) share one stack: still one scan,
+        # and one nested _replay, per level.
         levels, nested, active = [], [], []
         blocks, scan, replay = systems._blocks, systems._scan, systems._replay
 
@@ -303,12 +325,16 @@ class TestScan:
         monkeypatch.setattr(systems, "_replay", replayed)
         m = 0.999 * np.array([[np.cos(0.1), -np.sin(0.1)],
                               [np.sin(0.1), np.cos(0.1)]])
-        for n_steps, n_levels in ((24080, 3), (1204, 1)):
+        ms = np.stack([m, m.T, 0.5 * m])
+        for n_steps, n_levels, m, starts in (
+                (24080, 3, m, 0), (1204, 1, m, 0),
+                (24080, 3, ms, np.array([13, 100, 24080]))):
             levels.clear()
             nested.clear()
-            w = np.random.default_rng(13).standard_normal((1, n_steps, 2))
-            rows, failed = replay(np.zeros((1, 2, 1)), w, slice(0, 1), str,
-                                  lambda k: m)
+            w = np.random.default_rng(13).standard_normal(
+                (len(m) if m.ndim == 3 else 1, n_steps, 2))
+            rows, failed = replay(np.zeros(w.shape[:1] + (2, 1)), w,
+                                  slice(0, 1), str, lambda k: m, starts)
             assert not failed and len(levels) == n_levels
             assert nested == [1] * n_levels
 
@@ -362,9 +388,10 @@ class TestScan:
             rows, failed = systems._replay(np.zeros((4, 2, 1)), w,
                                            slice(0, 1), str, lambda k: m,
                                            starts)
-            # One call for the unscanned record, from step 0 to T. The
-            # scanned group has no prefix and, T being whole chunks, no
-            # tail; the nested _replay steps its chunk ends in two calls,
+            # One stack: one call for the unscanned record, from step 0 to
+            # T, before the scan, which masks its chunks. The scanned
+            # records have no prefix and, T being whole chunks, no tail; the
+            # nested _replay steps every record's chunk ends in two calls,
             # up to its last whole chunk of chunk ends and after it.
             assert not failed and len(calls) == 3
             for i in range(4):
