@@ -257,8 +257,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require(dem.learning_rate > 0, "dem.learning_rate", "must be positive")
 
     _require(run.dt > 0, "run.dt", "must be positive")
-    _require(run.n_steps > dem.p, "run.n_steps",
-             "must exceed the embedding order")
     _require(run.transient_skip_s >= 0, "run.transient_skip_s",
              "must be non-negative")
     _require(run.log_path is not None or run.skip_steps < run.n_steps,
@@ -283,8 +281,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require(len(sweep.p_values) > 0, "sweep.p_values", "must be non-empty")
         _require(all(0 <= p <= ORDER_CAP for p in sweep.p_values),
                  "sweep.p_values", f"orders must lie in 0..{ORDER_CAP}")
-        _require(run.n_steps > max(sweep.p_values), "run.n_steps",
-                 "must exceed every swept embedding order")
     if kind == "prior_sweep":
         _require(prior_sweep is not None, "prior_sweep",
                  "required for prior_sweep")
@@ -308,6 +304,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require(run.n_steps > MIN_FIT_SAMPLES, "run.n_steps",
                  f"noise_characterization needs more than {MIN_FIT_SAMPLES} "
                  f"steps, for {MIN_FIT_SAMPLES} residuals to fit")
+
+    if kind == "benchmark_state" and run.log_path is None:
+        # SA and SMIKF fit their AR models to the injected process noise (a
+        # log-backed run fits them to the log's residuals).
+        _require(any(noise.process_noise_std), "noise.process_noise_std",
+                 "must not be all zero in a synthetic benchmark_state run: "
+                 "state augmentation and SMIKF fit their AR models to it")
 
     # Imported here: the harness imports this module.
     from .harness import SA_AR_ORDER, _largest_order, build_model

@@ -217,21 +217,17 @@ def _blocks(m, keep):
     return psi, phi, power[..., chunk, :, :], psi_norm, phi_norm
 
 
-def _gemm(a, b, first):
-    """``a @ b`` of the (S, C, ·) chunk rows ``a``, record i's from its
-    chunk ``first[i]`` on (zeros before): one stacked product for a shared
-    ``b``, from the batch's shared start ``first.min()``, else record i's
-    own product, so that every product's shape, and with it the BLAS kernel
-    and its rounding, depends on its own record alone; in row blocks of at
-    most ``SERIAL_GEMM`` multiply-adds, which OpenBLAS forms on one
-    thread."""
-    shared, out = b.ndim == 2, np.zeros(a.shape[:2] + b.shape[-1:])
+def _gemm(a, b):
+    """``a @ b`` of the (S, C, ·) chunk rows ``a`` and a ``b`` shared (·,
+    ·) or one per record (S, ·, ·), every record's rows from chunk 0: one
+    stacked product per row block of at most ``SERIAL_GEMM`` multiply-adds
+    a record, which OpenBLAS forms on one thread. Every product's shape, and
+    with it the BLAS kernel and its rounding, depends on the batch's length
+    alone."""
+    out = np.empty(a.shape[:2] + b.shape[-1:])
     step = max(1, SERIAL_GEMM // max(1, b.shape[-2] * b.shape[-1]))
-    for i, f in [(slice(None), int(first.min()))] if shared \
-            else enumerate(first.tolist()):
-        for j in range(f, a.shape[1], step):
-            np.matmul(a[i, j:j + step], b if shared else b[i],
-                      out=out[i, j:j + step])
+    for j in range(0, a.shape[1], step):
+        np.matmul(a[:, j:j + step], b, out=out[:, j:j + step])
     return out
 
 
@@ -245,13 +241,15 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
     Every level of the scan lays its chunks on one grid from step 0, so a
     record's chunks, and the chunks of its chunk ends, depend on its own
     start alone. One stacked GEMM gives every chunk's kept states from a
-    zero entering state, and its end state ``ends_c``. The states between
-    chunks, ``e_c = phi_end e_{c-1} + ends_c``, are one nested ``_replay``
-    of every record's chunk ends from chunk 0: scanned over
-    ``SCAN_CHUNK**2`` chunks or more, else stepped. A record with a later
-    first chunk is late: its ends before that chunk are zero, and it enters
-    the recurrence as the end of the chunk before its first. A second GEMM
-    adds each chunk's entering state to its kept states.
+    zero entering state, and its end state ``ends_c``, for every record
+    from chunk 0. The states between chunks, ``e_c = phi_end e_{c-1} +
+    ends_c``, are one nested ``_replay`` of every record's chunk ends from
+    chunk 0: scanned over ``SCAN_CHUNK**2`` chunks or more, else stepped. A
+    record with a later first chunk is late: its ends before that chunk are
+    zero, and it enters the recurrence as the end of the chunk before its
+    first. A second GEMM adds each chunk's entering state to its kept
+    states, and one masked copy stores each record's rows from its first
+    chunk on; the rows before it are formed but not stored.
 
     A record's chunk is accepted when its bound ``psi_norm·max|w| +
     phi_norm·max|x_in|`` on every state of every step, kept or not, stays
@@ -269,7 +267,7 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
     psi, phi, phi_end, psi_norm, phi_norm = _blocks(
         transition(n_steps - 1), keep)
     drive = w[:, :n_chunks * chunk].reshape(n_records, n_chunks, chunk * n)
-    zero_in = _gemm(drive, psi, first)
+    zero_in = _gemm(drive, psi)
     before = first[:, None] > np.arange(n_chunks)
     late = first > 0
     zero_in[before, -n:] = 0.0
@@ -289,14 +287,12 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
         size = [np.abs(a).max(axis=2) for a in (drive, entering[:, :-1])]
         ok = (psi_norm * size[0] + phi_norm * size[1] < SCAN_MARGIN) | before
     fail = np.where(ok.all(axis=1), n_chunks, ok.argmin(axis=1))
-    # Chunk by chunk: each record's rows from its first chunk on, one copy.
+    # Each record's rows from its first chunk on, one masked copy.
     kept = zero_in[..., :-n].reshape(n_records, n_chunks, chunk, -1)
-    kept += _gemm(entering[:, :-1], phi, first).reshape(kept.shape)
+    kept += _gemm(entering[:, :-1], phi).reshape(kept.shape)
     grid = rows[:n_chunks * chunk].reshape(n_chunks, chunk, n_records, -1)
-    firsts = np.unique(first).tolist()
-    for f in firsts:
-        ids = first == f if len(firsts) > 1 else slice(None)
-        grid[f:, :, ids] = kept[ids, f:].transpose(1, 2, 0, 3)
+    np.copyto(grid, kept.transpose(1, 2, 0, 3),
+              where=~before.T[:, None, :, None])
     fail[list(failed)] = n_chunks  # a failed record's rows are not used
     return entering[np.arange(n_records), fail, :, None], fail * chunk
 
@@ -320,11 +316,11 @@ def _replay(x, w, keep, message, transition, starts=0) -> tuple:
     chunks, ``_scan`` replays them, and the rest of its steps go one by
     one. Any mix of starts replays as one stack: the steps up to each
     record's first chunk, one scan, then the steps after it. Every product
-    is a stacked ``np.matmul`` whose slices are one record's BLAS calls, in
-    one-thread row blocks in the scan (see ``_gemm``; a shared transition
-    comes with one start for the stack), and which steps of a record are
-    scanned, and how, depends on that record's start alone, so a record
-    gets the same bits alone or in any batch.
+    is a stacked ``np.matmul`` whose slices are one record's BLAS calls,
+    from chunk 0 in one-thread row blocks in the scan (see ``_gemm``), and
+    which steps of a record are scanned, and how, depends on that record's
+    start alone, so a record gets the same bits alone or in any batch, with
+    a shared or a per-record transition and any mix of starts.
 
     A step checks the whole stack with one ``np.vdot``: a non-finite entry
     makes the sum of squares non-finite, and finite squares whose sum

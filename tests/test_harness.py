@@ -171,6 +171,32 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="observer_process_precision"):
             parse_config(raw)
 
+    def test_zero_process_noise_rejected_in_a_synthetic_shoot_out(
+            self, tmp_path, capsys):
+        # State augmentation and SMIKF fit AR models to the injected process
+        # noise: caught by validate, not as fit_ar's zero-variance
+        # ValueError inside the run. A log-backed run fits its log's
+        # residuals instead.
+        raw = small_config()
+        raw["noise"].update(process_noise_std=[0.0, 0.0],
+                            observer_process_precision=1.0)
+        with pytest.raises(ConfigError, match="^noise.process_noise_std: "):
+            parse_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", str(path)]) == 1
+        assert "noise.process_noise_std" in capsys.readouterr().err
+        raw.update(seeds=[1])
+        raw["run"]["log_path"] = "flight.csv"
+        assert parse_config(raw).noise.process_noise_std == (0.0, 0.0)
+
+    def test_log_backed_run_takes_any_n_steps(self):
+        # Its record is the log's rows, which log_record checks.
+        raw = small_config(kind="sweep_p", sweep={"p_values": [2, 6]},
+                           seeds=[1])
+        raw["run"].update(n_steps=1, log_path="flight.csv")
+        assert parse_config(raw).run.n_steps == 1
+
     # Lists whose length the plant fixes (2 states; 4 inputs, or 1 with
     # model.single_input) are checked at config time, not as a ValueError
     # deep inside a run.

@@ -157,13 +157,15 @@ class TestScan:
             [chunks * chunk, chunks * chunk + rest, rest])), 1)
 
     @staticmethod
-    def _start(draw, prefix, n_steps):
-        """The prefix, or for one per record, maybe with one record's start
-        moved to ``n_steps``: that record shares the stack unscanned."""
-        if np.ndim(prefix) == 0 or not draw.draw(st.booleans()):
-            return prefix
-        start = prefix.copy()
-        start[draw.draw(st.integers(0, len(prefix) - 1))] = n_steps
+    def _start(draw, prefix, n_records, n_steps):
+        """One start per record, for a shared prefix too: its prefix or a
+        later step, maybe with one record's start moved to ``n_steps``, so
+        that record shares the stack unscanned."""
+        start = np.broadcast_to(prefix, n_records) + np.array(draw.draw(
+            st.lists(st.integers(0, 2 * systems.SCAN_CHUNK),
+                     min_size=n_records, max_size=n_records)))
+        if draw.draw(st.booleans()):
+            start[draw.draw(st.integers(0, n_records - 1))] = n_steps
         return start
 
     @settings(max_examples=80, deadline=None)
@@ -200,17 +202,17 @@ class TestScan:
            draw=st.data())
     def test_divergence_matches_the_step_by_step_path(
             self, seed, n_records, n, per_record, value, draw):
-        # Per-record transitions get a start each, so records that step to
-        # their first chunk share the stack with records scanned from theirs,
-        # and maybe with one never scanned. A finite 1e299 puts a chunk's
-        # bound over SCAN_MARGIN without a divergence: the record steps to
-        # its end and keeps its bits alone.
+        # Shared and per-record transitions get a start each, so records
+        # that step to their first chunk share the stack with records
+        # scanned from theirs, and maybe with one never scanned. A finite
+        # 1e299 puts a chunk's bound over SCAN_MARGIN without a divergence:
+        # the record steps to its end and keeps its bits alone.
         prefix = draw.draw(st.lists(st.integers(0, 40), min_size=n_records,
                                     max_size=n_records).map(np.array)
                            if per_record else st.integers(0, 40))
         n_steps = int(np.max(prefix)) + 5 * systems.SCAN_CHUNK
         rec = _Recurrence(seed, n_records, n, prefix, per_record,
-                          start=self._start(draw, prefix, n_steps))
+                          start=self._start(draw, prefix, n_records, n_steps))
         rng = np.random.default_rng([seed, 2])
         x = np.zeros((n_records, n, 1))
         w = rng.standard_normal((n_records, n_steps, n))
@@ -241,14 +243,14 @@ class TestScan:
            all_kept=st.booleans(), extra=st.integers(0, 400), draw=st.data())
     def test_long_records_match_the_reference_and_one_record_batches(
             self, seed, n_records, n, per_record, all_kept, extra, draw):
-        # Per-record transitions get a start each, on several first chunks,
-        # and maybe one record is never scanned.
+        # Shared and per-record transitions get a start each, on several
+        # first chunks, and maybe one record is never scanned.
         prefix = draw.draw(st.lists(st.integers(0, 40), min_size=n_records,
                                     max_size=n_records).map(np.array)
                            if per_record else st.integers(0, 40))
         n_steps = self.LONG + extra
         rec = _Recurrence(seed, n_records, n, prefix, per_record, of_abs=True,
-                          start=self._start(draw, prefix, n_steps))
+                          start=self._start(draw, prefix, n_records, n_steps))
         rng = np.random.default_rng([seed, 4])
         x = rng.standard_normal((n_records, n, 1))
         w = rng.standard_normal((n_records, n_steps, n))
@@ -264,6 +266,27 @@ class TestScan:
         for i in range(n_records):
             alone, _ = rec.one(i).replay(x[i:i + 1], w[i:i + 1], keep)
             assert np.array_equal(alone[:, 0], rows[:, i])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_shared_transition_with_mixed_starts_matches_one_record_batches(
+            self, n):
+        # First chunks 1, 2 and 4, and one record never scanned, on a short
+        # record and on one whose chunk ends are scanned: each record's
+        # products keep their shapes in the batch.
+        chunk = systems.SCAN_CHUNK
+        rng = np.random.default_rng(n)
+        for n_steps in (10 * chunk + 5, self.LONG):
+            start = np.array([7, 7 + chunk, 7 + 3 * chunk, n_steps])
+            rec = _Recurrence(n, 4, n, 7, False, of_abs=True, start=start)
+            x = rng.standard_normal((4, n, 1))
+            w = rng.standard_normal((4, n_steps, n))
+            for keep in (slice(None), slice(n // 2, n)):
+                rows, failed = rec.replay(x, w, keep)
+                assert not failed
+                for i in range(4):
+                    alone, _ = rec.one(i).replay(x[i:i + 1], w[i:i + 1],
+                                                 keep)
+                    assert np.array_equal(alone[:, 0], rows[:, i])
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_records=st.sampled_from([1, 3]),
