@@ -288,6 +288,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
                  "must be non-empty")
         _require(all(pv > 0 for pv in prior_sweep.pv_grid),
                  "prior_sweep.pv_grid", "precisions must be positive")
+    # Imported here: the harness imports this module.
+    from .harness import (SA_AR_ORDER, _largest_order, _sweep_labels,
+                          build_model)
+    if kind in ("sweep_p", "prior_sweep"):
+        # An axis point's runtime and growth are kept under its label.
+        labels = _sweep_labels(cfg)
+        repeated = sorted({label for label in labels
+                           if labels.count(label) > 1})
+        _require(not repeated, "sweep.p_values" if kind == "sweep_p"
+                 else "prior_sweep.pv_grid",
+                 f"{', '.join(repeated)} would label more than one value; "
+                 f"each value needs a label of its own")
     if kind == "landscape":
         _require(landscape is not None, "landscape", "required for landscape")
         _require(len(cfg.seeds) == 1, "seeds",
@@ -312,8 +324,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
                  "must not be all zero in a synthetic benchmark_state run: "
                  "state augmentation and SMIKF fit their AR models to it")
 
-    # Imported here: the harness imports this module.
-    from .harness import SA_AR_ORDER, _largest_order, build_model
     if run.log_path is None:
         # A synthetic record has n_steps samples: one more than the largest
         # embedding window, and for the shoot-out more than twice the AR

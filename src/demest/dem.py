@@ -130,23 +130,27 @@ class ObserverMatrices:
 
 def prediction_error(m: ObserverMatrices, x_full: np.ndarray,
                      y_gen: np.ndarray, eta_gen: np.ndarray) -> np.ndarray:
-    """Stacked prediction error: output, input-prior, and state-dynamics
-    blocks, in that order."""
-    x_full = np.asarray(x_full, dtype=float).reshape(-1)
-    if x_full.size != m.total_dim:
+    """Stacked prediction error of one estimate (D,) or of each row of a
+    stack (..., D): output, input-prior, and state-dynamics blocks, in that
+    order, along the last axis. ``y_gen`` (..., k) broadcasts against the
+    estimates' leading axes."""
+    x_full = np.atleast_1d(np.asarray(x_full, dtype=float))
+    if x_full.shape[-1] != m.total_dim:
         raise ValueError("estimate dimension mismatch")
-    y_gen = np.asarray(y_gen, dtype=float).reshape(-1)
+    y_gen = np.atleast_1d(np.asarray(y_gen, dtype=float))
     eta_gen = np.asarray(eta_gen, dtype=float).reshape(-1)
-    if y_gen.size != m.m * (m.p + 1):
+    if y_gen.shape[-1] != m.m * (m.p + 1):
         raise ValueError("generalized output dimension mismatch")
     if eta_gen.size != m.input_dim:
         raise ValueError("generalized prior dimension mismatch")
-    x_t = x_full[:m.state_dim]
-    v_t = x_full[m.state_dim:]
-    eps_y = y_gen - m.lifted_c @ x_t
+    x_t = x_full[..., :m.state_dim]
+    v_t = x_full[..., m.state_dim:]
+    eps_y = y_gen - x_t @ m.lifted_c.T
     eps_v = v_t - eta_gen
-    eps_x = m.shift_x @ x_t - m.lifted_a @ x_t - m.lifted_b @ v_t
-    return np.concatenate([eps_y, eps_v, eps_x])
+    eps_x = x_t @ m.shift_x.T - x_t @ m.lifted_a.T - v_t @ m.lifted_b.T
+    lead = eps_y.shape[:-1]
+    return np.concatenate([np.broadcast_to(e, lead + e.shape[-1:])
+                           for e in (eps_y, eps_v, eps_x)], axis=-1)
 
 
 def error_jacobian(m: ObserverMatrices) -> np.ndarray:
@@ -160,14 +164,14 @@ def error_jacobian(m: ObserverMatrices) -> np.ndarray:
     return np.vstack([top, mid, bot])
 
 
-def free_energy(eps: np.ndarray, pi) -> float:
-    """V = -1/2 eps' Pi eps; non-positive for any PSD precision."""
-    eps = np.asarray(eps, dtype=float).reshape(-1)
+def free_energy(eps: np.ndarray, pi) -> float | np.ndarray:
+    """V = -1/2 eps' Pi eps of one error (a float) or of each row of a
+    stack (..., k); non-positive for any PSD precision."""
+    eps = np.asarray(eps, dtype=float)
     matrix = pi.matrix if isinstance(pi, GeneralizedPrecision) else np.asarray(pi, dtype=float)
-    quad = float(eps @ (matrix @ eps))
-    if quad < 0.0:
-        quad = 0.0  # rounding guard; the quadratic form is PSD
-    return -0.5 * quad
+    # rounding guard; the quadratic form is PSD
+    v = -0.5 * np.maximum(np.vecdot(eps, eps @ matrix.T), 0.0)
+    return float(v) if eps.ndim == 1 else v
 
 
 def assemble_observer(model: LtiModel, cfg: DemConfig,
@@ -282,8 +286,8 @@ def run_observer(m: ObserverMatrices, data: ExperimentData,
     ``DivergenceError``. With ``known_inputs`` the input block is clamped
     to the embedded measured inputs after every step (the state
     benchmarking mode); otherwise inputs are estimated against the prior.
-    The free-energy trace is computed from the estimates; it matches
-    ``free_energy(prediction_error(...))`` per step up to rounding.
+    The free-energy trace ``vfe`` is one stacked
+    ``free_energy(prediction_error(...))`` of the estimates, one V per step.
     """
     embeddings = {}
     estimates = _one(run_observer_batch(m, [data], known_inputs,
@@ -292,7 +296,8 @@ def run_observer(m: ObserverMatrices, data: ExperimentData,
     sd = m.state_dim
     return ObserverRun(
         estimates=estimates,
-        vfe=_free_energy_trace(m, estimates, y_gen),
+        vfe=free_energy(prediction_error(m, estimates, y_gen, m.eta_gen),
+                        m.precision),
         states=estimates[:, :m.n],
         inputs=estimates[:, sd:sd + m.r],
     )
@@ -396,27 +401,6 @@ def replay_growth(m: ObserverMatrices, dt: float, n_steps: int,
             "learning_rate": m.rate}
 
 
-def _free_energy_trace(m: ObserverMatrices, estimates: np.ndarray,
-                       y_gen_series: np.ndarray) -> np.ndarray:
-    """``free_energy(prediction_error(...))`` for every row of a replay.
-
-    The precision is block-diagonal, so the quadratic form is summed one
-    error block at a time and no (T, total_dim) error matrix is formed.
-    """
-    def weighted(err, block):
-        return np.einsum("ti,ti->t", err @ block, err)
-
-    x_t = estimates[:, :m.state_dim]
-    v_t = estimates[:, m.state_dim:]
-    pi = m.precision
-    quad = weighted(y_gen_series - x_t @ m.lifted_c.T, pi.output_block)
-    quad += weighted(v_t - m.eta_gen, pi.input_block)
-    quad += weighted(x_t @ m.shift_x.T - x_t @ m.lifted_a.T
-                     - v_t @ m.lifted_b.T, pi.state_block)
-    np.maximum(quad, 0.0, out=quad)  # rounding guard; the form is PSD
-    return -0.5 * quad
-
-
 def estimate_precision(m: ObserverMatrices) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal blocks of the curvature: precisions of the generalized state
     and input estimates. Constant over a run by construction."""
@@ -440,18 +424,20 @@ def free_energy_landscape(m: ObserverMatrices, x_hat: np.ndarray,
                           slack: float = 1e-8) -> LandscapeResult:
     """Probe V around an estimate and check it sits at the top.
 
-    Directions are used as given (normalize beforehand if unit steps are
-    wanted); the slack absorbs embedding truncation at the probed time.
+    The estimate and every probe ``x_hat + magnitudes[j] * directions[i]``
+    are one stack of estimates, the estimate its row 0, evaluated in one
+    ``free_energy(prediction_error(...))`` call; a zero-magnitude probe is
+    the estimate's row. Directions are used as given (normalize beforehand
+    if unit steps are wanted); the slack absorbs embedding truncation at
+    the probed time.
     """
     x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     magnitudes = np.asarray(magnitudes, dtype=float).reshape(-1)
-    v_hat = free_energy(prediction_error(m, x_hat, y_gen, eta_gen), m.precision)
-    values = np.empty((directions.shape[0], magnitudes.size))
-    for i, direction in enumerate(directions):
-        for j, mag in enumerate(magnitudes):
-            eps = prediction_error(m, x_hat + mag * direction, y_gen, eta_gen)
-            values[i, j] = free_energy(eps, m.precision)
+    probes = x_hat + magnitudes[:, None] * directions[:, None, :]
+    stack = np.concatenate([x_hat[None], probes.reshape(-1, x_hat.size)])
+    v = free_energy(prediction_error(m, stack, y_gen, eta_gen), m.precision)
+    v_hat, values = float(v[0]), v[1:].reshape(probes.shape[:2])
     max_probe = float(values.max()) if values.size else v_hat
     return LandscapeResult(
         v_at_estimate=v_hat,

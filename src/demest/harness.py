@@ -108,7 +108,7 @@ def _environment() -> dict:
     def blas(show_config) -> str:
         try:
             info = show_config(mode="dicts")["Build Dependencies"]["blas"]
-        except TypeError:  # numpy < 1.25 and scipy < 1.11 print it only
+        except TypeError:  # scipy < 1.11 prints it only
             return "unknown"
         return f"{info.get('name')} {info.get('version')}"
 
@@ -361,6 +361,15 @@ def _grid(cfg: ExperimentConfig):
     return _new_report(cfg), _plant_for(model, records[0].data), records
 
 
+def _sweep_labels(cfg: ExperimentConfig) -> list[str]:
+    """Label of each axis point of a ``sweep_p`` (``dem_p2``) or
+    ``prior_sweep`` (``pv10000``) run: its key in ``runtimes_s`` and
+    ``observer_growth``."""
+    if cfg.kind == "sweep_p":
+        return [f"dem_p{p}" for p in cfg.sweep.p_values]
+    return [f"pv{pv:g}" for pv in cfg.prior_sweep.pv_grid]
+
+
 def _replay(report: ExperimentReport, records: list[Record], axis) -> list:
     """Replay every record at each ``(label, estimate)`` axis point in turn.
 
@@ -541,9 +550,9 @@ def run_sweep_p(cfg: ExperimentConfig) -> ExperimentReport:
     # Every order replays the inputs at order min(d, p), embedded once.
     inputs = dem.InputMemo()
     cells = _replay(report, records, [
-        _observer_rate(report, f"dem_p{p}", model,
+        _observer_rate(report, label, model,
                        _dem_config(cfg, spec, model, p=p), inputs)
-        for p in p_values])
+        for label, p in zip(_sweep_labels(cfg), p_values)])
     truth, embedded = _rate_scores(cfg, records, cells)
     report.add("per_seed_sse", _per_seed(records, "p", p_values, {
         "sse_truth": truth, "sse_embedded": embedded,
@@ -676,8 +685,8 @@ def run_prior_sweep(cfg: ExperimentConfig) -> ExperimentReport:
             lambda cols: (cols[:, 1].copy(), cols[:, 0].copy()),
             embeddings=embeddings)
 
-    cells = _replay(report, records,
-                    [observer(f"pv{pv:g}", pv) for pv in ps.pv_grid])
+    cells = _replay(report, records, list(
+        map(observer, _sweep_labels(cfg), ps.pv_grid)))
     skip = cfg.run.skip_steps
     v_hat, rate = ([[None if cell is None else cell[j] for cell in row]
                     for row in cells] for j in (0, 1))
@@ -787,6 +796,9 @@ RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentReport:
     report = RUNNERS[cfg.kind](cfg)
+    # Every design of a run takes dem.learning_rate, set or left to default.
+    for growth in report.observer_growth.values():
+        growth["learning_rate_defaulted"] = cfg.dem.learning_rate is None
     if write:
         write_report(report)
     return report

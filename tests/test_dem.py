@@ -89,6 +89,30 @@ class TestPredictionError:
         with pytest.raises(ValueError, match="dimension"):
             prediction_error(m, [1.0, 2.0, 3.0], [0.0], [0.0])
 
+    def test_stack_gives_each_rows_error_and_free_energy(self):
+        # A (k, D) stack with one output per row or one shared output, and
+        # one estimate against a (k, ny) stack of outputs: each row is the
+        # one-estimate error and V, to rounding.
+        model, cfg = roll_setup(p=2, d=1)
+        m = assemble_observer(model, cfg)
+        rng = np.random.default_rng(5)
+        xs = rng.standard_normal((4, m.total_dim))
+        ys = rng.standard_normal((4, m.m * (m.p + 1)))
+        eta = rng.standard_normal(m.input_dim)
+        for x, y, rows in [(xs, ys, zip(xs, ys)),
+                           (xs, ys[0], ((x, ys[0]) for x in xs)),
+                           (xs[0], ys, ((xs[0], y) for y in ys))]:
+            eps = prediction_error(m, x, y, eta)
+            v = free_energy(eps, m.precision)
+            assert eps.shape == (4, m.total_dim + m.m * (m.p + 1))
+            assert v.shape == (4,)
+            for e, v_row, (x_row, y_row) in zip(eps, v, rows, strict=True):
+                one = prediction_error(m, x_row, y_row, eta)
+                np.testing.assert_allclose(e, one, rtol=1e-12,
+                                           atol=1e-12 * np.abs(one).max())
+                assert v_row == pytest.approx(
+                    free_energy(one, m.precision), rel=1e-12)
+
 
 class TestErrorJacobian:
     def test_scalar_block_layout(self):
@@ -144,6 +168,12 @@ class TestFreeEnergy:
         pi = w @ w.T
         for _ in range(100):
             assert free_energy(rng.standard_normal(4) * 1e-9, pi) <= 0.0
+
+    def test_one_value_per_row(self):
+        pi = np.diag([2.0, 3.0, 4.0])
+        v = free_energy([[1.0, 1.0, 1.0], [0.0, 2.0, 0.0]], pi)
+        np.testing.assert_array_equal(v, [-4.5, -6.0])
+        assert isinstance(free_energy(np.ones(3), pi), float)
 
 
 class TestAssembleObserver:
@@ -623,6 +653,22 @@ class TestFreeEnergyLandscape:
                                        eta_gen, dirs, [0.0])
         np.testing.assert_array_equal(result.probe_values,
                                       np.full((5, 1), result.v_at_estimate))
+
+    def test_probe_values_run_direction_by_magnitude(self):
+        # Three directions by four magnitudes: entry (i, j) is the probe
+        # x_hat + mags[j] * dirs[i], so a transposed grid fails.
+        m, run, y_gen, eta_gen = self._converged_setup()
+        rng = np.random.default_rng(15)
+        dirs = rng.standard_normal((3, m.total_dim))
+        mags = np.array([-0.2, 0.05, 0.1, 0.3])
+        x_hat, y = run.estimates[300], y_gen[300]
+        result = free_energy_landscape(m, x_hat, y, eta_gen, dirs, mags)
+        expected = [[free_energy(prediction_error(m, x_hat + mag * d, y,
+                                                  eta_gen), m.precision)
+                     for mag in mags] for d in dirs]
+        np.testing.assert_allclose(result.probe_values, expected, rtol=1e-12)
+        assert result.v_at_estimate == pytest.approx(free_energy(
+            prediction_error(m, x_hat, y, eta_gen), m.precision), rel=1e-12)
 
     def test_concave_parabola_along_any_direction(self):
         m, run, y_gen, eta_gen = self._converged_setup()

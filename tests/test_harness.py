@@ -165,6 +165,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="sweep"):
             parse_config(small_config(kind="sweep_p"))
 
+    @pytest.mark.parametrize("kind, field, repeated, distinct, extra", [
+        ("prior_sweep", "prior_sweep.pv_grid", [1.0, 1.0000001],
+         [1.0, 1.00001], {"eta_v": 1.0}),
+        ("sweep_p", "sweep.p_values", [2, 2], [2, 3], {})],
+        ids=["pv_grid", "p_values"])
+    def test_sweep_values_sharing_a_label_rejected(
+            self, tmp_path, capsys, kind, field, repeated, distinct, extra):
+        # runtimes_s and observer_growth key each axis point by its label,
+        # pv{pv:g} or dem_p{p}: values that share one would keep one entry.
+        section, name = field.split(".")
+        raw = small_config(kind=kind, output_dir=str(tmp_path),
+                           **{section: {name: repeated, **extra}})
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            parse_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", str(path)]) == 1
+        assert field in capsys.readouterr().err
+        raw[section][name] = distinct
+        assert len(set(harness._sweep_labels(parse_config(raw)))) == 2
+
     def test_zero_noise_requires_observer_override(self):
         raw = small_config()
         raw["noise"]["process_noise_std"] = [0.0, 0.0]
@@ -574,6 +595,17 @@ class TestBenchmarkStateExperiment:
         assert dem_growth["growth"] == pytest.approx(
             radius ** raw["run"]["n_steps"], rel=1e-12)
         assert radius ** 24080 == pytest.approx(1.67, abs=0.005)
+        # The windy design sets its learning rate; the landscape's defaults.
+        assert dem_growth["learning_rate_defaulted"] is False
+        raw = serialize_config(load_config_file(CONFIG_DIR / "landscape.json"))
+        raw["output_dir"] = str(tmp_path / "landscape")
+        raw["run"]["n_steps"] = 200
+        raw["landscape"]["n_perturbations"] = 2
+        run_experiment(parse_config(raw))
+        growth = json.loads((tmp_path / "landscape" / "manifest.json")
+                            .read_text())["observer_growth"]["landscape"]
+        assert raw["dem"]["learning_rate"] is None
+        assert growth["learning_rate_defaulted"] is True
 
     @pytest.mark.parametrize("kind", ["benchmark_state", "prior_sweep"])
     def test_manifest_records_each_designs_learning_rate(self, tmp_path,
