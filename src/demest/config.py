@@ -309,6 +309,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require(landscape.n_perturbations >= 0, "landscape.n_perturbations",
                  "must be non-negative")
     if kind == "noise_characterization":
+        _require(run.log_path is None, "run.log_path",
+                 "noise_characterization synthesizes one record set per "
+                 "noise variant and reads no log")
         _require(noise_variants is not None and len(noise_variants) >= 2,
                  "noise_variants",
                  "noise_characterization needs at least two variants")

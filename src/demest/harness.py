@@ -217,11 +217,9 @@ def input_signal(cfg: ExperimentConfig, seed: int, n_inputs: int) -> np.ndarray:
     rng = np.random.default_rng([seed, 3])
     phases = rng.uniform(0.0, 2.0 * np.pi, n_inputs)
     t = np.arange(run.n_steps) * run.dt
-    v = np.empty((run.n_steps, n_inputs))
-    for c in range(n_inputs):
-        v[:, c] = run.input_offset + run.input_amplitude * \
-            np.sin(2.0 * np.pi * freqs[c] * t + phases[c])
-    return v
+    omega = 2.0 * np.pi * np.asarray(freqs)
+    return run.input_offset + run.input_amplitude * np.sin(
+        omega * t[:, None] + phases)
 
 
 class Record(NamedTuple):

@@ -20,7 +20,7 @@ import numpy.random  # noqa: F401  loaded lazily; load it with the import
 # derivative covariance blow up combinatorially beyond it.
 from .gencoord import ORDER_CAP
 
-# sigma at or below this is treated as "white" when choosing kernel support.
+# A kernel width this small encodes white noise; NoiseSpec's error cites it.
 WHITE_SIGMA = 1e-6
 # The fewest samples ``gaussian_fit`` fits.
 MIN_FIT_SAMPLES = 30

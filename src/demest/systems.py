@@ -1,8 +1,8 @@
 """LTI plant definition, the quadrotor roll model, discrete simulation under
 injected colored noise, input normalization, flight-log CSV ingestion, and
-the replay driver of every stacked estimator: the linear recurrence
-``x_k = M_k x_{k-1} + w_k``, scanned in chunks where each record's ``M`` is
-constant."""
+the replay driver of the simulation and every stacked estimator: the linear
+recurrence ``x_k = M_k x_{k-1} + w_k``, scanned in chunks where each
+record's ``M`` is constant."""
 
 from __future__ import annotations
 
@@ -480,10 +480,11 @@ def simulate(model: LtiModel, dt: float, n_steps: int, inputs,
     """Propagate the plant under injected noise and return full ground truth.
 
     Series of shape (T, ·) give one record and return its ExperimentData.
-    Stacks of shape (S, T, ·) give S records, stepped together through one
-    recurrence from one discretization, and return a list of S
-    ExperimentData, each with the bits of its own one-record call. Every
-    record starts from the zero state.
+    Stacks of shape (S, T, ·) give S records from one discretization and
+    return a list of S ExperimentData, each with the bits of its own
+    one-record call. Every record starts from the zero state and replays
+    through ``_replay`` with the transition ``Ad`` from step 0; an overflow
+    raises the ``DivergenceError`` of the lowest-index record that fails.
 
     The process noise series is a continuous-time density sampled at the
     steps; it enters the recurrence scaled by dt so its precision keeps
@@ -512,15 +513,15 @@ def simulate(model: LtiModel, dt: float, n_steps: int, inputs,
         raise ValueError("measurement-noise dimension mismatch")
 
     ad, bd = discretize(model, dt)
-    # Each step's drive and noise, hoisted: the same products and sums, in
-    # the same order, as written inside the loop.
-    drive = np.matmul(bd, inputs[:, :n_steps - 1, :, None])[..., 0]
-    noise = proc_noise[:, :n_steps - 1] * dt
-    states = np.zeros((inputs.shape[0], n_steps, model.n))
-    for k in range(n_steps - 1):
-        # One product per record, as ``ad @ x`` makes for a lone record.
-        states[:, k + 1] = (ad @ states[:, k, :, None])[..., 0] \
-            + drive[:, k] + noise[:, k]
+    w = np.zeros((inputs.shape[0], n_steps, model.n))
+    w[:, 1:] = np.matmul(bd, inputs[:, :n_steps - 1, :, None])[..., 0] \
+        + proc_noise[:, :n_steps - 1] * dt
+    rows, failed = _replay(np.zeros((len(w), model.n, 1)), w, slice(None),
+                           lambda i, k: "non-finite simulated state",
+                           lambda k: ad)
+    if failed:
+        raise failed[min(failed)]
+    states = np.ascontiguousarray(rows.swapaxes(0, 1))
     measurements = states @ model.c.T + meas_noise[:, :n_steps]
     records = [ExperimentData(dt=dt, measurements=measurements[i],
                               inputs=inputs[i, :n_steps].copy(),

@@ -303,6 +303,23 @@ class TestConfigValidation:
         raw["run"]["n_steps"] = 31
         assert parse_config(raw).run.n_steps == 31
 
+    def test_noise_characterization_with_a_log_rejected(self, tmp_path,
+                                                        capsys):
+        # It synthesizes its records per noise variant: a log would go
+        # unread while the run reports on synthetic records.
+        raw = serialize_config(
+            load_config_file(CONFIG_DIR / "noise_characterization.json"))
+        raw.update(seeds=[1], output_dir=str(tmp_path / "out"))
+        raw["run"]["log_path"] = "/nonexistent/flight.csv"
+        with pytest.raises(ConfigError, match="^run.log_path: "):
+            parse_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", str(path)]) == 1
+        assert "run.log_path" in capsys.readouterr().err
+        raw["run"]["log_path"] = None
+        assert parse_config(raw).run.log_path is None
+
     def test_uio_poles_per_state(self, tmp_path, capsys):
         raw = small_config(kind="input_benchmark", uio={"poles": [-10.0]})
         with pytest.raises(ConfigError, match="uio.poles"):

@@ -603,8 +603,10 @@ class TestSimulate:
         np.testing.assert_array_equal(a.measurements, b.measurements)
 
     def test_matches_the_step_by_step_recurrence(self):
-        # The drive and noise terms are computed before the loop; the
-        # states keep the bits of adding them inside it.
+        # simulate replays the recurrence through _replay, which adds the
+        # drive and the noise as one term and scans in chunks: the states
+        # move from this loop's by rounding alone, per column within 1e-12
+        # of its largest magnitude (the replay tests' MEAN_RTOL).
         model = LtiModel(a=[[0.0, 1.0], [-4.0, -0.3]],
                          b=[[0.0, 0.5, 0.1], [1.0, -2.0, 0.7]],
                          c=[[1.0, 0.0]])
@@ -617,7 +619,24 @@ class TestSimulate:
         states = np.zeros((n, 2))
         for k in range(n - 1):
             states[k + 1] = ad @ states[k] + bd @ v[k] + w[k] * dt
-        assert np.array_equal(data.truth_states, states)
+        move = np.abs(data.truth_states - states).max(axis=0)
+        assert np.all(move <= 1e-12 * np.abs(states).max(axis=0))
+
+    def test_overflow_raises_at_its_step(self):
+        # x_k = e^5 x_{k-1} + Bd overflows at step 143. A stack raises the
+        # error of its lowest-index failed record, here record 0, though
+        # record 1's 1e300 input overflows it first.
+        model = LtiModel(a=[[50.0]], b=[[1.0]], c=[[1.0]])
+        n = 2000
+        v = np.ones((n, 1))
+        with pytest.raises(DivergenceError,
+                           match="non-finite simulated state") as exc:
+            simulate(model, 0.1, n, v, np.zeros((n, 1)), np.zeros((n, 1)))
+        assert exc.value.step == 143
+        with pytest.raises(DivergenceError) as exc:
+            simulate(model, 0.1, n, np.stack([v, 1e300 * v]),
+                     np.zeros((2, n, 1)), np.zeros((2, n, 1)))
+        assert exc.value.step == 143
 
     def test_dimension_mismatch(self):
         model = self._model()
@@ -625,7 +644,8 @@ class TestSimulate:
             simulate(model, 0.01, 10, np.zeros((10, 1)),
                      np.zeros((10, 3)), np.zeros((10, 1)))
 
-    @pytest.mark.parametrize("n_steps", [1, 2, 40])
+    # 1800 steps are 150 chunks, which the scan's chunk ends scan in turn.
+    @pytest.mark.parametrize("n_steps", [1, 2, 40, 1800])
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
            full_state=st.booleans(), n_records=st.integers(1, 5))
