@@ -16,6 +16,13 @@ that replays a list of records as one stack; each filter also has a
 one-record entry that calls it with a batch of one and raises its
 ``DivergenceError``.
 
+A batch's designs are prepared stacked as well, each with the bits it has
+alone: ``fit_ar`` fits every record's and channel's series in one pass,
+``build_augmented_system`` builds every record's augmented design of one
+order at once, ``stationary_covariance`` iterates a stack of chains, each
+stopping at its own pass, and the gain schedule drops each design from its
+stack at its stop step.
+
 Only one path here loads scipy, on first use: the gain schedule of a filter
 with two or more outputs (LAPACK ``potrf``/``potrs``). The AR fit
 (Levinson's recursion), the stationary covariance (Smith's iteration), the
@@ -26,13 +33,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DivergenceError, ObserverDesignError
-from .noise import NoiseSpec, block_diag, sum_of_products
+from .noise import NoiseSpec, sum_of_products
 from .systems import (ExperimentData, LtiModel, _one, _replay, _stack,
                       discretize, zero_order_hold)
 
@@ -60,13 +67,19 @@ CONVERGED_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ArModel:
-    """Auto-regressive noise model x_k = sum_j a_j x_{k-j} + eps_k."""
+    """Auto-regressive noise model x_k = sum_j a_j x_{k-j} + eps_k.
+
+    A model at or beyond the stationarity boundary warns. ``stationary``
+    is the ``_stationary`` verdict when the caller has it already
+    (``fit_ar`` checks a whole stack of fits at once); None checks here.
+    """
 
     order: int
     coefficients: np.ndarray
     innovation_variance: float
+    stationary: InitVar[bool | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, stationary):
         if self.order < 1:
             raise ValueError("AR order must be at least 1")
         coeffs = np.asarray(self.coefficients, dtype=float).reshape(-1)
@@ -75,20 +88,43 @@ class ArModel:
         object.__setattr__(self, "coefficients", coeffs)
         if self.innovation_variance < 0:
             raise ValueError("innovation variance must be non-negative")
-        # 1 - a1 z - ... - aq z^q must have all roots outside the unit circle;
-        # fitted models can sit near the boundary, so only warn.
-        poly = np.concatenate([-coeffs[::-1], [1.0]])
-        roots = np.roots(poly)
-        if roots.size and np.min(np.abs(roots)) <= 1.0:
+        # Fitted models can sit near the boundary, so only warn.
+        if stationary is None:
+            stationary = _stationary(coeffs[None])[0]
+        if not stationary:
             warnings.warn("AR model is at or beyond the stationarity boundary",
                           RuntimeWarning)
+
+
+def _stationary(coefficients: np.ndarray) -> np.ndarray:
+    """Whether each row of the (S, q) stack of AR coefficients has every
+    root of ``1 - a1 z - ... - aq z^q`` outside the unit circle, for the
+    roots ``np.roots`` finds: the eigenvalues of its companion matrices, of
+    the polynomial without its zero leading terms, one stacked ``eigvals``
+    per degree."""
+    nonzero = coefficients != 0.0
+    degree = np.where(nonzero.any(axis=1),
+                      nonzero.shape[1] - nonzero[:, ::-1].argmax(axis=1), 0)
+    stationary = np.ones(len(coefficients), dtype=bool)
+    for d in np.unique(degree[degree > 0]).tolist():
+        rows = np.flatnonzero(degree == d)
+        # np.roots' polynomial p = [-a_d, ..., -a_1, 1] and its companion.
+        p = np.concatenate([-coefficients[rows, d - 1::-1],
+                            np.ones((rows.size, 1))], axis=1)
+        comp = np.zeros((rows.size, d, d))
+        comp[:, 1:, :-1] = np.eye(d - 1)
+        comp[:, 0] = -p[:, 1:] / p[:, :1]
+        stationary[rows] = np.abs(np.linalg.eigvals(comp)).min(axis=-1) > 1.0
+    return stationary
 
 
 def _levinson(acov: list, order: int) -> list:
     """The Yule-Walker coefficients: the solution of the symmetric Toeplitz
     system ``toeplitz(acov[:order]) @ a = acov[1:order + 1]``, by Levinson's
-    (1947) recursion in scipy's ``levinson`` operation order, on Python
-    floats, so that the bits are ``solve_toeplitz``'s."""
+    (1947) recursion in scipy's ``levinson`` operation order, so that the
+    bits are ``solve_toeplitz``'s. Each ``acov[h]`` is a float or an array
+    of one lag of many systems, solved elementwise: each IEEE operation
+    gives a float's bits."""
     # scipy reads one array ``t`` of the row reversed, then the column:
     # t[order - 1 + i] = t[order - 1 - i] = acov[i].
     def t(i):
@@ -126,21 +162,36 @@ def _levinson(acov: list, order: int) -> list:
             k -= 1
 
 
-def fit_ar(series, order: int) -> ArModel:
-    """Yule-Walker fit from biased sample autocovariances."""
-    x = np.asarray(series, dtype=float).reshape(-1)
-    if x.size <= 2 * order:
+def fit_ar(series, order: int):
+    """Yule-Walker fits from biased sample autocovariances: of a series
+    (T,), its ArModel, and of each row of an (S, T) stack, a list of S.
+
+    The stack is one pass: each lag's autocovariances are one product
+    summed along the rows in numpy's pairwise order (see
+    ``noise.sum_of_products``), Levinson's recursion runs on arrays, the
+    innovation variances are one stacked product and the stationarity
+    check one ``_stationary``. A row gets the same bits, and warns the
+    same, alone or in any stack."""
+    x = np.asarray(series, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError("fit a series (T,) or a stack of series (S, T)")
+    # In C order, each row's sums run along it, in a series' pairwise order;
+    # along the other axis they would be sequential.
+    rows = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
+    n = rows.shape[1]
+    if n <= 2 * order:
         raise ValueError("series too short for the requested order")
-    x = x - x.mean()
-    n = x.size
-    acov = np.array([sum_of_products(x[:n - h], x[h:]) / n
-                     for h in range(order + 1)])
-    if acov[0] == 0.0:
+    rows = rows - rows.mean(axis=1, keepdims=True)
+    acov = [np.add.reduce(rows[:, :n - h] * rows[:, h:], axis=1) / n
+            for h in range(order + 1)]
+    if not acov[0].all():
         raise ValueError("series has zero variance")
-    coeffs = np.array(_levinson(acov.tolist(), order))
-    innovation = float(acov[0] - coeffs @ acov[1:order + 1])
-    return ArModel(order=order, coefficients=coeffs,
-                   innovation_variance=max(innovation, 0.0))
+    coeffs = np.stack(_levinson(acov, order), axis=1)
+    innovation = acov[0] - (coeffs[:, None] @ np.stack(
+        acov[1:], axis=1)[..., None])[:, 0, 0]
+    models = [ArModel(order, c, max(v, 0.0), s) for c, v, s in zip(
+        coeffs, innovation.tolist(), _stationary(coeffs).tolist())]
+    return models if x.ndim == 2 else models[0]
 
 
 class KalmanResult(NamedTuple):
@@ -160,12 +211,14 @@ def default_noise_matrices(noise: NoiseSpec, dt: float) -> tuple[np.ndarray, np.
     return 0.5 * (q + q.T), 0.5 * (r + r.T)
 
 
-def _still(new, old) -> np.ndarray:
-    """Per slice of the (D, ·, ·) stacks: whether ``new`` moved from ``old``
-    by at most ``CONVERGED_RTOL`` of its largest entry (False if either is
-    not finite)."""
-    return np.abs(new - old).max(axis=(-2, -1)) <= \
-        CONVERGED_RTOL * np.abs(new).max(axis=(-2, -1))
+def _settled(state, last, edges) -> np.ndarray:
+    """Per row of the (D, L) stacks of flattened states, whose parts start
+    at ``edges``: whether every part of ``state`` moved from ``last`` by at
+    most ``CONVERGED_RTOL`` of its largest entry (never where a move is
+    NaN). The maxima of every part's moves and entries are one reduction."""
+    peaks = np.maximum.reduceat(np.abs(np.stack([state - last, state])),
+                                edges, axis=2)
+    return (peaks[0] <= CONVERGED_RTOL * peaks[1]).all(axis=1)
 
 
 def _scalar_gain(cp, s):
@@ -187,17 +240,18 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     (Anderson & Moore, *Optimal Filtering*, 1979, ch. 4), and a slice
     freezes at the first step ``f >= 1`` where its gain and its state ``(P,
     cross)`` each moved by at most ``CONVERGED_RTOL`` of their largest
-    entry since step ``f - 1``. The gain alone is not enough: it can settle
-    while P grows without bound. A slice fails at its first step with a
-    singular innovation covariance or a non-finite posterior covariance;
-    its gain there is NaN, so every mean replayed on it turns non-finite
-    there. A stopped slice stays in the stack: a frozen one runs on, and
-    one whose step fails restarts from zero, as a failed record does in
-    ``systems._replay``. The pass ends once every slice has stopped; then
-    each slice's gain and covariance after its stop step repeat that
-    step's, and every step after the pass repeats its last gains. The pass
-    finds its failed steps itself, so numpy's overflow, invalid-value and
-    division warnings are off for the call.
+    entry since step ``f - 1``; without ``ar`` the cross term is zero
+    throughout, and only the gain and P are checked. The gain alone is not
+    enough: it can settle while P grows without bound. A slice fails at its
+    first step with a singular innovation covariance or a non-finite
+    posterior covariance; its gain there is NaN, so every mean replayed on
+    it turns non-finite there. A slice leaves the stack at its stop step,
+    and the pass ends once every slice has stopped; then each slice's gain
+    and covariance after its stop step repeat that step's, and every step
+    after the pass repeats its last gains. The slices are independent, so
+    a slice gets the same bits and stop step alone or in any stack. The
+    pass finds its failed steps itself, so numpy's overflow, invalid-value
+    and division warnings are off for the call.
 
     With one output (m = 1) the gains of all slices are one stacked
     ``_scalar_gain``, with LAPACK's bits. With two or more outputs, the
@@ -213,11 +267,13 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     m = c.shape[0]
     eye = np.eye(n)
     cross = np.zeros(p.shape)  # cov(prior error, current noise sample)
-    ad_t = ad.swapaxes(-1, -2)
     gains = np.empty((n_steps, n_designs, n, m))
     covs = np.empty((n_steps, n_designs, kept, kept))
     stop = np.full(n_designs, n_steps)
     singular = np.zeros(n_designs, dtype=bool)
+    live = np.arange(n_designs)  # the slices still in the stack
+    # A step's state of a slice, flattened: its gain, P, and with ar cross.
+    edges = [0, n * m] + ([n * (m + n)] if ar is not None else [])
     if m > 1:
         # Imported here: scipy.linalg takes ~0.25 s to load, and only a
         # filter with two or more outputs needs it.
@@ -225,44 +281,50 @@ def _schedule(ad, c, q, r, p, ar, n_steps, kept):
     for k in range(n_steps):
         cp = c @ p
         s = cp @ c.T + r
-        gain = gains[k]
         if m == 1:
-            scalar, bad = _scalar_gain(cp, s)
-            gain[:] = scalar
+            gain, bad = _scalar_gain(cp, s)
             gain[bad] = np.nan
-            singular |= bad & (stop == n_steps)
+            singular[live] |= bad
         else:
-            for i in range(n_designs):
+            gain = np.empty((len(live), n, m))
+            for i in range(len(live)):
                 chol, info = dpotrf(s[i], lower=0, clean=0)
                 if info == 0:
                     gain[i] = dpotrs(chol, cp[i], lower=0)[0].T
                 else:
                     gain[i] = np.nan
-                    singular[i] |= stop[i] == n_steps
+                    singular[live[i]] = True
+        gains[k, live] = gain
+        state = np.concatenate([a.reshape(len(live), -1) for a in (
+            (gain, p) if ar is None else (gain, p, cross))], axis=1)
         if k:
-            settled = _still(gain, gains[k - 1]) & _still(p, last[0]) & \
-                _still(cross, last[1])
-            stop[settled & (stop == n_steps)] = k
-        last = p, cross
+            stop[live[_settled(state, last, edges)]] = k
+        last = state
         ikc = eye - gain @ c
         p = ikc @ p @ ikc.swapaxes(-1, -2) + gain @ r @ gain.swapaxes(-1, -2)
-        covs[k] = p[:, :kept, :kept]
+        covs[k, live] = p[:, :kept, :kept]
         # A NaN gain makes the posterior NaN. A non-finite entry makes the
         # sum of squares non-finite; finite squares whose sum overflows only
         # send the step to the exact check.
         if not math.isfinite(np.vdot(p, p)):
-            bad = ~np.isfinite(p).all(axis=(-2, -1))
-            stop[bad & (stop >= k)] = k
-            gain[bad] = np.nan
-            p[bad] = cross[bad] = ikc[bad] = 0.0
-        if (stop < n_steps).all():
+            bad = live[~np.isfinite(p).all(axis=(-2, -1))]
+            stop[bad] = k
+            gains[k, bad] = np.nan
+        going = stop[live] == n_steps
+        if not going.any():
             break
+        if not going.all():
+            live, p, ikc, cross, last = (
+                a[going] for a in (live, p, ikc, cross, last))
+            ad, q, ar = (a[going] if a is not None and a.ndim == 3 else a
+                         for a in (ad, q, ar))
         if ar is None:
-            p = ad @ p @ ad_t + q
+            p = ad @ p @ ad.swapaxes(-1, -2) + q
         else:
             # ikc @ cross: cov(posterior error, current noise sample)
             ad_psi = ad @ (ikc @ cross)
-            p = ad @ p @ ad_t + q + ad_psi + ad_psi.swapaxes(-1, -2)
+            p = ad @ p @ ad.swapaxes(-1, -2) + q + ad_psi + \
+                ad_psi.swapaxes(-1, -2)
             cross = (ad_psi + q) @ ar.swapaxes(-1, -2)
     steps = np.minimum(np.arange(n_steps)[:, None], stop)
     slices = np.arange(n_designs)
@@ -357,6 +419,9 @@ def kalman_filter_batch(ad, bd, c, q, r, datas) -> list:
 # matrix with spectral radius below 1 has decayed to zero.
 MAX_SQUARINGS = 64
 
+NOT_STATIONARY = ("no stationary covariance: the AR chain is not stationary "
+                  "(spectral radius at least 1)")
+
 
 class NotStationaryError(ValueError):
     """A chain with spectral radius 1 or more: no stationary covariance."""
@@ -369,32 +434,46 @@ def stationary_covariance(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     sums the series ``sum_j A^j Q A'^j`` in doubling blocks, by products
     too small for BLAS to thread. It stops at the first pass that leaves X
     unchanged bit for bit; a chain with spectral radius 1 or more has no
-    stationary covariance, and gives a ``NotStationaryError`` (a
-    ``ValueError``) when X is not finite or has not settled within
-    ``MAX_SQUARINGS`` squarings."""
-    x = np.asarray(q, dtype=float)
+    stationary covariance: X is not finite or has not settled within
+    ``MAX_SQUARINGS`` squarings.
+
+    ``a`` and ``q`` are (k, k), or one or both a stack (S, k, k) of chains.
+    A stack runs as one iteration: each slice stops at its own pass and
+    leaves the stack there, with the bits it has alone, and a slice with no
+    stationary covariance is NaN. A single chain with none raises a
+    ``NotStationaryError`` (a ``ValueError``)."""
+    a, q = np.asarray(a, dtype=float), np.asarray(q, dtype=float)
+    shape = np.broadcast_shapes(a.shape, q.shape)
+    a, x = (np.broadcast_to(m, shape).reshape((-1,) + shape[-2:])
+            for m in (a, q))
+    out = np.full(x.shape, np.nan)
+    live = np.arange(len(x))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_SQUARINGS):
-            new = x + a @ x @ a.T
-            if not np.isfinite(new).all():
+            new = x + a @ x @ a.swapaxes(-1, -2)
+            finite = np.isfinite(new).all(axis=(1, 2))
+            settled = finite & (new == x).all(axis=(1, 2))
+            out[live[settled]] = x[settled]
+            go = finite & ~settled
+            if not go.any():
                 break
-            if np.array_equal(new, x):
-                return x
-            x, a = new, a @ a
-    raise NotStationaryError("no stationary covariance: the AR chain is "
-                             "not stationary (spectral radius at least 1)")
+            live, x, a = live[go], new[go], a[go]
+            a = a @ a
+    if len(shape) == 2 and np.isnan(out).any():
+        raise NotStationaryError(NOT_STATIONARY)
+    return out.reshape(shape)
 
 
-def _unit_innovation_variance(coeffs: np.ndarray) -> float:
-    """Stationary variance of an AR chain driven by unit-variance innovations."""
-    order = coeffs.size
-    comp = np.zeros((order, order))
-    comp[0, :] = coeffs
-    if order > 1:
-        comp[1:, :-1] = np.eye(order - 1)
+def _unit_innovation_variance(coeffs: np.ndarray) -> np.ndarray:
+    """Stationary variance of each AR chain of the (R, q) coefficient stack
+    driven by unit-variance innovations; NaN for a chain with none."""
+    order = coeffs.shape[1]
+    comp = np.zeros((len(coeffs), order, order))
+    comp[:, 0] = coeffs
+    comp[:, 1:, :-1] = np.eye(order - 1)
     qmat = np.zeros((order, order))
     qmat[0, 0] = 1.0
-    return float(stationary_covariance(comp, qmat)[0, 0])
+    return stationary_covariance(comp, qmat)[:, 0, 0]
 
 
 def build_augmented_system(ad, bd, c, q, ar_models):
@@ -405,28 +484,43 @@ def build_augmented_system(ad, bd, c, q, ar_models):
     block's stationary covariance is scaled so each channel's marginal
     matches the corresponding diagonal of ``q`` (the white-noise Q), which
     makes the zero-coefficient case coincide with the plain filter.
+
+    ``ar_models`` is one design, a list of one AR model per noise channel,
+    or a stack of S designs of one order (the largest of its models), a
+    list of S such lists. A stack is built in one pass, with one
+    ``stationary_covariance`` of the unit chains and one of the noise
+    blocks, and returns (S, ·, ·) transitions, Q and stationary
+    covariances, each design's with its bits alone, and one shared B and C;
+    a design with no stationary covariance has a NaN one. One design with
+    none raises a ``NotStationaryError``.
     """
     ad = np.atleast_2d(np.asarray(ad, dtype=float))
     q = np.atleast_2d(np.asarray(q, dtype=float))
     n = ad.shape[0]
-    if len(ar_models) != n:
+    one = isinstance(ar_models[0], ArModel)
+    designs = [ar_models] if one else ar_models
+    if any(len(ars) != n for ars in designs):
         raise ValueError("one AR model per noise channel required")
-    order = max(model.order for model in ar_models)
+    orders = {max(model.order for model in ars) for ars in designs}
+    if len(orders) > 1:
+        raise ValueError("a stack of designs needs one order")
+    order, = orders
     aug_dim = n + n * order
     if aug_dim > MAX_AUGMENTED_DIM:
         raise ValueError(f"augmented dimension {aug_dim} exceeds "
                          f"{MAX_AUGMENTED_DIM}")
-    coeff = np.zeros((n, order))
-    for i, model in enumerate(ar_models):
-        coeff[i, :model.order] = model.coefficients
+    coeff = np.zeros((len(designs), n, order))
+    for s, ars in enumerate(designs):
+        for i, model in enumerate(ars):
+            coeff[s, i, :model.order] = model.coefficients
 
-    a_aug = np.zeros((aug_dim, aug_dim))
-    a_aug[:n, :n] = ad
-    a_aug[:n, n:2 * n] = np.eye(n)
-    for j in range(order):
-        a_aug[n:2 * n, n + j * n:n + (j + 1) * n] = np.diag(coeff[:, j])
-    if order > 1:
-        a_aug[2 * n:, n:-n] = np.eye(n * (order - 1))
+    a_aug = np.zeros((len(designs), aug_dim, aug_dim))
+    a_aug[:, :n, :n] = ad
+    a_aug[:, :n, n:2 * n] = np.eye(n)
+    # Channel i's lag-j coefficient: row n + i, column n + j n + i.
+    lag, channel = np.ogrid[:order, :n]
+    a_aug[:, n + channel, n + lag * n + channel] = coeff.swapaxes(1, 2)
+    a_aug[:, 2 * n:, n:-n] = np.eye(n * (order - 1))
 
     b_aug = np.zeros((aug_dim, np.atleast_2d(bd).shape[1]))
     b_aug[:n, :] = bd
@@ -435,26 +529,17 @@ def build_augmented_system(ad, bd, c, q, ar_models):
 
     # Innovations scaled so the stationary per-channel variance equals Q's
     # diagonal; cross terms inherit Q's correlation structure.
-    gains = np.array([_unit_innovation_variance(coeff[i]) for i in range(n)])
-    innovation = q / np.sqrt(np.outer(gains, gains))
-    q_aug = np.zeros((aug_dim, aug_dim))
-    q_aug[n:2 * n, n:2 * n] = innovation
+    gains = _unit_innovation_variance(coeff.reshape(-1, order)).reshape(-1, n)
+    q_aug = np.zeros(a_aug.shape)
+    q_aug[:, n:2 * n, n:2 * n] = q / np.sqrt(gains[:, :, None]
+                                             * gains[:, None, :])
 
-    noise_tr = a_aug[n:, n:]
-    noise_q = q_aug[n:, n:]
-    stationary = stationary_covariance(noise_tr, noise_q)
-    return a_aug, b_aug, c_aug, q_aug, stationary
-
-
-def _augmented(model: LtiModel, ad, bd, q, ar_models):
-    """``(A, B, C, Q, P0)`` of the filter on the AR-augmented system, or on
-    the plain system when every AR coefficient is zero: then the
-    augmentation carries no information."""
-    if all(np.all(m.coefficients == 0.0) for m in ar_models):
-        return ad, bd, model.c, q, np.eye(model.n)
-    a_aug, b_aug, c_aug, q_aug, noise_cov = build_augmented_system(
-        ad, bd, model.c, q, ar_models)
-    return a_aug, b_aug, c_aug, q_aug, block_diag(np.eye(model.n), noise_cov)
+    stationary = stationary_covariance(a_aug[:, n:, n:], q_aug[:, n:, n:])
+    if not one:
+        return a_aug, b_aug, c_aug, q_aug, stationary
+    if np.isnan(stationary).any():
+        raise NotStationaryError(NOT_STATIONARY)
+    return a_aug[0], b_aug, c_aug, q_aug[0], stationary[0]
 
 
 def state_augmentation_filter(model: LtiModel, ar_models, data: ExperimentData,
@@ -471,27 +556,36 @@ def state_augmentation_filter_batch(model: LtiModel, ar_models, datas,
     length, with one list of AR models per record; keeps the plant-state
     block. A record whose AR coefficients are all zero replays the plain
     Kalman filter on the original system, with its bits: the augmentation
-    carries no information. The designs of one size replay as one stack.
-    Returns each record's ``KalmanResult``, or its ``DivergenceError``; a
-    record whose AR chain is not stationary fails at step 0.
+    carries no information. The designs of one order are built in one
+    ``build_augmented_system`` and replay as one stack. Returns each
+    record's ``KalmanResult``, or its ``DivergenceError``; a record whose
+    AR chain is not stationary fails at step 0.
     """
     ys, vs = _stack(datas, "measurements", "inputs", designs=ar_models)
     ad, bd = discretize(model, datas[0].dt)
-    designs, out = {}, {}
-    for i, ars in enumerate(ar_models):
-        try:
-            designs[i] = _augmented(model, ad, bd, q, ars)
-        except NotStationaryError as exc:
-            out[i] = DivergenceError(0, str(exc))
-    for size in {d[0].shape[0] for d in designs.values()}:
-        idx = [i for i, d in designs.items() if d[0].shape[0] == size]
-        a, q_s, p0 = (np.stack([designs[i][j] for i in idx])
-                      for j in (0, 3, 4))
+    n = model.n
+    # Each record's augmented order; 0 for the plain filter.
+    orders = [max(m.order for m in ars) if any(
+        np.any(m.coefficients != 0.0) for m in ars) else 0
+        for ars in ar_models]
+    out = {}
+    for order in set(orders):
+        idx = [i for i, o in enumerate(orders) if o == order]
+        design, p0 = (ad, bd, model.c, q), None
+        if order:
+            *design, noise = build_augmented_system(
+                ad, bd, model.c, q, [ar_models[i] for i in idx])
+            p0 = np.zeros(design[0].shape)
+            p0[:, :n, :n] = np.eye(n)
+            p0[:, n:, n:] = noise
         # A view, not a copy of the records, when one stack holds them all.
         rows = idx if len(idx) < len(datas) else slice(None)
-        out.update(zip(idx, _filter(
-            a, *designs[idx[0]][1:3], q_s, r, ys[rows], vs[rows], p0=p0,
-            keep=model.n)))
+        out.update(zip(idx, _filter(*design, r, ys[rows], vs[rows], p0=p0,
+                                    keep=n)))
+        # A design with no stationary covariance (NaN) fails at step 0.
+        if order:
+            out.update((idx[j], DivergenceError(0, NOT_STATIONARY)) for j in
+                       np.flatnonzero(np.isnan(noise).any(axis=(1, 2))))
     return [out[i] for i in range(len(datas))]
 
 

@@ -14,11 +14,13 @@ class DataFormatError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """An estimator produced non-finite values."""
+    """A replay produced non-finite values: an estimator's, or with
+    ``subject`` another recurrence's, such as the plant simulation."""
 
-    def __init__(self, step: int, detail: str = ""):
+    def __init__(self, step: int, detail: str = "",
+                 subject: str = "estimator"):
         self.step = step
-        msg = f"estimator diverged at step {step}"
+        msg = f"{subject} diverged at step {step}"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)

@@ -237,14 +237,15 @@ def synthesize_records(cfg: ExperimentConfig, seeds, model: LtiModel,
     proc_cov, meas_cov = injected_covariances(cfg, model, variant)
     sigma = variant.sigma if variant else cfg.noise.sigma
 
-    def noise(seed, stream, cov, dim):
+    def noise(stream, cov, dim):
+        """Every seed's series of one noise stream, in one call."""
         if cov is None:
-            return np.zeros((run.n_steps, dim))
-        return generate_colored_noise([seed, stream], sigma, cov,
-                                      run.n_steps, run.dt)
+            return np.zeros((len(seeds), run.n_steps, dim))
+        return generate_colored_noise([[seed, stream] for seed in seeds],
+                                      sigma, cov, run.n_steps, run.dt)
 
-    w = np.stack([noise(seed, 1, proc_cov, model.n) for seed in seeds])
-    z = np.stack([noise(seed, 2, meas_cov, model.m) for seed in seeds])
+    w = noise(1, proc_cov, model.n)
+    z = noise(2, meas_cov, model.m)
     v = np.stack([input_signal(cfg, seed, model.r) for seed in seeds])
     datas = simulate(model, run.dt, run.n_steps, v, w, z)
     return [Record(*rec) for rec in zip(seeds, datas, w)]
@@ -473,17 +474,21 @@ def _state_estimators(cfg: ExperimentConfig, model: LtiModel,
         return roll_rates("kalman", benchmarks.kalman_filter_batch(
             ad, bd, model.c, q, r, [rec.data for rec in records]))
 
+    def fits(records, order):
+        """Each record's per-channel AR fits, from one stacked fit_ar."""
+        flat = benchmarks.fit_ar(
+            np.concatenate([rec.w_fit.T for rec in records]), order)
+        return [flat[i:i + model.n] for i in range(0, len(flat), model.n)]
+
     def state_augmentation(records):
-        ars = [[benchmarks.fit_ar(rec.w_fit[:, i], SA_AR_ORDER)
-                for i in range(model.n)] for rec in records]
         return roll_rates(
             "state_augmentation", benchmarks.state_augmentation_filter_batch(
-                model, ars, [rec.data for rec in records], q, r))
+                model, fits(records, SA_AR_ORDER),
+                [rec.data for rec in records], q, r))
 
     def smikf(records):
-        coeffs = [[float(np.clip(benchmarks.fit_ar(rec.w_fit[:, i], 1)
-                                 .coefficients[0], -AR1_CLAMP, AR1_CLAMP))
-                   for i in range(model.n)] for rec in records]
+        coeffs = [[float(np.clip(ar.coefficients[0], -AR1_CLAMP, AR1_CLAMP))
+                   for ar in ars] for ars in fits(records, 1)]
         return roll_rates("smikf", benchmarks.smikf_batch(
             model, coeffs, [rec.data for rec in records], q, r))
 

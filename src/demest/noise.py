@@ -143,6 +143,12 @@ def generate_colored_noise(seed, sigma: float, covariance, n_steps: int,
     generative model of colored noise used throughout), then rescaled so the
     per-step marginal covariance equals ``covariance`` regardless of the
     smoothing. Deterministic for a fixed seed.
+
+    ``seed`` is one seed as ``np.random.default_rng`` takes it (an int or a
+    1-D sequence of ints), giving a (T, dim) series, or a 2-D (S, ·) stack
+    of such sequences, giving an (S, T, dim) stack: the covariance check,
+    the taps and the factor are formed once for the stack, and each seed's
+    series has the bits of its own call.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -150,14 +156,18 @@ def generate_colored_noise(seed, sigma: float, covariance, n_steps: int,
     dim = cov.shape[0]
     half_width = max(1, math.ceil(4.0 * sigma / dt))
     taps = gaussian_kernel(sigma, dt, half_width)
-    rng = np.random.default_rng(seed)
-    white = rng.standard_normal((n_steps + 2 * half_width, dim))
-    smooth = np.empty((n_steps, dim))
-    for j in range(dim):
-        smooth[:, j] = np.convolve(white[:, j], taps, mode="valid")
+    stacked = np.ndim(seed) == 2
+    seeds = seed if stacked else [seed]
+    smooth = np.empty((len(seeds), n_steps, dim))
+    for one, out in zip(seeds, smooth):
+        white = np.random.default_rng(one).standard_normal(
+            (n_steps + 2 * half_width, dim))
+        for j in range(dim):
+            out[:, j] = np.convolve(white[:, j], taps, mode="valid")
     # Unit-sum taps shrink the variance; undo that, then color across dims.
     smooth /= np.linalg.norm(taps)
-    return smooth @ np.linalg.cholesky(cov).T
+    colored = smooth @ np.linalg.cholesky(cov).T
+    return colored if stacked else colored[0]
 
 
 def _double_factorial_odd(k: int) -> float:

@@ -248,8 +248,9 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
     record with a later first chunk is late: its ends before that chunk are
     zero, and it enters the recurrence as the end of the chunk before its
     first. A second GEMM adds each chunk's entering state to its kept
-    states, and one masked copy stores each record's rows from its first
-    chunk on; the rows before it are formed but not stored.
+    states, and one copy stores each record's rows from its first chunk
+    on, masked only when a record is late; the rows before its first chunk
+    are formed but not stored.
 
     A record's chunk is accepted when its bound ``psi_norm·max|w| +
     phi_norm·max|x_in|`` on every state of every step, kept or not, stays
@@ -287,12 +288,15 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
         size = [np.abs(a).max(axis=2) for a in (drive, entering[:, :-1])]
         ok = (psi_norm * size[0] + phi_norm * size[1] < SCAN_MARGIN) | before
     fail = np.where(ok.all(axis=1), n_chunks, ok.argmin(axis=1))
-    # Each record's rows from its first chunk on, one masked copy.
+    # Each record's rows from its first chunk on, in one copy.
     kept = zero_in[..., :-n].reshape(n_records, n_chunks, chunk, -1)
     kept += _gemm(entering[:, :-1], phi).reshape(kept.shape)
     grid = rows[:n_chunks * chunk].reshape(n_chunks, chunk, n_records, -1)
-    np.copyto(grid, kept.transpose(1, 2, 0, 3),
-              where=~before.T[:, None, :, None])
+    if before.any():
+        np.copyto(grid, kept.transpose(1, 2, 0, 3),
+                  where=~before.T[:, None, :, None])
+    else:
+        grid[...] = kept.transpose(1, 2, 0, 3)
     fail[list(failed)] = n_chunks  # a failed record's rows are not used
     return entering[np.arange(n_records), fail, :, None], fail * chunk
 
@@ -484,7 +488,8 @@ def simulate(model: LtiModel, dt: float, n_steps: int, inputs,
     return a list of S ExperimentData, each with the bits of its own
     one-record call. Every record starts from the zero state and replays
     through ``_replay`` with the transition ``Ad`` from step 0; an overflow
-    raises the ``DivergenceError`` of the lowest-index record that fails.
+    raises the ``DivergenceError`` of the lowest-index record that fails
+    (``plant simulation diverged at step k: non-finite simulated state``).
 
     The process noise series is a continuous-time density sampled at the
     steps; it enters the recurrence scaled by dt so its precision keeps
@@ -517,10 +522,11 @@ def simulate(model: LtiModel, dt: float, n_steps: int, inputs,
     w[:, 1:] = np.matmul(bd, inputs[:, :n_steps - 1, :, None])[..., 0] \
         + proc_noise[:, :n_steps - 1] * dt
     rows, failed = _replay(np.zeros((len(w), model.n, 1)), w, slice(None),
-                           lambda i, k: "non-finite simulated state",
-                           lambda k: ad)
+                           lambda i, k: "", lambda k: ad)
     if failed:
-        raise failed[min(failed)]
+        raise DivergenceError(failed[min(failed)].step,
+                              "non-finite simulated state",
+                              subject="plant simulation")
     states = np.ascontiguousarray(rows.swapaxes(0, 1))
     measurements = states @ model.c.T + meas_noise[:, :n_steps]
     records = [ExperimentData(dt=dt, measurements=measurements[i],

@@ -14,8 +14,10 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.signal import place_poles
 
 from demest import noise
-from demest.benchmarks import (ArModel, KalmanResult, _filter, _levinson,
-                               _scalar_gain, build_augmented_system,
+from demest import benchmarks
+from demest.benchmarks import (ArModel, KalmanResult, NotStationaryError,
+                               _filter, _levinson, _scalar_gain, _schedule,
+                               _stationary, build_augmented_system,
                                default_noise_matrices, default_uio_poles,
                                design_uio, fit_ar, kalman_filter,
                                kalman_filter_batch, smikf, smikf_batch, sse,
@@ -144,6 +146,64 @@ class TestFitAr:
         with pytest.warns(RuntimeWarning, match="stationarity"):
             ArModel(order=1, coefficients=[1.01], innovation_variance=1.0)
 
+    def test_stack_equals_one_row_calls(self):
+        # Colored noise of smoothness 1, 5 and 45 samples at scales 1e-3 to
+        # 1e3, 9,000 steps (longer than numpy's 8,192-element reduction
+        # buffer), stacked as the transpose of its (T, S) columns, a view
+        # not in C order: each fit has the bits of its one-row call.
+        dt = 0.0083
+        w = np.concatenate([generate_colored_noise(
+            seed, smoothness * dt, np.eye(2), 9000, dt)
+            for seed, smoothness in enumerate((1, 5, 45))], axis=1)
+        w = w * np.logspace(-3, 3, 6)
+        for order in (1, 6):
+            stack = fit_ar(w.T, order)
+            assert len(stack) == 6
+            for i, model in enumerate(stack):
+                alone = fit_ar(w[:, i], order)
+                assert model.order == alone.order == order
+                assert np.array_equal(model.coefficients, alone.coefficients)
+                assert model.innovation_variance == alone.innovation_variance
+
+    def test_stationarity_check_is_np_roots_row_by_row(self):
+        # One stacked check flags a row when np.roots, the check it
+        # replaced, finds a root of 1 - a1 z - ... - aq z^q with |z| <= 1:
+        # rows of every degree (zero leading coefficients), on the boundary
+        # and the zero polynomial, alone or in the stack.
+        rng = np.random.default_rng(3)
+        rows = rng.uniform(-1.5, 1.5, (300, 6)) * rng.choice(
+            [0.3, 1.0, 2.0], (300, 1))
+        for i, row in enumerate(rows):
+            row[6 - i % 7:] = 0.0
+        rows[::5] = np.round(rows[::5] * 2.0) / 2.0
+        rows[:4] = [[1.0, 0, 0, 0, 0, 0], [0.5, 0.5, 0, 0, 0, 0],
+                    [-1.2, 0.1, 0, 0, 0, 0], [0.0] * 6]
+
+        def np_roots_stationary(coefficients):
+            roots = np.roots(np.concatenate([-coefficients[::-1], [1.0]]))
+            return not (roots.size and np.min(np.abs(roots)) <= 1.0)
+
+        expected = [np_roots_stationary(row) for row in rows]
+        assert _stationary(rows).tolist() == expected
+        assert [_stationary(row[None])[0] for row in rows] == expected
+        assert expected[:4] == [False, False, False, True]
+        assert 50 < sum(expected) < 250
+
+    def test_stack_warns_for_the_rows_its_check_rejects(self, monkeypatch):
+        # A Yule-Walker fit from biased autocovariances is stationary in
+        # exact arithmetic, so the stack's one check is made to reject row
+        # 1 here: the fit warns once, with ArModel's text.
+        check = benchmarks._stationary
+        monkeypatch.setattr(benchmarks, "_stationary", lambda coefficients:
+                            check(coefficients) & (np.arange(3) != 1))
+        series = np.random.default_rng(4).standard_normal((3, 500))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit_ar(series, 2)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning,
+             "AR model is at or beyond the stationarity boundary")]
+
 
 def _companion(coefficients):
     order = len(coefficients)
@@ -262,6 +322,26 @@ class TestScipyStandIns:
         np.testing.assert_allclose(stationary_covariance(comp, q), exact,
                                    rtol=0, atol=2e-11 * np.abs(exact).max())
 
+    def test_lyapunov_stack_stops_each_chain_at_its_own_pass(self):
+        # AR(6) chains of colored-noise fits (spectral radius 0.92-0.9997)
+        # and one unit root, stacked with a shared Q: each chain has the
+        # bits of its one-chain call, the unit root is NaN and raises alone.
+        chains = [self._ar_chain(seed, sigma, 6)
+                  for seed, sigma in enumerate((0.05, 0.1, 0.2, 0.4))]
+        q = chains[0][1]
+        comps = [comp for comp, _ in chains]
+        comps.insert(2, _companion([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        stack = stationary_covariance(np.stack(comps), q)
+        assert stack.shape == (5, 6, 6)
+        for i, comp in enumerate(comps):
+            if i == 2:
+                assert np.isnan(stack[i]).all()
+                with pytest.raises(NotStationaryError):
+                    stationary_covariance(comp, q)
+            else:
+                assert np.array_equal(stack[i],
+                                      stationary_covariance(comp, q)), i
+
     @pytest.mark.parametrize("coefficients", [[1.0], [1.01], [0.5, 0.5],
                                               [-1.2, 0.1]])
     def test_non_stationary_chain_is_a_value_error(self, coefficients):
@@ -343,6 +423,33 @@ class TestStateAugmentation:
             gains.append(sse(sa.means[:, 0], truth) - sse(kf.means[:, 0],
                                                           truth))
         assert np.median(gains) < 0.0
+
+    def test_stack_of_designs_equals_one_design_calls(self):
+        # Fits to colored noise of smoothness 1-45 samples, and a unit root:
+        # each design's transition, Q and stationary covariance have the
+        # bits of its one-design call; the unit root's covariance is NaN,
+        # and alone it raises.
+        model = quadrotor_roll_model(3.4e-3, 1.274e-3)
+        ad, bd = discretize(model, 0.0083)
+        q = np.diag([0.005 ** 2, 2.0 ** 2]) * 0.0083
+        designs = [_colored_ar_models(seed, smoothness) for seed, smoothness
+                   in enumerate((1, 5, 20, 45))]
+        with pytest.warns(RuntimeWarning, match="stationarity"):
+            designs.insert(1, [ArModel(6, [1.0, 0, 0, 0, 0, 0], 1.0),
+                               designs[0][1]])
+        a, b, c, qq, noise = build_augmented_system(ad, bd, model.c, q,
+                                                    designs)
+        assert a.shape == qq.shape == (5, 14, 14)
+        assert noise.shape == (5, 12, 12)
+        for i, design in enumerate(designs):
+            if i == 1:
+                assert np.isnan(noise[i]).all()
+                with pytest.raises(NotStationaryError):
+                    build_augmented_system(ad, bd, model.c, q, design)
+                continue
+            alone = build_augmented_system(ad, bd, model.c, q, design)
+            for got, want in zip((a[i], b, c, qq[i], noise[i]), alone):
+                assert np.array_equal(got, want), i
 
     def test_dimension_guard(self):
         ars = [ArModel(order=70, coefficients=np.zeros(70) + 1e-3,
@@ -1237,6 +1344,70 @@ class TestFailureRule:
             "estimator diverged at step 1: innovation covariance not "
             "invertible"] * 2 + [
             "estimator diverged at step 0: non-finite filter state"]
+
+
+class TestSchedule:
+    """The gain schedule drops each slice from its stack at the slice's
+    stop step; every slice keeps the gains, covariances, stop step and
+    singular flag of its own pass."""
+
+    @staticmethod
+    def _stack(family):
+        """Four 300-step design slices of ``family``: slices 0 and 3 freeze
+        at their own steps, slice 1's unobservable roll rate grows tenfold a
+        step until its covariance overflows at step 155, after slice 0
+        froze, and slice 2's negative Q makes its innovation variance
+        negative at step 1."""
+        model, _, q, r = _roll_records([1], 1)
+        ad, bd = discretize(model, 0.0083)
+        c, ar, eye = model.c, None, np.eye(2)
+        a = np.stack([ad, np.diag([1.0, 10.0]), ad, ad])
+        qq = np.stack([q, q, -10.0 * eye, 4.0 * q])
+        p0 = np.stack([eye] * 4)
+        if family == "smikf":
+            ar = np.stack([np.diag(d) for d in (
+                [0.5, 0.3], [0.2, -0.4], [0.9, 0.1], [-0.6, 0.8])])
+        elif family == "augmented":
+            a, _, c, qq, noise = build_augmented_system(
+                ad, bd, c, q, [_colored_ar_models(s, 5) for s in range(4)])
+            a[1, :2, :2] = np.diag([1.0, 10.0])
+            qq[2] = -10.0 * np.eye(len(qq[2]))
+            p0 = np.zeros(a.shape)
+            p0[:, :2, :2] = eye
+            p0[:, 2:, 2:] = noise
+        return a, c, qq, r, p0, ar
+
+    @pytest.mark.parametrize("family", ["kalman", "smikf", "augmented"])
+    def test_each_slice_keeps_its_solo_pass(self, family):
+        a, c, q, r, p0, ar = self._stack(family)
+        sizes = []
+        settled = benchmarks._settled
+
+        def counted(state, last, edges):
+            sizes.append((len(state), len(edges)))
+            return settled(state, last, edges)
+
+        with mock.patch.object(benchmarks, "_settled", counted):
+            gains, covs, stop, singular = _schedule(a, c, q, r, p0, ar, 300,
+                                                    2)
+        assert singular.tolist() == [False, False, True, False]
+        assert stop[2] == 1 and stop[0] < stop[1] == 155
+        assert len(gains) == stop.max() + 1
+        # Step k >= 1 checks the slices that have not stopped before it;
+        # the cross term only with SMIKF's AR(1) noise.
+        assert sizes == [((stop >= k).sum(), 3 if ar is not None else 2)
+                         for k in range(1, len(gains))]
+        for i in range(4):
+            solo = _schedule(a[i:i + 1], c, q[i:i + 1], r, p0[i:i + 1],
+                             None if ar is None else ar[i:i + 1], 300, 2)
+            assert (solo[2][0], solo[3][0]) == (stop[i], singular[i]), i
+            end = len(solo[0])
+            assert np.array_equal(gains[:end, i], solo[0][:, 0],
+                                  equal_nan=True), i
+            assert np.array_equal(gains[end:, i], np.broadcast_to(
+                solo[0][-1, 0], gains[end:, i].shape), equal_nan=True), i
+            assert np.array_equal(covs[:, i], solo[1][:, 0],
+                                  equal_nan=True), i
 
 
 def _batch_entry(entry, model, datas, n_designs):

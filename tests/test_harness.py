@@ -596,6 +596,37 @@ class TestBenchmarkStateExperiment:
                        for step in steps)
         assert len(set(freeze["kalman"])) == 1
 
+    def test_windy_shoot_out_prepares_its_records_in_stacked_calls(
+            self, monkeypatch):
+        # One call per noise stream over every seed, one AR fit per order
+        # over every record and channel, and one build of every SA design:
+        # not one call per record or channel.
+        calls = []
+
+        def counted(holder, name, shape_of):
+            fn = getattr(holder, name)
+
+            def wrapper(*args):
+                calls.append((name, shape_of(*args)))
+                return fn(*args)
+            monkeypatch.setattr(holder, name, wrapper)
+
+        counted(harness, "generate_colored_noise",
+                lambda seed, *rest: np.shape(seed))
+        counted(benchmarks, "fit_ar",
+                lambda series, order: (np.shape(series), order))
+        counted(benchmarks, "build_augmented_system",
+                lambda *args: len(args[-1]))
+        cfg = load_config_file(CONFIG_DIR / "benchmark_state_windy.json")
+        run_experiment(cfg, write=False)
+        n_seeds, n_steps = len(cfg.seeds), cfg.run.n_steps
+        assert calls == [
+            ("generate_colored_noise", (n_seeds, 2)),
+            ("generate_colored_noise", (n_seeds, 2)),
+            ("fit_ar", ((2 * n_seeds, n_steps), 6)),
+            ("build_augmented_system", n_seeds),
+            ("fit_ar", ((2 * n_seeds, n_steps), 1))]
+
     def test_manifest_records_the_observer_growth(self, tmp_path):
         # The shipped roll observer's state block is marginally unstable:
         # spectral radius 1.0000213 a step, a growth of 1.67 over the

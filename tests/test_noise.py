@@ -166,6 +166,17 @@ class TestGenerateColoredNoise:
         with pytest.raises(ValueError, match="positive definite"):
             generate_colored_noise(0, 0.05, [[0.0]], 10, 0.01)
 
+    @pytest.mark.parametrize("cov", [[[0.3]], [[1.0, 0.3], [0.3, 0.5]]])
+    def test_stack_of_seeds_equals_one_seed_calls(self, cov):
+        # A 2-D stack of seed sequences, as a run's records draw each noise
+        # stream: one series per seed, each with the bits of its own call.
+        seeds = [[seed, 1] for seed in range(5)]
+        stack = generate_colored_noise(seeds, 0.05, cov, 300, 0.0083)
+        assert stack.shape == (5, 300, len(cov))
+        for seed, series in zip(seeds, stack):
+            assert np.array_equal(series, generate_colored_noise(
+                seed, 0.05, cov, 300, 0.0083))
+
 
 class TestAutocorrelation:
     def test_lag_zero_is_one(self):

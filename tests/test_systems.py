@@ -633,6 +633,8 @@ class TestSimulate:
                            match="non-finite simulated state") as exc:
             simulate(model, 0.1, n, v, np.zeros((n, 1)), np.zeros((n, 1)))
         assert exc.value.step == 143
+        assert str(exc.value) == ("plant simulation diverged at step 143: "
+                                  "non-finite simulated state")
         with pytest.raises(DivergenceError) as exc:
             simulate(model, 0.1, n, np.stack([v, 1e300 * v]),
                      np.zeros((2, n, 1)), np.zeros((2, n, 1)))
