@@ -204,8 +204,11 @@ class KalmanResult(NamedTuple):
 
 
 def default_noise_matrices(noise: NoiseSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Benchmark (Q, R) convention: Q = inv(proc_precision) * dt, matching
-    the simulator's dt-scaled injection of continuous-density noise."""
+    """The benchmarks' (Q, R) convention: Q = inv(proc_precision) * dt and
+    R = inv(meas_precision). Q is a convention, not the covariance that
+    ``systems.simulate`` injects: it adds ``w * dt`` a step, a covariance of
+    inv(proc_precision) * dt**2, so Q is 1/dt times that (about 120 at the
+    shipped dt = 0.0083 s)."""
     q = np.linalg.inv(noise.proc_precision) * dt
     r = np.linalg.inv(noise.meas_precision)
     return 0.5 * (q + q.T), 0.5 * (r + r.T)

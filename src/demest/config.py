@@ -5,10 +5,14 @@ Configs are plain JSON. The frozen dataclasses below are the schema:
 becomes its dataclass and a list a tuple. ``bool`` takes only true/false,
 ``int`` an integer, ``float`` a finite number (an int stays an int, so the
 config hash keeps the JSON form) and ``str`` a string; a null field counts
-as absent. Value rules (ranges, cross-field and kind-specific rules, the
-list lengths the plant fixes) follow the walk. Every failure is a
-ConfigError that names the offending field by its dotted path, so the CLI
-can report it directly.
+as absent. A rule about one value (a range, non-empty, a known kind) is
+stated on its field as ``Annotated[type, RULE, ...]``, or on the items of a
+list field as ``tuple[Annotated[item, RULE], ...]``, and the walk checks it
+right after the value's type. The rules that relate fields or need the plant
+(sections per kind, record lengths, the list lengths the plant fixes)
+follow the walk. Every failure is a ConfigError that names the offending
+field, or list item, by its dotted path (``seeds[1]``), so the CLI can
+report it directly.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
@@ -39,11 +44,31 @@ EXPERIMENT_KINDS = (
     "noise_characterization",
 )
 
+# Rules on one value, (holds, message), checked by the walk under the path of
+# the value. They live here and not inside the annotations, which
+# get_type_hints evaluates with the class namespace as their globals. An
+# optional field is Annotated[X | None, ...]: Annotated[X, ...] | None would be
+# a typing.Union, which the walk does not take. POSITIVE and NON_NEGATIVE take
+# a number, or each number of a list.
+POSITIVE = (lambda v: np.all(np.greater(v, 0)), "must be positive")
+NON_NEGATIVE = (lambda v: np.all(np.greater_equal(v, 0)),
+                "must be non-negative")
+NON_EMPTY = (lambda v: len(v) > 0, "must be non-empty")
+ORDER = (lambda p: 0 <= p <= ORDER_CAP, f"must lie in 0..{ORDER_CAP}")
+# A covariance with some stds zero is singular: no noise can be drawn.
+STDS = (lambda v: all(s > 0 for s in v) or not any(v),
+        "stds must be all zero or all positive")
+KIND = (lambda v: v in EXPERIMENT_KINDS,
+        f"must be one of {', '.join(EXPERIMENT_KINDS)}")
+# A noise variant's label is part of its tables' file names.
+FILE_NAME = (lambda v: not {"/", "\\", "\0"} & set(v),
+             "must hold no /, \\ or NUL, since it names files")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
-    i_xx: float = 3.4e-3
-    c_b_phi: float = 1.274e-3
+    i_xx: Annotated[float, POSITIVE] = 3.4e-3
+    c_b_phi: Annotated[float, POSITIVE] = 1.274e-3
     full_state_output: bool = False
     single_input: bool = False
 
@@ -58,29 +83,31 @@ class NoiseConfig:
     of the injected covariances and are mandatory for noiseless runs.
     """
 
-    sigma: float = 0.0498
-    process_noise_std: tuple[float, ...] = (0.1, 7.3)
-    measurement_noise_value: float = 8.1e-9
+    sigma: Annotated[float, POSITIVE] = 0.0498
+    process_noise_std: Annotated[tuple[float, ...], NON_EMPTY, STDS] = (
+        0.1, 7.3)
+    measurement_noise_value: Annotated[float, NON_NEGATIVE] = 8.1e-9
     measurement_noise_is_precision: bool = False
-    input_prior_precision: float = 1.0
-    observer_process_precision: tuple[float, ...] | float | None = None
-    observer_measurement_precision: float | None = None
-    observer_sigma: float | None = None
+    input_prior_precision: Annotated[float, NON_NEGATIVE] = 1.0
+    observer_process_precision: Annotated[tuple[float, ...] | float | None,
+                                          POSITIVE] = None
+    observer_measurement_precision: Annotated[float | None, POSITIVE] = None
+    observer_sigma: Annotated[float | None, POSITIVE] = None
 
 
 @dataclass(frozen=True)
 class DemSettings:
-    p: int = 6
-    d: int = 2
-    learning_rate: float | None = None
+    p: Annotated[int, ORDER] = 6
+    d: Annotated[int, ORDER] = 2
+    learning_rate: Annotated[float | None, POSITIVE] = None
     eta_v: float = 0.0
 
 
 @dataclass(frozen=True)
 class RunSettings:
-    dt: float = 0.0083
+    dt: Annotated[float, POSITIVE] = 0.0083
     n_steps: int = 1204
-    transient_skip_s: float = 0.5
+    transient_skip_s: Annotated[float, NON_NEGATIVE] = 0.5
     log_path: str | None = None
     normalize_log_inputs: bool = False
     input_amplitude: float = 0.1
@@ -95,19 +122,21 @@ class RunSettings:
 
 @dataclass(frozen=True)
 class SweepSettings:
-    p_values: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6)
+    p_values: Annotated[tuple[Annotated[int, ORDER], ...], NON_EMPTY] = (
+        0, 1, 2, 3, 4, 5, 6)
 
 
 @dataclass(frozen=True)
 class PriorSweepSettings:
-    pv_grid: tuple[float, ...] = (1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
+    pv_grid: Annotated[tuple[Annotated[float, POSITIVE], ...], NON_EMPTY] = (
+        1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
     eta_v: float = 1.0
 
 
 @dataclass(frozen=True)
 class LandscapeSettings:
-    n_probe_times: int = 10
-    n_perturbations: int = 100
+    n_probe_times: Annotated[int, POSITIVE] = 10
+    n_perturbations: Annotated[int, NON_NEGATIVE] = 100
     magnitude: float = 0.1
     slack: float = 1e-8
 
@@ -121,16 +150,17 @@ class UioSettings:
 class NoiseVariant:
     """One labelled noise regime for the characterization experiment."""
 
-    label: str
-    sigma: float
-    process_noise_std: tuple[float, ...]
+    label: Annotated[str, NON_EMPTY, FILE_NAME]
+    sigma: Annotated[float, POSITIVE]
+    process_noise_std: Annotated[tuple[float, ...], NON_EMPTY, STDS]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str
-    output_dir: str
-    seeds: tuple[int, ...]
+    kind: Annotated[str, KIND]
+    output_dir: Annotated[str, NON_EMPTY]
+    # Seeds start numpy generators, which take no negative seed.
+    seeds: Annotated[tuple[Annotated[int, NON_NEGATIVE], ...], NON_EMPTY]
     model: ModelConfig = field(default_factory=ModelConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     dem: DemSettings = field(default_factory=DemSettings)
@@ -139,7 +169,8 @@ class ExperimentConfig:
     prior_sweep: PriorSweepSettings | None = None
     landscape: LandscapeSettings | None = None
     uio: UioSettings | None = None
-    noise_variants: tuple[NoiseVariant, ...] | None = None
+    noise_variants: Annotated[tuple[NoiseVariant, ...] | None,
+                              NON_EMPTY] = None
     schema_version: int = SCHEMA_VERSION
 
 
@@ -149,7 +180,8 @@ def _require(condition: bool, fieldname: str, message: str) -> None:
 
 
 # Once per class: under postponed annotations every call evaluates each hint.
-_type_hints = functools.cache(typing.get_type_hints)
+_type_hints = functools.cache(
+    functools.partial(typing.get_type_hints, include_extras=True))
 
 _LEAVES = {bool: "true or false", int: "an integer", float: "a finite number",
            str: "a string"}
@@ -176,31 +208,36 @@ def _fits(value, hint) -> bool:
 
 
 def _parse(value, hint, path: str):
-    """The JSON ``value`` at ``path`` checked against ``hint``, typed: an
-    object becomes its dataclass and a list a tuple. A null field counts as
-    absent."""
+    """The JSON ``value`` at ``path`` checked against ``hint`` and the rules
+    it carries, typed: an object becomes its dataclass and a list a tuple. A
+    null field counts as absent."""
+    rules = ()
+    if typing.get_origin(hint) is Annotated:
+        hint, *rules = typing.get_args(hint)
     if isinstance(hint, types.UnionType):
         hint = next((a for a in typing.get_args(hint) if _fits(value, a)),
                     hint)
     if not _fits(value, hint):
         raise ConfigError(f"{path}: must be {_describe(hint)}")
-    if hint in _LEAVES:
-        return value
-    if not is_dataclass(hint):  # tuple[item, ...]
+    if is_dataclass(hint):
+        prefix = f"{path}." if path else ""
+        schema = _type_hints(hint)
+        for key in value:
+            _require(key in schema, prefix + key, "unknown field")
+        given = {key: _parse(v, schema[key], prefix + key)
+                 for key, v in value.items() if v is not None}
+        for f in fields(hint):
+            _require(f.name in given or f.default is not MISSING
+                     or f.default_factory is not MISSING, prefix + f.name,
+                     "required")
+        value = hint(**given)
+    elif hint not in _LEAVES:  # tuple[item, ...]
         item = typing.get_args(hint)[0]
-        return tuple(_parse(v, item, f"{path}[{i}]")
-                     for i, v in enumerate(value))
-    prefix = f"{path}." if path else ""
-    schema = _type_hints(hint)
-    for key in value:
-        _require(key in schema, prefix + key, "unknown field")
-    given = {key: _parse(v, schema[key], prefix + key)
-             for key, v in value.items() if v is not None}
-    for f in fields(hint):
-        _require(f.name in given or f.default is not MISSING
-                 or f.default_factory is not MISSING, prefix + f.name,
-                 "required")
-    return hint(**given)
+        value = tuple(_parse(v, item, f"{path}[{i}]")
+                      for i, v in enumerate(value))
+    for holds, message in rules:
+        _require(holds(value), path, message)
+    return value
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -210,33 +247,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(version in (None, SCHEMA_VERSION), "schema_version",
              f"unsupported version {version!r}; expected {SCHEMA_VERSION}")
     cfg = _parse(raw, ExperimentConfig, "")
-    model, noise, dem, run = cfg.model, cfg.noise, cfg.dem, cfg.run
-    kind, sweep, prior_sweep = cfg.kind, cfg.sweep, cfg.prior_sweep
-    landscape, noise_variants = cfg.landscape, cfg.noise_variants
-    _require(kind in EXPERIMENT_KINDS, "kind",
-             f"must be one of {', '.join(EXPERIMENT_KINDS)}")
-    _require(cfg.output_dir != "", "output_dir", "must be a non-empty string")
-    # Seeds start numpy generators, which take no negative seed.
-    _require(len(cfg.seeds) > 0 and min(cfg.seeds) >= 0, "seeds",
-             "must be a non-empty list of non-negative integers")
-
-    _require(model.i_xx > 0, "model.i_xx", "must be positive")
-    _require(model.c_b_phi > 0, "model.c_b_phi", "must be positive")
-
-    _require(noise.sigma > 0, "noise.sigma", "must be positive")
-    _require(len(noise.process_noise_std) >= 1, "noise.process_noise_std",
-             "must list one std per state")
-    _require(all(s >= 0 for s in noise.process_noise_std),
-             "noise.process_noise_std", "stds must be non-negative")
-    # A covariance with some stds zero is singular: no noise can be drawn.
-    _require(all(s > 0 for s in noise.process_noise_std)
-             or not any(noise.process_noise_std), "noise.process_noise_std",
-             "stds must be all zero or all positive")
-    _require(noise.measurement_noise_value >= 0, "noise.measurement_noise_value",
-             "must be non-negative")
-    _require(noise.input_prior_precision >= 0, "noise.input_prior_precision",
-             "must be non-negative")
-    if all(s == 0 for s in noise.process_noise_std):
+    kind, noise, run = cfg.kind, cfg.noise, cfg.run
+    variants = cfg.noise_variants or ()
+    _require(cfg.dem.p >= cfg.dem.d, "dem.p", "need p >= d")
+    if not any(noise.process_noise_std):
         _require(noise.observer_process_precision is not None,
                  "noise.observer_process_precision",
                  "required when injected process noise is zero")
@@ -244,50 +258,23 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require(noise.observer_measurement_precision is not None,
                  "noise.observer_measurement_precision",
                  "required when injected measurement noise is zero")
-    for name in ("observer_process_precision",
-                 "observer_measurement_precision", "observer_sigma"):
-        value = getattr(noise, name)
-        _require(value is None or np.all(np.asarray(value) > 0),
-                 f"noise.{name}", "must be positive")
-
-    _require(dem.p >= dem.d >= 0, "dem.p", "need p >= d >= 0")
-    _require(dem.p <= ORDER_CAP, "dem.p",
-             f"embedding order exceeds cap {ORDER_CAP}")
-    if dem.learning_rate is not None:
-        _require(dem.learning_rate > 0, "dem.learning_rate", "must be positive")
-
-    _require(run.dt > 0, "run.dt", "must be positive")
-    _require(run.transient_skip_s >= 0, "run.transient_skip_s",
-             "must be non-negative")
     _require(run.log_path is not None or run.skip_steps < run.n_steps,
              "run.transient_skip_s", "skips every step of the record")
     _require(run.log_path is None or len(cfg.seeds) == 1, "seeds",
              "a log-backed run (run.log_path) replays one record; "
              "list exactly one seed")
-
-    _require(noise_variants != (), "noise_variants",
-             "must be a non-empty list")
-    for i, variant in enumerate(noise_variants or ()):
-        _require(variant.sigma > 0, f"noise_variants[{i}].sigma",
-                 "must be positive")
-        _require(all(s > 0 for s in variant.process_noise_std)
-                 or not any(variant.process_noise_std),
-                 f"noise_variants[{i}].process_noise_std",
-                 "stds must be all zero or all positive")
+    # A variant's tables and runtime are kept under its label.
+    labels = [variant.label for variant in variants]
+    for i, label in enumerate(labels):
+        _require(label not in labels[:i], f"noise_variants[{i}].label",
+                 f"{label!r} labels an earlier variant too; each variant "
+                 f"needs a label of its own")
 
     # Kind-specific requirements.
-    if kind == "sweep_p":
-        _require(sweep is not None, "sweep", "required for sweep_p")
-        _require(len(sweep.p_values) > 0, "sweep.p_values", "must be non-empty")
-        _require(all(0 <= p <= ORDER_CAP for p in sweep.p_values),
-                 "sweep.p_values", f"orders must lie in 0..{ORDER_CAP}")
-    if kind == "prior_sweep":
-        _require(prior_sweep is not None, "prior_sweep",
-                 "required for prior_sweep")
-        _require(len(prior_sweep.pv_grid) > 0, "prior_sweep.pv_grid",
-                 "must be non-empty")
-        _require(all(pv > 0 for pv in prior_sweep.pv_grid),
-                 "prior_sweep.pv_grid", "precisions must be positive")
+    section = {"sweep_p": "sweep", "prior_sweep": "prior_sweep",
+               "landscape": "landscape"}.get(kind)
+    _require(section is None or getattr(cfg, section) is not None, section,
+             f"required for {kind}")
     # Imported here: the harness imports this module.
     from .harness import (SA_AR_ORDER, _largest_order, _sweep_labels,
                           build_model)
@@ -301,19 +288,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
                  f"{', '.join(repeated)} would label more than one value; "
                  f"each value needs a label of its own")
     if kind == "landscape":
-        _require(landscape is not None, "landscape", "required for landscape")
         _require(len(cfg.seeds) == 1, "seeds",
                  "a landscape run probes one record; list exactly one seed")
-        _require(landscape.n_probe_times > 0, "landscape.n_probe_times",
-                 "must be positive")
-        _require(landscape.n_perturbations >= 0, "landscape.n_perturbations",
-                 "must be non-negative")
     if kind == "noise_characterization":
         _require(run.log_path is None, "run.log_path",
                  "noise_characterization synthesizes one record set per "
                  "noise variant and reads no log")
-        _require(noise_variants is not None and len(noise_variants) >= 2,
-                 "noise_variants",
+        _require(len(variants) >= 2, "noise_variants",
                  "noise_characterization needs at least two variants")
         # Its Gaussian fit takes the n_steps - 1 residuals of a record.
         _require(run.n_steps > MIN_FIT_SAMPLES, "run.n_steps",
@@ -329,11 +310,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     if run.log_path is None:
         # A synthetic record has n_steps samples: one more than the largest
-        # embedding window, and for the shoot-out more than twice the AR
-        # order that state augmentation fits to its process noise.
+        # embedding window, for the shoot-out more than twice the AR order
+        # that state augmentation fits to its process noise, and for the
+        # UIO two, to difference the output once.
         needed = _largest_order(cfg) + 1
         if kind == "benchmark_state":
             needed = max(needed, 2 * SA_AR_ORDER + 1)
+        if kind == "input_benchmark":
+            needed = max(needed, 2)
         _require(run.n_steps >= needed, "run.n_steps",
                  f"a {kind} run needs at least {needed} steps")
 
@@ -343,7 +327,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for name, value, counts in [
             ("noise.process_noise_std", noise.process_noise_std, [n]),
             *((f"noise_variants[{i}].process_noise_std", v.process_noise_std,
-               [n]) for i, v in enumerate(noise_variants or ())),
+               [n]) for i, v in enumerate(variants)),
             ("noise.observer_process_precision",
              noise.observer_process_precision, [1, n]),
             ("run.input_frequencies", run.input_frequencies or None, [r]),

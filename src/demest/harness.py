@@ -14,7 +14,7 @@ import numpy as np
 
 from . import benchmarks, dem
 from .config import ExperimentConfig, NoiseVariant, config_hash
-from .errors import DataFormatError, DivergenceError
+from .errors import ConfigError, DataFormatError, DivergenceError
 from .gencoord import embed_series
 from .noise import (NoiseSpec, autocorrelation, gaussian_fit,
                     gaussian_kernel_density, generate_colored_noise,
@@ -106,10 +106,7 @@ def _environment() -> dict:
     import sys
 
     def blas(show_config) -> str:
-        try:
-            info = show_config(mode="dicts")["Build Dependencies"]["blas"]
-        except TypeError:  # scipy < 1.11 prints it only
-            return "unknown"
+        info = show_config(mode="dicts")["Build Dependencies"]["blas"]
         return f"{info.get('name')} {info.get('version')}"
 
     env = {"python": platform.python_version(), "numpy": np.__version__,
@@ -798,6 +795,14 @@ RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentReport:
+    """Run ``cfg``'s experiment and, with ``write``, write its report. The
+    output directory is made first, so that one that cannot be made is a
+    ConfigError before any replay (it then stays made if the run fails)."""
+    if write:
+        try:
+            Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            raise ConfigError(f"output_dir: cannot create it: {exc}") from None
     report = RUNNERS[cfg.kind](cfg)
     # Every design of a run takes dem.learning_rate, set or left to default.
     for growth in report.observer_growth.values():

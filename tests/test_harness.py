@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from demest.cli import main as cli_main
 from demest.config import (ExperimentConfig, config_hash, load_config_file,
                            parse_config, serialize_config)
-from demest import benchmarks, dem, harness
+from demest import benchmarks, config, dem, harness
 from demest.errors import ConfigError, DataFormatError, DivergenceError
+from demest.gencoord import ORDER_CAP
 from demest.harness import run_experiment, write_report
 from demest.systems import (ExperimentData, LtiModel, load_flight_log,
                             quadrotor_roll_model, save_flight_log, simulate)
@@ -320,6 +321,40 @@ class TestConfigValidation:
         raw["run"]["log_path"] = None
         assert parse_config(raw).run.log_path is None
 
+    @pytest.mark.parametrize("labels, bad", [
+        (["without_wind", "without_wind"], 1), (["a/b", "c"], 0),
+        (["a", "b\\c"], 1), (["a\0b", "c"], 0), (["", "c"], 0)],
+        ids=["repeated", "slash", "backslash", "nul", "empty"])
+    def test_noise_variant_labels_rejected(self, tmp_path, capsys, labels,
+                                           bad):
+        # A label names its variant's four tables and runtime: a repeat
+        # would overwrite an earlier variant's, and a / would name a
+        # directory the run never made, after every replay.
+        raw = serialize_config(
+            load_config_file(CONFIG_DIR / "noise_characterization.json"))
+        for variant, label in zip(raw["noise_variants"], labels):
+            variant["label"] = label
+        with pytest.raises(ConfigError,
+                           match=rf"^noise_variants\[{bad}\]\.label: "):
+            parse_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", str(path)]) == 1
+        assert f"noise_variants[{bad}].label" in capsys.readouterr().err
+
+    def test_one_step_input_benchmark_rejected(self):
+        # The UIO takes output increments, and one sample has none.
+        raw = serialize_config(
+            load_config_file(CONFIG_DIR / "input_benchmark_colored.json"))
+        raw.update(seeds=[1, 2])
+        raw["dem"].update(p=0, d=0)
+        raw["run"].update(n_steps=1, transient_skip_s=0.0)
+        with pytest.raises(ConfigError, match="^run.n_steps: "):
+            parse_config(raw)
+        raw["run"]["n_steps"] = 2
+        report = run_experiment(parse_config(raw), write=False)
+        assert not report.diverged
+
     def test_uio_poles_per_state(self, tmp_path, capsys):
         raw = small_config(kind="input_benchmark", uio={"poles": [-10.0]})
         with pytest.raises(ConfigError, match="uio.poles"):
@@ -514,6 +549,103 @@ class TestConfigTypes:
         assert "Infinity" in path.read_text()
         assert cli_main(["validate", str(path)]) == 1
         assert "run.dt: must be a finite number" in capsys.readouterr().err
+
+
+def stated_rules(cls=ExperimentConfig, path=()):
+    """(path, field, rule, on_items) of each rule the schema states on a
+    field's value, or on each item of its list (on_items)."""
+    def unannotated(hint):
+        if typing.get_origin(hint) is typing.Annotated:
+            return hint.__origin__, hint.__metadata__
+        return hint, ()
+
+    hints = typing.get_type_hints(cls, include_extras=True)
+    for f in dataclasses.fields(cls):
+        hint, rules = unannotated(hints[f.name])
+        yield from ((path + (f.name,), f, rule, False) for rule in rules)
+        for option in (typing.get_args(hint) if isinstance(
+                hint, types.UnionType) else (hint,)):
+            if dataclasses.is_dataclass(option):
+                yield from stated_rules(option, path + (f.name,))
+            elif typing.get_origin(option) is tuple:
+                item, rules = unannotated(typing.get_args(option)[0])
+                yield from ((path + (f.name,), f, rule, True)
+                            for rule in rules)
+                if dataclasses.is_dataclass(item):
+                    yield from stated_rules(item, path + (f.name, 0))
+
+
+def rule_name(rule) -> str:
+    return next(name for name in dir(config) if getattr(config, name) is rule)
+
+
+# A value that breaks each rule the schema states, by field and rule. An
+# item rule's value goes after the items that full_config() lists.
+BROKEN = {
+    ("kind", "KIND"): "sweep",
+    ("output_dir", "NON_EMPTY"): "",
+    ("seeds", "NON_EMPTY"): [],
+    ("seeds", "NON_NEGATIVE"): -1,
+    ("model.i_xx", "POSITIVE"): 0.0,
+    ("model.c_b_phi", "POSITIVE"): -1.274e-3,
+    ("noise.sigma", "POSITIVE"): 0,
+    ("noise.process_noise_std", "NON_EMPTY"): [],
+    ("noise.process_noise_std", "STDS"): [0.0, 0.1],
+    ("noise.measurement_noise_value", "NON_NEGATIVE"): -1e-6,
+    ("noise.input_prior_precision", "NON_NEGATIVE"): -1.0,
+    ("noise.observer_process_precision", "POSITIVE"): [1.0, 0.0],
+    ("noise.observer_measurement_precision", "POSITIVE"): 0.0,
+    ("noise.observer_sigma", "POSITIVE"): -0.0166,
+    ("dem.p", "ORDER"): ORDER_CAP + 1,
+    ("dem.d", "ORDER"): -1,
+    ("dem.learning_rate", "POSITIVE"): 0.0,
+    ("run.dt", "POSITIVE"): 0.0,
+    ("run.transient_skip_s", "NON_NEGATIVE"): -0.5,
+    ("sweep.p_values", "NON_EMPTY"): [],
+    ("sweep.p_values", "ORDER"): ORDER_CAP + 1,
+    ("prior_sweep.pv_grid", "NON_EMPTY"): [],
+    ("prior_sweep.pv_grid", "POSITIVE"): 0.0,
+    ("landscape.n_probe_times", "POSITIVE"): 0,
+    ("landscape.n_perturbations", "NON_NEGATIVE"): -1,
+    ("noise_variants", "NON_EMPTY"): [],
+    ("noise_variants[0].label", "NON_EMPTY"): "",
+    ("noise_variants[0].label", "FILE_NAME"): "a/b",
+    ("noise_variants[0].sigma", "POSITIVE"): 0.0,
+    ("noise_variants[0].process_noise_std", "NON_EMPTY"): [],
+    ("noise_variants[0].process_noise_std", "STDS"): [-0.1, 0.2],
+}
+
+RULES = list(stated_rules())
+
+
+class TestConfigRules:
+    """Each rule that the schema states on a field, against the table."""
+
+    @pytest.mark.parametrize(
+        "path, f, rule, on_items", RULES,
+        ids=[f"{dotted(p)}{'[i]' * items}-{rule_name(r)}"
+             for p, _, r, items in RULES])
+    def test_rule_passes_the_default_and_rejects_its_broken_value(
+            self, path, f, rule, on_items):
+        holds, message = rule
+        if f.default is not dataclasses.MISSING and f.default is not None:
+            assert all(map(holds, f.default if on_items else [f.default]))
+        # A rule on the schema but not in the table fails here.
+        bad = BROKEN[dotted(path), rule_name(rule)]
+        named = dotted(path)
+        if on_items:
+            items = full_config()
+            for key in path:
+                items = items[key]
+            named += f"[{len(items)}]"
+            bad = [*items, bad]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(edited(path, bad))
+        assert str(exc.value) == f"{named}: {message}"
+
+    def test_table_holds_only_stated_rules(self):
+        assert set(BROKEN) == {(dotted(p), rule_name(r))
+                               for p, _, r, _ in RULES}
 
 
 @pytest.fixture(scope="module")
@@ -1434,6 +1566,20 @@ class TestCli:
         path.write_text(json.dumps(raw))
         assert cli_main(["run", str(path)]) == 2
         assert "existence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output_dir", ["file/out", "a\0b"],
+                             ids=["under_a_file", "nul"])
+    def test_output_dir_that_cannot_be_made_exits_one_before_any_replay(
+            self, tmp_path, capsys, monkeypatch, output_dir):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_config(
+            output_dir=str(tmp_path / output_dir))))
+        monkeypatch.setitem(harness.RUNNERS, "benchmark_state",
+                            lambda cfg: pytest.fail("the run started"))
+        assert cli_main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: output_dir: ")
 
 
 def _diverging_observer_batch():
