@@ -11,9 +11,11 @@ stack of records over it. The means, like the UIO's observer states, are
 a linear recurrence ``x_k = M_k x_{k-1} + w_k``, handed to the replay
 driver ``systems._replay`` as its transitions, constant from each record's
 freeze step, and a drive built up front; the driver scans the constant
-stretches in chunks. Each filter and the UIO have a ``*_batch`` entry
-that replays a list of records as one stack; each filter also has a
-one-record entry that calls it with a batch of one and raises its
+stretches in chunks. It returns the stack's (S, T, ·) rows and each failed
+record's first non-finite step, from which each estimator names its own
+``DivergenceError``. Each filter and the UIO have a ``*_batch`` entry that
+replays a list of records as one stack; each filter also has a one-record
+entry that calls it with a batch of one and raises its
 ``DivergenceError``.
 
 A batch's designs are prepared stacked as well, each with the bits it has
@@ -393,13 +395,12 @@ def _filter(ad, bd, c, q, r, ys, vs, p0=None, ar=None, keep=None) -> list:
     # A record's M is constant from its design's freeze step (>= 1) on. A
     # failed design's gains are NaN from then on: its records go unscanned.
     means, failed = _replay(
-        np.zeros((n_records, n, 1)), w, slice(kept),
-        lambda i, k: NOT_INVERTIBLE if singular[
-            design[i]] and k == stop[design[i]] else NON_FINITE, transition,
+        np.zeros((n_records, n, 1)), w, slice(kept), transition,
         np.where(np.isnan(gains[-1]).any(axis=(1, 2)), n_steps, stop)[design])
     steps = [None if f == n_steps else f for f in stop.tolist()]
-    return [failed[i] if i in failed else KalmanResult(
-                means[:, i], covs[:, d], steps[d])
+    return [DivergenceError(failed[i], NOT_INVERTIBLE if singular[d]
+                            and failed[i] == stop[d] else NON_FINITE)
+            if i in failed else KalmanResult(means[i], covs[:, d], steps[d])
             for i, d in enumerate(design)]
 
 
@@ -711,31 +712,28 @@ def uio_batch(model: LtiModel, datas, poles=None) -> list:
     # + Kd y_{k-1}.
     w = np.zeros(ys.shape[:2] + (model.n,))
     np.matmul(ys[:, :-1], kd.T, out=w[:, 1:])
-    message = "non-finite observer state"
     eye = np.eye(model.n)
     z, failed = _replay(-design.h @ ys[:, 0, :, None], w, slice(None),
-                        lambda i, k: message, lambda k: fd if k else eye, 1)
-    # Step-major, so that step k of every record is one index.
-    y = np.moveaxis(ys, 1, 0)[..., None]
-    z = z[..., None]
+                        lambda k: fd if k else eye, 1)
+    y, z = ys[..., None], z[..., None]
     # A non-finite estimate is a failure found below, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         xhat = z + design.h @ y
         # The output derivative at step k is the increment to step k + 1;
         # the last step keeps its predecessor's.
         ydot = np.empty_like(y)
-        ydot[:-1] = (y[1:] - y[:-1]) / dt
-        ydot[-1] = ydot[-2]
+        ydot[:, :-1] = (y[:, 1:] - y[:, :-1]) / dt
+        ydot[:, -1] = ydot[:, -2]
         zdot = design.f @ z + design.k @ y
         vhat = b_pinv @ (zdot + design.h @ ydot - model.a @ xhat)
     bad = ~(np.isfinite(xhat).all(axis=(2, 3))
             & np.isfinite(vhat).all(axis=(2, 3)))
-    for i in np.flatnonzero(bad.any(axis=0)).tolist():
-        k = int(bad[:, i].argmax())
-        if i not in failed or k < failed[i].step:
-            failed[i] = DivergenceError(k, message)
-    return [failed[i] if i in failed else UioResult(
-                xhat[:, i, :, 0], vhat[:, i, :, 0], design)
+    for i in np.flatnonzero(bad.any(axis=1)).tolist():
+        k = int(bad[i].argmax())
+        failed[i] = min(failed.get(i, k), k)
+    return [DivergenceError(failed[i], "non-finite observer state")
+            if i in failed else UioResult(xhat[i, ..., 0], vhat[i, ..., 0],
+                                          design)
             for i in range(len(datas))]
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .gencoord import ORDER_CAP
-from .noise import MIN_FIT_SAMPLES
+from .noise import MIN_FIT_SAMPLES, kernel_half_width
 
 SCHEMA_VERSION = 1
 
@@ -263,6 +263,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(run.log_path is None or len(cfg.seeds) == 1, "seeds",
              "a log-backed run (run.log_path) replays one record; "
              "list exactly one seed")
+    # Each seed replays one record: a repeat would score a record twice.
+    for i, seed in enumerate(cfg.seeds):
+        _require(seed not in cfg.seeds[:i], f"seeds[{i}]",
+                 f"{seed} is listed earlier too; each seed replays one record")
     # A variant's tables and runtime are kept under its label.
     labels = [variant.label for variant in variants]
     for i, label in enumerate(labels):
@@ -320,6 +324,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
             needed = max(needed, 2)
         _require(run.n_steps >= needed, "run.n_steps",
                  f"a {kind} run needs at least {needed} steps")
+        # Its noise draws n_steps plus both sides of the smoothing kernel.
+        # A kernel as wide as the record, or as a default-length one (short
+        # records keep the shipped kernels), bounds the draw to three times
+        # the longer of the two.
+        widest = max(run.n_steps, RunSettings.n_steps)
+        for name, sigma in [("noise.sigma", noise.sigma), *(
+                (f"noise_variants[{i}].sigma", v.sigma)
+                for i, v in enumerate(variants))]:
+            width = kernel_half_width(sigma, run.dt)
+            _require(width <= widest, name,
+                     f"its noise kernel spans {width:g} samples each side "
+                     f"(4 sigma / run.dt), more than {widest}, the longer "
+                     f"of run.n_steps and a default record")
 
     # Lists whose length the plant a run builds fixes; None picks a default.
     plant = build_model(cfg)

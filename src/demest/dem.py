@@ -11,8 +11,10 @@ whose drift is the generalized shift minus the learning rate times the
 (constant) negative free-energy curvature. ``run_observer_batch`` replays a
 stack of records through one assembled observer: the discretized ODE is the
 recurrence ``X_t = Ad X_{t-1} + Bd u_t``, which the replay driver
-``systems._replay`` scans in chunks; ``run_observer`` is a batch of one plus
-the free-energy trace.
+``systems._replay`` scans in chunks into (S, T, ·) rows, the layout of the
+(S, T, k) embeddings; a record fails with ``NON_FINITE`` at its first
+non-finite step. ``run_observer`` is a batch of one plus the free-energy
+trace.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ObserverDesignError
+from .errors import DivergenceError, ObserverDesignError
 from .gencoord import embed_series, lift_matrix, shift_matrix
 from .noise import (GeneralizedPrecision, NoiseSpec, block_diag,
                     generalized_precision)
@@ -292,7 +294,7 @@ def run_observer(m: ObserverMatrices, data: ExperimentData,
     embeddings = {}
     estimates = _one(run_observer_batch(m, [data], known_inputs,
                                         embeddings=embeddings))
-    y_gen = embed_records([data], "measurements", m.p, embeddings)[:, 0]
+    y_gen = embed_records([data], "measurements", m.p, embeddings)[0]
     sd = m.state_dim
     return ObserverRun(
         estimates=estimates,
@@ -305,8 +307,8 @@ def run_observer(m: ObserverMatrices, data: ExperimentData,
 
 def embed_records(datas, field: str, order: int,
                   memo: dict | None = None) -> np.ndarray:
-    """Time-major (T, S, k) embedding of ``field`` ("measurements" or
-    "inputs") of every record, each written into one preallocated array.
+    """The (S, T, k) embedding of ``field`` ("measurements" or "inputs") of
+    every record, each written into one preallocated array.
 
     ``memo`` keeps the embeddings by field, order and records, so calls
     that pass the same dict and the same (live) records embed each record
@@ -316,10 +318,9 @@ def embed_records(datas, field: str, order: int,
     if memo is not None and key in memo:
         return memo[key]
     first = getattr(datas[0], field)
-    out = np.empty((first.shape[0], len(datas),
-                    first.shape[1] * (order + 1)))
+    out = np.empty((len(datas), first.shape[0], first.shape[1] * (order + 1)))
     for s, data in enumerate(datas):
-        out[:, s] = embed_series(getattr(data, field), data.dt, order)
+        out[s] = embed_series(getattr(data, field), data.dt, order)
     if memo is not None:
         memo[key] = out
     return out
@@ -364,23 +365,23 @@ def run_observer_batch(m: ObserverMatrices, datas, known_inputs: bool = False,
     ad, bd = m.replayed(datas[0].dt, known_inputs)
     n = ad.shape[0]
     ny = y_gen.shape[2]
-    w = np.matmul(y_gen.swapaxes(0, 1), bd[:, :ny].T)
+    w = np.matmul(y_gen, bd[:, :ny].T)
     w -= bd[:, ny:] @ m.eta_gen
     cols = np.arange(m.total_dim)[slice(None) if keep is None else keep]
     replayed = cols < n
     if known_inputs:
         v_gen = embed_records(datas, "inputs", m.d, embeddings)
         for s in range(n_records):  # no temporary as large as w
-            w[s, 1:] += v_gen[:-1, s] @ ad[:, n:].T
+            w[s, 1:] += v_gen[s, :-1] @ ad[:, n:].T
     ad = ad[:, :n]
     kept, failed = _replay(np.zeros((n_records, n, 1)), w, cols[replayed],
-                           lambda i, t: NON_FINITE, lambda t: ad)
+                           lambda t: ad)
     if not replayed.all():
         out = np.empty(kept.shape[:2] + cols.shape)
         out[..., replayed] = kept
         out[..., ~replayed] = v_gen[..., cols[~replayed] - n]
         kept = out
-    return [failed[i] if i in failed else kept[:, i]
+    return [DivergenceError(failed[i], NON_FINITE) if i in failed else kept[i]
             for i in range(n_records)]
 
 

@@ -584,7 +584,7 @@ def run_landscape(cfg: ExperimentConfig) -> ExperimentReport:
     report.observer_growth["landscape"] = dem.replay_growth(
         matrices, data.dt, data.n_steps)
     y_gen_series = dem.embed_records([data], "measurements", dem_cfg.p,
-                                     embeddings)[:, 0]
+                                     embeddings)[0]
 
     rng = np.random.default_rng([record.seed, 4])
     directions = rng.standard_normal((ls.n_perturbations, matrices.total_dim))

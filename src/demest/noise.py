@@ -129,6 +129,13 @@ def gaussian_kernel(sigma: float, dt: float, half_width: int) -> np.ndarray:
     return taps / taps.sum()
 
 
+def kernel_half_width(sigma: float, dt: float) -> float:
+    """Samples on each side of the taps ``generate_colored_noise`` smooths
+    with: ``ceil(4 sigma / dt)``, at least 1; inf where the ratio
+    overflows."""
+    return max(1.0, np.ceil(4.0 * sigma / dt))
+
+
 def kernel_autocorrelation(lags, sigma: float):
     """Normalized autocorrelation induced by Gaussian-kernel smoothing."""
     lags = np.asarray(lags, dtype=float)
@@ -154,7 +161,7 @@ def generate_colored_noise(seed, sigma: float, covariance, n_steps: int,
         raise ValueError("n_steps must be at least 1")
     cov = _check_spd(covariance, "covariance")
     dim = cov.shape[0]
-    half_width = max(1, math.ceil(4.0 * sigma / dt))
+    half_width = int(kernel_half_width(sigma, dt))
     taps = gaussian_kernel(sigma, dt, half_width)
     stacked = np.ndim(seed) == 2
     seeds = seed if stacked else [seed]

@@ -137,10 +137,10 @@ SCAN_MARGIN = 1e300
 SERIAL_GEMM = 4 * 65536
 
 
-def _steps(x, w, steps, keep, rows, failed, message, ids=slice(None)):
+def _steps(x, w, steps, keep, rows, failed, ids=slice(None)):
     """Step the records ``ids`` of a replay, whose states are the stack
     ``x``, through ``x = M_k x + w_k`` for each ``(k, M_k)`` of ``steps``,
-    storing ``x[:, keep, 0]`` in ``rows[k, ids]``. A record fails at its
+    storing ``x[:, keep, 0]`` in ``rows[ids, k]``. A record fails at its
     first non-finite step; its state restarts from zero, and the loop stops
     once all of these records have failed. Returns the last state."""
     labels = np.arange(w.shape[0])[ids]
@@ -150,15 +150,15 @@ def _steps(x, w, steps, keep, rows, failed, message, ids=slice(None)):
         if not math.isfinite(np.vdot(x, x)):
             bad = ~np.isfinite(x).all(axis=(1, 2))
             for i in labels[bad].tolist():
-                failed.setdefault(i, DivergenceError(k, message(i, k)))
+                failed.setdefault(i, k)
             if all(i in failed for i in labels.tolist()):
                 break
             x[bad] = 0.0
-        rows[k, ids] = x[:, keep, 0]
+        rows[ids, k] = x[:, keep, 0]
     return x
 
 
-def _segments(x, w, lo, hi, transition, keep, rows, failed, message):
+def _segments(x, w, lo, hi, transition, keep, rows, failed):
     """Step record i of the stack ``x`` in place through ``_steps``, from
     step ``lo[i]`` to step ``hi[i]`` (one of them may be a scalar): in
     disjoint segments between consecutive distinct bounds, each of the
@@ -171,7 +171,7 @@ def _segments(x, w, lo, hi, transition, keep, rows, failed, message):
             ids = ids if ids.size < len(x) else slice(None)
             x[ids] = _steps(x[ids], w, (
                 (k, m if (m := transition(k)).ndim == 2 else m[ids])
-                for k in range(a, b)), keep, rows, failed, message, ids)
+                for k in range(a, b)), keep, rows, failed, ids)
 
 
 def _blocks(m, keep):
@@ -231,7 +231,7 @@ def _gemm(a, b):
     return out
 
 
-def _scan(x, w, transition, first, keep, rows, failed, message):
+def _scan(x, w, transition, first, keep, rows, failed):
     """Replay the whole chunks of ``_replay``, record i from its chunk
     ``first[i]``, which it enters with the state ``x[i]``; a record with a
     first chunk of ``n_chunks`` is not scanned. Returns each record's state
@@ -258,7 +258,7 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
     non-finite drive or entering state fails the check, as NaN compares
     false. The chunks before a record's first are not checked. From its
     first failing chunk, a record that has not failed goes one by one,
-    which gives its exact ``DivergenceError``.
+    which finds its exact first non-finite step.
     """
     n_records, n_steps, n = w.shape
     chunk = SCAN_CHUNK
@@ -276,8 +276,8 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
     entering = np.zeros((n_records, n_chunks + 1, n))
     entering[:, 1:] = _replay(
         np.where(late[:, None, None], 0.0, x), zero_in[..., -n:],
-        slice(None), lambda i, k: "", lambda k: phi_end,
-        0 if n_chunks >= chunk ** 2 else n_chunks)[0].swapaxes(0, 1)
+        slice(None), lambda k: phi_end,
+        0 if n_chunks >= chunk ** 2 else n_chunks)[0]
     # Exact: a late record's e_c adds phi_end @ 0, NaN where it overflowed.
     entering[np.arange(n_records), first] = x[..., 0]
     # The 2-norms, from two batched dots, bound the max-norms (to rounding:
@@ -291,22 +291,21 @@ def _scan(x, w, transition, first, keep, rows, failed, message):
     # Each record's rows from its first chunk on, in one copy.
     kept = zero_in[..., :-n].reshape(n_records, n_chunks, chunk, -1)
     kept += _gemm(entering[:, :-1], phi).reshape(kept.shape)
-    grid = rows[:n_chunks * chunk].reshape(n_chunks, chunk, n_records, -1)
+    grid = rows[:, :n_chunks * chunk].reshape(kept.shape)
     if before.any():
-        np.copyto(grid, kept.transpose(1, 2, 0, 3),
-                  where=~before.T[:, None, :, None])
+        np.copyto(grid, kept, where=~before[..., None, None])
     else:
-        grid[...] = kept.transpose(1, 2, 0, 3)
+        grid[...] = kept
     fail[list(failed)] = n_chunks  # a failed record's rows are not used
     return entering[np.arange(n_records), fail, :, None], fail * chunk
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _replay(x, w, keep, message, transition, starts=0) -> tuple:
-    """The replay driver of every stacked estimator: the recurrence
-    ``x_k = M_k x_{k-1} + w_k`` of S records' states, from the (S, n, 1)
-    stack ``x`` before step 0, over the (S, T, n) drive ``w``, storing
-    ``x_k[:, keep, 0]`` at each step.
+def _replay(x, w, keep, transition, starts=0) -> tuple:
+    """The replay driver of the plant simulation and every stacked
+    estimator: the recurrence ``x_k = M_k x_{k-1} + w_k`` of S records'
+    states, from the (S, n, 1) stack ``x`` before step 0, over the (S, T, n)
+    drive ``w``, storing ``x_k[:, keep, 0]`` at each step.
 
     ``transition(k)`` is ``M_k``: (n, n), shared by the stack, or (S, n,
     n), one per record. Record i's own ``M_k`` is constant from step
@@ -329,28 +328,27 @@ def _replay(x, w, keep, message, transition, starts=0) -> tuple:
     A step checks the whole stack with one ``np.vdot``: a non-finite entry
     makes the sum of squares non-finite, and finite squares whose sum
     overflows only send the step to the exact per-record check. A record
-    fails at its first non-finite step ``k`` with ``DivergenceError(k,
-    message(record, k))``, also inside a scanned chunk: from the first chunk
-    that fails its bound, it steps. Its state then restarts from zero, so
-    the others run on unchanged, and the replay stops once every record has
-    failed. It finds and reports these steps itself, so numpy's overflow
-    and invalid-value warnings are off for the call.
+    fails at its first non-finite step, also inside a scanned chunk: from
+    the first chunk that fails its bound, it steps. Its state then restarts
+    from zero, so the others run on unchanged, and the replay stops once
+    every record has failed. It finds these steps itself, so numpy's
+    overflow and invalid-value warnings are off for the call; each caller
+    names its own failure.
 
-    Returns the (T, S, ·) stored rows and the ``{record: DivergenceError}``
-    map of the failed records.
+    Returns the stored rows as an (S, T, ·) stack, the layout of the drive,
+    and ``{record: first non-finite step}`` of the failed records.
     """
     n_records, n_steps = w.shape[:2]
     n_chunks = n_steps // SCAN_CHUNK
     first = -(-np.broadcast_to(starts, n_records) // SCAN_CHUNK)
     first = np.where(n_chunks - first < 2, n_chunks, first)
-    rows = np.zeros((n_steps,) + x[:, keep, 0].shape)
+    rows = np.zeros((n_records, n_steps) + x[0, keep, 0].shape)
     failed = {}
     x, start = x.copy(), np.full(n_records, n_chunks * SCAN_CHUNK)
-    _segments(x, w, 0, first * SCAN_CHUNK, transition, keep, rows, failed,
-              message)
+    _segments(x, w, 0, first * SCAN_CHUNK, transition, keep, rows, failed)
     if first.min() < n_chunks and len(failed) < n_records:
-        x, start = _scan(x, w, transition, first, keep, rows, failed, message)
-    _segments(x, w, start, n_steps, transition, keep, rows, failed, message)
+        x, start = _scan(x, w, transition, first, keep, rows, failed)
+    _segments(x, w, start, n_steps, transition, keep, rows, failed)
     return rows, failed
 
 
@@ -521,13 +519,12 @@ def simulate(model: LtiModel, dt: float, n_steps: int, inputs,
     w = np.zeros((inputs.shape[0], n_steps, model.n))
     w[:, 1:] = np.matmul(bd, inputs[:, :n_steps - 1, :, None])[..., 0] \
         + proc_noise[:, :n_steps - 1] * dt
-    rows, failed = _replay(np.zeros((len(w), model.n, 1)), w, slice(None),
-                           lambda i, k: "", lambda k: ad)
+    states, failed = _replay(np.zeros((len(w), model.n, 1)), w, slice(None),
+                             lambda k: ad)
     if failed:
-        raise DivergenceError(failed[min(failed)].step,
+        raise DivergenceError(failed[min(failed)],
                               "non-finite simulated state",
                               subject="plant simulation")
-    states = np.ascontiguousarray(rows.swapaxes(0, 1))
     measurements = states @ model.c.T + meas_noise[:, :n_steps]
     records = [ExperimentData(dt=dt, measurements=measurements[i],
                               inputs=inputs[i, :n_steps].copy(),
@@ -637,25 +634,30 @@ def normalized_pwm(path, pwm) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_flight_log(path) -> ExperimentData:
-    """Parse a flight-log CSV, validating schema, monotonicity, and jitter."""
+    """Parse a flight-log CSV, validating schema, monotonicity, and jitter.
+    A log that cannot be opened or decoded is a ``DataFormatError`` that
+    names it."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for col in FLIGHT_LOG_COLUMNS:
-            if col not in header:
-                raise DataFormatError(f"{path}: missing column '{col}'")
-        has_truth = all(c in header for c in FLIGHT_LOG_TRUTH_COLUMNS)
-        index = {name: header.index(name) for name in header}
-        table = _loadtxt_rows(fh, len(header))
-        if table is None:
-            fh.seek(0)
-            next(reader)
-            table = _checked_rows(path, reader, header, index)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            for col in FLIGHT_LOG_COLUMNS:
+                if col not in header:
+                    raise DataFormatError(f"{path}: missing column '{col}'")
+            has_truth = all(c in header for c in FLIGHT_LOG_TRUTH_COLUMNS)
+            index = {name: header.index(name) for name in header}
+            table = _loadtxt_rows(fh, len(header))
+            if table is None:
+                fh.seek(0)
+                next(reader)
+                table = _checked_rows(path, reader, header, index)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc}") from None
     t = table[:, index["t"]]
     diffs = np.diff(t)
     if np.any(diffs <= 0):

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +19,17 @@ from demest.dem import (assemble_observer, error_jacobian, free_energy,
                         prediction_error)
 from demest.gencoord import centered_offsets, embed_series
 from demest.harness import (_dem_config, build_model, observer_noise_spec,
-                            run_experiment)
+                            run_experiment, synthesize_record)
 from demest.noise import (autocorrelation, generate_colored_noise,
                           kernel_autocorrelation, temporal_precision)
-from demest.systems import ExperimentData, discretize, quadrotor_roll_model
+from demest.systems import (ExperimentData, discretize, quadrotor_roll_model,
+                            save_flight_log)
 from test_dem import free_energy_gradient
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 OUT_DIR = CONFIG_DIR.parent / "out"
+FLIGHT_LOG_REFERENCE = CONFIG_DIR.parent / "perfbench" / "reference" / \
+    "flight_log"
 
 # Golden bound on regenerated tables, the one perfbench's table check uses.
 GOLDEN_RTOL, GOLDEN_ATOL = 1e-8, 1e-12
@@ -274,13 +278,14 @@ def _read_csv(path):
         return list(csv.reader(fh))
 
 
-def _golden_mismatches(name, outdir):
-    """Where the tables in ``outdir`` leave the committed ``out/<name>/``.
+def _golden_mismatches(committed, outdir):
+    """Where the tables in ``outdir`` leave the committed ones in
+    ``committed`` (``out/<name>/``, or a perfbench reference).
 
     The header, row count, ``config_hash`` and non-numeric cells must match
     exactly; numbers within the golden bound.
     """
-    committed = OUT_DIR / name
+    name = committed.name
     tables = sorted(p.name for p in committed.glob("*.csv"))
     produced = sorted(p.name for p in outdir.glob("*.csv"))
     if produced != tables:
@@ -332,9 +337,29 @@ def test_criterion_10_determinism(tmp_path):
         # Every shipped config is golden-checked, not only those that
         # happen to have tables committed.
         assert (OUT_DIR / name).is_dir(), f"{name}: no committed out/ tables"
-        problems = _golden_mismatches(name, a)
+        problems = _golden_mismatches(OUT_DIR / name, a)
         if problems:
             pytest.fail("\n".join(problems[:10]))
     _report(10, time.perf_counter() - start, 600.0,
             f"all {len(names)} shipped configs reproduce their CSVs "
             f"byte-identically and match the committed out/ tables")
+
+
+def test_flight_log_shoot_out_matches_its_reference(tmp_path, monkeypatch):
+    # The windy shoot-out on the seed-1, 24,080-step flight log, built as
+    # perfbench's flight_log workload builds it. Its 2006 chunks take the
+    # scan through three levels of chunk ends, which the shipped configs'
+    # 100 chunks never reach. The log path is part of the config hash.
+    monkeypatch.chdir(tmp_path)
+    raw = serialize_config(_load("benchmark_state_windy"))
+    raw.update(output_dir="out", seeds=[1])
+    raw["run"]["log_path"] = "flight_log.csv"
+    cfg = parse_config(raw)
+    long_cfg = replace(
+        cfg, model=replace(cfg.model, full_state_output=True),
+        run=replace(cfg.run, n_steps=24080, log_path=None))
+    data, _ = synthesize_record(long_cfg, 1, build_model(long_cfg))
+    save_flight_log("flight_log.csv", data)
+    run_experiment(cfg, write=True)
+    problems = _golden_mismatches(FLIGHT_LOG_REFERENCE, tmp_path / "out")
+    assert not problems, "\n".join(problems[:10])

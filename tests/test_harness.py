@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import types
@@ -94,6 +95,19 @@ class TestConfigValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(small_config(seeds=[1, -1]))
+
+    def test_repeated_seed_rejected(self, tmp_path, capsys):
+        # A repeated seed replays one record twice: its tables would count
+        # two runs of one record, with an IQR and std of zero.
+        raw = small_config(seeds=[3, 4, 3])
+        with pytest.raises(ConfigError, match=r"^seeds\[2\]: 3 is listed"):
+            parse_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", str(path)]) == 1
+        assert "seeds[2]" in capsys.readouterr().err
+        raw["seeds"] = [3, 4, 5]
+        assert parse_config(raw).seeds == (3, 4, 5)
 
     def test_log_backed_config_takes_one_seed(self):
         raw = small_config()
@@ -294,6 +308,34 @@ class TestConfigValidation:
             parse_config(raw)
         raw["run"]["input_frequencies"] = [0.3]
         assert parse_config(raw).run.input_frequencies == (0.3,)
+
+    @pytest.mark.parametrize("field", ["noise.sigma",
+                                       "noise_variants[1].sigma"])
+    @pytest.mark.parametrize("n_steps, widest", [(128, 1204), (1300, 1300)])
+    def test_noise_kernel_wider_than_the_record_rejected(self, field, n_steps,
+                                                         widest):
+        # The noise draws n_steps + 2 ceil(4 sigma / dt) samples: caught at
+        # config time, before a tiny dt asks for gigabytes. The kernel may
+        # span as many samples each side as the longer of the record and a
+        # default one (1204 steps). At dt = 1/128 a sigma of k / 512 spans
+        # exactly k samples.
+        raw = serialize_config(
+            load_config_file(CONFIG_DIR / "noise_characterization.json"))
+        raw["run"].update(dt=1 / 128, n_steps=n_steps)
+        section = raw["noise"] if field == "noise.sigma" \
+            else raw["noise_variants"][1]
+        section["sigma"] = widest / 512 + 2.0 ** -12
+        with pytest.raises(ConfigError, match=(
+                rf"^{re.escape(field)}: its noise kernel spans "
+                rf"{widest + 1} samples")):
+            parse_config(raw)
+        section["sigma"] = widest / 512
+        parse_config(raw)
+        # A log-backed run draws no noise.
+        raw.update(kind="benchmark_state", seeds=[1], noise_variants=None)
+        raw["noise"]["sigma"] = 2 * widest / 512
+        raw["run"]["log_path"] = "flight.csv"
+        assert parse_config(raw).noise.sigma == 2 * widest / 512
 
     def test_noise_characterization_needs_a_fit_of_residuals(self):
         raw = serialize_config(
@@ -990,6 +1032,25 @@ class TestLogBackedExperiment:
                 run_experiment(cfg, write=False)
         else:
             assert run_experiment(cfg, write=False).tables["per_seed_sse"]
+
+    @pytest.mark.parametrize("log", ["missing", "directory", "undecodable"])
+    def test_unreadable_log_is_a_config_error(self, tmp_path, capsys, log):
+        # validate does not open the log; the run names it and exits 1.
+        cfg = self._log_config(tmp_path, 0.0083)
+        log_path = Path(cfg.run.log_path)
+        if log == "missing":
+            log_path.unlink()
+        elif log == "directory":
+            log_path.unlink()
+            log_path.mkdir()
+        else:
+            log_path.write_bytes(log_path.read_bytes() + b"0.1\xff\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(serialize_config(cfg)))
+        assert cli_main(["validate", str(path)]) == 0
+        assert cli_main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {log_path}: cannot read: ")
 
     def test_constant_pwm_column_is_a_data_error(self, tmp_path, capsys):
         # Normalizing divides each PWM channel by its range.
